@@ -34,7 +34,6 @@ from .dynamics import (
     InverseVerificationError,
     OrbitResult,
     RegularityResult,
-    build_automorphism,
     indeterminacy_locus,
     is_regular,
 )
@@ -60,7 +59,6 @@ from .inequality import (
     RationalBoxSampler,
     batch_verify,
     delta_statistic,
-    silverman_statistic,
 )
 from .kernel import BACKEND
 from .parsing import (
@@ -71,7 +69,7 @@ from .parsing import (
     parse_point,
     parse_polynomial,
 )
-from .polyring import Polynomial, ZeroPolynomialError, resultant
+from .polyring import Polynomial, ZeroPolynomialError
 
 __version__ = "0.1.0"
 
@@ -103,7 +101,6 @@ __all__ = [
     "ResolutionDatum",
     "ZeroPolynomialError",
     "batch_verify",
-    "build_automorphism",
     "bundled_dataset",
     "canonical",
     "canonical_minus",
@@ -125,8 +122,6 @@ __all__ = [
     "parse_map_file",
     "parse_point",
     "parse_polynomial",
-    "resultant",
-    "silverman_statistic",
     "validate_resolution",
     "weil_height",
     "weil_height_integer",

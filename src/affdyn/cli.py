@@ -3,8 +3,9 @@
 Subcommands: verify-map, orbit, height, canonical, inequality, divisor.
 Identical configuration and inputs produce byte-identical reports; all
 randomness is seeded and the seed is recorded.  Exit codes: 0 pass,
-1 verification failure, 2 input error.  The bit budget may also be set
-through the AFFDYN_BIT_BUDGET environment variable (flags win).
+1 verification failure (on every subcommand this includes an inverse that
+fails symbolic verification), 2 input error.  The bit budget may also be
+set through the AFFDYN_BIT_BUDGET environment variable (flags win).
 """
 
 from __future__ import annotations
@@ -140,11 +141,7 @@ def _parse_sampler(spec: str, seed: int):
 
 
 def cmd_verify_map(args) -> int:
-    try:
-        automorphism = _load_automorphism(args)
-    except InverseVerificationError as exc:
-        print(f"inverse verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+    automorphism = _load_automorphism(args)
     result = is_regular(automorphism, seed=args.seed)
     payload = {
         "map_id": automorphism.map_id,
@@ -379,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--slack", type=float, default=0.05)
     p.add_argument("--warmup", type=int, default=64)
-    p.add_argument("--silverman", action="store_true", help="family statistic instead")
+    p.add_argument(
+        "--silverman", action="store_true", help="Silverman statistic (no mixed term) instead"
+    )
     p.add_argument("--assume-regular", action="store_true")
     p.set_defaults(func=cmd_inequality)
 
@@ -405,6 +404,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
+    except InverseVerificationError as exc:
+        print(f"inverse verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except (MapSyntaxError, DatumError, InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -35,6 +35,8 @@ from . import kernel
 from .polyring import Polynomial, coefficient_list, univariate_gcd
 
 Direction = Literal["forward", "inverse"]
+#: A point of Q^n in the kernel's common-denominator form ``(nums, den)``.
+RawPoint = tuple[tuple[int, ...], int]
 
 #: Per-integer bit-size cap for orbit coordinates (overridable everywhere).
 DEFAULT_BIT_BUDGET = 2**20
@@ -59,10 +61,6 @@ class InverseVerificationError(ValueError):
             f"{order} is not the identity: coordinate {coordinate} "
             f"has residual {residual}"
         )
-
-
-class IndeterminateEvaluationError(ValueError):
-    """A homogeneous map was evaluated at a point of its indeterminacy locus."""
 
 
 @dataclass(frozen=True)
@@ -131,21 +129,6 @@ class HomogenizedMap:
     @property
     def nvars(self) -> int:
         return len(self.coords)
-
-    def apply_integer(self, coords: Sequence[int]) -> tuple[int, ...]:
-        """Image of a primitive integer point, reduced to primitive form."""
-        if len(coords) != self.nvars:
-            raise ValueError(f"expected {self.nvars} homogeneous coordinates")
-        values = [poly.evaluate(coords) for poly in self.coords]
-        den = 1
-        for v in values:
-            den = den * v.denominator // gcd(den, v.denominator)
-        ints = [int(v * den) for v in values]
-        if all(v == 0 for v in ints):
-            raise IndeterminateEvaluationError(
-                f"map is undefined at {tuple(coords)}"
-            )
-        return kernel.normalize_projective(ints)
 
 
 def _x0_divides(poly: Polynomial) -> bool:
@@ -263,32 +246,17 @@ class AffineAutomorphism:
         nums, den = kernel.eval_point(self.compiled(direction), nums, den)
         return kernel.to_fractions(nums, den)
 
-    def iterate_raw(
-        self,
-        point: Sequence[Fraction | int],
-        depth: int,
-        direction: Direction = "forward",
-        bit_budget: int | None = None,
-    ) -> tuple[list[tuple[tuple[int, ...], int]], bool]:
-        """Orbit in common-denominator form: ``depth + 1`` raw points.
+    def step(
+        self, raw: RawPoint, direction: Direction, bit_budget: int
+    ) -> tuple[RawPoint, bool]:
+        """One map application in common-denominator form.
 
-        Stops early (second return value True) as soon as any coordinate
-        integer would exceed the bit budget.
+        Returns the image together with whether any of its integers exceeds
+        the bit budget.  The image is returned either way, so a caller may
+        inspect it before it acts on the budget.
         """
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        budget = DEFAULT_BIT_BUDGET if bit_budget is None else bit_budget
-        cm = self.compiled(direction)
-        nums, den = kernel.to_common_denominator(point)
-        if kernel.max_bits(nums, den) > budget:
-            raise ValueError("starting point already exceeds the bit budget")
-        raw = [(nums, den)]
-        for _ in range(depth):
-            nums, den = kernel.eval_point(cm, nums, den)
-            if kernel.max_bits(nums, den) > budget:
-                return raw, True
-            raw.append((nums, den))
-        return raw, False
+        image = kernel.eval_point(self.compiled(direction), *raw)
+        return image, kernel.max_bits(*image) > bit_budget
 
     def orbit(
         self,
@@ -297,8 +265,23 @@ class AffineAutomorphism:
         direction: Direction = "forward",
         bit_budget: int | None = None,
     ) -> OrbitResult:
-        """``[P, f(P), ..., f^depth(P)]`` with exact arithmetic."""
-        raw, truncated = self.iterate_raw(point, depth, direction, bit_budget)
+        """``[P, f(P), ..., f^depth(P)]`` with exact arithmetic.
+
+        Stops early (``truncated``) as soon as any coordinate integer would
+        exceed the bit budget.
+        """
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        budget = DEFAULT_BIT_BUDGET if bit_budget is None else bit_budget
+        raw = [kernel.to_common_denominator(point)]
+        if kernel.max_bits(*raw[0]) > budget:
+            raise ValueError("starting point already exceeds the bit budget")
+        truncated = False
+        for _ in range(depth):
+            image, truncated = self.step(raw[-1], direction, budget)
+            if truncated:
+                break
+            raw.append(image)
         points = tuple(kernel.to_fractions(nums, den) for nums, den in raw)
         return OrbitResult(points, depth, truncated)
 
@@ -316,14 +299,14 @@ class AffineAutomorphism:
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         budget = DEFAULT_BIT_BUDGET if bit_budget is None else bit_budget
-        cm = self.compiled("forward")
         start = kernel.to_common_denominator(point)
-        nums, den = start
+        raw = start
         for k in range(1, max_depth + 1):
-            nums, den = kernel.eval_point(cm, nums, den)
-            if (nums, den) == start:
+            raw, over = self.step(raw, "forward", budget)
+            # Equality first: a start over the budget can still be fixed.
+            if raw == start:
                 return CycleResult(True, k, k)
-            if kernel.max_bits(nums, den) > budget:
+            if over:
                 return CycleResult(False, None, k, truncated=True)
         return CycleResult(False, None, max_depth)
 
@@ -337,15 +320,6 @@ class AffineAutomorphism:
                 _homogenize_coords(self.inverse, self.d_inv),
             )
         return self._homogenized
-
-
-def build_automorphism(
-    forward: Sequence[Polynomial],
-    inverse: Sequence[Polynomial],
-    names: Sequence[str] | None = None,
-) -> AffineAutomorphism:
-    """Verify and package an automorphism pair (see ``AffineAutomorphism``)."""
-    return AffineAutomorphism(forward, inverse, names)
 
 
 def _homogenize_coords(coords: Sequence[Polynomial], degree: int) -> HomogenizedMap:

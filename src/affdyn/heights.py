@@ -162,20 +162,18 @@ def _canonical_estimate(
         raise ValueError("depth must be >= 1")
     budget = DEFAULT_BIT_BUDGET if bit_budget is None else bit_budget
     ratio = automorphism.degree(direction)
-    cm = automorphism.compiled(direction)
     max_depth = depth if depth is not None else 10_000
 
-    nums, den = kernel.to_common_denominator(point)
-    integers = [_raw_height_integer(nums, den)]
+    raw = kernel.to_common_denominator(point)
+    integers = [_raw_height_integer(*raw)]
     values = [math.log(integers[0])]
     truncated = False
     tail = math.inf
     for k in range(1, max_depth + 1):
-        nums, den = kernel.eval_point(cm, nums, den)
-        if kernel.max_bits(nums, den) > budget:
-            truncated = True
+        raw, truncated = automorphism.step(raw, direction, budget)
+        if truncated:
             break
-        integers.append(_raw_height_integer(nums, den))
+        integers.append(_raw_height_integer(*raw))
         values.append(math.log(integers[-1]) / float(ratio) ** k)
         tail = _tail_bound(values, ratio)
         if tolerance is not None and tail <= tolerance:

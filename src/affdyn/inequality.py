@@ -5,10 +5,17 @@ For an automorphism pair of degrees ``(d, d')`` the pointwise statistic is
     delta(P) = (1/d) h(f P) + (1/d') h(f^{-1} P) - (1 + 1/(d d')) h(P),
 
 whose lower envelope over growing samples estimates the uniform constant
-in the two-sided height inequality.  The family statistic drops the mixed
-term: ``sum_i (1/d_i) h(zeta_i P) - h(P)`` for any jointly regular family.
-Both are exact rational combinations of logs of integers; the stored
-per-point height integers make every record recomputable.
+in the two-sided height inequality.  The Silverman statistic
+``(1/d) h(f P) + (1/d') h(f^{-1} P) - h(P)`` drops the mixed term, so it
+exceeds delta by exactly ``h(P) / (d d')``.  Both are exact rational
+combinations of logs of integers; the stored per-point height integers make
+every record recomputable.
+
+A sampler is any object with ``describe()``, a JSON-ready description of
+the sample, and ``points(automorphism, bit_budget)``, an iterator over
+affine rational points in a fixed order.  Most samplers use only the
+dimension ``automorphism.n``; orbit samplers iterate the map under the
+budget.
 
 Verification PASSES when the running minimum stabilizes across nested
 samples: past a warmup size, growing the sample by 4x must move the
@@ -28,8 +35,8 @@ from math import log
 from typing import Iterator, Sequence
 
 from . import kernel
-from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, HomogenizedMap, is_regular
-from .heights import ProjectivePoint, _raw_height_integer
+from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, is_regular
+from .heights import _raw_height_integer
 from .parsing import format_point
 
 Point = tuple[Fraction, ...]
@@ -48,7 +55,8 @@ class BoxSampler:
     def describe(self) -> dict:
         return {"kind": "box", "bound": self.bound}
 
-    def points(self, n: int) -> Iterator[Point]:
+    def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[Point]:
+        n = automorphism.n
         yield tuple(Fraction(0) for _ in range(n))
         for shell in range(1, self.bound + 1):
             for cand in itertools.product(range(-shell, shell + 1), repeat=n):
@@ -80,9 +88,9 @@ class RationalBoxSampler:
             "den_bound": self.den_bound,
         }
 
-    def points(self, n: int) -> Iterator[Point]:
+    def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[Point]:
         values = _rational_values(self.num_bound, self.den_bound)
-        return itertools.product(values, repeat=n)
+        return itertools.product(values, repeat=automorphism.n)
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,8 @@ class RandomRationalSampler:
             "seed": self.seed,
         }
 
-    def points(self, n: int) -> Iterator[Point]:
+    def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[Point]:
+        n = automorphism.n
         rng = random.Random(self.seed)
         values = _rational_values(self.num_bound, self.den_bound)
         for _ in range(self.count):
@@ -122,29 +131,23 @@ class OrbitSampler:
             "depth": self.depth,
         }
 
-    def points(self, n: int) -> Iterator[Point]:
-        # Materialized lazily by batch_verify, which owns the automorphism.
-        raise NotImplementedError("orbit samplers are expanded by batch_verify")
+    def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[Point]:
+        for seed in self.seeds:
+            yield from automorphism.orbit(seed, self.depth, "forward", bit_budget).points
 
 
 @dataclass(frozen=True)
 class CompositeSampler:
+    """The points of each part in turn."""
+
     parts: tuple
 
     def describe(self) -> dict:
         return {"kind": "composite", "parts": [p.describe() for p in self.parts]}
 
-
-def _expand(sampler, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[Point]:
-    if isinstance(sampler, CompositeSampler):
-        for part in sampler.parts:
-            yield from _expand(part, automorphism, bit_budget)
-    elif isinstance(sampler, OrbitSampler):
-        for seed in sampler.seeds:
-            orbit = automorphism.orbit(seed, sampler.depth, "forward", bit_budget)
-            yield from orbit.points
-    else:
-        yield from sampler.points(automorphism.n)
+    def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[Point]:
+        for part in self.parts:
+            yield from part.points(automorphism, bit_budget)
 
 
 # -- statistics ----------------------------------------------------------
@@ -184,18 +187,15 @@ def _record(
     bit_budget: int,
     mode: str,
 ) -> DeltaRecord | None:
-    nums, den = kernel.to_common_denominator(point)
-    if kernel.max_bits(nums, den) > bit_budget:
+    raw = kernel.to_common_denominator(point)
+    if kernel.max_bits(*raw) > bit_budget:
         return None
-    forward = kernel.eval_point(automorphism.compiled("forward"), nums, den)
-    inverse = kernel.eval_point(automorphism.compiled("inverse"), nums, den)
-    if (
-        kernel.max_bits(*forward) > bit_budget
-        or kernel.max_bits(*inverse) > bit_budget
-    ):
+    forward, forward_over = automorphism.step(raw, "forward", bit_budget)
+    inverse, inverse_over = automorphism.step(raw, "inverse", bit_budget)
+    if forward_over or inverse_over:
         return None
     h_ints = (
-        _raw_height_integer(nums, den),
+        _raw_height_integer(*raw),
         _raw_height_integer(*forward),
         _raw_height_integer(*inverse),
     )
@@ -222,22 +222,6 @@ def delta_statistic(
     if record is None:
         raise ValueError("point exceeds the bit budget")
     return record.delta
-
-
-def silverman_statistic(
-    maps: Sequence[HomogenizedMap],
-    point: Sequence[Fraction | int],
-) -> float:
-    """``sum_i (1/d_i) h(zeta_i P) - h(P)`` for a family of projective maps.
-
-    The point is affine; each map must be defined at its homogenized image.
-    """
-    start = ProjectivePoint.from_affine(point)
-    total = -start.log_height
-    for extension in maps:
-        image = ProjectivePoint.from_integers(extension.apply_integer(start.coords))
-        total += image.log_height / extension.degree
-    return total
 
 
 # -- batch verification ----------------------------------------------------
@@ -320,6 +304,8 @@ def batch_verify(
     """Evaluate the statistic over a deterministic sample and test whether
     its minimum has stabilized.
 
+    ``sampler`` follows the sampler protocol of the module docstring.
+
     Points whose exact evaluation exceeds the bit budget are skipped and
     counted.  When ``assume_regular`` is not set, the regularity verdict is
     computed and recorded in the report.
@@ -335,7 +321,7 @@ def batch_verify(
     argmin: Point | None = None
     checkpoints: list[tuple[int, float]] = []
     next_checkpoint = max(warmup, 1)
-    for point in _expand(sampler, automorphism, budget):
+    for point in sampler.points(automorphism, budget):
         record = _record(automorphism, tuple(point), budget, mode)
         if record is None:
             skipped += 1

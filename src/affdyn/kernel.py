@@ -7,9 +7,16 @@ This form is unique, maps directly onto the primitive homogeneous vector
 ``Fraction`` overhead.
 
 Two interchangeable backends implement ``eval_map``: a Cython extension
-(``affdyn._speedups``) and a pure-Python twin (``affdyn._kernel_py``).
-The compiled one is preferred when importable; set ``AFFDYN_PURE_PYTHON=1``
-to force the fallback.  ``benchmarks/bench_backends.py`` compares them.
+(``affdyn._speedups``, cythonized from ``_speedups.pyx`` when the package
+is built) and a pure-Python twin (``affdyn._kernel_py``).  The compiled one
+is preferred when importable; set ``AFFDYN_PURE_PYTHON=1`` to force the
+fallback.  ``benchmarks/bench_backends.py`` compares them.
+
+Within the package ``eval_point`` has two callers:
+``AffineAutomorphism.apply`` and ``AffineAutomorphism.step``.  ``step`` is
+the single orbit step that orbits, cycle detection, canonical heights and
+the inequality records all share; it pairs each image with the bit-budget
+test ``max_bits(...) > budget``.
 """
 
 from __future__ import annotations

@@ -216,18 +216,6 @@ class Polynomial:
             raise ZeroPolynomialError("degree of the zero polynomial is undefined")
         return max(e[var] for e in self.terms)
 
-    def coefficients_in(self, var: int) -> list["Polynomial"]:
-        """Coefficients of powers of ``var``, as polynomials with the
-        ``var`` slot zeroed; entry ``k`` multiplies ``var**k``."""
-        if self.is_zero:
-            return [Polynomial.zero(self.nvars)]
-        deg = self.degree_in(var)
-        rows: list[dict[Exponents, Fraction]] = [dict() for _ in range(deg + 1)]
-        for exps, coeff in self.terms.items():
-            reduced = tuple(0 if i == var else e for i, e in enumerate(exps))
-            rows[exps[var]][reduced] = coeff
-        return [Polynomial._make(self.nvars, row) for row in rows]
-
     def is_homogeneous(self) -> bool:
         if self.is_zero:
             return True
@@ -307,74 +295,6 @@ class Polynomial:
             for exps, coeff in self.terms.items()
         }
         return Polynomial._make(self.nvars + 1, out)
-
-
-# -- resultants --------------------------------------------------------
-
-
-def resultant(p: Polynomial, q: Polynomial, var: int) -> Polynomial:
-    """Resultant of ``p`` and ``q`` with respect to variable ``var``.
-
-    Computed as the Sylvester-matrix determinant with no sign or power
-    normalization.  Degenerate convention: if ``p`` has degree 0 in ``var``
-    the result is ``p**deg_var(q)`` (and symmetrically); it is an error for
-    ``var`` to be absent from both inputs.
-    """
-    if p.is_zero or q.is_zero:
-        raise ZeroPolynomialError("resultant of the zero polynomial is undefined")
-    m = p.degree_in(var)
-    n = q.degree_in(var)
-    if m == 0 and n == 0:
-        raise ValueError(f"variable {var} is absent from both inputs")
-    if m == 0:
-        return p**n
-    if n == 0:
-        return q**m
-    pc = p.coefficients_in(var)
-    qc = q.coefficients_in(var)
-    size = m + n
-    zero = Polynomial.zero(p.nvars)
-    rows: list[list[Polynomial]] = []
-    for i in range(n):
-        row = [zero] * size
-        for k in range(m + 1):
-            row[i + k] = pc[m - k]
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for k in range(n + 1):
-            row[i + k] = qc[n - k]
-        rows.append(row)
-    return _determinant(rows)
-
-
-def _determinant(matrix: list[list[Polynomial]]) -> Polynomial:
-    """Determinant of a square polynomial matrix by expansion along rows,
-    memoized on the set of unused columns (division-free)."""
-    size = len(matrix)
-    nvars = matrix[0][0].nvars
-    memo: dict[int, Polynomial] = {}
-
-    def minor(row: int, mask: int) -> Polynomial:
-        if row == size:
-            return Polynomial.constant(nvars, 1)
-        if mask in memo:
-            return memo[mask]
-        acc = Polynomial.zero(nvars)
-        sign = 1
-        for col in range(size):
-            bit = 1 << col
-            if not mask & bit:
-                continue
-            entry = matrix[row][col]
-            if not entry.is_zero:
-                sub = minor(row + 1, mask & ~bit)
-                acc = acc + (entry * sub if sign > 0 else -(entry * sub))
-            sign = -sign
-        memo[mask] = acc
-        return acc
-
-    return minor(0, (1 << size) - 1)
 
 
 # -- univariate helpers (used by the regularity decision) --------------

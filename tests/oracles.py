@@ -1,8 +1,8 @@
 """Independent oracles the tests check the library against.
 
 These deliberately take different computational routes from the package:
-dense-array polynomial arithmetic, Horner-style evaluation, a Leibniz
-(permutation-sum) Sylvester determinant, and brute-force grid searches.
+dense-array polynomial arithmetic, Horner-style evaluation, and
+brute-force grid searches.
 """
 
 from __future__ import annotations
@@ -62,62 +62,19 @@ def horner_eval(p: Polynomial, point) -> Fraction:
     """Evaluate via nested Horner schemes, one variable at a time."""
     values = [Fraction(v) for v in point]
 
-    def recurse(poly: Polynomial, var: int) -> Fraction:
+    def recurse(terms: dict, var: int) -> Fraction:
         if var < 0:
-            return poly.terms.get((0,) * poly.nvars, Fraction(0))
-        if poly.is_zero:
-            return Fraction(0)
-        coeffs = poly.coefficients_in(var)
+            return sum(terms.values(), Fraction(0))
+        # Split by the power of ``var``; each layer keeps the lower variables.
+        layers: dict[int, dict] = {}
+        for exps, coeff in terms.items():
+            layers.setdefault(exps[var], {})[exps[:var]] = coeff
         acc = Fraction(0)
-        for layer in reversed(coeffs):
-            acc = acc * values[var] + recurse(layer, var - 1)
+        for power in range(max(layers, default=0), -1, -1):
+            acc = acc * values[var] + recurse(layers.get(power, {}), var - 1)
         return acc
 
-    return recurse(p, p.nvars - 1)
-
-
-def leibniz_resultant(p: Polynomial, q: Polynomial, var: int) -> Polynomial:
-    """Sylvester determinant by the permutation-sum formula."""
-    m = p.degree_in(var)
-    n = q.degree_in(var)
-    pc = p.coefficients_in(var)
-    qc = q.coefficients_in(var)
-    size = m + n
-    zero = Polynomial.zero(p.nvars)
-    matrix = [[zero] * size for _ in range(size)]
-    for i in range(n):
-        for k in range(m + 1):
-            matrix[i][i + k] = pc[m - k]
-    for i in range(m):
-        for k in range(n + 1):
-            matrix[n + i][i + k] = qc[n - k]
-    total = Polynomial.zero(p.nvars)
-    for perm in itertools.permutations(range(size)):
-        sign = _parity(perm)
-        prod = Polynomial.constant(p.nvars, sign)
-        for row, col in enumerate(perm):
-            prod = prod * matrix[row][col]
-            if prod.is_zero:
-                break
-        total = total + prod
-    return total
-
-
-def _parity(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        node = start
-        while not seen[node]:
-            seen[node] = True
-            node = perm[node]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return recurse(dict(p.terms), p.nvars - 1)
 
 
 def grid_common_zeros(forms, grid) -> list[tuple]:

@@ -54,7 +54,14 @@ class TestVerifyMap:
             "vars x y z\nforward: y | z + y^2 | x + z^2\n"
             "inverse: z - (y - x^2) | x | y - x^2\n"
         )
-        assert main(["verify-map", str(path)]) == 1
+        for argv in (
+            ["verify-map", str(path)],
+            ["orbit", str(path), "--point", "1,1,1", "--depth", "2"],
+            ["canonical", str(path), "--point", "1,1,1", "--depth", "2"],
+            ["inequality", str(path), "--sampler", "box:1"],
+        ):
+            assert main(argv) == 1, argv[0]
+            assert "inverse verification failed" in capsys.readouterr().err
 
     def test_parse_failure_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.map"

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from affdyn.dynamics import AffineAutomorphism
-from affdyn.heights import weil_height
+from affdyn.dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism
+from affdyn.heights import weil_height, weil_height_integer
 from affdyn.inequality import (
     BoxSampler,
     CompositeSampler,
@@ -15,7 +15,6 @@ from affdyn.inequality import (
     RationalBoxSampler,
     batch_verify,
     delta_statistic,
-    silverman_statistic,
 )
 
 from conftest import small_points
@@ -45,46 +44,83 @@ class TestDeltaStatistic:
         assert delta_statistic(henon, doubled) == delta_statistic(henon, point)
 
 
+def silverman_at(automorphism, point) -> float:
+    """The ``mode="silverman"`` statistic of ``batch_verify`` at one point."""
+    sampler = OrbitSampler((tuple(Fraction(c) for c in point),), 0)
+    report = batch_verify(automorphism, sampler, assume_regular=True, mode="silverman")
+    (record,) = report.records
+    return record.delta
+
+
 class TestSilvermanStatistic:
     def test_unit_point(self, henon):
-        value = silverman_statistic(henon.homogenized_pair(), (1, 1, 1))
-        assert value == pytest.approx(LOG2 / 2, abs=0)
+        assert silverman_at(henon, (1, 1, 1)) == pytest.approx(LOG2 / 2, abs=0)
 
     def test_zero_height_cycle(self, henon):
-        # (0,0,0) maps to height-0 points under both extensions
-        assert silverman_statistic(henon.homogenized_pair(), (0, 0, 0)) == 0.0
+        # (0,0,0) maps to height-0 points in both directions
+        assert silverman_at(henon, (0, 0, 0)) == 0.0
 
     def test_identity_family(self):
+        # on the pair (id, id) the statistic is h(P) + h(P) - h(P) = h(P)
         ident = AffineAutomorphism.identity(3)
-        phi, _ = ident.homogenized_pair()
-        assert silverman_statistic([phi], (3, Fraction(1, 2), -4)) == 0.0
+        point = (3, Fraction(1, 2), -4)
+        assert silverman_at(ident, point) == weil_height(point)
 
     @given(small_points)
     @settings(max_examples=50)
     def test_exceeds_delta_by_exact_margin(self, henon, point):
         d, d_inv = henon.degrees
         margin = weil_height(point) / (d * d_inv)
-        silverman = silverman_statistic(henon.homogenized_pair(), point)
+        silverman = silverman_at(henon, point)
         delta = delta_statistic(henon, point)
         assert silverman == pytest.approx(delta + margin, abs=1e-12)
         assert silverman >= delta - margin - 1e-12
 
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            BoxSampler(2),
+            OrbitSampler(((Fraction(1),) * 3, (Fraction(2), Fraction(-1), Fraction(1, 3))), 4),
+        ],
+        ids=["box", "orbit"],
+    )
+    def test_records_match_fraction_oracle(self, henon, sampler):
+        # Recompute every kernel record through Polynomial.evaluate, and check
+        # silverman - delta = h(P) / (d d') record by record.
+        silverman = batch_verify(henon, sampler, assume_regular=True, mode="silverman")
+        delta = batch_verify(henon, sampler, assume_regular=True, mode="delta")
+        d, d_inv = henon.degrees
+        assert len(silverman.records) == len(delta.records) > 0
+        for record, other in zip(silverman.records, delta.records):
+            image = tuple(p.evaluate(record.point) for p in henon.forward)
+            preimage = tuple(p.evaluate(record.point) for p in henon.inverse)
+            ints = tuple(weil_height_integer(q) for q in (record.point, image, preimage))
+            assert record.height_integers == ints
+            h_p, h_f, h_i = (math.log(h) for h in ints)
+            assert record.delta == h_f / d + h_i / d_inv - h_p
+            assert (other.point, other.height_integers) == (record.point, ints)
+            margin = h_p / (d * d_inv)
+            assert record.delta - other.delta == pytest.approx(margin, abs=1e-12)
+
 
 class TestSamplers:
     def test_box_enumeration_is_nested_and_exhaustive(self):
-        small = list(BoxSampler(1).points(2))
-        bigger = list(BoxSampler(2).points(2))
+        plane = AffineAutomorphism.identity(2)
+        small = list(BoxSampler(1).points(plane, DEFAULT_BIT_BUDGET))
+        bigger = list(BoxSampler(2).points(plane, DEFAULT_BIT_BUDGET))
         assert bigger[: len(small)] == small
         assert len(small) == 9 and len(bigger) == 25
 
     def test_rational_box_counts(self):
-        values = {p for p in RationalBoxSampler(2, 2).points(1)}
+        line = AffineAutomorphism.identity(1)
+        values = {p for p in RationalBoxSampler(2, 2).points(line, DEFAULT_BIT_BUDGET)}
         # q=1: -2..2 (5 values); q=2: +-1/2 and +-3/2... |num|<=2 -> +-1/2 only
         assert len(values) == 7
 
     def test_random_sampler_deterministic(self):
-        a = list(RandomRationalSampler(20, seed=5).points(3))
-        b = list(RandomRationalSampler(20, seed=5).points(3))
+        space = AffineAutomorphism.identity(3)
+        a = list(RandomRationalSampler(20, seed=5).points(space, DEFAULT_BIT_BUDGET))
+        b = list(RandomRationalSampler(20, seed=5).points(space, DEFAULT_BIT_BUDGET))
         assert a == b
 
 

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 from affdyn.parsing import parse_polynomial
-from affdyn.polyring import Polynomial, ZeroPolynomialError, resultant
+from affdyn.polyring import Polynomial, ZeroPolynomialError
 
 from conftest import nonzero_polynomials, polynomials, small_points
-from oracles import dense_add, dense_mul, grid_common_zeros, horner_eval, leibniz_resultant
+from oracles import dense_add, dense_mul, horner_eval
 
 XYZ = ("x", "y", "z")
 
@@ -132,57 +132,6 @@ class TestHomogenize:
         assert h.compose(zero) == p.leading_form()
         # homogenizing above the degree kills the x0 = 0 restriction
         assert p.homogenize(d + 1).compose(zero).is_zero
-
-
-class TestResultant:
-    def test_degree_zero_in_var_convention(self):
-        assert resultant(P("y^2"), P("z^2"), 2) == P("y^4")
-
-    def test_common_root_vanishes(self):
-        x = ("x",)
-        assert resultant(parse_polynomial("x - 1", x), parse_polynomial("x - 1", x), 0).is_zero
-
-    def test_no_common_root_nonzero_constant(self):
-        x = ("x",)
-        r = resultant(parse_polynomial("x - 1", x), parse_polynomial("x - 2", x), 0)
-        # Sylvester determinant with no normalization: det [[1,-1],[1,-2]]
-        assert r == Polynomial.constant(1, -1)
-
-    def test_var_absent_from_both(self):
-        with pytest.raises(ValueError):
-            resultant(P("y"), P("z"), 0)
-
-    @given(nonzero_polynomials(max_exp=2, max_terms=3), nonzero_polynomials(max_exp=2, max_terms=3))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_leibniz_oracle(self, p, q):
-        try:
-            p.degree_in(2), q.degree_in(2)
-        except ZeroPolynomialError:  # pragma: no cover - filtered by strategy
-            return
-        if p.degree_in(2) == 0 and q.degree_in(2) == 0:
-            return
-        if p.degree_in(2) == 0 or q.degree_in(2) == 0:
-            return  # oracle matrix is degenerate; convention tested above
-        assert resultant(p, q, 2) == leibniz_resultant(p, q, 2)
-
-    def test_vanishing_iff_common_factor_involving_var(self):
-        cases = [
-            # share z - x*y, which involves z
-            (P("(z - x*y)*(z + 1)"), P("(z - x*y)*x"), True),
-            (P("(z - x)*(z + y)"), P("(z - x)*y^2"), True),
-            # common factor x - y does not involve z: resultant must not vanish
-            (P("(x - y)*z"), P("(x - y)*(z + 1)"), False),
-            (P("x*z + 1"), P("z^2 - y"), False),
-            (P("y*z"), P("y*z + 1"), False),
-        ]
-        for p, q, has_common_in_var in cases:
-            assert resultant(p, q, 2).is_zero == has_common_in_var
-        # cross-check against a brute-force common-root search on a grid
-        grid = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2)]
-        shared = grid_common_zeros([P("(z - x*y)*(z + 1)"), P("(z - x*y)*x")], grid)
-        assert shared  # genuinely share zeros
-        lonely = grid_common_zeros([P("y*z"), P("y*z + 1")], grid)
-        assert not lonely
 
 
 class TestRingProperties:
