@@ -14,9 +14,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
+from . import kernel
 from .divisors import (
     DatumError,
     check_effective,
@@ -42,7 +44,7 @@ from .inequality import (
     RationalBoxSampler,
     batch_verify,
 )
-from .parsing import MapSyntaxError, format_point, load_map_file, parse_point
+from .parsing import MapSyntaxError, format_point, format_raw_point, load_map_file, parse_point
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -167,19 +169,19 @@ def cmd_orbit(args) -> int:
     automorphism = _load_automorphism(args)
     point = parse_point(args.point, automorphism.n)
     result = automorphism.orbit(point, args.depth, args.direction, _bit_budget(args))
+    texts = [format_raw_point(*raw) for raw in result.raw]
+    heights = [math.log(kernel.height_integer(*raw)) for raw in result.raw]
     payload = {
         "map_id": automorphism.map_id,
         "direction": args.direction,
         "requested_depth": args.depth,
         "completed_depth": result.completed_depth,
         "truncated": result.truncated,
-        "points": [format_point(p) for p in result.points],
-        "heights": [weil_height(p) for p in result.points],
+        "points": texts,
+        "heights": heights,
     }
     rows = [["step", "point", "height"]]
-    rows += [
-        [k, format_point(p), weil_height(p)] for k, p in enumerate(result.points)
-    ]
+    rows += [[k, text, h] for k, (text, h) in enumerate(zip(texts, heights))]
     _emit(payload, args, rows)
     return EXIT_OK
 
@@ -233,15 +235,17 @@ def cmd_inequality(args) -> int:
         assume_regular=args.assume_regular,
         mode="silverman" if args.silverman else "delta",
     )
-    payload = report.to_json_dict()
-    payload["seed"] = args.seed
     verdict = "PASS" if report.stabilized else "FAIL"
     print(
         f"{verdict}: min_delta={report.min_delta!r} over {len(report.records)} points "
         f"({report.skipped} skipped); {report.stabilization_note}"
     )
-    if args.out or args.format == "csv":
-        _emit(payload, args, report.to_csv_rows())
+    if args.format == "csv":
+        _emit(None, args, report.to_csv_rows())
+    elif args.out:
+        payload = report.to_json_dict()
+        payload["seed"] = args.seed
+        _emit(payload, args)
     return EXIT_OK if report.stabilized else EXIT_VERIFICATION
 
 

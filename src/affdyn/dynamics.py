@@ -28,6 +28,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Literal, Sequence
 
@@ -67,21 +68,27 @@ class InverseVerificationError(ValueError):
 class OrbitResult:
     """Orbit segment ``[P, f(P), ..., f^k(P)]`` with truncation metadata.
 
-    ``truncated`` is set when the bit budget stopped iteration before the
-    requested depth; ``completed_depth`` then reports the last index that
-    was actually computed.
+    ``raw`` holds the points in the kernel's canonical ``(nums, den)`` form;
+    ``points`` gives them as ``Fraction`` tuples.  ``truncated`` is set when
+    the bit budget stopped iteration before the requested depth;
+    ``completed_depth`` then reports the last index that was actually
+    computed.
     """
 
-    points: tuple[tuple[Fraction, ...], ...]
+    raw: tuple[RawPoint, ...]
     requested_depth: int
     truncated: bool = False
 
+    @cached_property
+    def points(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(kernel.to_fractions(nums, den) for nums, den in self.raw)
+
     @property
     def completed_depth(self) -> int:
-        return len(self.points) - 1
+        return len(self.raw) - 1
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.raw)
 
     def __iter__(self):
         return iter(self.points)
@@ -282,8 +289,7 @@ class AffineAutomorphism:
             if truncated:
                 break
             raw.append(image)
-        points = tuple(kernel.to_fractions(nums, den) for nums, den in raw)
-        return OrbitResult(points, depth, truncated)
+        return OrbitResult(tuple(raw), depth, truncated)
 
     def detect_cycle(
         self,

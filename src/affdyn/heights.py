@@ -49,10 +49,6 @@ class ProjectivePoint:
             raise ValueError("coordinates are not in primitive normalized form")
 
     @classmethod
-    def from_integers(cls, coords: Sequence[int]) -> "ProjectivePoint":
-        return cls(kernel.normalize_projective(coords))
-
-    @classmethod
     def from_affine(cls, point: Sequence[Fraction | int]) -> "ProjectivePoint":
         """Homogenize with 1 in slot 0 and clear denominators."""
         nums, den = kernel.to_common_denominator(point)
@@ -75,17 +71,6 @@ def weil_height(point: Sequence[Fraction | int]) -> float:
 def weil_height_integer(point: Sequence[Fraction | int]) -> int:
     """The exact integer whose log is the Weil height."""
     return ProjectivePoint.from_affine(point).height_integer
-
-
-def _raw_height_integer(nums: Sequence[int], den: int) -> int:
-    # (den, *nums) is already primitive in canonical common-denominator form.
-    worst = den
-    for n in nums:
-        if n < 0:
-            n = -n
-        if n > worst:
-            worst = n
-    return worst
 
 
 @dataclass(frozen=True)
@@ -165,7 +150,7 @@ def _canonical_estimate(
     max_depth = depth if depth is not None else 10_000
 
     raw = kernel.to_common_denominator(point)
-    integers = [_raw_height_integer(*raw)]
+    integers = [kernel.height_integer(*raw)]
     values = [math.log(integers[0])]
     truncated = False
     tail = math.inf
@@ -173,7 +158,7 @@ def _canonical_estimate(
         raw, truncated = automorphism.step(raw, direction, budget)
         if truncated:
             break
-        integers.append(_raw_height_integer(*raw))
+        integers.append(kernel.height_integer(*raw))
         values.append(math.log(integers[-1]) / float(ratio) ** k)
         tail = _tail_bound(values, ratio)
         if tolerance is not None and tail <= tolerance:

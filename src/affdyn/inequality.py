@@ -13,9 +13,12 @@ every record recomputable.
 
 A sampler is any object with ``describe()``, a JSON-ready description of
 the sample, and ``points(automorphism, bit_budget)``, an iterator over
-affine rational points in a fixed order.  Most samplers use only the
-dimension ``automorphism.n``; orbit samplers iterate the map under the
-budget.
+affine rational points in a fixed order.  Each point is a ``RawPoint``, the
+kernel's canonical ``(nums, den)`` form: integers with ``den > 0`` and
+``gcd(*nums, den) == 1``.  ``batch_verify`` rejects any other form.  Most
+samplers use only the dimension ``automorphism.n``; orbit samplers iterate
+the map under the budget.  Records and reports keep that form; a point
+becomes text only when a report is encoded.
 
 Verification PASSES when the running minimum stabilizes across nested
 samples: past a warmup size, growing the sample by 4x must move the
@@ -31,13 +34,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
+from math import gcd, log
 from typing import Iterator, Sequence
 
 from . import kernel
-from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, is_regular
-from .heights import _raw_height_integer
-from .parsing import format_point
+from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, RawPoint, is_regular
+from .parsing import format_point, format_raw_point
 
 Point = tuple[Fraction, ...]
 
@@ -55,13 +57,18 @@ class BoxSampler:
     def describe(self) -> dict:
         return {"kind": "box", "bound": self.bound}
 
-    def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[Point]:
+    def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[RawPoint]:
         n = automorphism.n
-        yield tuple(Fraction(0) for _ in range(n))
+        yield (0,) * n, 1
         for shell in range(1, self.bound + 1):
-            for cand in itertools.product(range(-shell, shell + 1), repeat=n):
-                if max(abs(c) for c in cand) == shell:
-                    yield tuple(Fraction(c) for c in cand)
+            # Lexicographic order: the last coordinate is free once the
+            # prefix touches the shell, else it must lie on the shell.
+            full = range(-shell, shell + 1)
+            ends = (-shell, shell)
+            for prefix in itertools.product(full, repeat=n - 1):
+                last = full if shell in prefix or -shell in prefix else ends
+                for c in last:
+                    yield prefix + (c,), 1
 
 
 def _rational_values(num_bound: int, den_bound: int) -> list[Fraction]:
@@ -88,9 +95,10 @@ class RationalBoxSampler:
             "den_bound": self.den_bound,
         }
 
-    def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[Point]:
+    def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[RawPoint]:
         values = _rational_values(self.num_bound, self.den_bound)
-        return itertools.product(values, repeat=automorphism.n)
+        for point in itertools.product(values, repeat=automorphism.n):
+            yield kernel.to_common_denominator(point)
 
 
 @dataclass(frozen=True)
@@ -109,12 +117,12 @@ class RandomRationalSampler:
             "seed": self.seed,
         }
 
-    def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[Point]:
+    def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[RawPoint]:
         n = automorphism.n
         rng = random.Random(self.seed)
         values = _rational_values(self.num_bound, self.den_bound)
         for _ in range(self.count):
-            yield tuple(rng.choice(values) for _ in range(n))
+            yield kernel.to_common_denominator([rng.choice(values) for _ in range(n)])
 
 
 @dataclass(frozen=True)
@@ -131,9 +139,9 @@ class OrbitSampler:
             "depth": self.depth,
         }
 
-    def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[Point]:
+    def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[RawPoint]:
         for seed in self.seeds:
-            yield from automorphism.orbit(seed, self.depth, "forward", bit_budget).points
+            yield from automorphism.orbit(seed, self.depth, "forward", bit_budget).raw
 
 
 @dataclass(frozen=True)
@@ -145,7 +153,7 @@ class CompositeSampler:
     def describe(self) -> dict:
         return {"kind": "composite", "parts": [p.describe() for p in self.parts]}
 
-    def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[Point]:
+    def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[RawPoint]:
         for part in self.parts:
             yield from part.points(automorphism, bit_budget)
 
@@ -157,7 +165,7 @@ class CompositeSampler:
 class DeltaRecord:
     """One sampled point with its exact height integers and statistic."""
 
-    point: Point
+    point: RawPoint
     height_integers: tuple[int, int, int]  # H(P), H(fP), H(f^{-1}P)
     h_point: float
     h_forward: float
@@ -166,7 +174,7 @@ class DeltaRecord:
 
     def to_row(self) -> list:
         return [
-            format_point(self.point),
+            format_raw_point(*self.point),
             *self.height_integers,
             self.h_point,
             self.h_forward,
@@ -183,26 +191,27 @@ def _statistic(d: int, d_inv: int, h_p: float, h_f: float, h_i: float, mode: str
 
 def _record(
     automorphism: AffineAutomorphism,
-    point: Point,
+    raw: RawPoint,
     bit_budget: int,
     mode: str,
 ) -> DeltaRecord | None:
-    raw = kernel.to_common_denominator(point)
     if kernel.max_bits(*raw) > bit_budget:
         return None
-    forward, forward_over = automorphism.step(raw, "forward", bit_budget)
-    inverse, inverse_over = automorphism.step(raw, "inverse", bit_budget)
-    if forward_over or inverse_over:
+    forward, over = automorphism.step(raw, "forward", bit_budget)
+    if over:
+        return None
+    inverse, over = automorphism.step(raw, "inverse", bit_budget)
+    if over:
         return None
     h_ints = (
-        _raw_height_integer(*raw),
-        _raw_height_integer(*forward),
-        _raw_height_integer(*inverse),
+        kernel.height_integer(*raw),
+        kernel.height_integer(*forward),
+        kernel.height_integer(*inverse),
     )
     h_p, h_f, h_i = (log(h) for h in h_ints)
     d, d_inv = automorphism.degrees
     return DeltaRecord(
-        point=point,
+        point=raw,
         height_integers=h_ints,
         h_point=h_p,
         h_forward=h_f,
@@ -218,7 +227,7 @@ def delta_statistic(
 ) -> float:
     """The two-sided height statistic at one affine rational point."""
     budget = DEFAULT_BIT_BUDGET if bit_budget is None else bit_budget
-    record = _record(automorphism, tuple(Fraction(c) for c in point), budget, "delta")
+    record = _record(automorphism, kernel.to_common_denominator(point), budget, "delta")
     if record is None:
         raise ValueError("point exceeds the bit budget")
     return record.delta
@@ -238,7 +247,7 @@ class DeltaReport:
     regularity: str
     records: tuple[DeltaRecord, ...]
     min_delta: float
-    argmin: Point | None
+    argmin: RawPoint | None
     skipped: int
     checkpoints: tuple[tuple[int, float], ...]
     stabilized: bool
@@ -267,7 +276,7 @@ class DeltaReport:
             "count": len(self.records),
             "skipped": self.skipped,
             "min_delta": self.min_delta,
-            "argmin": format_point(self.argmin) if self.argmin is not None else None,
+            "argmin": format_raw_point(*self.argmin) if self.argmin is not None else None,
             "checkpoints": [[c, m] for c, m in self.checkpoints],
             "stabilized": self.stabilized,
             "stabilization_note": self.stabilization_note,
@@ -275,7 +284,7 @@ class DeltaReport:
             "warmup": self.warmup,
             "records": [
                 {
-                    "point": format_point(r.point),
+                    "point": format_raw_point(*r.point),
                     "height_integers": list(r.height_integers),
                     "h_point": r.h_point,
                     "h_forward": r.h_forward,
@@ -304,7 +313,9 @@ def batch_verify(
     """Evaluate the statistic over a deterministic sample and test whether
     its minimum has stabilized.
 
-    ``sampler`` follows the sampler protocol of the module docstring.
+    ``sampler`` follows the sampler protocol of the module docstring; a
+    point that is not in canonical ``(nums, den)`` form raises
+    ``ValueError``.
 
     Points whose exact evaluation exceeds the bit budget are skipped and
     counted.  When ``assume_regular`` is not set, the regularity verdict is
@@ -318,11 +329,14 @@ def batch_verify(
     records: list[DeltaRecord] = []
     skipped = 0
     running_min = float("inf")
-    argmin: Point | None = None
+    argmin: RawPoint | None = None
     checkpoints: list[tuple[int, float]] = []
     next_checkpoint = max(warmup, 1)
-    for point in sampler.points(automorphism, budget):
-        record = _record(automorphism, tuple(point), budget, mode)
+    for raw in sampler.points(automorphism, budget):
+        nums, den = raw
+        if den <= 0 or gcd(den, *nums) != 1:
+            raise ValueError(f"sampler point {raw!r} is not in canonical (nums, den) form")
+        record = _record(automorphism, raw, budget, mode)
         if record is None:
             skipped += 1
             continue

@@ -4,7 +4,11 @@ The kernel works in common-denominator form: a point of Q^n is a pair
 ``(nums, den)`` of integers with ``den > 0`` and ``gcd(*nums, den) == 1``.
 This form is unique, maps directly onto the primitive homogeneous vector
 ``(den, *nums)`` used by heights, and keeps the inner loop free of
-``Fraction`` overhead.
+``Fraction`` overhead.  It is the one point form inside the package: the
+samplers yield it, orbits and inequality records keep it, and
+``to_common_denominator``/``to_fractions`` convert at the API edges.  The
+raw-point helpers live here: ``max_bits`` for the bit budget and
+``height_integer`` for the Weil height integer.
 
 Two interchangeable backends implement ``eval_map``: a Cython extension
 (``affdyn._speedups``, cythonized from ``_speedups.pyx`` when the package
@@ -95,10 +99,9 @@ def eval_point(cm: CompiledMap, nums: tuple[int, ...], den: int):
 
 def to_common_denominator(point: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:
     """Canonical ``(nums, den)`` form of a rational point."""
-    fracs = [Fraction(c) for c in point]
-    den = 1
-    for f in fracs:
-        den = lcm(den, f.denominator)
+    # ints and Fractions already carry reduced numerator and denominator.
+    fracs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in point]
+    den = lcm(*(f.denominator for f in fracs))
     nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
     return nums, den
 
@@ -114,6 +117,18 @@ def max_bits(nums: Sequence[int], den: int) -> int:
         b = n.bit_length()
         if b > worst:
             worst = b
+    return worst
+
+
+def height_integer(nums: Sequence[int], den: int) -> int:
+    """The Weil height integer ``max(den, |nums|)`` of a canonical raw point."""
+    # (den, *nums) is already primitive in canonical common-denominator form.
+    worst = den
+    for n in nums:
+        if n < 0:
+            n = -n
+        if n > worst:
+            worst = n
     return worst
 
 

@@ -24,8 +24,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
+from . import kernel
 from .polyring import Polynomial
 
 
@@ -220,8 +222,20 @@ def parse_point(text: str, nvars: int | None = None) -> tuple[Fraction, ...]:
     return coords
 
 
-def format_point(point: Sequence[Fraction]) -> str:
-    return ",".join(str(Fraction(c)) for c in point)
+def format_raw_point(nums: Sequence[int], den: int) -> str:
+    """Text of the point ``nums / den`` (``den > 0``), each coordinate in
+    lowest terms, e.g. ``1,1/2,-3``, without building ``Fraction``s."""
+    if den == 1:
+        return ",".join(map(str, nums))
+    parts = []
+    for n in nums:
+        g = gcd(n, den)
+        parts.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+    return ",".join(parts)
+
+
+def format_point(point: Sequence[Fraction | int]) -> str:
+    return format_raw_point(*kernel.to_common_denominator(point))
 
 
 # -- map definition files ----------------------------------------------

@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from affdyn import kernel
 from affdyn.divisors import (
     bundled_dataset,
     check_effective,
@@ -21,7 +22,6 @@ from affdyn.divisors import (
 )
 from affdyn.dynamics import AffineAutomorphism, InverseVerificationError, is_regular
 from affdyn.heights import (
-    ProjectivePoint,
     canonical_plus,
     functional_equation_residual,
     height_growth_constant,
@@ -171,9 +171,9 @@ def test_criterion_9_height_machinery_properties(henon):
             if not any(vec):
                 continue
             scale = rng.choice([-6, -3, -2, -1, 1, 2, 3, 6])
-            assert ProjectivePoint.from_integers(
+            assert kernel.normalize_projective(
                 tuple(scale * c for c in vec)
-            ) == ProjectivePoint.from_integers(vec)
+            ) == kernel.normalize_projective(vec)
         # single-step growth bound on 10^3 random points
         growth = height_growth_constant(henon)
         for _ in range(1_000):

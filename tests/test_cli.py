@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from affdyn.cli import main
+from affdyn.inequality import DeltaReport
 
 from conftest import bundled_map_text
 
@@ -183,6 +185,57 @@ class TestInequality:
         with pytest.raises(SystemExit) as err:
             main(["inequality", henon_map, "--frobnicate"])
         assert err.value.code == 2
+
+    def test_reports_match_pinned_digests(self, henon_map, tmp_path, capsys):
+        # sha256 of the report files and the verdict lines, recorded before
+        # points were kept in (nums, den) form from sampler to report.
+        seeds = "(1,1,1);(1/2,0,-1)"
+        mixes = {
+            "200 bits": (
+                ["--sampler", "box:3", "--sampler", "rationals:2:2",
+                 "--sampler", f"orbit:6:{seeds}", "--bit-budget", "200"],
+                "over 700 points (0 skipped)",
+                {
+                    "json": "948898075966a9051ea5264443b377796d26f5679a6bad67525f91ab79817770",
+                    "csv": "ac64a6aa7df320f46715462efbf6e4d284aa5083dae9a9475e58fdc21160eded",
+                    "silverman": "2550d77bc713acc5ee05524a3cb7863449181c2fd48e0ba3e36aeb230f466c9d",
+                },
+            ),
+            "24 bits": (
+                ["--sampler", "box:6", "--sampler", "rationals:3:3",
+                 "--sampler", f"orbit:12:{seeds}", "--bit-budget", "24"],
+                "over 5581 points (2 skipped)",
+                {
+                    "json": "ee3209f627b628eb19c4a8592196fef4fd51817d72e528fcfaaa39159766dde4",
+                    "csv": "53260dc9dedda9e16b8a3020e6d4c7e3b4135f5d67af74ff6f0e17b487edb0fe",
+                    "silverman": "47a64edd0dcd57772c30f7cedb6766530f6aa8c93f9a25be3ae0bdaf501fcefe",
+                },
+            ),
+        }
+        forms = {"json": [], "csv": ["--format", "csv"], "silverman": ["--silverman"]}
+        for name, (argv, counts, digests) in mixes.items():
+            for form, extra in forms.items():
+                out = tmp_path / f"{form}.report"
+                code = main(["inequality", henon_map, *argv, *extra, "--out", str(out)])
+                assert code == 0, (name, form)
+                delta = "-0.1438410362258904" if form == "silverman" else "-0.23048443379588357"
+                assert capsys.readouterr().out == (
+                    f"PASS: min_delta={delta} {counts}; "
+                    "min moved 0 between the last two checkpoints\n"
+                ), (name, form)
+                digest = hashlib.sha256(out.read_bytes()).hexdigest()
+                assert digest == digests[form], (name, form)
+
+    def test_json_payload_built_only_for_json(self, henon_map, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("JSON payload built")
+
+        monkeypatch.setattr(DeltaReport, "to_json_dict", refuse)
+        out = tmp_path / "ineq.csv"
+        base = ["inequality", henon_map, "--sampler", "box:1", "--assume-regular"]
+        assert main([*base, "--format", "csv", "--out", str(out)]) == 0
+        assert main([*base, "--format", "csv"]) == 0
+        assert main(base) == 0
 
     def test_csv_output(self, henon_map, tmp_path):
         out = tmp_path / "ineq.csv"

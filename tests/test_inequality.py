@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from affdyn import kernel
 from affdyn.dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism
 from affdyn.heights import weil_height, weil_height_integer
 from affdyn.inequality import (
@@ -92,9 +94,10 @@ class TestSilvermanStatistic:
         d, d_inv = henon.degrees
         assert len(silverman.records) == len(delta.records) > 0
         for record, other in zip(silverman.records, delta.records):
-            image = tuple(p.evaluate(record.point) for p in henon.forward)
-            preimage = tuple(p.evaluate(record.point) for p in henon.inverse)
-            ints = tuple(weil_height_integer(q) for q in (record.point, image, preimage))
+            point = kernel.to_fractions(*record.point)
+            image = tuple(p.evaluate(point) for p in henon.forward)
+            preimage = tuple(p.evaluate(point) for p in henon.inverse)
+            ints = tuple(weil_height_integer(q) for q in (point, image, preimage))
             assert record.height_integers == ints
             h_p, h_f, h_i = (math.log(h) for h in ints)
             assert record.delta == h_f / d + h_i / d_inv - h_p
@@ -110,6 +113,17 @@ class TestSamplers:
         bigger = list(BoxSampler(2).points(plane, DEFAULT_BIT_BUDGET))
         assert bigger[: len(small)] == small
         assert len(small) == 9 and len(bigger) == 25
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_box_order_matches_the_cube_filter(self, n):
+        # Reference: each shell as the filter over the full cube.
+        expected = [((0,) * n, 1)]
+        for shell in range(1, 5):
+            for cand in itertools.product(range(-shell, shell + 1), repeat=n):
+                if max(abs(c) for c in cand) == shell:
+                    expected.append((cand, 1))
+        space = AffineAutomorphism.identity(n)
+        assert list(BoxSampler(4).points(space, DEFAULT_BIT_BUDGET)) == expected
 
     def test_rational_box_counts(self):
         line = AffineAutomorphism.identity(1)
@@ -128,7 +142,7 @@ class TestBatchVerify:
     def test_single_fixed_point(self, henon):
         report = batch_verify(henon, OrbitSampler(((Fraction(0),) * 3,), 0), assume_regular=True)
         assert report.min_delta == 0.0
-        assert report.argmin == (0, 0, 0)
+        assert report.argmin == ((0, 0, 0), 1)
         assert report.stabilized  # flagged as below warmup
         assert "below warmup" in report.stabilization_note
 
@@ -160,6 +174,30 @@ class TestBatchVerify:
         assert len(report.records) == 27 + 4
         asserted = batch_verify(henon, sampler, assume_regular=True)
         assert asserted.regularity == "asserted"
+
+    @pytest.mark.parametrize("raw", [((2, 4), 2), ((1, 2), -1)], ids=["gcd", "sign"])
+    def test_non_canonical_sampler_point_is_rejected(self, raw):
+        class Sampler:
+            def describe(self):
+                return {"kind": "fixed"}
+
+            def points(self, automorphism, bit_budget):
+                yield raw
+
+        with pytest.raises(ValueError, match="canonical"):
+            batch_verify(AffineAutomorphism.identity(2), Sampler(), assume_regular=True)
+
+    def test_forward_overflow_skips_without_inverse(self, henon, monkeypatch):
+        # f(0, 0, 200) = (0, 200, 40000) exceeds 8 bits; the point does not.
+        calls = []
+        evaluate = kernel.eval_point
+        monkeypatch.setattr(
+            kernel, "eval_point", lambda *args: calls.append(args) or evaluate(*args)
+        )
+        sampler = OrbitSampler(((Fraction(0), Fraction(0), Fraction(200)),), 0)
+        report = batch_verify(henon, sampler, assume_regular=True, bit_budget=8)
+        assert len(calls) == 1
+        assert report.skipped == 1 and not report.records
 
     def test_bit_budget_skips_are_counted(self, henon):
         seeds = (tuple(map(Fraction, (1, 1, 1))),)

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
+from affdyn import kernel
 from affdyn.parsing import (
     MapSyntaxError,
     format_point,
+    format_raw_point,
     format_polynomial,
     parse_map_file,
     parse_point,
@@ -12,7 +15,7 @@ from affdyn.parsing import (
 )
 from affdyn.polyring import Polynomial
 
-from conftest import bundled_map_text
+from conftest import bundled_map_text, small_points
 
 XYZ = ("x", "y", "z")
 
@@ -65,6 +68,12 @@ def test_format_roundtrip():
 def test_format_is_graded_lex():
     p = parse_polynomial("x + y^2 + x*y", XYZ)
     assert format_polynomial(p, XYZ) == "x*y + y^2 + x"
+
+
+@given(small_points)
+def test_format_raw_point_matches_fraction_text(point):
+    raw = kernel.to_common_denominator(point)
+    assert format_raw_point(*raw) == ",".join(str(Fraction(c)) for c in point)
 
 
 def test_parse_point():
