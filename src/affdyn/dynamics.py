@@ -255,14 +255,24 @@ class AffineAutomorphism:
 
     def step(
         self, raw: RawPoint, direction: Direction, bit_budget: int
-    ) -> tuple[RawPoint, bool]:
+    ) -> tuple[RawPoint | None, bool]:
         """One map application in common-denominator form.
 
         Returns the image together with whether any of its integers exceeds
-        the bit budget.  The image is returned either way, so a caller may
-        inspect it before it acts on the budget.
+        the bit budget.  When ``raw`` fits the budget and
+        ``kernel.exceeds_budget`` proves that the image does not, the image
+        is not computed and ``(None, True)`` is returned.  Otherwise the
+        image is returned even when it is over the budget.
         """
-        image = kernel.eval_point(self.compiled(direction), *raw)
+        cm = self.compiled(direction)
+        bits = kernel.max_bits(*raw)
+        # Below deg * bits + coeff_bits no term can reach the budget, so the
+        # bound cannot fire: one comparison on small points.
+        if bits <= bit_budget < cm.deg * bits + cm.coeff_bits and kernel.exceeds_budget(
+            cm, *raw, bit_budget
+        ):
+            return None, True
+        image = kernel.eval_point(cm, *raw)
         return image, kernel.max_bits(*image) > bit_budget
 
     def orbit(
@@ -300,19 +310,26 @@ class AffineAutomorphism:
         """Exact-equality cycle detection along the forward orbit.
 
         For an automorphism the first repeat of the start point is the
-        period, so only equality with the start is tested.
+        period, so only equality with the start is tested.  A start over
+        the budget can still come back to itself, so each image is tested
+        for equality before the budget: the steps run under the larger of
+        the budget and the start's own size (an image ``step`` skips is
+        then too large to be the start), and the truncation test uses the
+        budget itself.
         """
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         budget = DEFAULT_BIT_BUDGET if bit_budget is None else bit_budget
         start = kernel.to_common_denominator(point)
+        cap = max(budget, kernel.max_bits(*start))
         raw = start
         for k in range(1, max_depth + 1):
-            raw, over = self.step(raw, "forward", budget)
-            # Equality first: a start over the budget can still be fixed.
+            raw, over = self.step(raw, "forward", cap)
+            if over:  # larger than the start, so not the start
+                return CycleResult(False, None, k, truncated=True)
             if raw == start:
                 return CycleResult(True, k, k)
-            if over:
+            if kernel.max_bits(*raw) > budget:
                 return CycleResult(False, None, k, truncated=True)
         return CycleResult(False, None, max_depth)
 

@@ -12,6 +12,8 @@ the observed successive differences geometrically with ratio ``1/d``:
 with ``K = max_k |v_{k+1} - v_k| * d^(k+1)`` over the observed range, the
 tail beyond depth ``N`` is at most ``K / (d^N (d - 1))``.  This is an
 a-posteriori certificate from observed decay, not an a-priori constant.
+``K`` is kept as a running maximum, so each step costs the same; where
+``d^k`` leaves the float range the terms are scaled in logs instead.
 
 The combined invariant ``h_plus + h_minus`` is nonnegative and vanishes
 exactly on periodic points, which is what the periodicity filter uses;
@@ -114,21 +116,32 @@ class CanonicalHeightEstimate:
         return report
 
 
-def _tail_bound(values: Sequence[float], ratio: int) -> float:
-    if len(values) < 2:
+def _float_power(ratio: int, k: int) -> float | None:
+    """``float(ratio) ** k``, or None past the float range."""
+    try:
+        return float(ratio) ** k
+    except OverflowError:
+        return None
+
+
+def _scaled_down(x: float, ratio: int, k: int) -> float:
+    """``x / ratio**k`` for ``x >= 0`` when ``ratio**k`` is no float."""
+    return math.exp(math.log(x) - k * math.log(ratio)) if x else 0.0
+
+
+def _tail_bound(peak: float, ratio: int, depth: int) -> float:
+    """``peak / (d^depth (d - 1))``; ``peak`` is the running maximum of
+    ``|v_{k+1} - v_k| * d^(k+1)`` over the first ``depth`` differences."""
+    if depth < 1:
         return math.inf
-    peak = 0.0
-    scale = float(ratio)
-    for k in range(len(values) - 1):
-        rate = abs(values[k + 1] - values[k]) * scale ** (k + 1)
-        if rate > peak:
-            peak = rate
     if peak == 0.0:
         return 0.0
     if ratio < 2:
         return math.inf
-    depth = len(values) - 1
-    return peak / (scale**depth * (scale - 1.0))
+    scale = _float_power(ratio, depth)
+    if scale is None:
+        return _scaled_down(peak, ratio, depth) / (ratio - 1.0)
+    return peak / (scale * (ratio - 1.0))
 
 
 def _canonical_estimate(
@@ -153,17 +166,27 @@ def _canonical_estimate(
     integers = [kernel.height_integer(*raw)]
     values = [math.log(integers[0])]
     truncated = False
-    tail = math.inf
+    peak = 0.0
     for k in range(1, max_depth + 1):
         raw, truncated = automorphism.step(raw, direction, budget)
         if truncated:
             break
         integers.append(kernel.height_integer(*raw))
-        values.append(math.log(integers[-1]) / float(ratio) ** k)
-        tail = _tail_bound(values, ratio)
-        if tolerance is not None and tail <= tolerance:
+        log_k = math.log(integers[-1])
+        scale = _float_power(ratio, k)
+        if scale is not None:
+            values.append(log_k / scale)
+            rate = abs(values[-1] - values[-2]) * scale
+        else:
+            # Past the float range: v_k is scaled in logs, and
+            # |v_k - v_{k-1}| * d^k is exactly |log H_k - d log H_{k-1}|.
+            values.append(_scaled_down(log_k, ratio, k))
+            rate = abs(log_k - ratio * math.log(integers[-2]))
+        if rate > peak:
+            peak = rate
+        if tolerance is not None and _tail_bound(peak, ratio, k) <= tolerance:
             break
-    tail = _tail_bound(values, ratio)
+    tail = _tail_bound(peak, ratio, len(values) - 1)
     certified = not truncated and math.isfinite(tail)
     if tolerance is not None and not truncated and depth is None:
         certified = certified and tail <= tolerance

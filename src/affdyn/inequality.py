@@ -314,8 +314,8 @@ def batch_verify(
     its minimum has stabilized.
 
     ``sampler`` follows the sampler protocol of the module docstring; a
-    point that is not in canonical ``(nums, den)`` form raises
-    ``ValueError``.
+    point that is not in canonical ``(nums, den)`` form, or that has the
+    wrong number of coordinates, raises ``ValueError``.
 
     Points whose exact evaluation exceeds the bit budget are skipped and
     counted.  When ``assume_regular`` is not set, the regularity verdict is
@@ -334,6 +334,10 @@ def batch_verify(
     next_checkpoint = max(warmup, 1)
     for raw in sampler.points(automorphism, budget):
         nums, den = raw
+        if len(nums) != automorphism.n:
+            raise ValueError(
+                f"sampler point {raw!r} has {len(nums)} coordinates, expected {automorphism.n}"
+            )
         if den <= 0 or gcd(den, *nums) != 1:
             raise ValueError(f"sampler point {raw!r} is not in canonical (nums, den) form")
         record = _record(automorphism, raw, budget, mode)

@@ -21,6 +21,22 @@ Within the package ``eval_point`` has two callers:
 the single orbit step that orbits, cycle detection, canonical heights and
 the inequality records all share; it pairs each image with the bit-budget
 test ``max_bits(...) > budget``.
+
+Before it evaluates, ``step`` asks ``exceeds_budget`` whether the image is
+certain to break the budget; if so the image is never computed.  The bound
+reads only bit lengths.  A nonzero integer of bit length ``b`` lies in
+``[2^(b-1), 2^b)``, so every term ``t = c * prod x_i^e_i * den^(deg-s)`` of
+coordinate ``j`` satisfies ``2^lo <= |t| < 2^hi``, with ``lo`` and ``hi``
+the sums of the factors' ``b - 1`` and ``b``.  If the term with the largest
+``lo`` has ``lo >= hi' + bitlen(m) + 1``, where ``hi'`` is the largest
+``hi`` of the ``m`` other nonzero terms, those terms sum to less than
+``2^(lo-1)`` and the numerator ``acc`` has ``|acc| > 2^(lo-1)``.  The
+gcd reduction divides ``acc`` by a divisor of ``denoms[j] * den^deg``, which
+is below ``2^B`` with ``B = bitlen(denoms[j]) + deg * bitlen(den)``, so
+the reduced numerator exceeds ``2^(lo-1-B)``; the common-denominator
+rescale only multiplies it.  Hence ``lo - B > budget`` proves an image
+integer of more than ``budget`` bits.  The test is one-sided: cancellation
+between terms of similar size makes it answer False, never wrongly True.
 """
 
 from __future__ import annotations
@@ -52,6 +68,9 @@ class CompiledMap:
 
     Per coordinate: integer-cleared terms, the cleared denominator, and the
     total degree.  ``max_exps`` caps the per-variable power tables.
+    ``deg`` and ``coeff_bits`` (the largest degree and cleared-coefficient
+    bit length) feed the cheap test that decides whether ``exceeds_budget``
+    can fire at all.
     """
 
     nvars: int
@@ -59,6 +78,8 @@ class CompiledMap:
     denoms: tuple[int, ...]
     degs: tuple[int, ...]
     max_exps: tuple[int, ...]
+    deg: int
+    coeff_bits: int
 
 
 def compile_map(coords) -> CompiledMap:
@@ -89,7 +110,11 @@ def compile_map(coords) -> CompiledMap:
         all_terms.append(tuple(terms))
         denoms.append(denom)
         degs.append(deg)
-    return CompiledMap(nvars, tuple(all_terms), tuple(denoms), tuple(degs), tuple(max_exps))
+    coeff_bits = max((c.bit_length() for terms in all_terms for c, _ in terms), default=0)
+    return CompiledMap(
+        nvars, tuple(all_terms), tuple(denoms), tuple(degs), tuple(max_exps),
+        max(degs), coeff_bits,
+    )
 
 
 def eval_point(cm: CompiledMap, nums: tuple[int, ...], den: int):
@@ -118,6 +143,48 @@ def max_bits(nums: Sequence[int], den: int) -> int:
         if b > worst:
             worst = b
     return worst
+
+
+def exceeds_budget(cm: CompiledMap, nums: Sequence[int], den: int, budget: int) -> bool:
+    """True only if the canonical image of ``nums / den`` under ``cm`` is
+    certain to hold an integer of more than ``budget`` bits.
+
+    Uses bit lengths alone (see the module docstring for the bound); False
+    means "not proven", not "fits".
+    """
+    bits = [n.bit_length() for n in nums]
+    den_bits = den.bit_length()
+    for terms, denom, deg in zip(cm.terms, cm.denoms, cm.degs):
+        top_lo = top_hi = rest_hi = -1
+        others = -1
+        for coeff, exps in terms:
+            lo = hi = coeff.bit_length()
+            if not hi:
+                continue
+            lo -= 1
+            s = 0
+            for b, e in zip(bits, exps):
+                if e:
+                    if not b:
+                        break  # a zero coordinate kills the term
+                    lo += e * (b - 1)
+                    hi += e * b
+                    s += e
+            else:
+                lo += (deg - s) * (den_bits - 1)
+                hi += (deg - s) * den_bits
+                others += 1
+                if lo > top_lo:  # a new top term; the old one joins the others
+                    top_lo, top_hi, hi = lo, hi, top_hi
+                if hi > rest_hi:
+                    rest_hi = hi
+        if others < 0:
+            continue  # the coordinate vanishes
+        if others and top_lo < rest_hi + others.bit_length() + 1:
+            continue  # no dominant term: the terms may cancel
+        if top_lo - denom.bit_length() - deg * den_bits > budget:
+            return True
+    return False
 
 
 def height_integer(nums: Sequence[int], den: int) -> int:

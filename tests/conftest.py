@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from affdyn import kernel
 from affdyn.dynamics import AffineAutomorphism
 from affdyn.parsing import parse_map_file, parse_polynomial
 from affdyn.polyring import Polynomial
@@ -25,6 +26,16 @@ def triangular() -> AffineAutomorphism:
     forward = tuple(parse_polynomial(s, names) for s in ("x + y^2", "y"))
     inverse = tuple(parse_polynomial(s, names) for s in ("x - y^2", "y"))
     return AffineAutomorphism(forward, inverse, names)
+
+
+def count_evaluations(monkeypatch) -> list:
+    """Record the arguments of every ``kernel.eval_point`` call."""
+    calls = []
+    evaluate = kernel.eval_point
+    monkeypatch.setattr(
+        kernel, "eval_point", lambda *args: calls.append(args) or evaluate(*args)
+    )
+    return calls
 
 
 # -- hypothesis strategies ------------------------------------------------

@@ -147,6 +147,17 @@ class TestHeightAndCanonical:
         main(["canonical", henon_map, "--point", "0,0,0", "--depth", "4", "--out", str(out)])
         assert json.loads(out.read_text())["value"] == 0.0
 
+    def test_canonical_fixed_point_past_the_float_range(self, henon_map, tmp_path):
+        # 2.0**1024 (forward) and 4.0**512 (inverse) overflow a float.
+        out = tmp_path / "c1100.json"
+        code = main(
+            ["canonical", henon_map, "--point", "0,0,0", "--depth", "1100", "--out", str(out)]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["value"] == 0.0 and report["tail_bound"] == 0.0
+        assert report["plus"]["depth"] == report["minus"]["depth"] == 1100
+
     def test_canonical_needs_stopping_rule(self, henon_map):
         assert main(["canonical", henon_map, "--point", "1,1,1"]) == 2
 

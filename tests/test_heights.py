@@ -19,8 +19,9 @@ from affdyn.heights import (
     weil_height,
     weil_height_integer,
 )
+from affdyn.parsing import parse_polynomial
 
-from conftest import small_points
+from conftest import count_evaluations, small_points
 
 LOG2 = math.log(2)
 
@@ -129,6 +130,42 @@ class TestCanonicalMinus:
 
 
 class TestCanonical:
+    def test_no_step_past_the_budget_is_evaluated(self, henon, monkeypatch):
+        calls = count_evaluations(monkeypatch)
+        result = canonical(henon, (1, 1, 1), depth=64, bit_budget=2**16)
+        assert result.plus.truncated and result.minus.truncated
+        assert len(calls) == result.plus.depth + result.minus.depth
+
+    def test_depths_past_the_float_range(self, henon):
+        # 2.0**1024 and 4.0**512 overflow a float; the terms do not.
+        result = canonical(henon, (0, 0, 0), depth=1100)
+        assert result.plus.depth == result.minus.depth == 1100
+        assert result.value == 0.0 and result.tail_bound == 0.0 and result.certified
+        # (y, x, z + x^2 - y^2) is an involution of degree 2: every point has
+        # period 2, its terms shrink like 2^-k and so does the tail bound.
+        names = ("x", "y", "z")
+        coords = [parse_polynomial(c, names) for c in ("y", "x", "z + x^2 - y^2")]
+        involution = AffineAutomorphism(coords, coords, names)
+        shallow = canonical_plus(involution, (2, 1, 0), depth=40)
+        deep = canonical_plus(involution, (2, 1, 0), depth=1100)
+        assert deep.step_integers[:41] == shallow.step_integers
+        assert deep.values[:41] == shallow.values
+        assert deep.certified and 0.0 <= deep.tail_bound <= shallow.tail_bound
+        assert all(0.0 <= v <= math.log(3) / 2**1000 for v in deep.values[1000:])
+
+    def test_degree_one_runs_to_the_step_cap(self):
+        # A shear never meets a tolerance: its tail bound is infinite, so
+        # the estimate runs all 10,000 steps of the tolerance-only rule.
+        names = ("x", "y", "z")
+        shear = AffineAutomorphism(
+            [parse_polynomial(c, names) for c in ("x + y", "y", "z")],
+            [parse_polynomial(c, names) for c in ("x - y", "y", "z")],
+            names,
+        )
+        est = canonical_plus(shear, (1, 1, 1), tolerance=1e-9)
+        assert est.depth == 10_000 and est.tail_bound == math.inf
+        assert est.step_integers[-1] == 10_001 and not est.certified
+
     def test_fixed_point_zero(self, henon):
         result = canonical(henon, (0, 0, 0), depth=5)
         assert result.value == 0.0 and result.tail_bound == 0.0

@@ -19,9 +19,20 @@ from affdyn.inequality import (
     delta_statistic,
 )
 
-from conftest import small_points
+from conftest import count_evaluations, small_points
 
 LOG2 = math.log(2)
+
+
+class FixedSampler:
+    def __init__(self, raw):
+        self.raw = raw
+
+    def describe(self):
+        return {"kind": "fixed"}
+
+    def points(self, automorphism, bit_budget):
+        yield self.raw
 
 
 class TestDeltaStatistic:
@@ -177,26 +188,30 @@ class TestBatchVerify:
 
     @pytest.mark.parametrize("raw", [((2, 4), 2), ((1, 2), -1)], ids=["gcd", "sign"])
     def test_non_canonical_sampler_point_is_rejected(self, raw):
-        class Sampler:
-            def describe(self):
-                return {"kind": "fixed"}
-
-            def points(self, automorphism, bit_budget):
-                yield raw
-
         with pytest.raises(ValueError, match="canonical"):
-            batch_verify(AffineAutomorphism.identity(2), Sampler(), assume_regular=True)
+            batch_verify(AffineAutomorphism.identity(2), FixedSampler(raw), assume_regular=True)
+
+    @pytest.mark.parametrize("raw", [((1, 1), 1), ((1, 1, 1, 1), 1)], ids=["short", "long"])
+    def test_wrong_length_sampler_point_is_rejected(self, henon, raw):
+        with pytest.raises(ValueError, match=r"has \d coordinates, expected 3"):
+            batch_verify(henon, FixedSampler(raw), assume_regular=True)
 
     def test_forward_overflow_skips_without_inverse(self, henon, monkeypatch):
-        # f(0, 0, 200) = (0, 200, 40000) exceeds 8 bits; the point does not.
-        calls = []
-        evaluate = kernel.eval_point
-        monkeypatch.setattr(
-            kernel, "eval_point", lambda *args: calls.append(args) or evaluate(*args)
-        )
-        sampler = OrbitSampler(((Fraction(0), Fraction(0), Fraction(200)),), 0)
+        # f(0, 0, 16) = (0, 16, 256) exceeds 8 bits; the point does not.  The
+        # bit-length bound cannot prove it (256 is 2^8), so the forward image
+        # is evaluated, and the inverse is not.
+        calls = count_evaluations(monkeypatch)
+        sampler = OrbitSampler(((Fraction(0), Fraction(0), Fraction(16)),), 0)
         report = batch_verify(henon, sampler, assume_regular=True, bit_budget=8)
         assert len(calls) == 1
+        assert report.skipped == 1 and not report.records
+
+    def test_certified_forward_overflow_evaluates_nothing(self, henon, monkeypatch):
+        # f(0, 0, 200) = (0, 200, 40000): z^2 alone proves 40000 > 2^8.
+        calls = count_evaluations(monkeypatch)
+        sampler = OrbitSampler(((Fraction(0), Fraction(0), Fraction(200)),), 0)
+        report = batch_verify(henon, sampler, assume_regular=True, bit_budget=8)
+        assert calls == []
         assert report.skipped == 1 and not report.records
 
     def test_bit_budget_skips_are_counted(self, henon):

@@ -6,8 +6,11 @@ from math import gcd
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affdyn import _kernel_py, kernel
+from affdyn.dynamics import AffineAutomorphism
+from affdyn.polyring import Polynomial
 
 from conftest import polynomials, small_points
 
@@ -85,3 +88,59 @@ def test_compile_map_clears_denominators():
 def test_max_bits():
     assert kernel.max_bits((0, 7), 1) == 3
     assert kernel.max_bits((-(2**40), 1), 3) == 41
+
+
+# -- the bit-length bound behind skipped orbit steps -----------------------
+
+_wide_polynomials = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**3),
+    max_size=5,
+).map(lambda terms: Polynomial(3, terms))
+
+
+@st.composite
+def _canonical_points(draw):
+    nums = draw(st.lists(st.integers(-(2**80), 2**80), min_size=3, max_size=3))
+    den = draw(st.just(1) | st.integers(1, 2**40))
+    g = gcd(den, *nums)
+    return tuple(n // g for n in nums), den // g
+
+
+def _maps(henon):
+    identity = AffineAutomorphism.identity(3)
+    return st.sampled_from(
+        [henon.forward, henon.inverse, identity.forward]
+    ) | st.lists(_wide_polynomials, min_size=1, max_size=3)
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_exceeds_budget_is_sound(henon, data):
+    coords = data.draw(_maps(henon))
+    nums, den = data.draw(_canonical_points())
+    cm = kernel.compile_map(coords)
+    bits = kernel.max_bits(*kernel.eval_point(cm, nums, den))
+    # Budgets from a little under the image's size (where the bound should
+    # fire) to at or over it (where firing would be wrong).
+    budget = max(1, bits + data.draw(st.integers(-8, 8)))
+    if kernel.exceeds_budget(cm, nums, den, budget):
+        assert bits > budget
+
+
+def test_exceeds_budget_sees_dominant_terms_only(henon):
+    cm = henon.compiled("forward")
+    # f(0, 0, 200) = (0, 200, 40000): z^2 alone proves 40000 > 2^8.
+    assert kernel.exceeds_budget(cm, (0, 0, 200), 1, 8)
+    # f(0, 0, 16) = (0, 16, 256): the bound gives only 256 >= 2^8.
+    assert not kernel.exceeds_budget(cm, (0, 0, 16), 1, 8)
+    # f(-(2^60), 0, 2^30) = (0, 2^30, 0): x and z^2 cancel exactly.
+    assert not kernel.exceeds_budget(cm, (-(2**60), 0, 2**30), 1, 40)
+    # x - 7 (y1 + ... + y5) at x = 2^20, sum(y) = 149796 is 4: each small
+    # term is below 2^18, a quarter of x, but five of them nearly cancel it.
+    terms = {(1, 0, 0, 0, 0, 0): 1}
+    terms.update({tuple(int(i == k) for i in range(6)): -7 for k in range(1, 6)})
+    cm = kernel.compile_map([Polynomial(6, terms)])
+    point = (2**20, 29960, 29959, 29959, 29959, 29959)
+    assert kernel.eval_point(cm, point, 1) == ((4,), 1)
+    assert not kernel.exceeds_budget(cm, point, 1, 3)

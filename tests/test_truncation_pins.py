@@ -17,6 +17,7 @@ import pytest
 
 from affdyn.dynamics import AffineAutomorphism
 from affdyn.heights import canonical_minus, canonical_plus
+from affdyn.polyring import Polynomial
 
 STARTS = {
     "origin": (0, 0, 0),
@@ -340,3 +341,16 @@ def test_orbit_loops_match_pinned_outputs(henon):
     assert cycles == CYCLE
     assert plus == CANONICAL_PLUS
     assert minus == CANONICAL_MINUS
+
+
+def test_over_budget_start_returns_to_itself():
+    # The involution (2^210 - x, y, z) maps (2^210, 1, 1) to (0, 1, 1) and
+    # back.  The start is over the budget, so the second image is too, yet
+    # it is the start: the cycle test must still see it.  Recorded at the
+    # commit before the orbit step could skip an image.
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    coords = (Polynomial.constant(3, 2**210) - x, y, z)
+    involution = AffineAutomorphism(coords, coords)
+    for budget in BUDGETS:
+        assert cycle_pin(involution, (2**210, 1, 1), budget) == (True, 2, 2, False)
+        assert cycle_pin(involution, (0, 1, 1), budget) == (False, None, 1, True)
