@@ -6,8 +6,8 @@ two-sided height inequality, and validate divisor-coefficient ledgers for
 resolutions of the projective extensions.
 
 The hot evaluation kernel has a compiled (Cython) and a pure-Python
-implementation, selected at import; ``affdyn.kernel.BACKEND`` names the
-active one.
+implementation; the compiled one is used whenever it was built and
+imports.  ``affdyn.kernel.BACKEND`` names the active one.
 """
 
 from .divisors import (
@@ -29,12 +29,9 @@ from .divisors import (
 from .dynamics import (
     DEFAULT_BIT_BUDGET,
     AffineAutomorphism,
-    HomogenizedMap,
-    IndeterminacyLocus,
     InverseVerificationError,
     OrbitResult,
     RegularityResult,
-    indeterminacy_locus,
     is_regular,
 )
 from .heights import (
@@ -85,8 +82,6 @@ __all__ = [
     "DatumError",
     "DeltaReport",
     "DivisorClass",
-    "HomogenizedMap",
-    "IndeterminacyLocus",
     "InverseVerificationError",
     "MapSyntaxError",
     "OrbitResult",
@@ -114,7 +109,6 @@ __all__ = [
     "format_polynomial",
     "functional_equation_residual",
     "height_growth_constant",
-    "indeterminacy_locus",
     "is_periodic_by_height",
     "is_regular",
     "load_datum",

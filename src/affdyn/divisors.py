@@ -117,13 +117,6 @@ class PushforwardMap:
         if any(s < 0 for s in self.multiples):
             raise DatumError("pushforward multiples must be non-negative")
 
-    def apply(self, divisor: DivisorClass) -> Fraction:
-        if len(self.multiples) != divisor.basis.rank:
-            raise DatumError("pushforward rank mismatch")
-        return sum(
-            (s * c for s, c in zip(self.multiples, divisor.coeffs)), Fraction(0)
-        )
-
 
 @dataclass(frozen=True)
 class ResolutionDatum:
@@ -165,7 +158,6 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    datum_name: str | None
     violations: tuple[Violation, ...]
 
     @property
@@ -234,19 +226,15 @@ def validate_resolution(datum: ResolutionDatum) -> ValidationReport:
                     f"(need degree_other * b >= a off the essential index)",
                 )
             )
-    return ValidationReport(datum.name, tuple(out))
+    return ValidationReport(tuple(out))
 
 
-def find_essential(
-    b: Sequence[int], pushforward: PushforwardMap | Sequence[int]
-) -> int:
+def find_essential(b: Sequence[int], pushforward: PushforwardMap) -> int:
     """The unique exceptional index with ``s_t * b_t == 1``.
 
     Raises ``DatumError`` when there is no candidate (the push-pull
     identity could not hold) or more than one (inconsistent input).
     """
-    if not isinstance(pushforward, PushforwardMap):
-        pushforward = PushforwardMap(tuple(pushforward))
     s = pushforward.multiples
     if len(s) != len(b):
         raise DatumError("pushforward and coefficient vector lengths differ")
@@ -259,17 +247,11 @@ def find_essential(
     return candidates[0]
 
 
-def check_pushpull_identity(
-    datum: ResolutionDatum, pushforward: PushforwardMap | Sequence[int] | None = None
-) -> bool:
+def check_pushpull_identity(datum: ResolutionDatum) -> bool:
     """Push the map pullback forward: the result must be exactly 1 * H."""
-    if pushforward is None:
-        pushforward = datum.pushforward
-    if pushforward is None:
+    if datum.pushforward is None:
         raise DatumError("no pushforward data supplied")
-    if not isinstance(pushforward, PushforwardMap):
-        pushforward = PushforwardMap(tuple(pushforward))
-    total = sum(s * c for s, c in zip(pushforward.multiples, datum.b))
+    total = sum(s * c for s, c in zip(datum.pushforward.multiples, datum.b))
     return total == 1
 
 
@@ -354,14 +336,13 @@ def compute_D(combined: CombinedResolution) -> DivisorClass:
 class EffectivityResult:
     effective: bool
     first_negative: str | None = None
-    coefficient: Fraction | None = None
 
 
 def check_effective(divisor: DivisorClass) -> EffectivityResult:
     """Effective iff every coefficient is >= 0; reports the first failure."""
     for label, coeff in zip(divisor.basis.labels, divisor.coeffs):
         if coeff < 0:
-            return EffectivityResult(False, label, coeff)
+            return EffectivityResult(False, label)
     return EffectivityResult(True)
 
 
@@ -401,23 +382,6 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
         pushforward=pushforward,
         name=data.get("name"),
     )
-
-
-def datum_to_dict(datum: ResolutionDatum) -> dict:
-    out = {
-        "side": datum.side,
-        "labels": list(datum.basis.labels),
-        "degree_own": datum.degree_own,
-        "degree_other": datum.degree_other,
-        "blowdown_pullback": list(datum.a),
-        "map_pullback": list(datum.b),
-        "essential_index": datum.t,
-    }
-    if datum.pushforward is not None:
-        out["pushforward"] = list(datum.pushforward.multiples)
-    if datum.name is not None:
-        out["name"] = datum.name
-    return out
 
 
 def load_datum(path) -> ResolutionDatum:

@@ -2,20 +2,22 @@
 
 An automorphism is a pair of polynomial maps ``(f, f_inv)`` of affine
 n-space whose compositions are verified symbolically at construction; the
-verification *is* the constructor.  The pair extends to projective space
-as a pair of homogeneous maps whose first coordinate is ``x0**degree``
-(``x0`` is the added hyperplane-at-infinity coordinate; it sits in slot 0
-here, independent of how a source file orders its affine variables).
+verification *is* the constructor.
 
-The regularity decision asks whether the two indeterminacy loci, both of
-which live inside the hyperplane at infinity, are disjoint.  For n = 2
-this reduces to a gcd of binary forms; for n = 3 joint emptiness in the
-projective plane is decided exactly by checking whether some power of the
-irrelevant ideal lies in the span of monomial shifts of the constraint
-forms, up to the classical degree bound (3*max_degree - 2), which is a
-complete criterion over the algebraic closure.  For n > 3 a seeded
-Monte-Carlo search can certify "not regular" with a witness, else the
-answer is reported as undetermined.
+The regularity decision asks whether the indeterminacy loci of ``f`` and
+``f_inv``, both of which live inside the hyperplane at infinity, are
+disjoint.  On that hyperplane the projective extension of a map of degree
+``d`` is ``(0 : F_1 : ... : F_n)``, where ``F_i`` is the degree-``d`` part
+of coordinate ``i`` (zero when the coordinate has lower degree), so its
+locus is the common zero set of the top-degree forms of the coordinates
+of full degree.  ``is_regular`` reads these forms straight from the affine
+coordinates of both maps.  For n = 2 emptiness reduces to a gcd of binary
+forms; for n = 3 joint emptiness in the projective plane is decided
+exactly by checking whether some power of the irrelevant ideal lies in
+the span of monomial shifts of the constraint forms, up to the classical
+degree bound (3*max_degree - 2), which is a complete criterion over the
+algebraic closure.  For n > 3 a seeded Monte-Carlo search can certify
+"not regular" with a witness, else the answer is reported as undetermined.
 
 Automorphisms and their derived objects are immutable; orbits of distinct
 points may be computed in parallel with no coordination.
@@ -105,66 +107,6 @@ class CycleResult:
     truncated: bool = False
 
 
-@dataclass(frozen=True)
-class HomogenizedMap:
-    """Projective extension: ``n+1`` homogeneous coordinates of one degree.
-
-    Slot 0 is ``x0**degree`` by convention; the remaining slots are the
-    affine coordinates homogenized to the common degree.
-    """
-
-    coords: tuple[Polynomial, ...]
-    degree: int
-
-    def __post_init__(self):
-        n1 = len(self.coords)
-        x0_power = Polynomial.variable(n1, 0) ** self.degree
-        if self.coords[0] != x0_power:
-            raise ValueError("first homogeneous coordinate must be x0^degree")
-        for poly in self.coords:
-            if poly.nvars != n1:
-                raise ValueError("homogeneous coordinates must have n+1 variables")
-            if not poly.is_zero and not (
-                poly.is_homogeneous() and poly.total_degree() == self.degree
-            ):
-                raise ValueError("coordinates must be homogeneous of the common degree")
-        # A common factor would have to be a power of x0 (slot 0 is x0^d);
-        # some affine coordinate attains the full degree, so none exists.
-        if all(_x0_divides(poly) for poly in self.coords[1:]):
-            raise ValueError("homogeneous coordinates share a factor of x0")
-
-    @property
-    def nvars(self) -> int:
-        return len(self.coords)
-
-
-def _x0_divides(poly: Polynomial) -> bool:
-    return all(exps[0] > 0 for exps in poly.terms) if not poly.is_zero else True
-
-
-@dataclass(frozen=True)
-class IndeterminacyLocus:
-    """Data describing the locus at infinity where the extension is undefined.
-
-    ``forms`` are the top-degree parts of the affine coordinates;
-    ``coord_degrees`` their total degrees.  The zero set of the extension at
-    infinity is cut out only by the forms of full degree (the others
-    restrict to zero on the hyperplane at infinity), which
-    ``constraint_forms`` returns.
-    """
-
-    forms: tuple[Polynomial, ...]
-    coord_degrees: tuple[int, ...]
-    degree: int
-
-    def constraint_forms(self) -> tuple[Polynomial, ...]:
-        return tuple(
-            form
-            for form, deg in zip(self.forms, self.coord_degrees)
-            if deg == self.degree
-        )
-
-
 class AffineAutomorphism:
     """A verified polynomial automorphism pair of affine n-space.
 
@@ -207,7 +149,6 @@ class AffineAutomorphism:
             f"x{i}" for i in range(n)
         )
         self._compiled: dict[str, kernel.CompiledMap] = {}
-        self._homogenized: tuple[HomogenizedMap, HomogenizedMap] | None = None
 
     @classmethod
     def identity(cls, n: int) -> "AffineAutomorphism":
@@ -333,45 +274,6 @@ class AffineAutomorphism:
                 return CycleResult(False, None, k, truncated=True)
         return CycleResult(False, None, max_depth)
 
-    # -- projective extension -------------------------------------------
-
-    def homogenized_pair(self) -> tuple[HomogenizedMap, HomogenizedMap]:
-        """The pair of projective extensions, of degrees ``d`` and ``d_inv``."""
-        if self._homogenized is None:
-            self._homogenized = (
-                _homogenize_coords(self.forward, self.d),
-                _homogenize_coords(self.inverse, self.d_inv),
-            )
-        return self._homogenized
-
-
-def _homogenize_coords(coords: Sequence[Polynomial], degree: int) -> HomogenizedMap:
-    n1 = coords[0].nvars + 1
-    slot0 = Polynomial.variable(n1, 0) ** degree
-    return HomogenizedMap(
-        (slot0,) + tuple(p.homogenize(degree) for p in coords), degree
-    )
-
-
-def indeterminacy_locus(extension: HomogenizedMap) -> IndeterminacyLocus:
-    """Locus data of a projective extension (restriction to x0 = 0).
-
-    Recovers the affine coordinates by setting ``x0 = 1`` and stores their
-    top-degree parts; only the full-degree ones constrain the zero set at
-    infinity.
-    """
-    n = extension.nvars - 1
-    substitution = [Polynomial.constant(n, 1)] + [
-        Polynomial.variable(n, i) for i in range(n)
-    ]
-    forms = []
-    degrees = []
-    for poly in extension.coords[1:]:
-        affine = poly.compose(substitution)
-        forms.append(affine.leading_form())
-        degrees.append(affine.total_degree())
-    return IndeterminacyLocus(tuple(forms), tuple(degrees), extension.degree)
-
 
 # -- regularity ---------------------------------------------------------
 
@@ -404,11 +306,8 @@ def is_regular(
     n = automorphism.n
     if n < 2:
         raise ValueError("regularity is defined for dimension >= 2")
-    phi, psi = automorphism.homogenized_pair()
-    constraints = (
-        indeterminacy_locus(phi).constraint_forms()
-        + indeterminacy_locus(psi).constraint_forms()
-    )
+    constraints = _constraint_forms(automorphism.forward, automorphism.d)
+    constraints += _constraint_forms(automorphism.inverse, automorphism.d_inv)
     if n == 2:
         empty, details = _p1_system_empty(constraints)
         method = "binary-form-gcd"
@@ -435,6 +334,12 @@ def is_regular(
         return RegularityResult(NOT_REGULAR, method, witness=(0, *witness), details=details)
     details = dict(details, witness_search_bound=witness_bound)
     return RegularityResult(NOT_REGULAR, method, details=details)
+
+
+def _constraint_forms(coords: Sequence[Polynomial], degree: int) -> tuple[Polynomial, ...]:
+    """Top-degree parts of the coordinates of full degree, in coordinate
+    order: their common zeros at infinity are the indeterminacy locus."""
+    return tuple(p.leading_form() for p in coords if p.total_degree() == degree)
 
 
 def _p1_system_empty(forms: Sequence[Polynomial]) -> tuple[bool, dict]:

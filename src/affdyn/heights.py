@@ -13,7 +13,9 @@ with ``K = max_k |v_{k+1} - v_k| * d^(k+1)`` over the observed range, the
 tail beyond depth ``N`` is at most ``K / (d^N (d - 1))``.  This is an
 a-posteriori certificate from observed decay, not an a-priori constant.
 ``K`` is kept as a running maximum, so each step costs the same; where
-``d^k`` leaves the float range the terms are scaled in logs instead.
+``d^k`` leaves the float range the terms are scaled in logs instead.  For
+``d = 1`` the bound is infinite once ``K > 0`` and stays so, and a
+tolerance-only estimate stops at that step.
 
 The combined invariant ``h_plus + h_minus`` is nonnegative and vanishes
 exactly on periodic points, which is what the periodicity filter uses;
@@ -184,8 +186,12 @@ def _canonical_estimate(
             rate = abs(log_k - ratio * math.log(integers[-2]))
         if rate > peak:
             peak = rate
-        if tolerance is not None and _tail_bound(peak, ratio, k) <= tolerance:
-            break
+        if tolerance is not None:
+            tail = _tail_bound(peak, ratio, k)
+            # An infinite tail (d < 2 and a nonzero difference) never falls,
+            # as the peak only grows: without a depth, stop here.
+            if tail <= tolerance or (depth is None and tail == math.inf):
+                break
     tail = _tail_bound(peak, ratio, len(values) - 1)
     certified = not truncated and math.isfinite(tail)
     if tolerance is not None and not truncated and depth is None:

@@ -13,8 +13,9 @@ raw-point helpers live here: ``max_bits`` for the bit budget and
 Two interchangeable backends implement ``eval_map``: a Cython extension
 (``affdyn._speedups``, cythonized from ``_speedups.pyx`` when the package
 is built) and a pure-Python twin (``affdyn._kernel_py``).  The compiled one
-is preferred when importable; set ``AFFDYN_PURE_PYTHON=1`` to force the
-fallback.  ``benchmarks/bench_backends.py`` compares them.
+is used whenever it imports; ``BACKEND`` names the active one.  To run the
+pure-Python kernel, install without the extension (``AFFDYN_NO_EXT=1``).
+``benchmarks/bench_backends.py`` compares them.
 
 Within the package ``eval_point`` has two callers:
 ``AffineAutomorphism.apply`` and ``AffineAutomorphism.step``.  ``step`` is
@@ -41,7 +42,6 @@ between terms of similar size makes it answer False, never wrongly True.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -49,17 +49,13 @@ from typing import Sequence
 
 from . import _kernel_py
 
-if os.environ.get("AFFDYN_PURE_PYTHON") == "1":
+try:
+    from . import _speedups as _backend  # type: ignore[no-redef]
+
+    BACKEND = "cython"
+except ImportError:
     _backend = _kernel_py
     BACKEND = "python"
-else:
-    try:
-        from . import _speedups as _backend  # type: ignore[no-redef]
-
-        BACKEND = "cython"
-    except ImportError:
-        _backend = _kernel_py
-        BACKEND = "python"
 
 
 @dataclass(frozen=True)

@@ -216,12 +216,6 @@ class Polynomial:
             raise ZeroPolynomialError("degree of the zero polynomial is undefined")
         return max(e[var] for e in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        if self.is_zero:
-            return True
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) == 1
-
     # -- substitution -------------------------------------------------
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
@@ -277,24 +271,6 @@ class Polynomial:
                     term = term * power(i, e)
             total = total + term
         return total
-
-    def homogenize(self, target_degree: int) -> "Polynomial":
-        """Homogenize to ``target_degree`` with a fresh variable in slot 0.
-
-        Each term is multiplied by ``x0**(target_degree - term degree)``;
-        the result has ``nvars + 1`` variables and is homogeneous of the
-        target degree.
-        """
-        if not self.is_zero and target_degree < self.total_degree():
-            raise ValueError(
-                f"target degree {target_degree} is below the total degree "
-                f"{self.total_degree()}"
-            )
-        out = {
-            (target_degree - sum(exps),) + exps: coeff
-            for exps, coeff in self.terms.items()
-        }
-        return Polynomial._make(self.nvars + 1, out)
 
 
 # -- univariate helpers (used by the regularity decision) --------------

@@ -1,8 +1,9 @@
 """Independent oracles the tests check the library against.
 
 These deliberately take different computational routes from the package:
-dense-array polynomial arithmetic, Horner-style evaluation, and
-brute-force grid searches.
+dense-array polynomial arithmetic, Horner-style evaluation, brute-force
+grid searches, and the extension at infinity read off a line through the
+origin.
 """
 
 from __future__ import annotations
@@ -84,3 +85,19 @@ def grid_common_zeros(forms, grid) -> list[tuple]:
         if all(f.evaluate(cand) == 0 for f in forms):
             out.append(cand)
     return out
+
+
+def undefined_at_infinity(coords, direction) -> bool:
+    """Whether the projective extension of the map ``coords`` is undefined
+    at the point ``(0 : w)`` of the hyperplane at infinity.
+
+    Along the line ``x = w*s`` a coordinate of the degree-``d`` map grows
+    like ``F(w) * s^d``, where ``F`` is its degree-``d`` part, so the
+    extension at ``(0 : w)`` is ``(0 : F_1(w) : ... : F_n(w))``.  It is
+    undefined exactly when every ``s^d`` coefficient vanishes (a
+    coordinate of lower degree has none).
+    """
+    degree = max(p.total_degree() for p in coords)
+    s = Polynomial.variable(1, 0)
+    line = [Polynomial.constant(1, w) * s for w in direction]
+    return all(p.compose(line).terms.get((degree,), 0) == 0 for p in coords)

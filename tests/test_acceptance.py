@@ -31,6 +31,7 @@ from affdyn.heights import (
 from affdyn.inequality import BoxSampler, CompositeSampler, OrbitSampler, batch_verify
 from affdyn.parsing import parse_polynomial
 
+from oracles import undefined_at_infinity
 from test_divisors import EXPECTED_D, random_valid_pair, violate_one_law
 
 F = Fraction
@@ -113,11 +114,8 @@ def test_criterion_5_regularity(henon, triangular):
         tri = is_regular(triangular)
         assert tri.verdict == "not_regular"
         assert tri.witness is not None
-        for ext in triangular.homogenized_pair():
-            from affdyn.dynamics import indeterminacy_locus
-
-            for form in indeterminacy_locus(ext).constraint_forms():
-                assert form.evaluate(tri.witness[1:]) == 0
+        for coords in (triangular.forward, triangular.inverse):
+            assert undefined_at_infinity(coords, tri.witness[1:])
 
 
 def test_criterion_6_inequality_at_desk_scale(henon):

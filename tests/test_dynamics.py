@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from affdyn.dynamics import (
     AffineAutomorphism,
     InverseVerificationError,
-    indeterminacy_locus,
+    _constraint_forms,
     is_regular,
 )
 from affdyn.parsing import parse_polynomial
 from affdyn.polyring import Polynomial
 
 from conftest import small_points
-from oracles import grid_common_zeros
+from oracles import grid_common_zeros, undefined_at_infinity
 
 XYZ = ("x", "y", "z")
 
@@ -129,63 +129,15 @@ class TestCycles:
         assert result.periodic and result.period == 1
 
 
-class TestHomogenizedPair:
-    def test_henon_extension_coordinates(self, henon):
-        phi, psi = henon.homogenized_pair()
-        names = ("w", "x", "y", "z")
-        assert [str_of(c, names) for c in phi.coords] == [
-            "w^2",
-            "w*y",
-            "w*z + y^2",
-            "w*x + z^2",
-        ]
-        assert phi.degree == 2 and psi.degree == 4
-        assert psi.coords[0] == parse_polynomial("w^4", names)
-
-    def test_identity_extension(self):
-        ident = AffineAutomorphism.identity(2)
-        phi, psi = ident.homogenized_pair()
-        assert [c for c in phi.coords] == [
-            Polynomial.variable(3, i) for i in range(3)
-        ]
-
-    def test_psi_matches_homogenized_corrected_inverse(self, henon):
-        _, psi = henon.homogenized_pair()
-        for slot, poly in enumerate(henon.inverse, start=1):
-            assert psi.coords[slot] == poly.homogenize(4)
-
-    def test_projective_evaluation(self, henon):
-        phi, psi = henon.homogenized_pair()
-        # affine embedding of (1,1,1) maps forward to (1,1,2,2) and back
-        assert tuple(p.evaluate((1, 1, 1, 1)) for p in phi.coords) == (1, 1, 2, 2)
-        assert tuple(p.evaluate((1, 1, 1, 1)) for p in psi.coords) == (1, 1, 1, 0)
-
-    def test_evaluation_on_the_locus_is_rejected(self, henon):
-        # every homogeneous coordinate vanishes on a locus point, so the
-        # extension is undefined there
-        phi, psi = henon.homogenized_pair()
-        # the forward locus point
-        assert all(p.evaluate((0, 1, 0, 0)) == 0 for p in phi.coords)
-        # on the inverse locus line
-        assert all(p.evaluate((0, 0, 1, 1)) == 0 for p in psi.coords)
-
-
-def str_of(p, names):
-    from affdyn.parsing import format_polynomial
-
-    return format_polynomial(p, names)
-
-
 class TestIndeterminacyLocus:
     def test_henon_forward_forms(self, henon):
-        phi, _ = henon.homogenized_pair()
-        locus = indeterminacy_locus(phi)
-        assert locus.forms == (P("y"), P("y^2"), P("z^2"))
-        assert locus.coord_degrees == (1, 2, 2)
-        # the common zero at infinity is the single point x=1, y=z=0
-        constraints = locus.constraint_forms()
+        # coordinates y | z + y^2 | x + z^2: only the two of degree 2 constrain
+        constraints = _constraint_forms(henon.forward, henon.d)
         assert constraints == (P("y^2"), P("z^2"))
+        # the common zero at infinity is the single point x=1, y=z=0
         assert all(f.evaluate((1, 0, 0)) == 0 for f in constraints)
+        assert undefined_at_infinity(henon.forward, (1, 0, 0))
+        assert not undefined_at_infinity(henon.forward, (0, 1, 0))
         others = [
             pt
             for pt in grid_common_zeros(list(constraints), range(-2, 3))
@@ -195,20 +147,19 @@ class TestIndeterminacyLocus:
 
     def test_identity_locus_empty(self):
         ident = AffineAutomorphism.identity(3)
-        phi, _ = ident.homogenized_pair()
-        locus = indeterminacy_locus(phi)
-        assert locus.forms == tuple(Polynomial.variable(3, i) for i in range(3))
-        assert not grid_common_zeros(list(locus.constraint_forms()), range(-2, 3))[1:]
+        constraints = _constraint_forms(ident.forward, ident.d)
+        assert constraints == tuple(Polynomial.variable(3, i) for i in range(3))
+        assert not grid_common_zeros(list(constraints), range(-2, 3))[1:]
 
     def test_henon_inverse_locus_is_a_line(self, henon):
-        _, psi = henon.homogenized_pair()
-        locus = indeterminacy_locus(psi)
+        constraints = _constraint_forms(henon.inverse, henon.d_inv)
         # only the degree-4 coordinate constrains the zero set at infinity
-        assert locus.constraint_forms() == (P("-x^4"),)
+        assert constraints == (P("-x^4"),)
         # grid oracle: the common zeros at infinity are exactly {x = 0}
-        zeros = grid_common_zeros(list(locus.constraint_forms()), range(-2, 3))
+        zeros = grid_common_zeros(list(constraints), range(-2, 3))
         assert all(pt[0] == 0 for pt in zeros)
         assert (0, 1, -2) in zeros
+        assert all(undefined_at_infinity(henon.inverse, pt) for pt in zeros if any(pt))
 
 
 class TestRegularity:
@@ -224,10 +175,9 @@ class TestRegularity:
         result = is_regular(triangular)
         assert result.verdict == "not_regular"
         assert result.witness == (0, 1, 0)
-        # verify the witness kills every constraint form of both extensions
-        for ext in triangular.homogenized_pair():
-            for form in indeterminacy_locus(ext).constraint_forms():
-                assert form.evaluate(result.witness[1:]) == 0
+        # both extensions are undefined at the witness
+        for coords in (triangular.forward, triangular.inverse):
+            assert undefined_at_infinity(coords, result.witness[1:])
 
     def test_shear_in_three_space_not_regular(self):
         # (x, y, z + x^2): its locus at infinity is the whole line x = w = 0
@@ -236,6 +186,8 @@ class TestRegularity:
         result = is_regular(AffineAutomorphism(forward, inverse, XYZ))
         assert result.verdict == "not_regular"
         assert result.witness is not None and result.witness[0] == 0
+        for coords in (forward, inverse):
+            assert undefined_at_infinity(coords, result.witness[1:])
 
     def test_dimension_one_rejected(self):
         with pytest.raises(ValueError):

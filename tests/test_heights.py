@@ -154,8 +154,9 @@ class TestCanonical:
         assert all(0.0 <= v <= math.log(3) / 2**1000 for v in deep.values[1000:])
 
     def test_degree_one_runs_to_the_step_cap(self):
-        # A shear never meets a tolerance: its tail bound is infinite, so
-        # the estimate runs all 10,000 steps of the tolerance-only rule.
+        # A shear never meets a tolerance: its tail bound is infinite from
+        # the first nonzero difference on, so the tolerance-only rule stops
+        # there instead of running to the 10,000-step cap.
         names = ("x", "y", "z")
         shear = AffineAutomorphism(
             [parse_polynomial(c, names) for c in ("x + y", "y", "z")],
@@ -163,8 +164,12 @@ class TestCanonical:
             names,
         )
         est = canonical_plus(shear, (1, 1, 1), tolerance=1e-9)
-        assert est.depth == 10_000 and est.tail_bound == math.inf
-        assert est.step_integers[-1] == 10_001 and not est.certified
+        assert est.depth == 1 and est.tail_bound == math.inf
+        assert est.step_integers == (1, 2) and not est.certified
+        # a given depth is still run in full
+        est = canonical_plus(shear, (1, 1, 1), depth=50, tolerance=1e-9)
+        assert est.depth == 50 and est.tail_bound == math.inf
+        assert est.step_integers[-1] == 51 and not est.certified
 
     def test_fixed_point_zero(self, henon):
         result = canonical(henon, (0, 0, 0), depth=5)

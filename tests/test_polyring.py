@@ -105,35 +105,6 @@ class TestDegrees:
         assert P("z - (y - x^2)^2").leading_form() == P("-x^4")
 
 
-class TestHomogenize:
-    def test_henon_coordinate(self):
-        # (w; x, y, z) ordering: z + y^2 homogenizes to z*w + y^2
-        h = P("z + y^2").homogenize(2)
-        assert h == parse_polynomial("z*w + y^2", ("w", "x", "y", "z"))
-
-    def test_constant_and_variable(self):
-        c = Polynomial.constant(3, Fraction(5, 2))
-        assert c.homogenize(0) == Polynomial.constant(4, Fraction(5, 2))
-        x = Polynomial.variable(3, 0)
-        assert x.homogenize(3) == parse_polynomial("x*w^2", ("w", "x", "y", "z"))
-
-    def test_target_too_small(self):
-        with pytest.raises(ValueError):
-            P("y^2").homogenize(1)
-
-    @given(nonzero_polynomials())
-    @settings(max_examples=60)
-    def test_specialization_roundtrip(self, p):
-        d = p.total_degree()
-        h = p.homogenize(d)
-        one = [Polynomial.constant(3, 1)] + [Polynomial.variable(3, i) for i in range(3)]
-        zero = [Polynomial.zero(3)] + [Polynomial.variable(3, i) for i in range(3)]
-        assert h.compose(one) == p
-        assert h.compose(zero) == p.leading_form()
-        # homogenizing above the degree kills the x0 = 0 restriction
-        assert p.homogenize(d + 1).compose(zero).is_zero
-
-
 class TestRingProperties:
     @given(polynomials(), polynomials())
     @settings(max_examples=60)
