@@ -5,9 +5,9 @@ canonical heights with convergence certificates, batch-verify the
 two-sided height inequality, and validate divisor-coefficient ledgers for
 resolutions of the projective extensions.
 
-The hot evaluation kernel has a compiled (Cython) and a pure-Python
-implementation; the compiled one is used whenever it was built and
-imports.  ``affdyn.kernel.BACKEND`` names the active one.
+One kernel evaluates every map: ``affdyn.kernel`` writes each map as a
+straight-line Python function over integers, built from integer literals
+and fixed names only, so no text from a map file reaches ``exec``.
 """
 
 from .divisors import (
@@ -37,7 +37,6 @@ from .dynamics import (
 from .heights import (
     CanonicalHeight,
     CanonicalHeightEstimate,
-    ProjectivePoint,
     canonical,
     canonical_minus,
     canonical_plus,
@@ -57,7 +56,6 @@ from .inequality import (
     batch_verify,
     delta_statistic,
 )
-from .kernel import BACKEND
 from .parsing import (
     MapSyntaxError,
     format_polynomial,
@@ -72,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineAutomorphism",
-    "BACKEND",
     "BoxSampler",
     "CanonicalHeight",
     "CanonicalHeightEstimate",
@@ -88,7 +85,6 @@ __all__ = [
     "OrbitSampler",
     "PicBasis",
     "Polynomial",
-    "ProjectivePoint",
     "PushforwardMap",
     "RandomRationalSampler",
     "RationalBoxSampler",

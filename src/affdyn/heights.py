@@ -42,39 +42,14 @@ WANDERING = "wandering"
 UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """Primitive integer homogeneous coordinates (first nonzero positive)."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if kernel.normalize_projective(self.coords) != self.coords:
-            raise ValueError("coordinates are not in primitive normalized form")
-
-    @classmethod
-    def from_affine(cls, point: Sequence[Fraction | int]) -> "ProjectivePoint":
-        """Homogenize with 1 in slot 0 and clear denominators."""
-        nums, den = kernel.to_common_denominator(point)
-        return cls(kernel.normalize_projective((den, *nums)))
-
-    @property
-    def height_integer(self) -> int:
-        return max(abs(c) for c in self.coords)
-
-    @property
-    def log_height(self) -> float:
-        return math.log(self.height_integer)
-
-
 def weil_height(point: Sequence[Fraction | int]) -> float:
     """``log max|coordinate|`` of the primitive homogeneous vector."""
-    return ProjectivePoint.from_affine(point).log_height
+    return math.log(weil_height_integer(point))
 
 
 def weil_height_integer(point: Sequence[Fraction | int]) -> int:
     """The exact integer whose log is the Weil height."""
-    return ProjectivePoint.from_affine(point).height_integer
+    return kernel.height_integer(*kernel.to_common_denominator(point))
 
 
 @dataclass(frozen=True)

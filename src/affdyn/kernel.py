@@ -10,12 +10,17 @@ samplers yield it, orbits and inequality records keep it, and
 raw-point helpers live here: ``max_bits`` for the bit budget and
 ``height_integer`` for the Weil height integer.
 
-Two interchangeable backends implement ``eval_map``: a Cython extension
-(``affdyn._speedups``, cythonized from ``_speedups.pyx`` when the package
-is built) and a pure-Python twin (``affdyn._kernel_py``).  The compiled one
-is used whenever it imports; ``BACKEND`` names the active one.  To run the
-pure-Python kernel, install without the extension (``AFFDYN_NO_EXT=1``).
-``benchmarks/bench_backends.py`` compares them.
+``compile_map`` writes each map as one straight-line Python function,
+``eval_map(nums, d1)``, compiled once and kept on the ``CompiledMap``.  It
+spells out every monomial (``x2 + x1**2``) and computes the powers
+``d2, d3, ...`` of the denominator once.  On integer points (``d1 == 1``)
+it skips the gcd of each coordinate whose cleared denominator is 1, and
+returns the image directly when all of them are.  The source is
+built from integer literals and fixed names only (``x0, x1, ...`` for the
+numerators, ``d1, d2, ...`` for the denominator powers, ``a_j``/``b_j``
+for the reduced image coordinates, ``g`` and ``gcd``): no text from a map
+file reaches ``exec``.  This is the one kernel; ``tests/oracles.py`` keeps
+a table interpreter that checks it.
 
 Within the package ``eval_point`` has two callers:
 ``AffineAutomorphism.apply`` and ``AffineAutomorphism.step``.  ``step`` is
@@ -42,20 +47,14 @@ between terms of similar size makes it answer False, never wrongly True.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
-from . import _kernel_py
-
-try:
-    from . import _speedups as _backend  # type: ignore[no-redef]
-
-    BACKEND = "cython"
-except ImportError:
-    _backend = _kernel_py
-    BACKEND = "python"
+#: The kernel's implementation, recorded with benchmark results so that
+#: results from different kernels are never compared.
+BACKEND = "python"
 
 
 @dataclass(frozen=True)
@@ -63,59 +62,124 @@ class CompiledMap:
     """A polynomial map flattened for the kernel.
 
     Per coordinate: integer-cleared terms, the cleared denominator, and the
-    total degree.  ``max_exps`` caps the per-variable power tables.
-    ``deg`` and ``coeff_bits`` (the largest degree and cleared-coefficient
-    bit length) feed the cheap test that decides whether ``exceeds_budget``
-    can fire at all.
+    total degree; ``exceeds_budget`` reads these.  ``deg`` and
+    ``coeff_bits`` (the largest degree and cleared-coefficient bit length)
+    feed the cheap test that decides whether ``exceeds_budget`` can fire
+    at all.  ``source`` is the generated straight-line evaluator and
+    ``eval_map`` the function compiled from it.
     """
 
     nvars: int
     terms: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     denoms: tuple[int, ...]
     degs: tuple[int, ...]
-    max_exps: tuple[int, ...]
     deg: int
     coeff_bits: int
+    source: str = field(repr=False, compare=False)
+    eval_map: Callable = field(repr=False, compare=False)
 
 
 def compile_map(coords) -> CompiledMap:
-    """Flatten a sequence of ``Polynomial`` coordinates for the kernel."""
+    """Flatten a sequence of ``Polynomial`` coordinates for the kernel and
+    generate its evaluator."""
     if not coords:
         raise ValueError("cannot compile an empty map")
     nvars = coords[0].nvars
     all_terms = []
     denoms = []
     degs = []
-    max_exps = [0] * nvars
     for poly in coords:
         if poly.nvars != nvars:
             raise ValueError("coordinates must share a variable count")
         denom = 1
         for coeff in poly.terms.values():
             denom = lcm(denom, coeff.denominator)
-        terms = []
-        deg = 0
-        for exps, coeff in sorted(poly.terms.items()):
-            terms.append((int(coeff * denom), exps))
-            total = sum(exps)
-            if total > deg:
-                deg = total
-            for i, e in enumerate(exps):
-                if e > max_exps[i]:
-                    max_exps[i] = e
-        all_terms.append(tuple(terms))
+        terms = tuple((int(coeff * denom), exps) for exps, coeff in sorted(poly.terms.items()))
+        all_terms.append(terms)
         denoms.append(denom)
-        degs.append(deg)
+        degs.append(max((sum(exps) for _, exps in terms), default=0))
     coeff_bits = max((c.bit_length() for terms in all_terms for c, _ in terms), default=0)
+    source = _evaluator_source(nvars, all_terms, denoms, degs)
+    namespace = {"__builtins__": {}, "gcd": gcd}
+    exec(compile(source, "<affdyn.kernel.compile_map>", "exec"), namespace)
     return CompiledMap(
-        nvars, tuple(all_terms), tuple(denoms), tuple(degs), tuple(max_exps),
-        max(degs), coeff_bits,
+        nvars, tuple(all_terms), tuple(denoms), tuple(degs), max(degs), coeff_bits,
+        source, namespace["eval_map"],
     )
+
+
+def _evaluator_source(nvars, terms, denoms, degs) -> str:
+    """Python source of ``eval_map(nums, d1)`` for the cleared map.
+
+    Coordinate ``j`` has numerator ``sum c * x^e * d1^(degs[j] - |e|)``
+    over ``denoms[j] * d1^degs[j]``; each quotient is reduced by its gcd
+    and the images are brought to their least common denominator, which
+    yields the canonical form.  Only integers and fixed names are written.
+    """
+    xs = [f"x{i}" for i in range(nvars)]
+    lines = ["def eval_map(nums, d1):"]
+    if nvars:
+        lines.append(f"    {', '.join(xs)}{',' if nvars == 1 else ''} = nums")
+    lines.append("    if d1 == 1:")
+    lines += _reduction(terms, denoms, degs, scaled=False, indent="        ")
+    dmax = max(degs)
+    lines += [f"    d{k} = d{k - 1}*d1" for k in range(2, dmax + 1)]
+    lines += _reduction(terms, denoms, degs, scaled=True, indent="    ")
+    return "\n".join(lines) + "\n"
+
+
+def _reduction(terms, denoms, degs, scaled: bool, indent: str) -> list[str]:
+    """Statements computing and returning the canonical image, with the
+    denominator powers ``d1, d2, ...`` when ``scaled`` and with ``d1 == 1``
+    otherwise."""
+    nums = [_numerator(t, deg if scaled else 0) for t, deg in zip(terms, degs)]
+    raw_dens = []
+    for denom, deg in zip(denoms, degs):
+        factors = [str(denom)] if denom != 1 else []
+        if scaled and deg:
+            factors.append(f"d{deg}")
+        raw_dens.append("*".join(factors))
+    reduced = [j for j, raw in enumerate(raw_dens) if raw]
+    if not reduced:  # every denominator is 1: the numerators are the image
+        return [f"{indent}return {_tuple(nums)}, 1"]
+    lines = []
+    for j, (num, raw) in enumerate(zip(nums, raw_dens)):
+        lines.append(f"{indent}a{j} = {num}")
+        if raw:
+            lines += [
+                f"{indent}b{j} = {raw}",
+                f"{indent}g = gcd(a{j}, b{j})",
+                f"{indent}a{j} //= g",
+                f"{indent}b{j} //= g",
+            ]
+    # g becomes the least common denominator of the reduced coordinates.
+    lines.append(f"{indent}g = b{reduced[0]}")
+    lines += [f"{indent}g = g // gcd(g, b{j})*b{j}" for j in reduced[1:]]
+    out = [f"a{j}*(g // b{j})" if j in reduced else f"a{j}*g" for j in range(len(nums))]
+    lines.append(f"{indent}return {_tuple(out)}, g")
+    return lines
+
+
+def _tuple(items: list[str]) -> str:
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _numerator(terms, deg: int) -> str:
+    """Sum of the terms ``c * x^e * d^(deg - |e|)`` as an expression."""
+    parts = []
+    for coeff, exps in terms:
+        factors = [f"x{i}**{e}" if e > 1 else f"x{i}" for i, e in enumerate(exps) if e]
+        if deg > sum(exps):
+            factors.append(f"d{deg - sum(exps)}")
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        parts.append(("- " if coeff < 0 else "+ ") + "*".join(factors))
+    return " ".join(parts).removeprefix("+ ") or "0"
 
 
 def eval_point(cm: CompiledMap, nums: tuple[int, ...], den: int):
     """One map application in common-denominator form (exact)."""
-    return _backend.eval_map(cm.terms, cm.denoms, cm.degs, cm.max_exps, nums, den)
+    return cm.eval_map(nums, den)
 
 
 def to_common_denominator(point: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:

@@ -1,15 +1,16 @@
 """Independent oracles the tests check the library against.
 
 These deliberately take different computational routes from the package:
-dense-array polynomial arithmetic, Horner-style evaluation, brute-force
-grid searches, and the extension at infinity read off a line through the
-origin.
+dense-array polynomial arithmetic, Horner-style evaluation, a table
+interpreter for compiled maps, brute-force grid searches, and the
+extension at infinity read off a line through the origin.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -76,6 +77,41 @@ def horner_eval(p: Polynomial, point) -> Fraction:
         return acc
 
     return recurse(dict(p.terms), p.nvars - 1)
+
+
+def interpret_map(cm, nums, den):
+    """Evaluate a ``kernel.CompiledMap`` at ``nums / den`` by walking its
+    monomial tables, with per-variable power tables; returns the canonical
+    common-denominator image, as the generated ``cm.eval_map`` must."""
+    nvars = len(nums)
+    max_exps = [max((exps[i] for terms in cm.terms for _, exps in terms), default=0)
+                for i in range(nvars)]
+    pows = []
+    for i in range(nvars):
+        row = [1] * (max_exps[i] + 1)
+        for k in range(1, max_exps[i] + 1):
+            row[k] = row[k - 1] * nums[i]
+        pows.append(row)
+    denp = [1] * (max(cm.degs) + 1)
+    for k in range(1, len(denp)):
+        denp[k] = denp[k - 1] * den
+
+    red_nums = []
+    red_dens = []
+    for terms, denom, deg in zip(cm.terms, cm.denoms, cm.degs):
+        acc = 0
+        for coeff, exps in terms:
+            t = coeff
+            for i in range(nvars):
+                t *= pows[i][exps[i]]
+            acc += t * denp[deg - sum(exps)]
+        raw_den = denom * denp[deg]
+        g = gcd(acc, raw_den)
+        red_nums.append(acc // g)
+        red_dens.append(raw_den // g)
+
+    new_den = lcm(*red_dens)
+    return tuple(n * (new_den // d) for n, d in zip(red_nums, red_dens)), new_den
 
 
 def grid_common_zeros(forms, grid) -> list[tuple]:

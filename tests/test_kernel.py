@@ -1,6 +1,10 @@
-"""The two kernel backends must agree with each other and with the
-Fraction-based evaluator, on canonical common-denominator form."""
+"""The generated kernel must agree with the table-interpreter oracle and
+with the Fraction-based evaluator, on canonical common-denominator form,
+and its source must hold no text from the map."""
 
+import io
+import re
+import tokenize
 from fractions import Fraction
 from math import gcd
 
@@ -8,18 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affdyn import _kernel_py, kernel
+from affdyn import kernel
 from affdyn.dynamics import AffineAutomorphism
+from affdyn.parsing import parse_map_file
 from affdyn.polyring import Polynomial
 
-from conftest import polynomials, small_points
-
-try:
-    from affdyn import _speedups
-except ImportError:
-    _speedups = None
-
-BACKENDS = [_kernel_py] if _speedups is None else [_kernel_py, _speedups]
+from conftest import bundled_map_text
+from oracles import interpret_map
 
 
 def _canonical(nums, den):
@@ -30,67 +29,6 @@ def _canonical(nums, den):
     assert g == 1
     return nums, den
 
-
-@given(polynomials(max_exp=3), polynomials(max_exp=3), small_points)
-@settings(max_examples=80)
-def test_backends_match_fraction_evaluation(p, q, point):
-    cm = kernel.compile_map([p, q])
-    nums, den = kernel.to_common_denominator(point)
-    expected = (p.evaluate(point), q.evaluate(point))
-    for backend in BACKENDS:
-        out_nums, out_den = backend.eval_map(cm.terms, cm.denoms, cm.degs, cm.max_exps, nums, den)
-        _canonical(out_nums, out_den)
-        assert kernel.to_fractions(out_nums, out_den) == expected
-
-
-def test_common_denominator_form_is_canonical():
-    nums, den = kernel.to_common_denominator((Fraction(2, 4), Fraction(-6, 8), 3))
-    assert (nums, den) == ((2, -3, 12), 4)
-    _canonical(nums, den)
-
-
-def test_to_fractions_roundtrip():
-    point = (Fraction(5, 3), Fraction(0), Fraction(-7, 2))
-    assert kernel.to_fractions(*kernel.to_common_denominator(point)) == point
-
-
-def test_normalize_projective():
-    assert kernel.normalize_projective((2, 4, -6)) == (1, 2, -3)
-    assert kernel.normalize_projective((0, -2, 4)) == (0, 1, -2)
-    with pytest.raises(ValueError):
-        kernel.normalize_projective((0, 0, 0))
-
-
-def test_orbit_agrees_between_backends(henon):
-    cm = henon.compiled("forward")
-    state = kernel.to_common_denominator((Fraction(1, 2), Fraction(1), Fraction(-2, 3)))
-    states = [state]
-    for _ in range(6):
-        states.append(
-            _kernel_py.eval_map(cm.terms, cm.denoms, cm.degs, cm.max_exps, *states[-1])
-        )
-    if _speedups is not None:
-        state = states[0]
-        for k in range(6):
-            state = _speedups.eval_map(cm.terms, cm.denoms, cm.degs, cm.max_exps, *state)
-            assert state == states[k + 1]
-
-
-def test_compile_map_clears_denominators():
-    from affdyn.parsing import parse_polynomial
-
-    p = parse_polynomial("1/6*x^2 - 1/4*y", ("x", "y"))
-    cm = kernel.compile_map([p])
-    assert cm.denoms == (12,)
-    assert sorted(cm.terms[0]) == [(-3, (0, 1)), (2, (2, 0))]
-
-
-def test_max_bits():
-    assert kernel.max_bits((0, 7), 1) == 3
-    assert kernel.max_bits((-(2**40), 1), 3) == 41
-
-
-# -- the bit-length bound behind skipped orbit steps -----------------------
 
 _wide_polynomials = st.dictionaries(
     st.tuples(*[st.integers(0, 3)] * 3),
@@ -112,6 +50,93 @@ def _maps(henon):
     return st.sampled_from(
         [henon.forward, henon.inverse, identity.forward]
     ) | st.lists(_wide_polynomials, min_size=1, max_size=3)
+
+
+_FIXED_NAME = re.compile(r"def|eval_map|nums|if|return|gcd|g|[xdab][0-9]+")
+_STRUCTURE = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def _assert_fixed_tokens(source):
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert _FIXED_NAME.fullmatch(tok.string), tok
+        else:
+            assert tok.type in _STRUCTURE | {tokenize.NUMBER, tokenize.OP}, tok
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_backends_match_fraction_evaluation(henon, data):
+    coords = data.draw(_maps(henon))
+    nums, den = data.draw(_canonical_points())
+    cm = kernel.compile_map(coords)
+    _assert_fixed_tokens(cm.source)
+    image = kernel.eval_point(cm, nums, den)
+    _canonical(*image)
+    assert image == interpret_map(cm, nums, den)
+    point = kernel.to_fractions(nums, den)
+    assert kernel.to_fractions(*image) == tuple(p.evaluate(point) for p in coords)
+
+
+def test_common_denominator_form_is_canonical():
+    nums, den = kernel.to_common_denominator((Fraction(2, 4), Fraction(-6, 8), 3))
+    assert (nums, den) == ((2, -3, 12), 4)
+    _canonical(nums, den)
+
+
+def test_to_fractions_roundtrip():
+    point = (Fraction(5, 3), Fraction(0), Fraction(-7, 2))
+    assert kernel.to_fractions(*kernel.to_common_denominator(point)) == point
+
+
+def test_normalize_projective():
+    assert kernel.normalize_projective((2, 4, -6)) == (1, 2, -3)
+    assert kernel.normalize_projective((0, -2, 4)) == (0, 1, -2)
+    with pytest.raises(ValueError):
+        kernel.normalize_projective((0, 0, 0))
+
+
+def test_orbit_agrees_between_backends(henon):
+    for direction in ("forward", "inverse"):
+        cm = henon.compiled(direction)
+        for start in ((Fraction(1, 2), Fraction(1), Fraction(-2, 3)), (1, 1, 1)):
+            state = oracle = kernel.to_common_denominator(start)
+            for _ in range(6):
+                state = kernel.eval_point(cm, *state)
+                oracle = interpret_map(cm, *oracle)
+                assert state == oracle
+
+
+def test_evaluator_source_holds_no_map_text():
+    text = bundled_map_text()
+    # Rename x, y, z to names the generated source itself uses.
+    renames = {"x": "d1", "y": "gcd", "z": "x0"}
+    renamed = re.sub(r"\b[xyz]\b", lambda m: renames[m.group()], text)
+    assert renamed != text
+    for direction in ("forward", "inverse"):
+        sources = [
+            kernel.compile_map(getattr(parse_map_file(t), direction)).source
+            for t in (text, renamed)
+        ]
+        assert sources[0] == sources[1]
+        _assert_fixed_tokens(sources[0])
+
+
+def test_compile_map_clears_denominators():
+    from affdyn.parsing import parse_polynomial
+
+    p = parse_polynomial("1/6*x^2 - 1/4*y", ("x", "y"))
+    cm = kernel.compile_map([p])
+    assert cm.denoms == (12,)
+    assert sorted(cm.terms[0]) == [(-3, (0, 1)), (2, (2, 0))]
+
+
+def test_max_bits():
+    assert kernel.max_bits((0, 7), 1) == 3
+    assert kernel.max_bits((-(2**40), 1), 3) == 41
+
+
+# -- the bit-length bound behind skipped orbit steps -----------------------
 
 
 @given(data=st.data())
