@@ -6,6 +6,10 @@ randomness is seeded and the seed is recorded.  Exit codes: 0 pass,
 1 verification failure (on every subcommand this includes an inverse that
 fails symbolic verification), 2 input error.  The bit budget may also be
 set through the AFFDYN_BIT_BUDGET environment variable (flags win).
+
+JSON reports are compact and key-sorted: one line, no spaces, then a
+newline.  ``python -m json.tool --sort-keys --indent 2 report.json`` gives
+the indented layout of earlier versions, byte for byte.
 """
 
 from __future__ import annotations
@@ -97,7 +101,8 @@ def _load_automorphism(args) -> AffineAutomorphism:
 def _emit(payload, args, csv_rows=None) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        # Compact, so that CPython takes its one-shot C encoder.
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         if csv_rows is None:
             raise InputError("this report has no CSV form")

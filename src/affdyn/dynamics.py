@@ -195,26 +195,30 @@ class AffineAutomorphism:
         return kernel.to_fractions(nums, den)
 
     def step(
-        self, raw: RawPoint, direction: Direction, bit_budget: int
-    ) -> tuple[RawPoint | None, bool]:
+        self, raw: RawPoint, height: int, direction: Direction, bit_budget: int
+    ) -> tuple[RawPoint, int] | tuple[None, None]:
         """One map application in common-denominator form.
 
-        Returns the image together with whether any of its integers exceeds
-        the bit budget.  When ``raw`` fits the budget and
+        ``height`` is the height integer of ``raw`` (``kernel.height_integer``),
+        which every caller already holds.  Returns the image with its own
+        height integer, or ``(None, None)`` when an integer of the image
+        exceeds the bit budget.  When ``raw`` fits the budget and
         ``kernel.exceeds_budget`` proves that the image does not, the image
-        is not computed and ``(None, True)`` is returned.  Otherwise the
-        image is returned even when it is over the budget.
+        is not computed.
         """
         cm = self.compiled(direction)
-        bits = kernel.max_bits(*raw)
+        bits = height.bit_length()
         # Below deg * bits + coeff_bits no term can reach the budget, so the
         # bound cannot fire: one comparison on small points.
         if bits <= bit_budget < cm.deg * bits + cm.coeff_bits and kernel.exceeds_budget(
             cm, *raw, bit_budget
         ):
-            return None, True
+            return None, None
         image = kernel.eval_point(cm, *raw)
-        return image, kernel.max_bits(*image) > bit_budget
+        image_height = kernel.height_integer(*image)
+        if image_height.bit_length() > bit_budget:
+            return None, None
+        return image, image_height
 
     def orbit(
         self,
@@ -232,11 +236,13 @@ class AffineAutomorphism:
             raise ValueError("depth must be >= 0")
         budget = DEFAULT_BIT_BUDGET if bit_budget is None else bit_budget
         raw = [kernel.to_common_denominator(point)]
-        if kernel.max_bits(*raw[0]) > budget:
+        height = kernel.height_integer(*raw[0])
+        if height.bit_length() > budget:
             raise ValueError("starting point already exceeds the bit budget")
         truncated = False
         for _ in range(depth):
-            image, truncated = self.step(raw[-1], direction, budget)
+            image, height = self.step(raw[-1], height, direction, budget)
+            truncated = image is None
             if truncated:
                 break
             raw.append(image)
@@ -262,15 +268,16 @@ class AffineAutomorphism:
             raise ValueError("max_depth must be >= 1")
         budget = DEFAULT_BIT_BUDGET if bit_budget is None else bit_budget
         start = kernel.to_common_denominator(point)
-        cap = max(budget, kernel.max_bits(*start))
+        height = kernel.height_integer(*start)
+        cap = max(budget, height.bit_length())
         raw = start
         for k in range(1, max_depth + 1):
-            raw, over = self.step(raw, "forward", cap)
-            if over:  # larger than the start, so not the start
+            raw, height = self.step(raw, height, "forward", cap)
+            if raw is None:  # larger than the start, so not the start
                 return CycleResult(False, None, k, truncated=True)
             if raw == start:
                 return CycleResult(True, k, k)
-            if kernel.max_bits(*raw) > budget:
+            if height.bit_length() > budget:
                 return CycleResult(False, None, k, truncated=True)
         return CycleResult(False, None, max_depth)
 

@@ -145,10 +145,11 @@ def _canonical_estimate(
     truncated = False
     peak = 0.0
     for k in range(1, max_depth + 1):
-        raw, truncated = automorphism.step(raw, direction, budget)
+        raw, height = automorphism.step(raw, integers[-1], direction, budget)
+        truncated = raw is None
         if truncated:
             break
-        integers.append(kernel.height_integer(*raw))
+        integers.append(height)
         log_k = math.log(integers[-1])
         scale = _float_power(ratio, k)
         if scale is not None:

@@ -195,19 +195,16 @@ def _record(
     bit_budget: int,
     mode: str,
 ) -> DeltaRecord | None:
-    if kernel.max_bits(*raw) > bit_budget:
+    height = kernel.height_integer(*raw)
+    if height.bit_length() > bit_budget:
         return None
-    forward, over = automorphism.step(raw, "forward", bit_budget)
-    if over:
+    forward, h_forward = automorphism.step(raw, height, "forward", bit_budget)
+    if forward is None:
         return None
-    inverse, over = automorphism.step(raw, "inverse", bit_budget)
-    if over:
+    inverse, h_inverse = automorphism.step(raw, height, "inverse", bit_budget)
+    if inverse is None:
         return None
-    h_ints = (
-        kernel.height_integer(*raw),
-        kernel.height_integer(*forward),
-        kernel.height_integer(*inverse),
-    )
+    h_ints = (height, h_forward, h_inverse)
     h_p, h_f, h_i = (log(h) for h in h_ints)
     d, d_inv = automorphism.degrees
     return DeltaRecord(

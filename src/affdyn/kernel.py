@@ -7,8 +7,8 @@ This form is unique, maps directly onto the primitive homogeneous vector
 ``Fraction`` overhead.  It is the one point form inside the package: the
 samplers yield it, orbits and inequality records keep it, and
 ``to_common_denominator``/``to_fractions`` convert at the API edges.  The
-raw-point helpers live here: ``max_bits`` for the bit budget and
-``height_integer`` for the Weil height integer.
+raw-point statistic lives here too: ``height_integer``, the Weil height
+integer, whose bit length is the point's size for the bit budget.
 
 ``compile_map`` writes each map as one straight-line Python function,
 ``eval_map(nums, d1)``, compiled once and kept on the ``CompiledMap``.  It
@@ -25,8 +25,9 @@ a table interpreter that checks it.
 Within the package ``eval_point`` has two callers:
 ``AffineAutomorphism.apply`` and ``AffineAutomorphism.step``.  ``step`` is
 the single orbit step that orbits, cycle detection, canonical heights and
-the inequality records all share; it pairs each image with the bit-budget
-test ``max_bits(...) > budget``.
+the inequality records all share; it hands back each image with its
+height integer, which its caller reuses for the next bit-budget test and
+for the record, so each integer is measured once.
 
 Before it evaluates, ``step`` asks ``exceeds_budget`` whether the image is
 certain to break the budget; if so the image is never computed.  The bound
@@ -69,7 +70,6 @@ class CompiledMap:
     ``eval_map`` the function compiled from it.
     """
 
-    nvars: int
     terms: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     denoms: tuple[int, ...]
     degs: tuple[int, ...]
@@ -103,7 +103,7 @@ def compile_map(coords) -> CompiledMap:
     namespace = {"__builtins__": {}, "gcd": gcd}
     exec(compile(source, "<affdyn.kernel.compile_map>", "exec"), namespace)
     return CompiledMap(
-        nvars, tuple(all_terms), tuple(denoms), tuple(degs), max(degs), coeff_bits,
+        tuple(all_terms), tuple(denoms), tuple(degs), max(degs), coeff_bits,
         source, namespace["eval_map"],
     )
 
@@ -196,13 +196,12 @@ def to_fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
 
 
 def max_bits(nums: Sequence[int], den: int) -> int:
-    """Largest bit length among the integers of a raw point."""
-    worst = den.bit_length()
-    for n in nums:
-        b = n.bit_length()
-        if b > worst:
-            worst = b
-    return worst
+    """Largest bit length among the integers of a raw point.
+
+    The package itself reads ``height_integer(...).bit_length()``, which is
+    the same number; this name is kept for ``perfbench/tracer.py``.
+    """
+    return height_integer(nums, den).bit_length()
 
 
 def exceeds_budget(cm: CompiledMap, nums: Sequence[int], den: int, budget: int) -> bool:

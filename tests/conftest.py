@@ -1,4 +1,5 @@
 import importlib.resources
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,12 @@ from affdyn import kernel
 from affdyn.dynamics import AffineAutomorphism
 from affdyn.parsing import parse_map_file, parse_polynomial
 from affdyn.polyring import Polynomial
+
+
+def indented(report: bytes) -> bytes:
+    """A JSON report in the indented layout reports had before they were
+    written compact: the payload alone decides these bytes."""
+    return (json.dumps(json.loads(report), sort_keys=True, indent=2) + "\n").encode()
 
 
 def bundled_map_text() -> str:
@@ -28,13 +35,13 @@ def triangular() -> AffineAutomorphism:
     return AffineAutomorphism(forward, inverse, names)
 
 
-def count_evaluations(monkeypatch) -> list:
-    """Record the arguments of every ``kernel.eval_point`` call."""
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call to ``kernel.<name>``: each
+    ``eval_point`` call is one evaluation, each ``height_integer`` call one
+    scan over the integers of a raw point."""
     calls = []
-    evaluate = kernel.eval_point
-    monkeypatch.setattr(
-        kernel, "eval_point", lambda *args: calls.append(args) or evaluate(*args)
-    )
+    original = getattr(kernel, name)
+    monkeypatch.setattr(kernel, name, lambda *args: calls.append(args) or original(*args))
     return calls
 
 

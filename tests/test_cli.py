@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 from affdyn.cli import main
 from affdyn.inequality import DeltaReport
 
-from conftest import bundled_map_text
+from conftest import bundled_map_text, indented
 
 
 @pytest.fixture()
@@ -199,7 +200,9 @@ class TestInequality:
 
     def test_reports_match_pinned_digests(self, henon_map, tmp_path, capsys):
         # sha256 of the report files and the verdict lines, recorded before
-        # points were kept in (nums, den) form from sampler to report.
+        # points were kept in (nums, den) form from sampler to report.  A
+        # JSON report has two: of its payload in the indented layout, as
+        # pinned then, and of its compact bytes.
         seeds = "(1,1,1);(1/2,0,-1)"
         mixes = {
             "200 bits": (
@@ -208,8 +211,10 @@ class TestInequality:
                 "over 700 points (0 skipped)",
                 {
                     "json": "948898075966a9051ea5264443b377796d26f5679a6bad67525f91ab79817770",
+                    "json compact": "c94c54e9fb32d03ffe43b623f6b54ec1025455945843a24c4e504244a4a30270",
                     "csv": "ac64a6aa7df320f46715462efbf6e4d284aa5083dae9a9475e58fdc21160eded",
                     "silverman": "2550d77bc713acc5ee05524a3cb7863449181c2fd48e0ba3e36aeb230f466c9d",
+                    "silverman compact": "9bdef59f203577673bd5b4ed71fc5098243856149be63b73c1e75fc9def5d942",
                 },
             ),
             "24 bits": (
@@ -218,8 +223,10 @@ class TestInequality:
                 "over 5581 points (2 skipped)",
                 {
                     "json": "ee3209f627b628eb19c4a8592196fef4fd51817d72e528fcfaaa39159766dde4",
+                    "json compact": "a706214cadffe6069e4efd3ae6030524c674990e056a87cc3d65e2728f753e18",
                     "csv": "53260dc9dedda9e16b8a3020e6d4c7e3b4135f5d67af74ff6f0e17b487edb0fe",
                     "silverman": "47a64edd0dcd57772c30f7cedb6766530f6aa8c93f9a25be3ae0bdaf501fcefe",
+                    "silverman compact": "3164f38c73ed748b301c1ede8e126c32996d771c9970946c91efd21d54ec6a82",
                 },
             ),
         }
@@ -234,8 +241,14 @@ class TestInequality:
                     f"PASS: min_delta={delta} {counts}; "
                     "min moved 0 between the last two checkpoints\n"
                 ), (name, form)
-                digest = hashlib.sha256(out.read_bytes()).hexdigest()
+                report = out.read_bytes()
+                if form == "csv":
+                    assert hashlib.sha256(report).hexdigest() == digests[form], (name, form)
+                    continue
+                digest = hashlib.sha256(indented(report)).hexdigest()
                 assert digest == digests[form], (name, form)
+                compact = hashlib.sha256(report).hexdigest()
+                assert compact == digests[f"{form} compact"], (name, form)
 
     def test_json_payload_built_only_for_json(self, henon_map, tmp_path, monkeypatch):
         def refuse(self):
@@ -294,6 +307,51 @@ class TestDivisor:
         bad = tmp_path / "junk.json"
         bad.write_text("{not json")
         assert main(["divisor", str(bad)]) == 2
+
+
+class TestReportLayout:
+    """Every JSON report is one compact, key-sorted line: the payload the
+    indented layout held, written by the C encoder."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-map", "MAP"],
+            ["orbit", "MAP", "--point", "1,1/2,-3", "--depth", "5"],
+            ["height", "--point", "1/2,3"],
+            ["canonical", "MAP", "--point", "1,1,1", "--depth", "8"],
+            ["inequality", "MAP", "--sampler", "box:2", "--sampler", "rationals:1:2"],
+            ["inequality", "MAP", "--sampler", "random:5:50:20", "--bit-budget", "1",
+             "--assume-regular"],
+            ["divisor", "DATUM"],
+        ],
+        ids=["verify-map", "orbit", "height", "canonical", "inequality",
+             "inequality-all-skipped", "divisor"],
+    )
+    def test_one_line_reloads_and_reruns(self, argv, henon_map, datum_paths, tmp_path, capsys):
+        expand = {"MAP": [henon_map], "DATUM": datum_paths}
+        argv = [part for arg in argv for part in expand.get(arg, [arg])]
+        reports = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert main([*argv, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        capsys.readouterr()
+        report = reports[0]
+        assert report == reports[1]
+        assert report.endswith(b"\n") and report.count(b"\n") == 1
+        payload = json.loads(report)
+        compact = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert report == compact.encode()
+        if argv[-1] == "--assume-regular":
+            assert payload["count"] == 0 and payload["skipped"] == 5
+            assert math.isnan(payload["min_delta"])
+        pretty = subprocess.run(
+            [sys.executable, "-m", "json.tool", "--sort-keys", "--indent", "2",
+             str(tmp_path / "a.json")],
+            capture_output=True, check=True,
+        ).stdout
+        assert pretty == indented(report)
 
 
 def test_console_entry_point(henon_map):

@@ -20,7 +20,7 @@ from affdyn.heights import (
 )
 from affdyn.parsing import parse_polynomial
 
-from conftest import count_evaluations, small_points
+from conftest import count_calls, small_points
 
 LOG2 = math.log(2)
 
@@ -135,10 +135,18 @@ class TestCanonicalMinus:
 
 class TestCanonical:
     def test_no_step_past_the_budget_is_evaluated(self, henon, monkeypatch):
-        calls = count_evaluations(monkeypatch)
+        calls = count_calls(monkeypatch, "eval_point")
         result = canonical(henon, (1, 1, 1), depth=64, bit_budget=2**16)
         assert result.plus.truncated and result.minus.truncated
         assert len(calls) == result.plus.depth + result.minus.depth
+
+    def test_each_kept_step_measures_its_image_once(self, henon, monkeypatch):
+        scans = count_calls(monkeypatch, "height_integer")
+        estimate = canonical_plus(henon, (1, 1, 1), depth=6)
+        assert not estimate.truncated
+        assert len(scans) == 1 + estimate.depth  # the start, then one per step
+        scanned = list(scans)
+        assert tuple(kernel.height_integer(*raw) for raw in scanned) == estimate.step_integers
 
     def test_depths_past_the_float_range(self, henon):
         # 2.0**1024 and 4.0**512 overflow a float; the terms do not.

@@ -19,7 +19,7 @@ from affdyn.inequality import (
     delta_statistic,
 )
 
-from conftest import count_evaluations, small_points
+from conftest import count_calls, small_points
 
 LOG2 = math.log(2)
 
@@ -200,7 +200,7 @@ class TestBatchVerify:
         # f(0, 0, 16) = (0, 16, 256) exceeds 8 bits; the point does not.  The
         # bit-length bound cannot prove it (256 is 2^8), so the forward image
         # is evaluated, and the inverse is not.
-        calls = count_evaluations(monkeypatch)
+        calls = count_calls(monkeypatch, "eval_point")
         sampler = OrbitSampler(((Fraction(0), Fraction(0), Fraction(16)),), 0)
         report = batch_verify(henon, sampler, assume_regular=True, bit_budget=8)
         assert len(calls) == 1
@@ -208,11 +208,19 @@ class TestBatchVerify:
 
     def test_certified_forward_overflow_evaluates_nothing(self, henon, monkeypatch):
         # f(0, 0, 200) = (0, 200, 40000): z^2 alone proves 40000 > 2^8.
-        calls = count_evaluations(monkeypatch)
+        calls = count_calls(monkeypatch, "eval_point")
         sampler = OrbitSampler(((Fraction(0), Fraction(0), Fraction(200)),), 0)
         report = batch_verify(henon, sampler, assume_regular=True, bit_budget=8)
         assert calls == []
         assert report.skipped == 1 and not report.records
+
+    def test_each_record_measures_three_points_once(self, henon, monkeypatch):
+        # H(P) for the budget test and the record; each step hands back the
+        # height integer of its image.
+        scans = count_calls(monkeypatch, "height_integer")
+        report = batch_verify(henon, BoxSampler(1), assume_regular=True)
+        assert len(report.records) == 27 and report.skipped == 0
+        assert len(scans) == 3 * len(report.records)
 
     def test_bit_budget_skips_are_counted(self, henon):
         seeds = (tuple(map(Fraction, (1, 1, 1))),)

@@ -145,7 +145,7 @@ def test_exceeds_budget_is_sound(henon, data):
     coords = data.draw(_maps(henon))
     nums, den = data.draw(_canonical_points())
     cm = kernel.compile_map(coords)
-    bits = kernel.max_bits(*kernel.eval_point(cm, nums, den))
+    bits = kernel.height_integer(*kernel.eval_point(cm, nums, den)).bit_length()
     # Budgets from a little under the image's size (where the bound should
     # fire) to at or over it (where firing would be wrong).
     budget = max(1, bits + data.draw(st.integers(-8, 8)))

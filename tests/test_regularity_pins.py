@@ -5,8 +5,9 @@
 verdict, method, witness and details for eight maps (Henon maps in
 dimensions 3 and 2, a triangular map, shears in dimensions 3 and 4, and
 the identities in dimensions 2 to 4), and the digests pin the
-``verify-map`` JSON reports, so a change in how the constraint forms are
-built cannot move a decision or a report unnoticed.
+``verify-map`` JSON reports, both their payload and their compact bytes,
+so a change in how the constraint forms are built cannot move a decision
+or a report unnoticed.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ from affdyn.cli import main
 from affdyn.dynamics import AffineAutomorphism, is_regular
 from affdyn.parsing import parse_map_file
 
-from conftest import bundled_map_text
+from conftest import bundled_map_text, indented
 
 MAPS = {
     "henon3": bundled_map_text(),
@@ -50,7 +51,8 @@ DECISIONS = {
     "identity4": ("undetermined", "monte-carlo", None, (("seed", 0), ("trials", 5000))),
 }
 
-# sha256 of ``verify-map MAP --out report.json``
+# sha256 of ``verify-map MAP --out report.json``, re-indented by
+# ``conftest.indented``: the payload pinned since reports were indented.
 REPORT_DIGESTS = {
     "henon3": "1b3e1bda24ca831c9ef99d1da9843c1eb4c2c7be6009398b4b9c47e029b9e89b",
     "henon2": "d128875d7e15f6ecf2e40d7d4e5a6f44ad80ceb2bd0f42f1da11470bbf9b3701",
@@ -60,6 +62,18 @@ REPORT_DIGESTS = {
     "identity2": "9152f449c7b7e2957f1812005f1945a286810026d09ed76917ebe9274f35bf0c",
     "identity3": "33d35595531e022aaf4bf72ee5399c4a0ffe3fae2afed64e23802312760a5642",
     "identity4": "115cb3f99a0c7639a29b8977e8e5e0edce5915982d9dd6db18c4776e6e78f5c6",
+}
+
+# sha256 of the same reports as written: compact and key-sorted.
+COMPACT_DIGESTS = {
+    "henon3": "4913d1fc1494098a820104c8be416cb76ccc6336d91da024503eb27c304e0ad9",
+    "henon2": "8e94f799d8d7201aa22207da18231bb72e2ae0d67917ba7a5fdaef98be941f97",
+    "triangular": "b672a132054703ee21f383a82cf7982d0d5fd7fa394f0dc4569c0d427f36b68b",
+    "shear3": "9136c34d4d91bc1d0fccbb2a860480d783c7e1f380ab8b0c8261a4f513d9a067",
+    "shear4": "29c96dc84a9809a23323b4357167aa49583589baf1a0ca4efe84c0c31bed94d1",
+    "identity2": "fed6231552093cdbab95f17fb2505d981a97de119e597d38dbbb35a9f51ecd43",
+    "identity3": "5fc42d9f19ecea0ee79ec5a5c56017194ca1f09ea7497816bc42980ff26d3fd9",
+    "identity4": "3878a4de570a5badf06407095fe371e6105dade914cddda4f99967e06b315732",
 }
 
 
@@ -82,7 +96,9 @@ def test_verify_map_report_is_pinned(name, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify-map", str(path), "--out", str(out)]) == 0
     capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_DIGESTS[name]
+    report = out.read_bytes()
+    assert hashlib.sha256(indented(report)).hexdigest() == REPORT_DIGESTS[name]
+    assert hashlib.sha256(report).hexdigest() == COMPACT_DIGESTS[name]
 
 
 def test_every_export_resolves():
