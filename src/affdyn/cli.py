@@ -4,7 +4,8 @@ Subcommands: verify-map, orbit, height, canonical, inequality, divisor.
 Identical configuration and inputs produce byte-identical reports; all
 randomness is seeded and the seed is recorded.  Exit codes: 0 pass,
 1 verification failure (on every subcommand this includes an inverse that
-fails symbolic verification), 2 input error.  The bit budget may also be
+fails symbolic verification, and on ``inequality`` a sample that keeps
+no point), 2 input error.  The bit budget may also be
 set through the AFFDYN_BIT_BUDGET environment variable (flags win).
 
 JSON reports are compact and key-sorted: one line, no spaces, then a

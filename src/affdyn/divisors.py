@@ -32,7 +32,8 @@ three pullbacks on a common blowup, and the rational divisor class
 is effective exactly when the effectivity inequalities hold; its closed
 forms (hyperplane coefficient ``1 - 1/(d d')``, exceptional coefficients
 ``(d' b_i - a_i)/(d d')`` and mirrored) serve as an independent oracle in
-the tests.
+the tests.  The pullbacks keep integer coefficients, so each coefficient
+of D is one exact division of an integer by ``d d'``.
 """
 
 from __future__ import annotations
@@ -67,10 +68,10 @@ class PicBasis:
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """Coefficient vector over a basis; rational coefficients allowed."""
+    """Coefficient vector over a basis; coefficients are ints or Fractions."""
 
     basis: PicBasis
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if len(self.coeffs) != self.basis.rank:
@@ -78,23 +79,9 @@ class DivisorClass:
                 f"{len(self.coeffs)} coefficients over a rank-{self.basis.rank} basis"
             )
 
-    @classmethod
-    def make(cls, basis: PicBasis, coeffs: Sequence) -> "DivisorClass":
-        return cls(basis, tuple(Fraction(c) for c in coeffs))
-
     def scale(self, factor) -> "DivisorClass":
         factor = Fraction(factor)
         return DivisorClass(self.basis, tuple(factor * c for c in self.coeffs))
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        if self.basis != other.basis:
-            raise DatumError("divisor classes over different bases")
-        return DivisorClass(
-            self.basis, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + other.scale(-1)
 
     def as_text(self) -> str:
         pieces = [f"{c}*{label}" for label, c in zip(self.basis.labels, self.coeffs)]
@@ -299,13 +286,9 @@ def combine_resolutions(
     e_block_b = list(forward.b[1:])
     f_block_b = list(inverse.b[1:])
 
-    pi = DivisorClass.make(basis, [1, *e_block_a, *f_block_a])
-    phi = DivisorClass.make(
-        basis, [d, *e_block_b, *(d * c for c in f_block_a)]
-    )
-    psi = DivisorClass.make(
-        basis, [d_inv, *(d_inv * c for c in e_block_a), *f_block_b]
-    )
+    pi = DivisorClass(basis, (1, *e_block_a, *f_block_a))
+    phi = DivisorClass(basis, (d, *e_block_b, *(d * c for c in f_block_a)))
+    psi = DivisorClass(basis, (d_inv, *(d_inv * c for c in e_block_a), *f_block_b))
     return CombinedResolution(
         basis=basis,
         d=d,
@@ -321,14 +304,21 @@ def combine_resolutions(
 def compute_D(combined: CombinedResolution) -> DivisorClass:
     """The rational divisor class whose effectivity carries the inequality:
 
-        D = (1/d) phi*H + (1/d') psi*H - (1 + 1/(d d')) pi*H.
+        D = (1/d) phi*H + (1/d') psi*H - (1 + 1/(d d')) pi*H
+          = (d' phi*H + d psi*H - (d d' + 1) pi*H) / (d d'),
+
+    the integer numerator taken per coefficient, then one exact division.
     """
-    d = Fraction(combined.d)
-    d_inv = Fraction(combined.d_inv)
-    return (
-        combined.forward_pullback.scale(1 / d)
-        + combined.inverse_pullback.scale(1 / d_inv)
-        - combined.blowdown_pullback.scale(1 + 1 / (d * d_inv))
+    d, d_inv = combined.d, combined.d_inv
+    dd = d * d_inv
+    coeffs = zip(
+        combined.forward_pullback.coeffs,
+        combined.inverse_pullback.coeffs,
+        combined.blowdown_pullback.coeffs,
+    )
+    return DivisorClass(
+        combined.basis,
+        tuple(Fraction(d_inv * f + d * g - (dd + 1) * p, dd) for f, g, p in coeffs),
     )
 
 
@@ -341,7 +331,7 @@ class EffectivityResult:
 def check_effective(divisor: DivisorClass) -> EffectivityResult:
     """Effective iff every coefficient is >= 0; reports the first failure."""
     for label, coeff in zip(divisor.basis.labels, divisor.coeffs):
-        if coeff < 0:
+        if coeff.numerator < 0:
             return EffectivityResult(False, label)
     return EffectivityResult(True)
 

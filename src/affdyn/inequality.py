@@ -22,7 +22,8 @@ becomes text only when a report is encoded.
 
 Verification PASSES when the running minimum stabilizes across nested
 samples: past a warmup size, growing the sample by 4x must move the
-minimum by less than the configured slack.
+minimum by less than the configured slack.  A sample that keeps no point
+FAILS.
 
 Per-point evaluations are independent (parallelizable); report assembly
 is a single sequential reduction, which keeps record order deterministic.
@@ -71,13 +72,19 @@ class BoxSampler:
                     yield prefix + (c,), 1
 
 
-def _rational_values(num_bound: int, den_bound: int) -> list[Fraction]:
-    values = {
-        Fraction(p, q)
-        for q in range(1, den_bound + 1)
-        for p in range(-num_bound, num_bound + 1)
-    }
-    return sorted(values, key=lambda v: (v.denominator, abs(v), v < 0))
+def _rational_values(num_bound: int, den_bound: int) -> list[tuple[int, int]]:
+    """The reduced rationals ``a/q`` with ``|a| <= num_bound`` and
+    ``1 <= q <= den_bound``, as ``(a, q)`` pairs ordered by denominator,
+    then by absolute value, positive before negative."""
+    if num_bound < 0 or den_bound < 1:
+        return []
+    signed = [(a, -a) for a in range(1, num_bound + 1)]  # one int object each
+    values = [(0, 1)]
+    for q in range(1, den_bound + 1):
+        for a, minus_a in signed:
+            if gcd(a, q) == 1:
+                values += ((a, q), (minus_a, q))
+    return values
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,7 @@ class RationalBoxSampler:
         }
 
     def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[RawPoint]:
-        values = _rational_values(self.num_bound, self.den_bound)
+        values = [Fraction(*v) for v in _rational_values(self.num_bound, self.den_bound)]
         for point in itertools.product(values, repeat=automorphism.n):
             yield kernel.to_common_denominator(point)
 
@@ -120,7 +127,7 @@ class RandomRationalSampler:
     def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[RawPoint]:
         n = automorphism.n
         rng = random.Random(self.seed)
-        values = _rational_values(self.num_bound, self.den_bound)
+        values = [Fraction(*v) for v in _rational_values(self.num_bound, self.den_bound)]
         for _ in range(self.count):
             yield kernel.to_common_denominator([rng.choice(values) for _ in range(n)])
 
@@ -352,7 +359,10 @@ def batch_verify(
         checkpoints.append((len(records), running_min))
 
     past_warmup = [c for c in checkpoints if c[0] >= warmup]
-    if len(past_warmup) >= 2:
+    if not records:
+        stabilized = False
+        note = "the sample kept no point; nothing to verify"
+    elif len(past_warmup) >= 2:
         drift = abs(past_warmup[-1][1] - past_warmup[-2][1])
         stabilized = drift < slack
         note = f"min moved {drift:.6g} between the last two checkpoints"

@@ -193,6 +193,15 @@ class TestInequality:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_empty_sample_exits_one(self, henon_map, capsys):
+        # No denominator allowed: the value table is empty, nothing is drawn.
+        argv = ["inequality", henon_map, "--sampler", "rationals:5:0", "--assume-regular"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == (
+            "FAIL: min_delta=nan over 0 points (0 skipped); "
+            "the sample kept no point; nothing to verify\n"
+        )
+
     def test_unknown_flag_rejected(self, henon_map):
         with pytest.raises(SystemExit) as err:
             main(["inequality", henon_map, "--frobnicate"])
@@ -300,6 +309,43 @@ class TestDivisor:
         out = capsys.readouterr().out
         assert "first negative coefficient: E3" in out
 
+    def test_reports_match_pinned_digests(self, datum_paths, tmp_path, capsys):
+        # sha256 of the report files and of the printed lines (the ``D = ``
+        # line among them), recorded while every ledger coefficient was
+        # still a Fraction: the printed form of D must not depend on how
+        # it is computed.
+        data = json.loads(open(datum_paths[0]).read())
+        data["blowdown_pullback"][3] = 9
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        cases = {
+            "bundled": (
+                datum_paths,
+                0,
+                {
+                    "json": "b5e139eb8179fe2f1032f35e31996ab48c501a5506df26dd032140dd1e37beba",
+                    "csv": "2e8e781196e8ac87ffe5c0f78630b4ce84ce4d5124a46228e73fffa28bc58b2e",
+                    "printed": "af168bace02c6bc555a4518ed08036da9ee9aaa04c5b5cf1d5f3cd922730a08b",
+                },
+            ),
+            "ineffective": (
+                [str(bad), datum_paths[1]],
+                1,
+                {
+                    "json": "86ca81902f8b7ee2a480899915576182a40692b911d615038c2d964b986bfcf8",
+                    "csv": "43a852e06ca426ac61f61232ca4c26518a769e590cfe8070480752af555495dc",
+                    "printed": "c35ca494e8c42c36510c5fcb85cabb24c3df2478f67a54b700837e6078da5f0f",
+                },
+            ),
+        }
+        for name, (paths, exit_code, digests) in cases.items():
+            for form in ("json", "csv"):
+                out = tmp_path / f"divisor.{form}"
+                assert main(["divisor", *paths, "--format", form, "--out", str(out)]) == exit_code
+                printed = capsys.readouterr().out
+                assert hashlib.sha256(printed.encode()).hexdigest() == digests["printed"], name
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[form], (name, form)
+
     def test_single_datum_validates(self, datum_paths, capsys):
         assert main(["divisor", datum_paths[0]]) == 0
 
@@ -331,21 +377,26 @@ class TestReportLayout:
     def test_one_line_reloads_and_reruns(self, argv, henon_map, datum_paths, tmp_path, capsys):
         expand = {"MAP": [henon_map], "DATUM": datum_paths}
         argv = [part for arg in argv for part in expand.get(arg, [arg])]
+        all_skipped = argv[-1] == "--assume-regular"
         reports = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
-            assert main([*argv, "--out", str(out)]) == 0
+            assert main([*argv, "--out", str(out)]) == (1 if all_skipped else 0)
             reports.append(out.read_bytes())
-        capsys.readouterr()
+        printed = capsys.readouterr().out
         report = reports[0]
         assert report == reports[1]
         assert report.endswith(b"\n") and report.count(b"\n") == 1
         payload = json.loads(report)
         compact = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         assert report == compact.encode()
-        if argv[-1] == "--assume-regular":
+        if all_skipped:
             assert payload["count"] == 0 and payload["skipped"] == 5
-            assert math.isnan(payload["min_delta"])
+            assert math.isnan(payload["min_delta"]) and payload["stabilized"] is False
+            assert printed == 2 * (
+                "FAIL: min_delta=nan over 0 points (5 skipped); "
+                "the sample kept no point; nothing to verify\n"
+            )
         pretty = subprocess.run(
             [sys.executable, "-m", "json.tool", "--sort-keys", "--indent", "2",
              str(tmp_path / "a.json")],

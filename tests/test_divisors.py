@@ -182,7 +182,7 @@ class TestEffective:
 
     def test_zero_class(self):
         basis = PicBasis(("H", "E1"))
-        assert check_effective(DivisorClass.make(basis, (0, 0))).effective
+        assert check_effective(DivisorClass(basis, (0, 0))).effective
 
 
 class TestBasisConsistency:
@@ -323,6 +323,44 @@ def test_single_violations_break_effectivity_iff_inequality():
         "blowdown-nonnegativity",
         "effectivity-inequality",
     }
+
+
+def closed_form(forward, inverse):
+    """D from its closed forms alone: ``1 - 1/(d d')`` on H, then
+    ``(d' b_i - a_i)/(d d')`` on the forward block and the mirror image
+    ``(d b_j - a_j)/(d d')`` on the inverse block."""
+    d, d_inv = forward.degree_own, inverse.degree_own
+    dd = d * d_inv
+    return (
+        1 - F(1, dd),
+        *(F(d_inv * b - a, dd) for a, b in zip(forward.a[1:], forward.b[1:])),
+        *(F(d * b - a, dd) for a, b in zip(inverse.a[1:], inverse.b[1:])),
+    )
+
+
+def test_compute_D_matches_the_closed_forms_on_random_pairs():
+    rng = random.Random(3141)
+    degrees, verdicts = set(), set()
+    for trial in range(600):
+        forward, inverse = random_valid_pair(rng)
+        if trial % 2:
+            outcome = violate_one_law(rng, forward if trial % 4 == 1 else inverse)
+            if outcome is not None:
+                mutated = outcome[1]
+                forward, inverse = (
+                    (mutated, inverse) if mutated.side == "forward" else (forward, mutated)
+                )
+        degrees.add(min(forward.degree_own, inverse.degree_own))
+        divisor = compute_D(combine_resolutions(forward, inverse))
+        expected = closed_form(forward, inverse)
+        assert divisor.coeffs == expected
+        assert all(type(c) is Fraction for c in divisor.coeffs)
+        negative = [label for label, c in zip(divisor.basis.labels, expected) if c < 0]
+        result = check_effective(divisor)
+        assert result.effective == (not negative)
+        assert result.first_negative == (negative[0] if negative else None)
+        verdicts.add(result.effective)
+    assert 1 in degrees and verdicts == {True, False}
 
 
 def bundled_forward_dict() -> dict:

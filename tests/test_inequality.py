@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from affdyn.inequality import (
     OrbitSampler,
     RandomRationalSampler,
     RationalBoxSampler,
+    _rational_values,
     batch_verify,
     delta_statistic,
 )
@@ -22,6 +24,19 @@ from affdyn.inequality import (
 from conftest import count_calls, small_points
 
 LOG2 = math.log(2)
+
+
+def sorted_set_values(num_bound, den_bound):
+    """The sampler value table as it was first written: every quotient
+    in a set, sorted by denominator, absolute value, then sign."""
+    return sorted(
+        {
+            Fraction(p, q)
+            for q in range(1, den_bound + 1)
+            for p in range(-num_bound, num_bound + 1)
+        },
+        key=lambda v: (v.denominator, abs(v), v < 0),
+    )
 
 
 class FixedSampler:
@@ -142,6 +157,29 @@ class TestSamplers:
         # q=1: -2..2 (5 values); q=2: +-1/2 and +-3/2... |num|<=2 -> +-1/2 only
         assert len(values) == 7
 
+    @pytest.mark.parametrize(
+        "bounds", [(5, 3), (50, 20), (1, 7), (0, 4), (13, 13), (-1, 3), (3, 0)]
+    )
+    def test_value_table_matches_the_sorted_set(self, bounds):
+        num_bound, den_bound = bounds
+        table = _rational_values(num_bound, den_bound)
+        assert [Fraction(a, q) for a, q in table] == sorted_set_values(num_bound, den_bound)
+        assert all(q == Fraction(a, q).denominator for a, q in table)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("bounds", [(50, 20), (5, 3)])
+    def test_random_sampler_draws_from_the_sorted_set(self, seed, bounds):
+        num_bound, den_bound = bounds
+        values = sorted_set_values(num_bound, den_bound)
+        rng = random.Random(seed)
+        oracle = [
+            kernel.to_common_denominator([rng.choice(values) for _ in range(3)])
+            for _ in range(200)
+        ]
+        sampler = RandomRationalSampler(200, num_bound, den_bound, seed)
+        space = AffineAutomorphism.identity(3)
+        assert list(sampler.points(space, DEFAULT_BIT_BUDGET)) == oracle
+
     def test_random_sampler_deterministic(self):
         space = AffineAutomorphism.identity(3)
         a = list(RandomRationalSampler(20, seed=5).points(space, DEFAULT_BIT_BUDGET))
@@ -213,6 +251,10 @@ class TestBatchVerify:
         report = batch_verify(henon, sampler, assume_regular=True, bit_budget=8)
         assert calls == []
         assert report.skipped == 1 and not report.records
+        # A sample that keeps no point cannot pass.
+        assert not report.stabilized
+        assert report.stabilization_note == "the sample kept no point; nothing to verify"
+        assert math.isnan(report.min_delta) and report.checkpoints == ()
 
     def test_each_record_measures_three_points_once(self, henon, monkeypatch):
         # H(P) for the budget test and the record; each step hands back the
