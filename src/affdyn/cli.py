@@ -5,8 +5,10 @@ Identical configuration and inputs produce byte-identical reports; all
 randomness is seeded and the seed is recorded.  Exit codes: 0 pass,
 1 verification failure (on every subcommand this includes an inverse that
 fails symbolic verification, and on ``inequality`` a sample that keeps
-no point), 2 input error.  The bit budget may also be
-set through the AFFDYN_BIT_BUDGET environment variable (flags win).
+no point), 2 input error, 3 internal error (any other exception: a fault
+in affdyn, reported as ``internal error: ...`` and its traceback on
+stderr).  The bit budget may also be set through the AFFDYN_BIT_BUDGET
+environment variable (flags win).
 
 JSON reports are compact and key-sorted: one line, no spaces, then a
 newline.  ``python -m json.tool --sort-keys --indent 2 report.json`` gives
@@ -54,6 +56,7 @@ from .parsing import MapSyntaxError, format_point, format_raw_point, load_map_fi
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class InputError(Exception):
@@ -420,6 +423,14 @@ def main(argv=None) -> int:
     except (MapSyntaxError, DatumError, InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # A fault of affdyn, not of its input: say so first, then keep the
+        # traceback for the bug report.
+        import traceback  # only on this path: it adds ~3 ms to every start
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -17,8 +17,10 @@ affine rational points in a fixed order.  Each point is a ``RawPoint``, the
 kernel's canonical ``(nums, den)`` form: integers with ``den > 0`` and
 ``gcd(*nums, den) == 1``.  ``batch_verify`` rejects any other form.  Most
 samplers use only the dimension ``automorphism.n``; orbit samplers iterate
-the map under the budget.  Records and reports keep that form; a point
-becomes text only when a report is encoded.
+the map under the budget.  The rational samplers draw coordinates as
+reduced integer pairs ``(a, q)`` and build each point from them directly
+(``den = lcm(q_i)``), with no ``Fraction``.  Records and reports keep that
+form; a point becomes text only when a report is encoded.
 
 Verification PASSES when the running minimum stabilizes across nested
 samples: past a warmup size, growing the sample by 4x must move the
@@ -35,8 +37,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log
-from typing import Iterator, Sequence
+from math import gcd, lcm, log
+from typing import Iterator, NamedTuple, Sequence
 
 from . import kernel
 from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, RawPoint, is_regular
@@ -54,6 +56,10 @@ class BoxSampler:
     max-norm shells so that prefixes are nested boxes."""
 
     bound: int
+
+    def __post_init__(self):
+        if self.bound < 0:
+            raise ValueError(f"box bound must be non-negative, got {self.bound}")
 
     def describe(self) -> dict:
         return {"kind": "box", "bound": self.bound}
@@ -75,7 +81,8 @@ class BoxSampler:
 def _rational_values(num_bound: int, den_bound: int) -> list[tuple[int, int]]:
     """The reduced rationals ``a/q`` with ``|a| <= num_bound`` and
     ``1 <= q <= den_bound``, as ``(a, q)`` pairs ordered by denominator,
-    then by absolute value, positive before negative."""
+    then by absolute value, positive before negative.  Empty when no
+    denominator or no numerator is allowed."""
     if num_bound < 0 or den_bound < 1:
         return []
     signed = [(a, -a) for a in range(1, num_bound + 1)]  # one int object each
@@ -85,6 +92,17 @@ def _rational_values(num_bound: int, den_bound: int) -> list[tuple[int, int]]:
             if gcd(a, q) == 1:
                 values += ((a, q), (minus_a, q))
     return values
+
+
+def _raw_point(pairs: Sequence[tuple[int, int]]) -> RawPoint:
+    """The canonical ``(nums, den)`` form of the point ``(a_1/q_1, ...)``.
+
+    Each ``a_i/q_i`` is in lowest terms, so ``den = lcm(q_i)`` and
+    ``nums = a_i * (den // q_i)`` share no factor: every prime power of
+    ``den`` divides some ``q_i`` whole, and that ``a_i`` is prime to it.
+    """
+    den = lcm(*[q for _, q in pairs])
+    return tuple([a * (den // q) for a, q in pairs]), den
 
 
 @dataclass(frozen=True)
@@ -103,17 +121,25 @@ class RationalBoxSampler:
         }
 
     def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[RawPoint]:
-        values = [Fraction(*v) for v in _rational_values(self.num_bound, self.den_bound)]
-        for point in itertools.product(values, repeat=automorphism.n):
-            yield kernel.to_common_denominator(point)
+        values = _rational_values(self.num_bound, self.den_bound)
+        for pairs in itertools.product(values, repeat=automorphism.n):
+            yield _raw_point(pairs)
 
 
 @dataclass(frozen=True)
 class RandomRationalSampler:
+    """``count`` points whose coordinates are drawn uniformly, with a seeded
+    ``random.Random``, from the values of ``RationalBoxSampler``.  Bounds
+    that allow no value give no point."""
+
     count: int
     num_bound: int = 5
     den_bound: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ValueError(f"random sampler count must be non-negative, got {self.count}")
 
     def describe(self) -> dict:
         return {
@@ -126,10 +152,12 @@ class RandomRationalSampler:
 
     def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[RawPoint]:
         n = automorphism.n
-        rng = random.Random(self.seed)
-        values = [Fraction(*v) for v in _rational_values(self.num_bound, self.den_bound)]
+        choice = random.Random(self.seed).choice
+        values = _rational_values(self.num_bound, self.den_bound)
+        if not values:
+            return
         for _ in range(self.count):
-            yield kernel.to_common_denominator([rng.choice(values) for _ in range(n)])
+            yield _raw_point([choice(values) for _ in range(n)])
 
 
 @dataclass(frozen=True)
@@ -168,9 +196,12 @@ class CompositeSampler:
 # -- statistics ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaRecord:
-    """One sampled point with its exact height integers and statistic."""
+class DeltaRecord(NamedTuple):
+    """One sampled point with its exact height integers and statistic.
+
+    A named tuple, not a frozen dataclass: a record is built once per
+    sampled point, and a tuple is built in one call.
+    """
 
     point: RawPoint
     height_integers: tuple[int, int, int]  # H(P), H(fP), H(f^{-1}P)
@@ -190,12 +221,6 @@ class DeltaRecord:
         ]
 
 
-def _statistic(d: int, d_inv: int, h_p: float, h_f: float, h_i: float, mode: str) -> float:
-    if mode == "delta":
-        return h_f / d + h_i / d_inv - (1.0 + 1.0 / (d * d_inv)) * h_p
-    return h_f / d + h_i / d_inv - h_p
-
-
 def _record(
     automorphism: AffineAutomorphism,
     raw: RawPoint,
@@ -211,17 +236,15 @@ def _record(
     inverse, h_inverse = automorphism.step(raw, height, "inverse", bit_budget)
     if inverse is None:
         return None
-    h_ints = (height, h_forward, h_inverse)
-    h_p, h_f, h_i = (log(h) for h in h_ints)
+    h_p = log(height)
+    h_f = log(h_forward)
+    h_i = log(h_inverse)
     d, d_inv = automorphism.degrees
-    return DeltaRecord(
-        point=raw,
-        height_integers=h_ints,
-        h_point=h_p,
-        h_forward=h_f,
-        h_inverse=h_i,
-        delta=_statistic(d, d_inv, h_p, h_f, h_i, mode),
-    )
+    if mode == "delta":
+        delta = h_f / d + h_i / d_inv - (1.0 + 1.0 / (d * d_inv)) * h_p
+    else:
+        delta = h_f / d + h_i / d_inv - h_p
+    return DeltaRecord(raw, (height, h_forward, h_inverse), h_p, h_f, h_i, delta)
 
 
 def delta_statistic(

@@ -5,10 +5,12 @@ The kernel works in common-denominator form: a point of Q^n is a pair
 This form is unique, maps directly onto the primitive homogeneous vector
 ``(den, *nums)`` used by heights, and keeps the inner loop free of
 ``Fraction`` overhead.  It is the one point form inside the package: the
-samplers yield it, orbits and inequality records keep it, and
-``to_common_denominator``/``to_fractions`` convert at the API edges.  The
-raw-point statistic lives here too: ``height_integer``, the Weil height
-integer, whose bit length is the point's size for the bit budget.
+samplers yield it (the rational ones build it from reduced integer pairs),
+orbits and inequality records keep it, and ``to_common_denominator`` and
+``to_fractions`` convert only at the API edges: ``apply``, ``orbit``,
+``detect_cycle``, ``heights``, ``delta_statistic`` and ``format_point``.
+The raw-point statistic lives here too: ``height_integer``, the Weil
+height integer, whose bit length is the point's size for the bit budget.
 
 ``compile_map`` writes each map as one straight-line Python function,
 ``eval_map(nums, d1)``, compiled once and kept on the ``CompiledMap``.  It

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from affdyn import cli
 from affdyn.cli import main
 from affdyn.inequality import DeltaReport
 
@@ -202,6 +203,31 @@ class TestInequality:
             "the sample kept no point; nothing to verify\n"
         )
 
+    @pytest.mark.parametrize("spec", ["random:5:3:0", "random:5:-1:3"])
+    def test_empty_value_table_draws_nothing(self, henon_map, capsys, spec):
+        # The random sampler draws from the same table: none, so no point.
+        argv = ["inequality", henon_map, "--sampler", spec, "--assume-regular"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "FAIL: min_delta=nan over 0 points (0 skipped); "
+            "the sample kept no point; nothing to verify\n",
+            "",
+        )
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("box:-1", "box bound must be non-negative, got -1"),
+            ("random:-2:3:3", "random sampler count must be non-negative, got -2"),
+        ],
+    )
+    def test_out_of_range_sampler_exits_two(self, henon_map, capsys, spec, message):
+        argv = ["inequality", henon_map, "--sampler", spec, "--assume-regular"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: bad sampler spec {spec!r}: {message}\n"
+
     def test_unknown_flag_rejected(self, henon_map):
         with pytest.raises(SystemExit) as err:
             main(["inequality", henon_map, "--frobnicate"])
@@ -209,15 +235,18 @@ class TestInequality:
 
     def test_reports_match_pinned_digests(self, henon_map, tmp_path, capsys):
         # sha256 of the report files and the verdict lines, recorded before
-        # points were kept in (nums, den) form from sampler to report.  A
-        # JSON report has two: of its payload in the indented layout, as
-        # pinned then, and of its compact bytes.
+        # points were kept in (nums, den) form from sampler to report; the
+        # two random mixes were recorded while the random sampler still drew
+        # Fractions.  A JSON report has two: of its payload in the indented
+        # layout, as pinned then, and of its compact bytes.
         seeds = "(1,1,1);(1/2,0,-1)"
+        box_minima = ("-0.23048443379588357", "-0.1438410362258904")
         mixes = {
             "200 bits": (
                 ["--sampler", "box:3", "--sampler", "rationals:2:2",
                  "--sampler", f"orbit:6:{seeds}", "--bit-budget", "200"],
                 "over 700 points (0 skipped)",
+                box_minima,
                 {
                     "json": "948898075966a9051ea5264443b377796d26f5679a6bad67525f91ab79817770",
                     "json compact": "c94c54e9fb32d03ffe43b623f6b54ec1025455945843a24c4e504244a4a30270",
@@ -230,6 +259,7 @@ class TestInequality:
                 ["--sampler", "box:6", "--sampler", "rationals:3:3",
                  "--sampler", f"orbit:12:{seeds}", "--bit-budget", "24"],
                 "over 5581 points (2 skipped)",
+                box_minima,
                 {
                     "json": "ee3209f627b628eb19c4a8592196fef4fd51817d72e528fcfaaa39159766dde4",
                     "json compact": "a706214cadffe6069e4efd3ae6030524c674990e056a87cc3d65e2728f753e18",
@@ -238,14 +268,38 @@ class TestInequality:
                     "silverman compact": "3164f38c73ed748b301c1ede8e126c32996d771c9970946c91efd21d54ec6a82",
                 },
             ),
+            "random 50:20": (
+                ["--sampler", "random:2000:50:20", "--seed", "3"],
+                "over 2000 points (0 skipped)",
+                ("0.42230347696509885", "0.7688770672450715"),
+                {
+                    "json": "3b66e7ac3c4ad0ad13a6e385adf9cf11fa48fd03c72e92167f120937d2b55dd8",
+                    "json compact": "ed9007431f1f8963db521db4b597948760f1c02073afb68458bf7789053007e6",
+                    "csv": "68daeb75fa37e45661f9c54a84550853482b77e0585365b55d4b43b4a4303bfb",
+                    "silverman": "2f350a9917b5941992e031b97770f3700b0fe15fc18f1cb9e2a52a7cb6da736a",
+                    "silverman compact": "6b132f77cae9eca6a2990e693547aa428c16cb5212d29e34d68b49a0cb00f2e9",
+                },
+            ),
+            "random 5:3": (
+                ["--sampler", "random:300:5:3", "--seed", "0"],
+                "over 300 points (0 skipped)",
+                box_minima,
+                {
+                    "json": "55780ab3c899230535e391365e61f7ec13f60347933f5317e30b779b44e6bbfe",
+                    "json compact": "847a46bc3649005c4e4c9fe8eec18ba63910280fb03481900839e9934568f8b7",
+                    "csv": "9882d06ba3e0505640e10634df80977dc7d7a51fa963abd4e9349be2ae67e538",
+                    "silverman": "58f2ec1e81e6ce79d31c444e595d18cdb48c159b739a12eba803a74616dae336",
+                    "silverman compact": "127df30af477e8b6a6370f70827eba027801d09559b72da07ee7b736ba2572f0",
+                },
+            ),
         }
         forms = {"json": [], "csv": ["--format", "csv"], "silverman": ["--silverman"]}
-        for name, (argv, counts, digests) in mixes.items():
+        for name, (argv, counts, (minimum, silverman_minimum), digests) in mixes.items():
             for form, extra in forms.items():
                 out = tmp_path / f"{form}.report"
                 code = main(["inequality", henon_map, *argv, *extra, "--out", str(out)])
                 assert code == 0, (name, form)
-                delta = "-0.1438410362258904" if form == "silverman" else "-0.23048443379588357"
+                delta = silverman_minimum if form == "silverman" else minimum
                 assert capsys.readouterr().out == (
                     f"PASS: min_delta={delta} {counts}; "
                     "min moved 0 between the last two checkpoints\n"
@@ -403,6 +457,24 @@ class TestReportLayout:
             capture_output=True, check=True,
         ).stdout
         assert pretty == indented(report)
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    # An exception main does not map is a fault of the program, not a FAIL
+    # verdict (1) and not an input error (2).
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_height", broken)
+    assert main(["height", "--point", "1,2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    first, second, *_ = err.splitlines()
+    assert (first, second) == (
+        "internal error: RuntimeError: boom",
+        "Traceback (most recent call last):",
+    )
+    assert err.endswith("RuntimeError: boom\n")
 
 
 def test_console_entry_point(henon_map):

@@ -39,6 +39,21 @@ def sorted_set_values(num_bound, den_bound):
     )
 
 
+def assert_random_sampler_matches_oracle(seed, bounds, n):
+    """200 draws of the random sampler in dimension ``n`` equal Fraction
+    draws from the sorted set, brought to common-denominator form."""
+    num_bound, den_bound = bounds
+    values = sorted_set_values(num_bound, den_bound)
+    rng = random.Random(seed)
+    oracle = [
+        kernel.to_common_denominator([rng.choice(values) for _ in range(n)])
+        for _ in range(200)
+    ]
+    sampler = RandomRationalSampler(200, num_bound, den_bound, seed)
+    space = AffineAutomorphism.identity(n)
+    assert list(sampler.points(space, DEFAULT_BIT_BUDGET)) == oracle
+
+
 class FixedSampler:
     def __init__(self, raw):
         self.raw = raw
@@ -169,15 +184,25 @@ class TestSamplers:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("bounds", [(50, 20), (5, 3)])
     def test_random_sampler_draws_from_the_sorted_set(self, seed, bounds):
+        assert_random_sampler_matches_oracle(seed, bounds, 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("bounds", [(50, 20), (5, 3)])
+    def test_random_sampler_draws_in_every_dimension(self, seed, bounds, n):
+        assert_random_sampler_matches_oracle(seed, bounds, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("bounds", [(5, 3), (3, 4), (0, 2), (2, 0)])
+    def test_rational_box_matches_the_fraction_product(self, bounds, n):
         num_bound, den_bound = bounds
         values = sorted_set_values(num_bound, den_bound)
-        rng = random.Random(seed)
         oracle = [
-            kernel.to_common_denominator([rng.choice(values) for _ in range(3)])
-            for _ in range(200)
+            kernel.to_common_denominator(point)
+            for point in itertools.product(values, repeat=n)
         ]
-        sampler = RandomRationalSampler(200, num_bound, den_bound, seed)
-        space = AffineAutomorphism.identity(3)
+        sampler = RationalBoxSampler(num_bound, den_bound)
+        space = AffineAutomorphism.identity(n)
         assert list(sampler.points(space, DEFAULT_BIT_BUDGET)) == oracle
 
     def test_random_sampler_deterministic(self):
