@@ -123,7 +123,7 @@ def _emit(payload, args, csv_rows=None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_sampler(spec: str, seed: int):
+def _parse_sampler(spec: str, seed: int, n: int):
     kind, _, rest = spec.partition(":")
     try:
         if kind == "box":
@@ -141,7 +141,7 @@ def _parse_sampler(spec: str, seed: int):
             depth, _, seeds_text = rest.partition(":")
             if not seeds_text:
                 raise InputError("orbit sampler needs seed points: orbit:DEPTH:P1;P2")
-            seeds = tuple(parse_point(chunk) for chunk in seeds_text.split(";"))
+            seeds = tuple(parse_point(chunk, n) for chunk in seeds_text.split(";"))
             return OrbitSampler(seeds, int(depth))
     except (ValueError, MapSyntaxError) as exc:
         raise InputError(f"bad sampler spec {spec!r}: {exc}")
@@ -153,7 +153,7 @@ def _parse_sampler(spec: str, seed: int):
 
 def cmd_verify_map(args) -> int:
     automorphism = _load_automorphism(args)
-    result = is_regular(automorphism, seed=args.seed)
+    result = is_regular(automorphism)
     payload = {
         "map_id": automorphism.map_id,
         "d": automorphism.d,
@@ -233,7 +233,7 @@ def cmd_canonical(args) -> int:
 
 def cmd_inequality(args) -> int:
     automorphism = _load_automorphism(args)
-    samplers = [_parse_sampler(spec, args.seed) for spec in args.sampler]
+    samplers = [_parse_sampler(spec, args.seed, automorphism.n) for spec in args.sampler]
     sampler = samplers[0] if len(samplers) == 1 else CompositeSampler(tuple(samplers))
     report = batch_verify(
         automorphism,
@@ -245,9 +245,12 @@ def cmd_inequality(args) -> int:
         mode="silverman" if args.silverman else "delta",
     )
     verdict = "PASS" if report.stabilized else "FAIL"
+    # A CSV report without --out goes to stdout: keep the verdict out of it.
+    to_stdout = args.format == "csv" and not args.out
     print(
         f"{verdict}: min_delta={report.min_delta!r} over {len(report.records)} points "
-        f"({report.skipped} skipped); {report.stabilization_note}"
+        f"({report.skipped} skipped); {report.stabilization_note}",
+        file=sys.stderr if to_stdout else sys.stdout,
     )
     if args.format == "csv":
         _emit(None, args, report.to_csv_rows())
@@ -343,7 +346,9 @@ def _add_common(parser, with_map=True):
         default=None,
         help=f"per-integer bit cap (default {DEFAULT_BIT_BUDGET})",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for any randomness")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seed of the random: sampler, recorded in reports"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

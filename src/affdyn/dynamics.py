@@ -11,13 +11,13 @@ disjoint.  On that hyperplane the projective extension of a map of degree
 of coordinate ``i`` (zero when the coordinate has lower degree), so its
 locus is the common zero set of the top-degree forms of the coordinates
 of full degree.  ``is_regular`` reads these forms straight from the affine
-coordinates of both maps.  For n = 2 emptiness reduces to a gcd of binary
-forms; for n = 3 joint emptiness in the projective plane is decided
-exactly by checking whether some power of the irrelevant ideal lies in
-the span of monomial shifts of the constraint forms, up to the classical
-degree bound (3*max_degree - 2), which is a complete criterion over the
-algebraic closure.  For n > 3 a seeded Monte-Carlo search can certify
-"not regular" with a witness, else the answer is reported as undetermined.
+coordinates of both maps.  In every dimension n >= 2 joint emptiness in
+P^(n-1) is decided exactly by checking whether some power of the
+irrelevant ideal lies in the span of monomial shifts of the constraint
+forms, up to the Macaulay degree bound n*(max_degree - 1) + 1, which is a
+complete criterion over the algebraic closure.  A "not regular" verdict
+comes with a witness when the locus has a point with small integer
+coordinates.
 
 Automorphisms and their derived objects are immutable; orbits of distinct
 points may be computed in parallel with no coordination.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -35,7 +34,7 @@ from math import gcd
 from typing import Literal, Sequence
 
 from . import kernel
-from .polyring import Polynomial, coefficient_list, univariate_gcd
+from .polyring import Polynomial
 
 Direction = Literal["forward", "inverse"]
 #: A point of Q^n in the kernel's common-denominator form ``(nums, den)``.
@@ -46,7 +45,9 @@ DEFAULT_BIT_BUDGET = 2**20
 
 REGULAR = "regular"
 NOT_REGULAR = "not_regular"
-UNDETERMINED = "undetermined"
+
+#: Coordinate bound of the integer witness search at infinity.
+WITNESS_BOUND = 6
 
 
 class InverseVerificationError(ValueError):
@@ -299,47 +300,28 @@ class RegularityResult:
     details: dict = field(default_factory=dict)
 
 
-def is_regular(
-    automorphism: AffineAutomorphism,
-    seed: int = 0,
-    mc_trials: int = 5000,
-    witness_bound: int = 6,
-) -> RegularityResult:
+def is_regular(automorphism: AffineAutomorphism) -> RegularityResult:
     """Decide whether the two indeterminacy loci are disjoint.
 
-    Exact for n in {2, 3}; for larger n a seeded Monte-Carlo search either
-    produces a witness (not regular) or returns undetermined.
+    Exact in every dimension n >= 2: the verdict is "regular" or
+    "not_regular", never a guess.  A "not_regular" verdict carries a
+    witness on the hyperplane at infinity when one has integer
+    coordinates of absolute value at most ``WITNESS_BOUND``.
     """
     n = automorphism.n
     if n < 2:
         raise ValueError("regularity is defined for dimension >= 2")
     constraints = _constraint_forms(automorphism.forward, automorphism.d)
     constraints += _constraint_forms(automorphism.inverse, automorphism.d_inv)
-    if n == 2:
-        empty, details = _p1_system_empty(constraints)
-        method = "binary-form-gcd"
-    elif n == 3:
-        empty, details = _p2_system_empty(constraints)
-        method = "irrelevant-power-elimination"
-    else:
-        witness = _monte_carlo_witness(constraints, n, seed, mc_trials)
-        if witness is not None:
-            return RegularityResult(
-                NOT_REGULAR,
-                "monte-carlo",
-                witness=(0, *witness),
-                details={"trials": mc_trials, "seed": seed},
-            )
-        return RegularityResult(
-            UNDETERMINED, "monte-carlo", details={"trials": mc_trials, "seed": seed}
-        )
+    method = "irrelevant-power-elimination"
+    empty, details = _projective_system_empty(constraints, n)
     if empty:
         return RegularityResult(REGULAR, method, details=details)
-    witness = _search_projective_witness(constraints, n, witness_bound)
+    witness = _search_projective_witness(constraints, n, WITNESS_BOUND)
     if witness is not None:
         details = dict(details, witness_verified=True)
         return RegularityResult(NOT_REGULAR, method, witness=(0, *witness), details=details)
-    details = dict(details, witness_search_bound=witness_bound)
+    details = dict(details, witness_search_bound=WITNESS_BOUND)
     return RegularityResult(NOT_REGULAR, method, details=details)
 
 
@@ -347,25 +329,6 @@ def _constraint_forms(coords: Sequence[Polynomial], degree: int) -> tuple[Polyno
     """Top-degree parts of the coordinates of full degree, in coordinate
     order: their common zeros at infinity are the indeterminacy locus."""
     return tuple(p.leading_form() for p in coords if p.total_degree() == degree)
-
-
-def _p1_system_empty(forms: Sequence[Polynomial]) -> tuple[bool, dict]:
-    """Emptiness in P^1 of a system of binary forms, via univariate gcd."""
-    active = [f for f in forms if not f.is_zero]
-    if not active:
-        return False, {"reason": "no constraints"}
-    # Chart x1 != 0: dehomogenize at x1 = 1 and take the running gcd.
-    n = active[0].nvars
-    one = Polynomial.constant(n, 1)
-    chart = [Polynomial.variable(n, 0), one]
-    running: list[Fraction] | None = None
-    for form in active:
-        coeffs = coefficient_list(form.compose(chart), 0)
-        running = coeffs if running is None else univariate_gcd(running, coeffs)
-    finite_zero = len(running) > 1  # nonconstant gcd has a root over Qbar
-    at_infinity = all(form.evaluate((1, 0)) == 0 for form in active)
-    empty = not finite_zero and not at_infinity
-    return empty, {"gcd_degree": len(running) - 1, "zero_at_(1:0)": at_infinity}
 
 
 def _monomials(degree: int, nvars: int) -> list[tuple[int, ...]]:
@@ -378,26 +341,23 @@ def _monomials(degree: int, nvars: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _p2_system_empty(forms: Sequence[Polynomial]) -> tuple[bool, dict]:
-    """Emptiness in P^2 over the algebraic closure.
+def _projective_system_empty(forms: Sequence[Polynomial], n: int) -> tuple[bool, dict]:
+    """Emptiness in P^(n-1) over the algebraic closure.
 
     The system is empty iff every monomial of some degree N lies in the
     span of the monomial shifts of the forms; if the variety is empty this
-    happens by N = 3*max_degree - 2 (Macaulay bound applied to three
+    happens by N = n*(max_degree - 1) + 1 (Macaulay bound applied to n
     generic members of the degree-capped system), so scanning up to that
     bound is a complete decision.
     """
-    active = [f for f in forms if not f.is_zero]
-    if not active:
-        return False, {"reason": "no constraints"}
-    if len(active) < 3:
-        # Two hypersurfaces in the projective plane always intersect.
-        return False, {"reason": "fewer than three constraints"}
-    degrees = [f.total_degree() for f in active]
+    if len(forms) < n:
+        # Fewer than n hypersurfaces in P^(n-1) always intersect.
+        return False, {"reason": f"fewer than {n} constraints"}
+    degrees = [f.total_degree() for f in forms]
     dmax = max(degrees)
-    bound = 3 * dmax - 2
+    bound = n * (dmax - 1) + 1
     for target in range(dmax, bound + 1):
-        if _spans_all_monomials(active, degrees, target):
+        if _spans_all_monomials(forms, degrees, target):
             return True, {"saturation_degree": target, "bound": bound}
     return False, {"reason": "no saturation up to the degree bound", "bound": bound}
 
@@ -462,27 +422,13 @@ def _search_projective_witness(
     forms: Sequence[Polynomial], n: int, bound: int
 ) -> tuple[int, ...] | None:
     """Small rational projective point killing every constraint, if any."""
-    active = [f for f in forms if not f.is_zero]
     for cand in itertools.product(range(-bound, bound + 1), repeat=n):
         if all(c == 0 for c in cand):
             continue
         point = kernel.normalize_projective(cand)
         if point != cand:
             continue  # enumerate each projective point once
-        if all(form.evaluate(point) == 0 for form in active):
+        if all(form.evaluate(point) == 0 for form in forms):
             return point
     return None
 
-
-def _monte_carlo_witness(
-    forms: Sequence[Polynomial], n: int, seed: int, trials: int
-) -> tuple[int, ...] | None:
-    active = [f for f in forms if not f.is_zero]
-    rng = random.Random(seed)
-    for _ in range(trials):
-        cand = tuple(rng.randint(-5, 5) for _ in range(n))
-        if all(c == 0 for c in cand):
-            continue
-        if all(form.evaluate(cand) == 0 for form in active):
-            return kernel.normalize_projective(cand)
-    return None

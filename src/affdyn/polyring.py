@@ -210,12 +210,6 @@ class Polynomial:
             self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d}
         )
 
-    def degree_in(self, var: int) -> int:
-        """Largest exponent of variable ``var``; undefined for zero."""
-        if self.is_zero:
-            raise ZeroPolynomialError("degree of the zero polynomial is undefined")
-        return max(e[var] for e in self.terms)
-
     # -- substitution -------------------------------------------------
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
@@ -272,47 +266,3 @@ class Polynomial:
             total = total + term
         return total
 
-
-# -- univariate helpers (used by the regularity decision) --------------
-
-
-def coefficient_list(p: Polynomial, var: int) -> list[Fraction]:
-    """Coefficient list of a polynomial that is univariate in ``var``
-    (constant term first).  Raises if any other variable occurs."""
-    if p.is_zero:
-        return []
-    out = [Fraction(0)] * (p.degree_in(var) + 1)
-    for exps, coeff in p.terms.items():
-        if any(e and i != var for i, e in enumerate(exps)):
-            raise ValueError(f"polynomial is not univariate in variable {var}")
-        out[exps[var]] = coeff
-    return out
-
-
-def univariate_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    """Monic gcd of two univariate coefficient lists (constant term first).
-
-    Returns ``[]`` for gcd(0, 0); a unit gcd comes back as ``[1]``.
-    """
-
-    def trim(c: list[Fraction]) -> list[Fraction]:
-        while c and not c[-1]:
-            c.pop()
-        return c
-
-    ra = trim([Fraction(c) for c in a])
-    rb = trim([Fraction(c) for c in b])
-    while rb:
-        # remainder of ra modulo rb
-        rem = list(ra)
-        while len(rem) >= len(rb) and trim(rem):
-            shift = len(rem) - len(rb)
-            factor = rem[-1] / rb[-1]
-            for i, c in enumerate(rb):
-                rem[i + shift] -= factor * c
-            rem = trim(rem)
-        ra, rb = rb, rem
-    if not ra:
-        return []
-    lead = ra[-1]
-    return [c / lead for c in ra]

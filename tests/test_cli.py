@@ -186,6 +186,16 @@ class TestInequality:
     def test_bad_sampler_exits_two(self, henon_map, capsys):
         assert main(["inequality", henon_map, "--sampler", "carrots:1"]) == 2
 
+    @pytest.mark.parametrize("seed", ["(1,1)", "(1,1,1,1)"])
+    def test_orbit_seed_of_wrong_dimension_exits_two(self, henon_map, capsys, seed):
+        argv = ["inequality", henon_map, "--sampler", f"orbit:2:{seed}", "--assume-regular"]
+        assert main(argv) == 2
+        count = seed.count(",") + 1
+        assert capsys.readouterr().err == (
+            f"error: bad sampler spec 'orbit:2:{seed}': "
+            f"point has {count} coordinates, expected 3\n"
+        )
+
     def test_unstable_verdict_exits_one(self, henon_map, capsys):
         code = main(
             ["inequality", henon_map, "--sampler", "box:2", "--warmup", "60",
@@ -323,6 +333,16 @@ class TestInequality:
         assert main([*base, "--format", "csv", "--out", str(out)]) == 0
         assert main([*base, "--format", "csv"]) == 0
         assert main(base) == 0
+
+    def test_csv_to_stdout_is_one_table(self, henon_map, capsys):
+        argv = ["inequality", henon_map, "--sampler", "box:1", "--format", "csv",
+                "--assume-regular"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("point,H_point,")
+        assert len(lines) == 28  # the header and one line per point of box:1
+        assert captured.err.startswith("PASS: ")
 
     def test_csv_output(self, henon_map, tmp_path):
         out = tmp_path / "ineq.csv"

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affdyn.dynamics import (
     AffineAutomorphism,
@@ -193,14 +194,74 @@ class TestRegularity:
         with pytest.raises(ValueError):
             is_regular(AffineAutomorphism.identity(1))
 
-    def test_high_dimension_monte_carlo(self):
+    def test_high_dimension_exact(self):
         names = ("x1", "x2", "x3", "x4")
         forward = tuple(parse_polynomial(s, names) for s in ("x1", "x2", "x3", "x4 + x1^2"))
         inverse = tuple(parse_polynomial(s, names) for s in ("x1", "x2", "x3", "x4 - x1^2"))
         result = is_regular(AffineAutomorphism(forward, inverse, names))
-        # shared zeros at infinity exist (x1 = 0); the search should find one
+        # shared zeros at infinity exist (x1 = 0); the exact test says so
         assert result.verdict == "not_regular"
-        assert result.method == "monte-carlo"
+        assert result.method == "irrelevant-power-elimination"
+        for coords in (forward, inverse):
+            assert undefined_at_infinity(coords, result.witness[1:])
 
-        ident = AffineAutomorphism.identity(4)
-        assert is_regular(ident).verdict == "undetermined"
+        result = is_regular(AffineAutomorphism.identity(4))
+        assert (result.verdict, result.method) == ("regular", "irrelevant-power-elimination")
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+        st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+        st.sampled_from([None, 0, 1]),
+    )
+    def test_conjugated_henon_products(self, c1, c2, upper, triangular_slot):
+        """``L o (H_c1 x H_c2) o L^-1`` on A^4, with ``H_c = (y, x + c*y^2)``
+        and L unit upper-triangular, is regular; with one factor replaced
+        by the triangular ``(x + c*y^2, y)`` it is not, and the witness is
+        checked by the oracle."""
+        x, y = (Polynomial.variable(2, i) for i in range(2))
+        factors = []
+        for slot, c in enumerate((c1, c2)):
+            if slot == triangular_slot:
+                factors.append(((x + c * y**2, y), (x - c * y**2, y)))
+            else:
+                factors.append(((y, x + c * y**2), (y - c * x**2, x)))
+        forward, inverse = (
+            _conjugate(_product(factors[0][k], factors[1][k]), upper) for k in (0, 1)
+        )
+        result = is_regular(AffineAutomorphism(forward, inverse))
+        if triangular_slot is None:
+            assert result.verdict == "regular"
+            assert result.details["saturation_degree"] <= result.details["bound"] == 5
+        else:
+            assert result.verdict == "not_regular"
+            assert result.witness[0] == 0
+            for coords in (forward, inverse):
+                assert undefined_at_infinity(coords, result.witness[1:])
+
+
+def _product(first, second):
+    """The map ``first x second`` of A^2 x A^2 as four coordinates on A^4."""
+    a, b, c, e = (Polynomial.variable(4, i) for i in range(4))
+    return (*(p.compose((a, b)) for p in first), *(p.compose((c, e)) for p in second))
+
+
+def _conjugate(coords, upper):
+    """``L o coords o L^-1`` for the unit upper-triangular 4x4 matrix L
+    whose entries above the diagonal are ``upper``, row by row."""
+    entries = iter(upper)
+    L = [[1 if i == j else next(entries) if j > i else 0 for j in range(4)] for i in range(4)]
+    # L^-1 by back substitution: it is again unit upper-triangular.
+    inv = [[int(i == j) for j in range(4)] for i in range(4)]
+    for i in range(3, -1, -1):
+        for j in range(i + 1, 4):
+            inv[i] = [a - L[i][j] * b for a, b in zip(inv[i], inv[j])]
+    variables = [Polynomial.variable(4, i) for i in range(4)]
+
+    def linear(matrix, polys):
+        return tuple(
+            sum((m * p for m, p in zip(row, polys)), Polynomial.zero(4)) for row in matrix
+        )
+
+    return linear(L, [p.compose(linear(inv, variables)) for p in coords])

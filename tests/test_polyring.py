@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -139,14 +138,3 @@ class TestRingProperties:
         z = Polynomial(3, {(0, 0, 0): 0})
         assert z.is_zero and z == Polynomial.zero(3)
 
-
-def test_univariate_gcd():
-    from affdyn.polyring import coefficient_list, univariate_gcd
-
-    x = ("x",)
-    a = coefficient_list(parse_polynomial("(x - 1)*(x - 2)", x), 0)
-    b = coefficient_list(parse_polynomial("(x - 1)*(x - 3)", x), 0)
-    assert univariate_gcd(a, b) == [Fraction(-1), Fraction(1)]  # monic x - 1
-    c = coefficient_list(parse_polynomial("x^2 + 1", x), 0)
-    assert univariate_gcd(a, c) == [Fraction(1)]  # coprime
-    assert univariate_gcd([], []) == []

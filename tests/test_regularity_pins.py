@@ -2,9 +2,10 @@
 
 ``is_regular`` decides whether the indeterminacy loci of ``f`` and
 ``f^-1`` on the hyperplane at infinity meet.  The table below pins its
-verdict, method, witness and details for eight maps (Henon maps in
-dimensions 3 and 2, a triangular map, shears in dimensions 3 and 4, and
-the identities in dimensions 2 to 4), and the digests pin the
+verdict, method, witness and details for ten maps (Henon maps in
+dimensions 3 and 2, the product of two Henon maps on A^4, a triangular
+map, shears in dimensions 3 and 4, and the identities in dimensions 2 to
+5), and the digests pin the
 ``verify-map`` JSON reports, both their payload and their compact bytes,
 so a change in how the constraint forms are built cannot move a decision
 or a report unnoticed.
@@ -30,50 +31,63 @@ MAPS = {
     "identity2": "vars x y\nforward: x | y\ninverse: x | y\n",
     "identity3": "vars x y z\nforward: x | y | z\ninverse: x | y | z\n",
     "identity4": "vars a b c e\nforward: a | b | c | e\ninverse: a | b | c | e\n",
+    "henon_product4": "vars a b c e\nforward: b | a + b^2 | e | c + e^2\n"
+                      "inverse: b - a^2 | a | e - c^2 | c\n",
+    "identity5": "vars a b c e g\nforward: a | b | c | e | g\ninverse: a | b | c | e | g\n",
 }
 
 # (verdict, method, witness, sorted details)
 DECISIONS = {
     "henon3": ("regular", "irrelevant-power-elimination", None,
                (("bound", 10), ("saturation_degree", 6))),
-    "henon2": ("regular", "binary-form-gcd", None,
-               (("gcd_degree", 0), ("zero_at_(1:0)", False))),
-    "triangular": ("not_regular", "binary-form-gcd", (0, 1, 0),
-                   (("gcd_degree", 0), ("witness_verified", True), ("zero_at_(1:0)", True))),
+    "henon2": ("regular", "irrelevant-power-elimination", None,
+               (("bound", 3), ("saturation_degree", 3))),
+    "triangular": ("not_regular", "irrelevant-power-elimination", (0, 1, 0),
+                   (("bound", 3), ("reason", "no saturation up to the degree bound"),
+                    ("witness_verified", True))),
     "shear3": ("not_regular", "irrelevant-power-elimination", (0, 0, 0, 1),
-               (("reason", "fewer than three constraints"), ("witness_verified", True))),
-    "shear4": ("not_regular", "monte-carlo", (0, 0, 4, 5, -2),
-               (("seed", 0), ("trials", 5000))),
-    "identity2": ("regular", "binary-form-gcd", None,
-                  (("gcd_degree", 0), ("zero_at_(1:0)", False))),
+               (("reason", "fewer than 3 constraints"), ("witness_verified", True))),
+    "shear4": ("not_regular", "irrelevant-power-elimination", (0, 0, 0, 0, 1),
+               (("reason", "fewer than 4 constraints"), ("witness_verified", True))),
+    "identity2": ("regular", "irrelevant-power-elimination", None,
+                  (("bound", 1), ("saturation_degree", 1))),
     "identity3": ("regular", "irrelevant-power-elimination", None,
                   (("bound", 1), ("saturation_degree", 1))),
-    "identity4": ("undetermined", "monte-carlo", None, (("seed", 0), ("trials", 5000))),
+    "identity4": ("regular", "irrelevant-power-elimination", None,
+                  (("bound", 1), ("saturation_degree", 1))),
+    "henon_product4": ("regular", "irrelevant-power-elimination", None,
+                       (("bound", 5), ("saturation_degree", 5))),
+    "identity5": ("regular", "irrelevant-power-elimination", None,
+                  (("bound", 1), ("saturation_degree", 1))),
 }
 
 # sha256 of ``verify-map MAP --out report.json``, re-indented by
 # ``conftest.indented``: the payload pinned since reports were indented.
 REPORT_DIGESTS = {
     "henon3": "1b3e1bda24ca831c9ef99d1da9843c1eb4c2c7be6009398b4b9c47e029b9e89b",
-    "henon2": "d128875d7e15f6ecf2e40d7d4e5a6f44ad80ceb2bd0f42f1da11470bbf9b3701",
-    "triangular": "1d2e011e49f1e7d100ab2cdd77900e42d6f063e7dd066858c7e08afef59a6025",
-    "shear3": "b97902c9fdf1f8a71ac090d86aec3608c995d68f020ea35511b8f70d98c3c9ee",
-    "shear4": "cd3b272a4dd1e3a1f786b47a989606fbb57fc4e527f74d6f8eab14625cce1e19",
-    "identity2": "9152f449c7b7e2957f1812005f1945a286810026d09ed76917ebe9274f35bf0c",
+    "henon2": "5c27352c162a7da53a9d65d785d275105df5d059e9beee097ca9316912c49091",
+    "triangular": "f4d7339cb1a24e6ae1d92777da124f6a15b4c44b0fc7a5e82dcc9c334e1d7bbf",
+    "shear3": "9cc5208b12545b1e5deb3ef91fb3a624893d31aa448c08e23ad56a3f9d1a1c3c",
+    "shear4": "f3dfdf19eed8fee98c3d422fa506c8e69752b560e3cb7bc034e7f3a785984c89",
+    "identity2": "18f99899864c5245ff278c975c8c1f893d1ba0a9c150bdabcba10404807f1003",
     "identity3": "33d35595531e022aaf4bf72ee5399c4a0ffe3fae2afed64e23802312760a5642",
-    "identity4": "115cb3f99a0c7639a29b8977e8e5e0edce5915982d9dd6db18c4776e6e78f5c6",
+    "identity4": "3df8c0aba839f2359f6ebe00296d737e0284ae941f9e77fa785a1c0f2ec5902a",
+    "henon_product4": "0b7454493d46e28a5986c0937ff1f8d8c2aded4b3a94cc34fe82b4925b5ad25d",
+    "identity5": "c31459794c4efd0131e15364023d7397114bdb054b18e308c32cfb52435d454c",
 }
 
 # sha256 of the same reports as written: compact and key-sorted.
 COMPACT_DIGESTS = {
     "henon3": "4913d1fc1494098a820104c8be416cb76ccc6336d91da024503eb27c304e0ad9",
-    "henon2": "8e94f799d8d7201aa22207da18231bb72e2ae0d67917ba7a5fdaef98be941f97",
-    "triangular": "b672a132054703ee21f383a82cf7982d0d5fd7fa394f0dc4569c0d427f36b68b",
-    "shear3": "9136c34d4d91bc1d0fccbb2a860480d783c7e1f380ab8b0c8261a4f513d9a067",
-    "shear4": "29c96dc84a9809a23323b4357167aa49583589baf1a0ca4efe84c0c31bed94d1",
-    "identity2": "fed6231552093cdbab95f17fb2505d981a97de119e597d38dbbb35a9f51ecd43",
+    "henon2": "ed621cb34af6e25f5036dfa1bdc35e3b858b4534d5b9bacc756cbf68d6f3cfab",
+    "triangular": "6a747fb4e47749c22a5a26b3de4c9c18babeaca18597ea51b42f3d0794817a51",
+    "shear3": "88ec012f3d722eb8091222fe7e1fb2d0e043c5652330e8f1c539e7a1c7cdc789",
+    "shear4": "88988d19b482115f8e6a590146a82f438e29153e2be9ad049a3be06b875f6102",
+    "identity2": "4632e9826ba10030df2617481f89b755260090154dbaa1a2664254498d1079f6",
     "identity3": "5fc42d9f19ecea0ee79ec5a5c56017194ca1f09ea7497816bc42980ff26d3fd9",
-    "identity4": "3878a4de570a5badf06407095fe371e6105dade914cddda4f99967e06b315732",
+    "identity4": "4b85a9025d0b191bbd7d15ea0e8304452b0907eaa6b0fd52d5b8522557c0b0d9",
+    "henon_product4": "253d61367a514af160676be5788be1e121e2e5ab10b71cfef0957dcfa9aebb93",
+    "identity5": "3f47897a0143617bc4997b089c532a99b9f74fb9b7f19c9cdd8ee60438ae5442",
 }
 
 
