@@ -17,7 +17,6 @@ from .divisors import (
     PicBasis,
     PushforwardMap,
     ResolutionDatum,
-    bundled_dataset,
     check_effective,
     check_pushpull_identity,
     combine_resolutions,
@@ -40,9 +39,7 @@ from .heights import (
     canonical,
     canonical_minus,
     canonical_plus,
-    functional_equation_residual,
     height_growth_constant,
-    is_periodic_by_height,
     weil_height,
     weil_height_integer,
 )
@@ -54,7 +51,6 @@ from .inequality import (
     RandomRationalSampler,
     RationalBoxSampler,
     batch_verify,
-    delta_statistic,
 )
 from .parsing import (
     MapSyntaxError,
@@ -92,7 +88,6 @@ __all__ = [
     "ResolutionDatum",
     "ZeroPolynomialError",
     "batch_verify",
-    "bundled_dataset",
     "canonical",
     "canonical_minus",
     "canonical_plus",
@@ -100,12 +95,9 @@ __all__ = [
     "check_pushpull_identity",
     "combine_resolutions",
     "compute_D",
-    "delta_statistic",
     "find_essential",
     "format_polynomial",
-    "functional_equation_residual",
     "height_growth_constant",
-    "is_periodic_by_height",
     "is_regular",
     "load_datum",
     "load_map_file",

@@ -64,7 +64,7 @@ class InputError(Exception):
 
 
 def _bit_budget(args) -> int:
-    if getattr(args, "bit_budget", None) is not None:
+    if args.bit_budget is not None:
         if args.bit_budget <= 0:
             raise InputError("--bit-budget must be positive")
         return args.bit_budget
@@ -115,9 +115,8 @@ def _emit(payload, args, csv_rows=None) -> None:
         for row in csv_rows:
             writer.writerow(row)
         text = buffer.getvalue()
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -162,7 +161,6 @@ def cmd_verify_map(args) -> int:
         "method": result.method,
         "witness": list(result.witness) if result.witness else None,
         "details": {k: v for k, v in sorted(result.details.items())},
-        "seed": args.seed,
     }
     print(f"{result.verdict}, d={automorphism.d}, d'={automorphism.d_inv}")
     detail = ", ".join(f"{k}={v}" for k, v in sorted(result.details.items()))
@@ -217,7 +215,6 @@ def cmd_canonical(args) -> int:
         depth=args.depth,
         tolerance=args.tolerance,
         bit_budget=_bit_budget(args),
-        convention=args.convention,
     )
     payload = result.to_report(automorphism.map_id)
     payload["point"] = format_point(point)
@@ -333,22 +330,17 @@ def cmd_divisor(args) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
-def _add_common(parser, with_map=True):
-    if with_map:
-        parser.add_argument("map", help="map definition file")
+def _add_report(parser, with_csv=True):
     parser.add_argument("--out", help="write the report to this path")
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
-    )
-    parser.add_argument(
-        "--bit-budget",
-        type=int,
-        default=None,
-        help=f"per-integer bit cap (default {DEFAULT_BIT_BUDGET})",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed of the random: sampler, recorded in reports"
-    )
+    if with_csv:
+        parser.add_argument(
+            "--format", choices=("json", "csv"), default="json", help="report format"
+        )
+
+
+def _add_bit_budget(parser):
+    cap = f"per-integer bit cap (default {DEFAULT_BIT_BUDGET})"
+    parser.add_argument("--bit-budget", type=int, default=None, help=cap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,32 +351,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-map", help="verify an inverse pair and decide regularity")
-    _add_common(p)
+    p.add_argument("map", help="map definition file")
+    _add_report(p, with_csv=False)
     p.add_argument("--trust-inverse", help="map file supplying a precomputed inverse")
     p.set_defaults(func=cmd_verify_map)
 
     p = sub.add_parser("orbit", help="exact orbit segment of a point")
-    _add_common(p)
+    p.add_argument("map", help="map definition file")
+    _add_report(p)
+    _add_bit_budget(p)
     p.add_argument("--point", required=True, help="affine point, e.g. 1,1/2,-3")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--direction", choices=("forward", "inverse"), default="forward")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("height", help="Weil height of a rational point")
-    _add_common(p, with_map=False)
+    _add_report(p)
     p.add_argument("--point", required=True)
     p.set_defaults(func=cmd_height)
 
     p = sub.add_parser("canonical", help="canonical height estimate with certificate")
-    _add_common(p)
+    p.add_argument("map", help="map definition file")
+    _add_report(p)
+    _add_bit_budget(p)
     p.add_argument("--point", required=True)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--convention", choices=("sum", "difference"), default="sum")
     p.set_defaults(func=cmd_canonical)
 
     p = sub.add_parser("inequality", help="batch-verify the height inequality")
-    _add_common(p)
+    p.add_argument("map", help="map definition file")
+    _add_report(p)
+    _add_bit_budget(p)
+    p.add_argument(
+        "--seed", type=int, default=0, help="seed of the random: sampler, recorded in reports"
+    )
     p.add_argument(
         "--sampler",
         action="append",
@@ -402,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("divisor", help="validate resolution data and compute D")
     p.add_argument("datum", nargs="+", help="datum JSON file(s)")
-    p.add_argument("--out", help="write the report to this path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_report(p)
     p.set_defaults(func=cmd_divisor)
 
     return parser

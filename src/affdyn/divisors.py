@@ -23,7 +23,7 @@ independently and reports violations as data:
     effectivity-inequality        degree_other * b_i >= a_i for i != t
 
 Coefficient tables are ledger inputs (computing them from blowup geometry
-is out of scope); the bundled dataset ships the tables for the degree-2
+is out of scope); ``affdyn/data`` holds the datum files of the degree-2
 three-variable Henon automorphism.  Combining the two sides produces the
 three pullbacks on a common blowup, and the rational divisor class
 
@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 
@@ -99,6 +98,8 @@ class PushforwardMap:
     multiples: tuple[int, ...]
 
     def __post_init__(self):
+        if not self.multiples:
+            raise DatumError("empty pushforward")
         if self.multiples[0] != 0:
             raise DatumError("the hyperplane transform must push forward to 0")
         if any(s < 0 for s in self.multiples):
@@ -350,7 +351,22 @@ _REQUIRED_KEYS = {
 _OPTIONAL_KEYS = {"pushforward", "name"}
 
 
+def _integer(value, key: str) -> int:
+    # Exactly int: bool is a subclass, and int() would truncate 1.7 and read "3".
+    if type(value) is not int:
+        raise DatumError(f"{key} must be a JSON integer, not {type(value).__name__}")
+    return value
+
+
+def _integers(values, key: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise DatumError(f"{key} must be a list of integers, not {type(values).__name__}")
+    return tuple(_integer(x, key) for x in values)
+
+
 def datum_from_dict(data: dict) -> ResolutionDatum:
+    if not isinstance(data, dict):
+        raise DatumError(f"a datum must be a JSON object, not {type(data).__name__}")
     keys = set(data)
     missing = _REQUIRED_KEYS - keys
     unknown = keys - _REQUIRED_KEYS - _OPTIONAL_KEYS
@@ -358,17 +374,20 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
         raise DatumError(f"missing keys: {sorted(missing)}")
     if unknown:
         raise DatumError(f"unknown keys: {sorted(unknown)}")
+    labels = data["labels"]
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise DatumError("labels must be a list of strings")
     pushforward = None
     if data.get("pushforward") is not None:
-        pushforward = PushforwardMap(tuple(int(s) for s in data["pushforward"]))
+        pushforward = PushforwardMap(_integers(data["pushforward"], "pushforward"))
     return ResolutionDatum(
         side=data["side"],
-        degree_own=int(data["degree_own"]),
-        degree_other=int(data["degree_other"]),
-        basis=PicBasis(tuple(str(x) for x in data["labels"])),
-        a=tuple(int(x) for x in data["blowdown_pullback"]),
-        b=tuple(int(x) for x in data["map_pullback"]),
-        t=int(data["essential_index"]),
+        degree_own=_integer(data["degree_own"], "degree_own"),
+        degree_other=_integer(data["degree_other"], "degree_other"),
+        basis=PicBasis(tuple(labels)),
+        a=_integers(data["blowdown_pullback"], "blowdown_pullback"),
+        b=_integers(data["map_pullback"], "map_pullback"),
+        t=_integer(data["essential_index"], "essential_index"),
         pushforward=pushforward,
         name=data.get("name"),
     )
@@ -382,12 +401,3 @@ def load_datum(path) -> ResolutionDatum:
             raise DatumError(f"{path}: {exc}") from None
     return datum_from_dict(data)
 
-
-def bundled_dataset() -> tuple[ResolutionDatum, ResolutionDatum]:
-    """The shipped coefficient tables for the degree-2 Henon automorphism
-    of affine 3-space (forward side, inverse side)."""
-    data_dir = Path(__file__).parent / "data"
-    return (
-        load_datum(data_dir / "henon3_resolution_forward.json"),
-        load_datum(data_dir / "henon3_resolution_inverse.json"),
-    )

@@ -100,14 +100,6 @@ class OrbitResult:
         return self.points[index]
 
 
-@dataclass(frozen=True)
-class CycleResult:
-    periodic: bool
-    period: int | None
-    searched_depth: int
-    truncated: bool = False
-
-
 class AffineAutomorphism:
     """A verified polynomial automorphism pair of affine n-space.
 
@@ -248,39 +240,6 @@ class AffineAutomorphism:
                 break
             raw.append(image)
         return OrbitResult(tuple(raw), depth, truncated)
-
-    def detect_cycle(
-        self,
-        point: Sequence[Fraction | int],
-        max_depth: int,
-        bit_budget: int | None = None,
-    ) -> CycleResult:
-        """Exact-equality cycle detection along the forward orbit.
-
-        For an automorphism the first repeat of the start point is the
-        period, so only equality with the start is tested.  A start over
-        the budget can still come back to itself, so each image is tested
-        for equality before the budget: the steps run under the larger of
-        the budget and the start's own size (an image ``step`` skips is
-        then too large to be the start), and the truncation test uses the
-        budget itself.
-        """
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        budget = DEFAULT_BIT_BUDGET if bit_budget is None else bit_budget
-        start = kernel.to_common_denominator(point)
-        height = kernel.height_integer(*start)
-        cap = max(budget, height.bit_length())
-        raw = start
-        for k in range(1, max_depth + 1):
-            raw, height = self.step(raw, height, "forward", cap)
-            if raw is None:  # larger than the start, so not the start
-                return CycleResult(False, None, k, truncated=True)
-            if raw == start:
-                return CycleResult(True, k, k)
-            if height.bit_length() > budget:
-                return CycleResult(False, None, k, truncated=True)
-        return CycleResult(False, None, max_depth)
 
 
 # -- regularity ---------------------------------------------------------

@@ -18,9 +18,7 @@ a-posteriori certificate from observed decay, not an a-priori constant.
 tolerance-only estimate stops at that step.
 
 The combined invariant ``h_plus + h_minus`` is nonnegative and vanishes
-exactly on periodic points, which is what the periodicity filter uses;
-the difference convention ``h_plus - h_minus`` is available behind a
-flag for comparison.
+exactly on periodic points.
 
 Everything here is a pure function of immutable inputs; batch evaluation
 over point sets is embarrassingly parallel.
@@ -35,11 +33,7 @@ from math import lcm
 from typing import Sequence
 
 from . import kernel
-from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, CycleResult, Direction
-
-PERIODIC = "periodic"
-WANDERING = "wandering"
-UNDETERMINED = "undetermined"
+from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, Direction
 
 
 def weil_height(point: Sequence[Fraction | int]) -> float:
@@ -216,14 +210,12 @@ class CanonicalHeight:
     minus: CanonicalHeightEstimate
     value: float
     tail_bound: float
-    convention: str
     certified: bool
 
     def to_report(self, map_id: str | None = None) -> dict:
         report = {
             "value": self.value,
             "tail_bound": self.tail_bound,
-            "convention": self.convention,
             "certified": self.certified,
             "plus": self.plus.to_report(),
             "minus": self.minus.to_report(),
@@ -239,126 +231,22 @@ def canonical(
     depth: int | None = None,
     tolerance: float | None = None,
     bit_budget: int | None = None,
-    convention: str = "sum",
 ) -> CanonicalHeight:
-    """Combined canonical height.
+    """Combined canonical height ``h_plus + h_minus``.
 
-    ``convention="sum"`` (the default) adds the two one-sided estimates,
-    which keeps the invariant nonnegative and makes it vanish exactly on
-    periodic points; ``convention="difference"`` subtracts instead.
+    The sum of the two one-sided estimates is nonnegative and vanishes
+    exactly on periodic points.
     """
-    if convention not in ("sum", "difference"):
-        raise ValueError("convention must be 'sum' or 'difference'")
     half = None if tolerance is None else tolerance / 2.0
     plus = canonical_plus(automorphism, point, depth, half, bit_budget)
     minus = canonical_minus(automorphism, point, depth, half, bit_budget)
-    if convention == "sum":
-        value = plus.estimate + minus.estimate
-    else:
-        value = plus.estimate - minus.estimate
     return CanonicalHeight(
         plus=plus,
         minus=minus,
-        value=value,
+        value=plus.estimate + minus.estimate,
         tail_bound=plus.tail_bound + minus.tail_bound,
-        convention=convention,
         certified=plus.certified and minus.certified,
     )
-
-
-@dataclass(frozen=True)
-class ResidualCheck:
-    """Functional-equation residual with its certified interval width."""
-
-    residual: float
-    interval_width: float
-    certified: bool
-    lhs: float
-    rhs: float
-
-    @property
-    def within_interval(self) -> bool:
-        return self.residual <= self.interval_width
-
-
-def functional_equation_residual(
-    automorphism: AffineAutomorphism,
-    point: Sequence[Fraction | int],
-    depth: int,
-    bit_budget: int | None = None,
-) -> ResidualCheck:
-    """Check ``(1/d) h^(f P) + (1/d') h^(f^{-1} P) = (1 + 1/(d d')) h^(P)``.
-
-    The three canonical heights are estimated at the given depth and their
-    tail bounds are folded into the width of the certified interval.
-    """
-    d, d_inv = automorphism.degrees
-    forward_image = automorphism.apply(point, "forward")
-    inverse_image = automorphism.apply(point, "inverse")
-    at_point = canonical(automorphism, point, depth=depth, bit_budget=bit_budget)
-    at_forward = canonical(automorphism, forward_image, depth=depth, bit_budget=bit_budget)
-    at_inverse = canonical(automorphism, inverse_image, depth=depth, bit_budget=bit_budget)
-    weight = 1.0 + 1.0 / (d * d_inv)
-    lhs = at_forward.value / d + at_inverse.value / d_inv
-    rhs = weight * at_point.value
-    width = (
-        at_forward.tail_bound / d
-        + at_inverse.tail_bound / d_inv
-        + weight * at_point.tail_bound
-    )
-    return ResidualCheck(
-        residual=abs(lhs - rhs),
-        interval_width=width,
-        certified=at_point.certified and at_forward.certified and at_inverse.certified,
-        lhs=lhs,
-        rhs=rhs,
-    )
-
-
-@dataclass(frozen=True)
-class PeriodicityVerdict:
-    verdict: str
-    canonical_height: CanonicalHeight
-    cycle: CycleResult | None
-
-
-def is_periodic_by_height(
-    automorphism: AffineAutomorphism,
-    point: Sequence[Fraction | int],
-    tolerance: float,
-    depth: int = 12,
-    cycle_depth: int = 64,
-    bit_budget: int | None = None,
-) -> PeriodicityVerdict:
-    """Classify a point as periodic / wandering / undetermined.
-
-    The canonical-height interval is the filter, the exact cycle check the
-    authority: "periodic" requires the interval to sit below ``tolerance``
-    *and* an exact cycle within ``cycle_depth``; "wandering" requires the
-    interval to exclude zero.
-
-    When both degrees are 1 the invariant cannot separate periodic from
-    wandering points (it equals twice the ordinary height on the identity),
-    so the exact cycle check is consulted directly.
-    """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    height = canonical(automorphism, point, depth=depth, bit_budget=bit_budget)
-    if automorphism.d == 1 and automorphism.d_inv == 1:
-        cycle = automorphism.detect_cycle(point, cycle_depth, bit_budget)
-        if cycle.periodic:
-            return PeriodicityVerdict(PERIODIC, height, cycle)
-        return PeriodicityVerdict(UNDETERMINED, height, cycle)
-    upper = height.value + height.tail_bound
-    lower = height.value - height.tail_bound
-    if height.certified and upper < tolerance:
-        cycle = automorphism.detect_cycle(point, cycle_depth, bit_budget)
-        if cycle.periodic:
-            return PeriodicityVerdict(PERIODIC, height, cycle)
-        return PeriodicityVerdict(UNDETERMINED, height, cycle)
-    if height.certified and lower > 0:
-        return PeriodicityVerdict(WANDERING, height, None)
-    return PeriodicityVerdict(UNDETERMINED, height, None)
 
 
 def height_growth_constant(

@@ -247,19 +247,6 @@ def _record(
     return DeltaRecord(raw, (height, h_forward, h_inverse), h_p, h_f, h_i, delta)
 
 
-def delta_statistic(
-    automorphism: AffineAutomorphism,
-    point: Sequence[Fraction | int],
-    bit_budget: int | None = None,
-) -> float:
-    """The two-sided height statistic at one affine rational point."""
-    budget = DEFAULT_BIT_BUDGET if bit_budget is None else bit_budget
-    record = _record(automorphism, kernel.to_common_denominator(point), budget, "delta")
-    if record is None:
-        raise ValueError("point exceeds the bit budget")
-    return record.delta
-
-
 # -- batch verification ----------------------------------------------------
 
 

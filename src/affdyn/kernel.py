@@ -8,7 +8,7 @@ This form is unique, maps directly onto the primitive homogeneous vector
 samplers yield it (the rational ones build it from reduced integer pairs),
 orbits and inequality records keep it, and ``to_common_denominator`` and
 ``to_fractions`` convert only at the API edges: ``apply``, ``orbit``,
-``detect_cycle``, ``heights``, ``delta_statistic`` and ``format_point``.
+``heights`` and ``format_point``.
 The raw-point statistic lives here too: ``height_integer``, the Weil
 height integer, whose bit length is the point's size for the bit budget.
 
@@ -26,10 +26,10 @@ a table interpreter that checks it.
 
 Within the package ``eval_point`` has two callers:
 ``AffineAutomorphism.apply`` and ``AffineAutomorphism.step``.  ``step`` is
-the single orbit step that orbits, cycle detection, canonical heights and
-the inequality records all share; it hands back each image with its
-height integer, which its caller reuses for the next bit-budget test and
-for the record, so each integer is measured once.
+the single orbit step that orbits, canonical heights and the inequality
+records all share; it hands back each image with its height integer,
+which its caller reuses for the next bit-budget test and for the record,
+so each integer is measured once.
 
 Before it evaluates, ``step`` asks ``exceeds_budget`` whether the image is
 certain to break the budget; if so the image is never computed.  The bound

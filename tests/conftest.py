@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from affdyn import kernel
+from affdyn.divisors import ResolutionDatum, load_datum
 from affdyn.dynamics import AffineAutomorphism
 from affdyn.parsing import parse_map_file, parse_polynomial
 from affdyn.polyring import Polynomial
@@ -17,8 +18,23 @@ def indented(report: bytes) -> bytes:
     return (json.dumps(json.loads(report), sort_keys=True, indent=2) + "\n").encode()
 
 
+DATA = importlib.resources.files("affdyn") / "data"
+
+# The shipped ledger of the degree-2 Henon automorphism of affine 3-space:
+# the forward side, then the inverse side.
+LEDGER_PATHS = (
+    DATA / "henon3_resolution_forward.json",
+    DATA / "henon3_resolution_inverse.json",
+)
+
+
 def bundled_map_text() -> str:
-    return (importlib.resources.files("affdyn") / "data" / "henon3.map").read_text()
+    return (DATA / "henon3.map").read_text()
+
+
+def bundled_ledger() -> tuple[ResolutionDatum, ResolutionDatum]:
+    forward, inverse = (load_datum(path) for path in LEDGER_PATHS)
+    return forward, inverse
 
 
 @pytest.fixture(scope="session")

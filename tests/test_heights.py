@@ -12,9 +12,7 @@ from affdyn.heights import (
     canonical,
     canonical_minus,
     canonical_plus,
-    functional_equation_residual,
     height_growth_constant,
-    is_periodic_by_height,
     weil_height,
     weil_height_integer,
 )
@@ -196,57 +194,6 @@ class TestCanonical:
         h = weil_height((2, 3, 4))
         result = canonical(ident, (2, 3, 4), depth=3)
         assert result.value == 2 * h
-        flipped = canonical(ident, (2, 3, 4), depth=3, convention="difference")
-        assert flipped.value == 0.0
-
-    def test_bad_convention(self, henon):
-        with pytest.raises(ValueError):
-            canonical(henon, (1, 1, 1), depth=3, convention="other")
-
-
-class TestFunctionalEquation:
-    def test_fixed_point_residual_zero(self, henon):
-        check = functional_equation_residual(henon, (0, 0, 0), depth=4)
-        assert check.residual == 0.0
-
-    def test_henon_inside_certified_interval(self, henon):
-        check = functional_equation_residual(henon, (1, 1, 1), depth=8)
-        assert check.certified
-        assert check.within_interval
-        assert check.residual < 1e-6
-
-    def test_identity_exact(self):
-        ident = AffineAutomorphism.identity(2)
-        check = functional_equation_residual(ident, (Fraction(2, 3), 5), depth=2)
-        assert check.residual == 0.0 and check.interval_width == 0.0
-
-    def test_interval_shrinks_with_depth(self, henon):
-        widths = [
-            functional_equation_residual(henon, (1, 1, 1), depth=d).interval_width
-            for d in (4, 6, 8, 10)
-        ]
-        assert all(b < a for a, b in zip(widths, widths[1:]))
-
-
-class TestPeriodicity:
-    def test_fixed_point(self, henon):
-        verdict = is_periodic_by_height(henon, (0, 0, 0), 1e-9)
-        assert verdict.verdict == "periodic"
-        assert verdict.canonical_height.value == 0.0
-        assert verdict.cycle.period == 1
-
-    def test_wandering(self, henon):
-        verdict = is_periodic_by_height(henon, (1, 1, 1), 1e-6)
-        assert verdict.verdict == "wandering"
-
-    def test_identity(self):
-        ident = AffineAutomorphism.identity(3)
-        verdict = is_periodic_by_height(ident, (4, Fraction(5, 2), -1), 1e-9)
-        assert verdict.verdict == "periodic"
-
-    def test_bad_tolerance(self, henon):
-        with pytest.raises(ValueError):
-            is_periodic_by_height(henon, (0, 0, 0), 0.0)
 
 
 class TestGrowthBound:

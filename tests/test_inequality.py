@@ -18,7 +18,6 @@ from affdyn.inequality import (
     RationalBoxSampler,
     _rational_values,
     batch_verify,
-    delta_statistic,
 )
 
 from conftest import count_calls, small_points
@@ -65,34 +64,27 @@ class FixedSampler:
         yield self.raw
 
 
+def silverman_at(automorphism, point, mode="silverman") -> float:
+    """The statistic ``batch_verify`` records at one point in ``mode``."""
+    sampler = OrbitSampler((tuple(Fraction(c) for c in point),), 0)
+    report = batch_verify(automorphism, sampler, assume_regular=True, mode=mode)
+    (record,) = report.records
+    return record.delta
+
+
 class TestDeltaStatistic:
     def test_origin(self, henon):
-        assert delta_statistic(henon, (0, 0, 0)) == 0.0
+        assert silverman_at(henon, (0, 0, 0), "delta") == 0.0
 
     def test_unit_point(self, henon):
         # images (1,2,2) and (1,1,0): heights log 2 and 0; h(P) = 0
-        assert delta_statistic(henon, (1, 1, 1)) == pytest.approx(LOG2 / 2, abs=0)
+        assert silverman_at(henon, (1, 1, 1), "delta") == pytest.approx(LOG2 / 2, abs=0)
 
     def test_orbit_point_against_direct_formula(self, henon):
         # f(2,6,5) = (6,41,27), f^{-1}(2,6,5) = (1,2,2)
         expected = math.log(41) / 2 + LOG2 / 4 - (1 + Fraction(1, 8)) * math.log(6)
-        assert delta_statistic(henon, (2, 6, 5)) == pytest.approx(expected, rel=1e-15)
-
-    @given(small_points)
-    @settings(max_examples=50)
-    def test_representation_independent(self, henon, point):
-        # unreduced coordinate representations give the same statistic
-        doubled = tuple(Fraction(2 * c.numerator, 2 * c.denominator) for c in
-                        (Fraction(x) for x in point))
-        assert delta_statistic(henon, doubled) == delta_statistic(henon, point)
-
-
-def silverman_at(automorphism, point) -> float:
-    """The ``mode="silverman"`` statistic of ``batch_verify`` at one point."""
-    sampler = OrbitSampler((tuple(Fraction(c) for c in point),), 0)
-    report = batch_verify(automorphism, sampler, assume_regular=True, mode="silverman")
-    (record,) = report.records
-    return record.delta
+        delta = silverman_at(henon, (2, 6, 5), "delta")
+        assert delta == pytest.approx(expected, rel=1e-15)
 
 
 class TestSilvermanStatistic:
@@ -115,7 +107,7 @@ class TestSilvermanStatistic:
         d, d_inv = henon.degrees
         margin = weil_height(point) / (d * d_inv)
         silverman = silverman_at(henon, point)
-        delta = delta_statistic(henon, point)
+        delta = silverman_at(henon, point, "delta")
         assert silverman == pytest.approx(delta + margin, abs=1e-12)
         assert silverman >= delta - margin - 1e-12
 
