@@ -108,8 +108,6 @@ def _emit(payload, args, csv_rows=None) -> None:
         # Compact, so that CPython takes its one-shot C encoder.
         text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     else:
-        if csv_rows is None:
-            raise InputError("this report has no CSV form")
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         for row in csv_rows:
@@ -260,6 +258,10 @@ def cmd_inequality(args) -> int:
 
 def cmd_divisor(args) -> int:
     data = [load_datum(path) for path in args.datum]
+    if args.format == "csv" and len(data) != 2:
+        raise InputError("--format csv needs exactly two data, one forward and one inverse")
+    if len(data) == 2 and {d.side for d in data} != {"forward", "inverse"}:
+        raise InputError("need one forward-side and one inverse-side datum")
     payload: dict = {"data": []}
     failures = 0
     for datum in data:
@@ -295,10 +297,7 @@ def cmd_divisor(args) -> int:
         for violation in report.violations:
             print(f"violation ({violation.law}): {violation.message}")
     if len(data) == 2:
-        forward = next((d for d in data if d.side == "forward"), None)
-        inverse = next((d for d in data if d.side == "inverse"), None)
-        if forward is None or inverse is None:
-            raise InputError("need one forward-side and one inverse-side datum")
+        forward, inverse = sorted(data, key=lambda d: d.side != "forward")
         combined = combine_resolutions(forward, inverse)
         divisor = compute_D(combined)
         effectivity = check_effective(divisor)

@@ -377,6 +377,9 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
     labels = data["labels"]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise DatumError("labels must be a list of strings")
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise DatumError("name must be a string or null")
     pushforward = None
     if data.get("pushforward") is not None:
         pushforward = PushforwardMap(_integers(data["pushforward"], "pushforward"))
@@ -389,7 +392,7 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
         b=_integers(data["map_pullback"], "map_pullback"),
         t=_integer(data["essential_index"], "essential_index"),
         pushforward=pushforward,
-        name=data.get("name"),
+        name=name,
     )
 
 

@@ -17,7 +17,10 @@ irrelevant ideal lies in the span of monomial shifts of the constraint
 forms, up to the Macaulay degree bound n*(max_degree - 1) + 1, which is a
 complete criterion over the algebraic closure.  A "not regular" verdict
 comes with a witness when the locus has a point with small integer
-coordinates.
+coordinates; the search visits each projective point of the box once.
+Both steps read the forms as one ``kernel.CompiledMap``: the Macaulay
+rows come from its integer terms, and each candidate is evaluated by its
+``eval_map``.
 
 Automorphisms and their derived objects are immutable; orbits of distinct
 points may be computed in parallel with no coordination.
@@ -272,11 +275,13 @@ def is_regular(automorphism: AffineAutomorphism) -> RegularityResult:
         raise ValueError("regularity is defined for dimension >= 2")
     constraints = _constraint_forms(automorphism.forward, automorphism.d)
     constraints += _constraint_forms(automorphism.inverse, automorphism.d_inv)
+    cm = kernel.compile_map(constraints)
     method = "irrelevant-power-elimination"
-    empty, details = _projective_system_empty(constraints, n)
+    empty, details = _projective_system_empty(cm, n)
     if empty:
         return RegularityResult(REGULAR, method, details=details)
-    witness = _search_projective_witness(constraints, n, WITNESS_BOUND)
+    candidates = _primitive_vectors(n, WITNESS_BOUND)
+    witness = next((w for w in candidates if not any(cm.eval_map(w, 1)[0])), None)
     if witness is not None:
         details = dict(details, witness_verified=True)
         return RegularityResult(NOT_REGULAR, method, witness=(0, *witness), details=details)
@@ -300,8 +305,9 @@ def _monomials(degree: int, nvars: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _projective_system_empty(forms: Sequence[Polynomial], n: int) -> tuple[bool, dict]:
-    """Emptiness in P^(n-1) over the algebraic closure.
+def _projective_system_empty(cm: kernel.CompiledMap, n: int) -> tuple[bool, dict]:
+    """Emptiness in P^(n-1) over the algebraic closure of the common zeros
+    of the forms compiled in ``cm``.
 
     The system is empty iff every monomial of some degree N lies in the
     span of the monomial shifts of the forms; if the variety is empty this
@@ -309,34 +315,26 @@ def _projective_system_empty(forms: Sequence[Polynomial], n: int) -> tuple[bool,
     generic members of the degree-capped system), so scanning up to that
     bound is a complete decision.
     """
-    if len(forms) < n:
+    if len(cm.terms) < n:
         # Fewer than n hypersurfaces in P^(n-1) always intersect.
         return False, {"reason": f"fewer than {n} constraints"}
-    degrees = [f.total_degree() for f in forms]
-    dmax = max(degrees)
-    bound = n * (dmax - 1) + 1
-    for target in range(dmax, bound + 1):
-        if _spans_all_monomials(forms, degrees, target):
+    bound = n * (cm.deg - 1) + 1
+    for target in range(cm.deg, bound + 1):
+        if _spans_all_monomials(cm, n, target):
             return True, {"saturation_degree": target, "bound": bound}
     return False, {"reason": "no saturation up to the degree bound", "bound": bound}
 
 
-def _spans_all_monomials(
-    forms: Sequence[Polynomial], degrees: Sequence[int], target: int
-) -> bool:
-    nvars = forms[0].nvars
-    basis = {mono: i for i, mono in enumerate(_monomials(target, nvars))}
+def _spans_all_monomials(cm: kernel.CompiledMap, n: int, target: int) -> bool:
+    """Whether the degree-``target`` shifts of the integer-cleared forms
+    span every monomial of that degree."""
+    basis = {mono: i for i, mono in enumerate(_monomials(target, n))}
     rows: list[list[int]] = []
-    for form, deg in zip(forms, degrees):
-        denom = 1
-        for coeff in form.terms.values():
-            denom = denom * coeff.denominator // gcd(denom, coeff.denominator)
-        int_terms = [(int(c * denom), e) for e, c in form.terms.items()]
-        for shift in _monomials(target - deg, nvars):
+    for terms, deg in zip(cm.terms, cm.degs):
+        for shift in _monomials(target - deg, n):
             row = [0] * len(basis)
-            for coeff, exps in int_terms:
-                mono = tuple(a + b for a, b in zip(exps, shift))
-                row[basis[mono]] = coeff
+            for coeff, exps in terms:
+                row[basis[tuple(a + b for a, b in zip(exps, shift))]] = coeff
             rows.append(row)
     return _integer_rank(rows) == len(basis)
 
@@ -377,17 +375,13 @@ def _integer_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _search_projective_witness(
-    forms: Sequence[Polynomial], n: int, bound: int
-) -> tuple[int, ...] | None:
-    """Small rational projective point killing every constraint, if any."""
-    for cand in itertools.product(range(-bound, bound + 1), repeat=n):
-        if all(c == 0 for c in cand):
-            continue
-        point = kernel.normalize_projective(cand)
-        if point != cand:
-            continue  # enumerate each projective point once
-        if all(form.evaluate(point) == 0 for form in forms):
-            return point
-    return None
-
+def _primitive_vectors(n: int, bound: int):
+    """Every projective point with integer coordinates in ``[-bound, bound]``
+    once: the primitive vectors whose first nonzero entry is positive, in
+    lexicographic order."""
+    for lead in range(n - 1, -1, -1):
+        zeros = (0,) * lead
+        for value in range(1, bound + 1):
+            for tail in itertools.product(range(-bound, bound + 1), repeat=n - 1 - lead):
+                if gcd(value, *tail) == 1:
+                    yield (*zeros, value, *tail)

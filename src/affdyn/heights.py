@@ -254,23 +254,19 @@ def height_growth_constant(
 ) -> float:
     """A constant ``C`` with ``h(f(P)) <= d h(P) + C`` for all rational P.
 
-    Derived from the coefficients: with ``L`` the common denominator of all
-    coordinate coefficients, ``M`` the largest cleared numerator and ``T``
-    the largest term count, the primitive image vector is bounded by
-    ``max(L, T * M) * H^d``, so ``C = log(T * max(L, M))`` works.
+    Derived from the coefficients, as the kernel clears them
+    (``AffineAutomorphism.compiled``): with ``L`` the common denominator of
+    all coordinate coefficients (the lcm of the per-coordinate ``denoms``),
+    ``M`` the largest numerator once every coordinate is brought to ``L``
+    and ``T`` the largest term count, the primitive image vector is bounded
+    by ``max(L, T * M) * H^d``, so ``C = log(T * max(L, M))`` works.
     """
-    coords = automorphism.coordinates(direction)
-    common_den = 1
-    for poly in coords:
-        for coeff in poly.terms.values():
-            common_den = lcm(common_den, coeff.denominator)
-    top = 1
-    terms = 1
-    for poly in coords:
-        if len(poly.terms) > terms:
-            terms = len(poly.terms)
-        for coeff in poly.terms.values():
-            cleared = abs(int(coeff * common_den))
-            if cleared > top:
-                top = cleared
-    return math.log(terms * max(common_den, top))
+    cm = automorphism.compiled(direction)
+    common_den = lcm(*cm.denoms)
+    top = max(
+        abs(coeff) * (common_den // denom)
+        for terms, denom in zip(cm.terms, cm.denoms)
+        for coeff, _ in terms
+    )
+    count = max(len(terms) for terms in cm.terms)
+    return math.log(count * max(common_den, top))

@@ -12,7 +12,15 @@ orbits and inequality records keep it, and ``to_common_denominator`` and
 The raw-point statistic lives here too: ``height_integer``, the Weil
 height integer, whose bit length is the point's size for the bit budget.
 
-``compile_map`` writes each map as one straight-line Python function,
+``compile_map`` is the one place where polynomial denominators are
+cleared: each coordinate becomes integer terms over one cleared
+denominator, kept on the ``CompiledMap``.  Three code paths read these
+tables: map evaluation (the generated evaluator below and
+``exceeds_budget``), ``dynamics.is_regular`` (the Macaulay rows and the
+witness search, over its compiled constraint forms) and
+``heights.height_growth_constant``.
+
+``compile_map`` also writes each map as one straight-line Python function,
 ``eval_map(nums, d1)``, compiled once and kept on the ``CompiledMap``.  It
 spells out every monomial (``x2 + x1**2``) and computes the powers
 ``d2, d3, ...`` of the denominator once.  On integer points (``d1 == 1``)
@@ -65,7 +73,8 @@ class CompiledMap:
     """A polynomial map flattened for the kernel.
 
     Per coordinate: integer-cleared terms, the cleared denominator, and the
-    total degree; ``exceeds_budget`` reads these.  ``deg`` and
+    total degree; ``exceeds_budget``, ``dynamics.is_regular`` and
+    ``heights.height_growth_constant`` read these.  ``deg`` and
     ``coeff_bits`` (the largest degree and cleared-coefficient bit length)
     feed the cheap test that decides whether ``exceeds_budget`` can fire
     at all.  ``source`` is the generated straight-line evaluator and
@@ -259,19 +268,3 @@ def height_integer(nums: Sequence[int], den: int) -> int:
             worst = n
     return worst
 
-
-def normalize_projective(coords: Sequence[int]) -> tuple[int, ...]:
-    """Primitive form of an integer homogeneous vector: divide by the gcd
-    and make the first nonzero coordinate positive."""
-    g = 0
-    for c in coords:
-        g = gcd(g, c)
-    if g == 0:
-        raise ValueError("all homogeneous coordinates are zero")
-    out = [c // g for c in coords]
-    for c in out:
-        if c:
-            if c < 0:
-                out = [-x for x in out]
-            break
-    return tuple(out)

@@ -114,6 +114,23 @@ def interpret_map(cm, nums, den):
     return tuple(n * (new_den // d) for n, d in zip(red_nums, red_dens)), new_den
 
 
+def normalize_projective(coords) -> tuple[int, ...]:
+    """Primitive form of an integer homogeneous vector: divide by the gcd
+    and make the first nonzero coordinate positive."""
+    g = 0
+    for c in coords:
+        g = gcd(g, c)
+    if g == 0:
+        raise ValueError("all homogeneous coordinates are zero")
+    out = [c // g for c in coords]
+    for c in out:
+        if c:
+            if c < 0:
+                out = [-x for x in out]
+            break
+    return tuple(out)
+
+
 def grid_common_zeros(forms, grid) -> list[tuple]:
     """All points of the finite grid killing every form."""
     out = []

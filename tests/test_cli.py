@@ -441,8 +441,10 @@ class TestDivisor:
             lambda data: 5,
             lambda data: {**data, "pushforward": []},
             lambda data: {**data, "essential_index": 1.7},
+            lambda data: {**data, "name": 5},
         ],
-        ids=["labels-int", "top-level-int", "pushforward-empty", "essential-float"],
+        ids=["labels-int", "top-level-int", "pushforward-empty", "essential-float",
+             "name-int"],
     )
     def test_malformed_datum_exits_two(self, edit, datum_paths, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -452,6 +454,29 @@ class TestDivisor:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "copies, form, message",
+        [
+            (1, "csv", "--format csv needs exactly two data"),
+            (2, "json", "need one forward-side and one inverse-side datum"),
+        ],
+        ids=["csv-one-datum", "same-side-pair"],
+    )
+    def test_request_shape_checked_before_output(
+        self, copies, form, message, datum_paths, tmp_path, capsys
+    ):
+        data = json.loads(open(datum_paths[0]).read())
+        data["map_pullback"][5] = 2  # a violation, which validation would print
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / f"divisor.{form}"
+        argv = ["divisor", *[str(bad)] * copies, "--format", form, "--out", str(out)]
+        assert main(argv) == 2
+        printed, err = capsys.readouterr()
+        assert printed == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestReportLayout:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,14 @@ from affdyn.dynamics import (
     AffineAutomorphism,
     InverseVerificationError,
     _constraint_forms,
+    _primitive_vectors,
     is_regular,
 )
 from affdyn.parsing import parse_polynomial
 from affdyn.polyring import Polynomial
 
 from conftest import small_points
-from oracles import grid_common_zeros, undefined_at_infinity
+from oracles import grid_common_zeros, normalize_projective, undefined_at_infinity
 
 XYZ = ("x", "y", "z")
 
@@ -224,6 +226,24 @@ class TestRegularity:
             assert result.witness[0] == 0
             for coords in (forward, inverse):
                 assert undefined_at_infinity(coords, result.witness[1:])
+
+
+class TestWitnessSearch:
+    def test_normalize_projective(self):
+        assert normalize_projective((2, 4, -6)) == (1, 2, -3)
+        assert normalize_projective((0, -2, 4)) == (0, 1, -2)
+        with pytest.raises(ValueError):
+            normalize_projective((0, 0, 0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_candidates_are_the_normalized_vectors_in_order(self, n):
+        # The search visits exactly the vectors that are their own
+        # normalized form, in lexicographic order, so the first witness
+        # found is the same as over the whole box.
+        for bound in range(1, 7):
+            box = itertools.product(range(-bound, bound + 1), repeat=n)
+            expected = [c for c in box if any(c) and normalize_projective(c) == c]
+            assert list(_primitive_vectors(n, bound)) == expected
 
 
 def _product(first, second):

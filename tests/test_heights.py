@@ -19,13 +19,14 @@ from affdyn.heights import (
 from affdyn.parsing import parse_polynomial
 
 from conftest import count_calls, small_points
+from oracles import normalize_projective
 
 LOG2 = math.log(2)
 
 
 def _homogeneous(point):
     nums, den = kernel.to_common_denominator(point)
-    return kernel.normalize_projective((den, *nums))
+    return normalize_projective((den, *nums))
 
 
 class TestWeilHeight:
@@ -50,12 +51,12 @@ class TestWeilHeight:
     def test_scaling_invariance(self, vec, scale):
         if not any(vec):
             return
-        base = kernel.normalize_projective(vec)
-        scaled = kernel.normalize_projective(tuple(scale * c for c in vec))
+        base = normalize_projective(vec)
+        scaled = normalize_projective(tuple(scale * c for c in vec))
         assert scaled == base
 
     def test_sign_normalization(self):
-        assert kernel.normalize_projective((-2, 4, 0)) == (1, -2, 0)
+        assert normalize_projective((-2, 4, 0)) == (1, -2, 0)
 
 
 class TestCanonicalPlus:
@@ -199,6 +200,22 @@ class TestCanonical:
 class TestGrowthBound:
     def test_henon_constant(self, henon):
         assert height_growth_constant(henon) == pytest.approx(LOG2)
+
+    def test_constants_are_pinned(self, henon):
+        # Exact floats, recorded before the constant read the compiled map.
+        names = ("x", "y")
+        rational = AffineAutomorphism(
+            [parse_polynomial(c, names) for c in ("y + 1/5", "3/2*x + 5/7*y^2 - 1/3")],
+            [parse_polynomial(c, names) for c in ("2/3*y - 10/21*(x - 1/5)^2 + 2/9", "x - 1/5")],
+        )
+        pins = {
+            (henon, "forward"): 0.6931471805599453,
+            (henon, "inverse"): 2.0794415416798357,
+            (rational, "forward"): 6.851184927493743,
+            (rational, "inverse"): 7.138866999945524,
+        }
+        for (automorphism, direction), value in pins.items():
+            assert height_growth_constant(automorphism, direction) == value
 
     @given(small_points)
     @settings(max_examples=80)

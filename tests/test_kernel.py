@@ -89,13 +89,6 @@ def test_to_fractions_roundtrip():
     assert kernel.to_fractions(*kernel.to_common_denominator(point)) == point
 
 
-def test_normalize_projective():
-    assert kernel.normalize_projective((2, 4, -6)) == (1, 2, -3)
-    assert kernel.normalize_projective((0, -2, 4)) == (0, 1, -2)
-    with pytest.raises(ValueError):
-        kernel.normalize_projective((0, 0, 0))
-
-
 def test_orbit_agrees_between_backends(henon):
     for direction in ("forward", "inverse"):
         cm = henon.compiled(direction)

@@ -2,10 +2,11 @@
 
 ``is_regular`` decides whether the indeterminacy loci of ``f`` and
 ``f^-1`` on the hyperplane at infinity meet.  The table below pins its
-verdict, method, witness and details for ten maps (Henon maps in
+verdict, method, witness and details for twelve maps (Henon maps in
 dimensions 3 and 2, the product of two Henon maps on A^4, a triangular
-map, shears in dimensions 3 and 4, and the identities in dimensions 2 to
-5), and the digests pin the
+map, shears in dimensions 3, 4 and 6, the identities in dimensions 2 to
+5, and ``far2``, whose locus ``(7:1)`` lies outside the witness search
+bound), and the digests pin the
 ``verify-map`` JSON reports, both their payload and their compact bytes,
 so a change in how the constraint forms are built cannot move a decision
 or a report unnoticed.
@@ -34,6 +35,10 @@ MAPS = {
     "henon_product4": "vars a b c e\nforward: b | a + b^2 | e | c + e^2\n"
                       "inverse: b - a^2 | a | e - c^2 | c\n",
     "identity5": "vars a b c e g\nforward: a | b | c | e | g\ninverse: a | b | c | e | g\n",
+    "shear6": "vars a b c e g k\nforward: a | b | c | e | g | k + a^2\n"
+              "inverse: a | b | c | e | g | k - a^2\n",
+    "far2": "vars x y\nforward: x + 7*(x - 7*y)^2 | y + (x - 7*y)^2\n"
+            "inverse: x - 7*(x - 7*y)^2 | y - (x - 7*y)^2\n",
 }
 
 # (verdict, method, witness, sorted details)
@@ -59,6 +64,11 @@ DECISIONS = {
                        (("bound", 5), ("saturation_degree", 5))),
     "identity5": ("regular", "irrelevant-power-elimination", None,
                   (("bound", 1), ("saturation_degree", 1))),
+    "shear6": ("not_regular", "irrelevant-power-elimination", (0, 0, 0, 0, 0, 0, 1),
+               (("reason", "fewer than 6 constraints"), ("witness_verified", True))),
+    "far2": ("not_regular", "irrelevant-power-elimination", None,
+             (("bound", 3), ("reason", "no saturation up to the degree bound"),
+              ("witness_search_bound", 6))),
 }
 
 # sha256 of ``verify-map MAP --out report.json``, re-indented by
@@ -75,6 +85,8 @@ REPORT_DIGESTS = {
     "identity4": "5522189484be84dd4f17e844fc09ff13dc9d659898368e1be36ed0bab2f4454b",
     "henon_product4": "ab8f1c9babc1410de213a02bc807d625ce5409cd2e778008ec4dce61cef2a78d",
     "identity5": "7b64ca335820d133edcc3b74116b4c7b8c0088712c64243cc28849c92f9c463b",
+    "shear6": "1351967cd6331b7cddc9b78cfc000e7c893c06dd096ce6945722df3926e154b6",
+    "far2": "6c99cf9950041f252bb9bda6cb20385059d33e668d2a5f98f6d29e0200ccc25d",
 }
 
 # sha256 of the same reports as written: compact and key-sorted.
@@ -89,6 +101,8 @@ COMPACT_DIGESTS = {
     "identity4": "1c06456741f87ec94e7a7efd9af5a86ff40cbd333f2a482060c462a5b587093d",
     "henon_product4": "c8e3d98a6fb2828b9e8bf781ed15551a5b58837679008610120650a07e71e28f",
     "identity5": "c41ef787d517be443e9c3070415d5547cef6af76d6d1aef43ccc1c64129b5e19",
+    "shear6": "8d70c4b0aeab7aaaebe57a599116e41c8dd310f6242c6f18f27fc1521e1f6b4f",
+    "far2": "248d13f2197eeb227a357310e80b73e366d523f1f5973c10b5858dc88419e0b2",
 }
 
 
