@@ -1,7 +1,7 @@
 """Exact arithmetic for polynomial automorphisms of affine space.
 
 Iterate verified automorphism pairs over the rationals, compute Weil and
-canonical heights with convergence certificates, batch-verify the
+canonical heights with extrapolated tail bounds, batch-verify the
 two-sided height inequality, and validate divisor-coefficient ledgers for
 resolutions of the projective extensions.
 

@@ -5,10 +5,17 @@ Identical configuration and inputs produce byte-identical reports; all
 randomness is seeded and the seed is recorded.  Exit codes: 0 pass,
 1 verification failure (on every subcommand this includes an inverse that
 fails symbolic verification, and on ``inequality`` a sample that keeps
-no point), 2 input error, 3 internal error (any other exception: a fault
-in affdyn, reported as ``internal error: ...`` and its traceback on
-stderr).  The bit budget may also be set through the AFFDYN_BIT_BUDGET
-environment variable (flags win).
+no point), 2 input error
+(``InputError``, ``MapSyntaxError``, ``DatumError`` or ``OSError``),
+3 internal error (any other exception, a plain ``ValueError`` included:
+a fault in affdyn, reported as ``internal error: ...`` and its traceback
+on stderr).
+
+Without ``--out``, ``orbit``, ``height`` and ``canonical`` write their
+report to stdout.  ``verify-map``, ``inequality`` and ``divisor`` print
+their verdict lines and write a JSON report only with ``--out``; their
+CSV report goes to stdout without ``--out``, and the verdict lines then go
+to stderr.
 
 JSON reports are compact and key-sorted: one line, no spaces, then a
 newline.  ``python -m json.tool --sort-keys --indent 2 report.json`` gives
@@ -22,7 +29,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from . import kernel
@@ -39,6 +45,7 @@ from .divisors import (
 from .dynamics import (
     DEFAULT_BIT_BUDGET,
     AffineAutomorphism,
+    InputError,
     InverseVerificationError,
     is_regular,
 )
@@ -59,47 +66,21 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-class InputError(Exception):
-    pass
-
-
 def _bit_budget(args) -> int:
-    if args.bit_budget is not None:
-        if args.bit_budget <= 0:
-            raise InputError("--bit-budget must be positive")
-        return args.bit_budget
-    env = os.environ.get("AFFDYN_BIT_BUDGET")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise InputError(f"AFFDYN_BIT_BUDGET must be an integer, got {env!r}")
-        if value <= 0:
-            raise InputError("AFFDYN_BIT_BUDGET must be positive")
-        return value
-    return DEFAULT_BIT_BUDGET
+    if args.bit_budget <= 0:
+        raise InputError("--bit-budget must be positive")
+    return args.bit_budget
 
 
 def _load_automorphism(args) -> AffineAutomorphism:
-    try:
-        mapfile = load_map_file(args.map)
-    except OSError as exc:
-        raise InputError(f"cannot read map file: {exc}")
-    inverse = mapfile.inverse
-    if inverse is None:
-        trust = getattr(args, "trust_inverse", None)
-        if trust is None:
-            raise InputError(
-                "map file has no inverse block; supply one or use --trust-inverse"
-            )
-        try:
-            extra = load_map_file(trust)
-        except OSError as exc:
-            raise InputError(f"cannot read trusted inverse file: {exc}")
-        if extra.names != mapfile.names:
-            raise InputError("trusted inverse declares different variables")
-        inverse = extra.inverse if extra.inverse is not None else extra.forward
-    return AffineAutomorphism(mapfile.forward, inverse, mapfile.names)
+    mapfile = load_map_file(args.map)
+    return AffineAutomorphism(mapfile.forward, mapfile.inverse, mapfile.names)
+
+
+def _verdict_stream(args):
+    """Where verdict lines go: stderr when a CSV report goes to stdout,
+    so that stdout holds one table."""
+    return sys.stderr if args.format == "csv" and not args.out else sys.stdout
 
 
 def _emit(payload, args, csv_rows=None) -> None:
@@ -140,7 +121,7 @@ def _parse_sampler(spec: str, seed: int, n: int):
                 raise InputError("orbit sampler needs seed points: orbit:DEPTH:P1;P2")
             seeds = tuple(parse_point(chunk, n) for chunk in seeds_text.split(";"))
             return OrbitSampler(seeds, int(depth))
-    except (ValueError, MapSyntaxError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad sampler spec {spec!r}: {exc}")
     raise InputError(f"unknown sampler kind {kind!r}")
 
@@ -207,13 +188,7 @@ def cmd_height(args) -> int:
 def cmd_canonical(args) -> int:
     automorphism = _load_automorphism(args)
     point = parse_point(args.point, automorphism.n)
-    result = canonical(
-        automorphism,
-        point,
-        depth=args.depth,
-        tolerance=args.tolerance,
-        bit_budget=_bit_budget(args),
-    )
+    result = canonical(automorphism, point, args.depth, _bit_budget(args))
     payload = result.to_report(automorphism.map_id)
     payload["point"] = format_point(point)
     rows = [["k", "direction", "height_integer", "value"]]
@@ -240,12 +215,10 @@ def cmd_inequality(args) -> int:
         mode="silverman" if args.silverman else "delta",
     )
     verdict = "PASS" if report.stabilized else "FAIL"
-    # A CSV report without --out goes to stdout: keep the verdict out of it.
-    to_stdout = args.format == "csv" and not args.out
     print(
         f"{verdict}: min_delta={report.min_delta!r} over {len(report.records)} points "
         f"({report.skipped} skipped); {report.stabilization_note}",
-        file=sys.stderr if to_stdout else sys.stdout,
+        file=_verdict_stream(args),
     )
     if args.format == "csv":
         _emit(None, args, report.to_csv_rows())
@@ -262,6 +235,7 @@ def cmd_divisor(args) -> int:
         raise InputError("--format csv needs exactly two data, one forward and one inverse")
     if len(data) == 2 and {d.side for d in data} != {"forward", "inverse"}:
         raise InputError("need one forward-side and one inverse-side datum")
+    log = _verdict_stream(args)
     payload: dict = {"data": []}
     failures = 0
     for datum in data:
@@ -281,12 +255,13 @@ def cmd_divisor(args) -> int:
                     print(
                         f"essential index mismatch: pushforward gives "
                         f"{entry['essential_label']}, datum declares "
-                        f"{datum.basis.labels[datum.t]}"
+                        f"{datum.basis.labels[datum.t]}",
+                        file=log,
                     )
                     failures += 1
             except DatumError as exc:
                 entry["essential_index"] = None
-                print(f"essential-divisor search failed: {exc}")
+                print(f"essential-divisor search failed: {exc}", file=log)
                 failures += 1
             entry["pushpull_identity"] = check_pushpull_identity(datum)
             if not entry["pushpull_identity"]:
@@ -295,7 +270,7 @@ def cmd_divisor(args) -> int:
             failures += 1
         payload["data"].append(entry)
         for violation in report.violations:
-            print(f"violation ({violation.law}): {violation.message}")
+            print(f"violation ({violation.law}): {violation.message}", file=log)
     if len(data) == 2:
         forward, inverse = sorted(data, key=lambda d: d.side != "forward")
         combined = combine_resolutions(forward, inverse)
@@ -310,19 +285,19 @@ def cmd_divisor(args) -> int:
             "effective": effectivity.effective,
             "first_negative": effectivity.first_negative,
         }
-        print(f"D = {divisor.as_text()}")
-        print(f"effective: {effectivity.effective}")
+        print(f"D = {divisor.as_text()}", file=log)
+        print(f"effective: {effectivity.effective}", file=log)
         if not effectivity.effective:
-            print(f"first negative coefficient: {effectivity.first_negative}")
+            print(f"first negative coefficient: {effectivity.first_negative}", file=log)
             failures += 1
         rows = [["label", "coefficient"]]
         rows += [
             [label, str(c)] for label, c in zip(divisor.basis.labels, divisor.coeffs)
         ]
-    else:
-        rows = None
-    if args.out:
-        _emit(payload, args, rows)
+    if args.format == "csv":
+        _emit(None, args, rows)
+    elif args.out:
+        _emit(payload, args)
     return EXIT_VERIFICATION if failures else EXIT_OK
 
 
@@ -339,7 +314,7 @@ def _add_report(parser, with_csv=True):
 
 def _add_bit_budget(parser):
     cap = f"per-integer bit cap (default {DEFAULT_BIT_BUDGET})"
-    parser.add_argument("--bit-budget", type=int, default=None, help=cap)
+    parser.add_argument("--bit-budget", type=int, default=DEFAULT_BIT_BUDGET, help=cap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-map", help="verify an inverse pair and decide regularity")
     p.add_argument("map", help="map definition file")
     _add_report(p, with_csv=False)
-    p.add_argument("--trust-inverse", help="map file supplying a precomputed inverse")
     p.set_defaults(func=cmd_verify_map)
 
     p = sub.add_parser("orbit", help="exact orbit segment of a point")
@@ -374,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report(p)
     _add_bit_budget(p)
     p.add_argument("--point", required=True)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--depth", type=int, required=True)
     p.set_defaults(func=cmd_canonical)
 
     p = sub.add_parser("inequality", help="batch-verify the height inequality")
@@ -413,18 +386,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "sampler", None) is None and args.command == "inequality":
         args.sampler = ["rationals:5:3"]
-    if getattr(args, "depth", None) is not None and args.depth < 0:
-        print("depth must be non-negative", file=sys.stderr)
-        return EXIT_INPUT
-    if getattr(args, "tolerance", None) is not None and args.tolerance <= 0:
-        print("tolerance must be positive", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except InverseVerificationError as exc:
         print(f"inverse verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (MapSyntaxError, DatumError, InputError, OSError, ValueError) as exc:
+    except (InputError, MapSyntaxError, DatumError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

@@ -400,7 +400,7 @@ def load_datum(path) -> ResolutionDatum:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DatumError(f"{path}: {exc}") from None
     return datum_from_dict(data)
 

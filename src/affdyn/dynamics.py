@@ -53,6 +53,12 @@ NOT_REGULAR = "not_regular"
 WITNESS_BOUND = 6
 
 
+class InputError(ValueError):
+    """An input the library refuses: a malformed map, point, depth, sampler
+    or start over the bit budget.  A ``ValueError``, so that callers who
+    catch that see no change; the CLI reports it as an input error."""
+
+
 class InverseVerificationError(ValueError):
     """The supplied pair fails to compose to the identity.
 
@@ -82,7 +88,6 @@ class OrbitResult:
     """
 
     raw: tuple[RawPoint, ...]
-    requested_depth: int
     truncated: bool = False
 
     @cached_property
@@ -121,13 +126,13 @@ class AffineAutomorphism:
         forward = tuple(forward)
         inverse = tuple(inverse)
         if not forward or len(forward) != len(inverse):
-            raise ValueError("forward and inverse must list the same number of coordinates")
+            raise InputError("forward and inverse must list the same number of coordinates")
         n = len(forward)
         for poly in (*forward, *inverse):
             if poly.nvars != n:
-                raise ValueError("coordinate count and variable count must agree")
+                raise InputError("coordinate count and variable count must agree")
             if poly.is_zero:
-                raise ValueError("automorphism coordinates cannot be zero")
+                raise InputError("automorphism coordinates cannot be zero")
         for order, outer, inner in (
             ("inverse o forward", inverse, forward),
             ("forward o inverse", forward, inverse),
@@ -160,7 +165,7 @@ class AffineAutomorphism:
             return self.forward
         if direction == "inverse":
             return self.inverse
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+        raise InputError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
     def degree(self, direction: Direction) -> int:
         return self.d if direction == "forward" else self.d_inv
@@ -185,7 +190,7 @@ class AffineAutomorphism:
     def apply(self, point: Sequence[Fraction | int], direction: Direction = "forward"):
         """Exact image of an affine rational point."""
         if len(point) != self.n:
-            raise ValueError(f"point has {len(point)} coordinates, expected {self.n}")
+            raise InputError(f"point has {len(point)} coordinates, expected {self.n}")
         nums, den = kernel.to_common_denominator(point)
         nums, den = kernel.eval_point(self.compiled(direction), nums, den)
         return kernel.to_fractions(nums, den)
@@ -221,7 +226,7 @@ class AffineAutomorphism:
         point: Sequence[Fraction | int],
         depth: int,
         direction: Direction = "forward",
-        bit_budget: int | None = None,
+        bit_budget: int = DEFAULT_BIT_BUDGET,
     ) -> OrbitResult:
         """``[P, f(P), ..., f^depth(P)]`` with exact arithmetic.
 
@@ -229,20 +234,19 @@ class AffineAutomorphism:
         exceed the bit budget.
         """
         if depth < 0:
-            raise ValueError("depth must be >= 0")
-        budget = DEFAULT_BIT_BUDGET if bit_budget is None else bit_budget
+            raise InputError("depth must be >= 0")
         raw = [kernel.to_common_denominator(point)]
         height = kernel.height_integer(*raw[0])
-        if height.bit_length() > budget:
-            raise ValueError("starting point already exceeds the bit budget")
+        if height.bit_length() > bit_budget:
+            raise InputError("starting point already exceeds the bit budget")
         truncated = False
         for _ in range(depth):
-            image, height = self.step(raw[-1], height, direction, budget)
+            image, height = self.step(raw[-1], height, direction, bit_budget)
             truncated = image is None
             if truncated:
                 break
             raw.append(image)
-        return OrbitResult(tuple(raw), depth, truncated)
+        return OrbitResult(tuple(raw), truncated)
 
 
 # -- regularity ---------------------------------------------------------
@@ -272,7 +276,7 @@ def is_regular(automorphism: AffineAutomorphism) -> RegularityResult:
     """
     n = automorphism.n
     if n < 2:
-        raise ValueError("regularity is defined for dimension >= 2")
+        raise InputError("regularity is defined for dimension >= 2")
     constraints = _constraint_forms(automorphism.forward, automorphism.d)
     constraints += _constraint_forms(automorphism.inverse, automorphism.d_inv)
     cm = kernel.compile_map(constraints)

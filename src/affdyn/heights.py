@@ -6,16 +6,17 @@ maximum is exact and exposed for bit-exact regression tests; logs are
 natural logs at 64-bit float precision, for reporting only.
 
 Canonical heights are limits of ``h(f^k P) / d^k`` along forward orbits
-(and of ``h(f^{-k} P) / d'^k`` backward).  The limit is reported as the
-last computed term together with a tail bound obtained by extrapolating
-the observed successive differences geometrically with ratio ``1/d``:
-with ``K = max_k |v_{k+1} - v_k| * d^(k+1)`` over the observed range, the
-tail beyond depth ``N`` is at most ``K / (d^N (d - 1))``.  This is an
-a-posteriori certificate from observed decay, not an a-priori constant.
-``K`` is kept as a running maximum, so each step costs the same; where
-``d^k`` leaves the float range the terms are scaled in logs instead.  For
-``d = 1`` the bound is infinite once ``K > 0`` and stays so, and a
-tolerance-only estimate stops at that step.
+(and of ``h(f^{-k} P) / d'^k`` backward).  An estimate runs the orbit to a
+given depth and reports the last computed term together with a tail bound
+obtained by extrapolating the observed successive differences
+geometrically with ratio ``1/d``: with
+``K = max_k |v_{k+1} - v_k| * d^(k+1)`` over the observed range, the tail
+beyond depth ``N`` is taken as ``K / (d^N (d - 1))``.  This extrapolates
+from observed decay; it is not a proven bound, and a deeper orbit can
+raise it (a run of equal heights gives a tail of 0 until the heights
+move).  ``K`` is kept as a running maximum, so each step costs the same;
+where ``d^k`` leaves the float range the terms are scaled in logs
+instead.  For ``d = 1`` the tail is infinite once ``K > 0``.
 
 The combined invariant ``h_plus + h_minus`` is nonnegative and vanishes
 exactly on periodic points.
@@ -33,7 +34,7 @@ from math import lcm
 from typing import Sequence
 
 from . import kernel
-from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, Direction
+from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, Direction, InputError
 
 
 def weil_height(point: Sequence[Fraction | int]) -> float:
@@ -48,11 +49,13 @@ def weil_height_integer(point: Sequence[Fraction | int]) -> int:
 
 @dataclass(frozen=True)
 class CanonicalHeightEstimate:
-    """Terms ``h(f^k P) / d^k`` with a geometric-decay tail certificate.
+    """Terms ``h(f^k P) / d^k`` with an extrapolated geometric tail.
 
     ``step_integers`` are the exact per-step height integers; ``values``
-    their normalized logs.  ``certified`` is cleared when the bit budget
-    truncated the orbit before the requested stopping rule was met.
+    their normalized logs.  ``certified`` means that the bit budget did not
+    truncate the orbit before the requested depth and that the
+    extrapolated tail is finite.  It is not a proof: the tail rests on the
+    observed differences only.
     """
 
     direction: Direction
@@ -119,27 +122,20 @@ def _canonical_estimate(
     automorphism: AffineAutomorphism,
     point: Sequence[Fraction | int],
     direction: Direction,
-    depth: int | None,
-    tolerance: float | None,
-    bit_budget: int | None,
+    depth: int,
+    bit_budget: int,
 ) -> CanonicalHeightEstimate:
-    if depth is None and tolerance is None:
-        raise ValueError("give a depth, a tolerance, or both")
-    if tolerance is not None and tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    if depth is not None and depth < 1:
-        raise ValueError("depth must be >= 1")
-    budget = DEFAULT_BIT_BUDGET if bit_budget is None else bit_budget
+    if depth < 1:
+        raise InputError("depth must be >= 1")
     ratio = automorphism.degree(direction)
-    max_depth = depth if depth is not None else 10_000
 
     raw = kernel.to_common_denominator(point)
     integers = [kernel.height_integer(*raw)]
     values = [math.log(integers[0])]
     truncated = False
     peak = 0.0
-    for k in range(1, max_depth + 1):
-        raw, height = automorphism.step(raw, integers[-1], direction, budget)
+    for k in range(1, depth + 1):
+        raw, height = automorphism.step(raw, integers[-1], direction, bit_budget)
         truncated = raw is None
         if truncated:
             break
@@ -156,16 +152,7 @@ def _canonical_estimate(
             rate = abs(log_k - ratio * math.log(integers[-2]))
         if rate > peak:
             peak = rate
-        if tolerance is not None:
-            tail = _tail_bound(peak, ratio, k)
-            # An infinite tail (d < 2 and a nonzero difference) never falls,
-            # as the peak only grows: without a depth, stop here.
-            if tail <= tolerance or (depth is None and tail == math.inf):
-                break
     tail = _tail_bound(peak, ratio, len(values) - 1)
-    certified = not truncated and math.isfinite(tail)
-    if tolerance is not None and not truncated and depth is None:
-        certified = certified and tail <= tolerance
     start = tuple(Fraction(c) for c in point)
     return CanonicalHeightEstimate(
         direction=direction,
@@ -175,7 +162,7 @@ def _canonical_estimate(
         values=tuple(values),
         tail_bound=tail,
         depth=len(values) - 1,
-        certified=certified,
+        certified=not truncated and math.isfinite(tail),
         truncated=truncated,
     )
 
@@ -183,23 +170,21 @@ def _canonical_estimate(
 def canonical_plus(
     automorphism: AffineAutomorphism,
     point: Sequence[Fraction | int],
-    depth: int | None = None,
-    tolerance: float | None = None,
-    bit_budget: int | None = None,
+    depth: int,
+    bit_budget: int = DEFAULT_BIT_BUDGET,
 ) -> CanonicalHeightEstimate:
     """Forward canonical height estimate (terms ``h(f^k P)/d^k``)."""
-    return _canonical_estimate(automorphism, point, "forward", depth, tolerance, bit_budget)
+    return _canonical_estimate(automorphism, point, "forward", depth, bit_budget)
 
 
 def canonical_minus(
     automorphism: AffineAutomorphism,
     point: Sequence[Fraction | int],
-    depth: int | None = None,
-    tolerance: float | None = None,
-    bit_budget: int | None = None,
+    depth: int,
+    bit_budget: int = DEFAULT_BIT_BUDGET,
 ) -> CanonicalHeightEstimate:
     """Backward canonical height estimate (terms ``h(f^{-k} P)/d'^k``)."""
-    return _canonical_estimate(automorphism, point, "inverse", depth, tolerance, bit_budget)
+    return _canonical_estimate(automorphism, point, "inverse", depth, bit_budget)
 
 
 @dataclass(frozen=True)
@@ -228,18 +213,16 @@ class CanonicalHeight:
 def canonical(
     automorphism: AffineAutomorphism,
     point: Sequence[Fraction | int],
-    depth: int | None = None,
-    tolerance: float | None = None,
-    bit_budget: int | None = None,
+    depth: int,
+    bit_budget: int = DEFAULT_BIT_BUDGET,
 ) -> CanonicalHeight:
     """Combined canonical height ``h_plus + h_minus``.
 
     The sum of the two one-sided estimates is nonnegative and vanishes
     exactly on periodic points.
     """
-    half = None if tolerance is None else tolerance / 2.0
-    plus = canonical_plus(automorphism, point, depth, half, bit_budget)
-    minus = canonical_minus(automorphism, point, depth, half, bit_budget)
+    plus = canonical_plus(automorphism, point, depth, bit_budget)
+    minus = canonical_minus(automorphism, point, depth, bit_budget)
     return CanonicalHeight(
         plus=plus,
         minus=minus,

@@ -41,7 +41,7 @@ from math import gcd, lcm, log
 from typing import Iterator, NamedTuple, Sequence
 
 from . import kernel
-from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, RawPoint, is_regular
+from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, InputError, RawPoint, is_regular
 from .parsing import format_point, format_raw_point
 
 Point = tuple[Fraction, ...]
@@ -59,7 +59,7 @@ class BoxSampler:
 
     def __post_init__(self):
         if self.bound < 0:
-            raise ValueError(f"box bound must be non-negative, got {self.bound}")
+            raise InputError(f"box bound must be non-negative, got {self.bound}")
 
     def describe(self) -> dict:
         return {"kind": "box", "bound": self.bound}
@@ -139,7 +139,7 @@ class RandomRationalSampler:
 
     def __post_init__(self):
         if self.count < 0:
-            raise ValueError(f"random sampler count must be non-negative, got {self.count}")
+            raise InputError(f"random sampler count must be non-negative, got {self.count}")
 
     def describe(self) -> dict:
         return {
@@ -166,6 +166,10 @@ class OrbitSampler:
 
     seeds: tuple[Point, ...]
     depth: int
+
+    def __post_init__(self):
+        if self.depth < 0:
+            raise InputError(f"orbit depth must be non-negative, got {self.depth}")
 
     def describe(self) -> dict:
         return {
@@ -320,7 +324,7 @@ def batch_verify(
     sampler,
     slack: float = 0.05,
     warmup: int = 64,
-    bit_budget: int | None = None,
+    bit_budget: int = DEFAULT_BIT_BUDGET,
     assume_regular: bool = False,
     mode: str = "delta",
 ) -> DeltaReport:
@@ -329,15 +333,14 @@ def batch_verify(
 
     ``sampler`` follows the sampler protocol of the module docstring; a
     point that is not in canonical ``(nums, den)`` form, or that has the
-    wrong number of coordinates, raises ``ValueError``.
+    wrong number of coordinates, raises ``InputError`` (a ``ValueError``).
 
     Points whose exact evaluation exceeds the bit budget are skipped and
     counted.  When ``assume_regular`` is not set, the regularity verdict is
     computed and recorded in the report.
     """
     if mode not in ("delta", "silverman"):
-        raise ValueError("mode must be 'delta' or 'silverman'")
-    budget = DEFAULT_BIT_BUDGET if bit_budget is None else bit_budget
+        raise InputError("mode must be 'delta' or 'silverman'")
     regularity = "asserted" if assume_regular else is_regular(automorphism).verdict
 
     records: list[DeltaRecord] = []
@@ -346,15 +349,15 @@ def batch_verify(
     argmin: RawPoint | None = None
     checkpoints: list[tuple[int, float]] = []
     next_checkpoint = max(warmup, 1)
-    for raw in sampler.points(automorphism, budget):
+    for raw in sampler.points(automorphism, bit_budget):
         nums, den = raw
         if len(nums) != automorphism.n:
-            raise ValueError(
+            raise InputError(
                 f"sampler point {raw!r} has {len(nums)} coordinates, expected {automorphism.n}"
             )
         if den <= 0 or gcd(den, *nums) != 1:
-            raise ValueError(f"sampler point {raw!r} is not in canonical (nums, den) form")
-        record = _record(automorphism, raw, budget, mode)
+            raise InputError(f"sampler point {raw!r} is not in canonical (nums, den) form")
+        record = _record(automorphism, raw, bit_budget, mode)
         if record is None:
             skipped += 1
             continue

@@ -13,10 +13,9 @@ and inverse coordinates separated by ``|``::
     forward: y | z + y^2 | x + z^2
     inverse: z - (y - x^2)^2 | x | y - x^2
 
-Lines starting with ``#`` are comments.  The ``inverse`` block may be
-omitted only when the caller supplies a precomputed inverse out of band
-(see the ``--trust-inverse`` CLI flag); the pair is always verified
-symbolically at construction either way.
+Lines starting with ``#`` are comments.  Both blocks are required: a file
+without one is a ``MapSyntaxError``.  The pair is verified symbolically
+when an ``AffineAutomorphism`` is built from it.
 """
 
 from __future__ import annotations
@@ -247,7 +246,7 @@ class MapFile:
 
     names: tuple[str, ...]
     forward: tuple[Polynomial, ...]
-    inverse: tuple[Polynomial, ...] | None
+    inverse: tuple[Polynomial, ...]
 
     @property
     def nvars(self) -> int:
@@ -299,12 +298,16 @@ def parse_map_file(text: str) -> MapFile:
         raise MapSyntaxError(f"unrecognized line {line!r}", lineno)
     if names is None:
         raise MapSyntaxError("missing vars declaration")
-    if "forward" not in blocks:
-        raise MapSyntaxError("missing forward block")
-    inverse = blocks["inverse"][0] if "inverse" in blocks else None
-    return MapFile(tuple(names), blocks["forward"][0], inverse)
+    for keyword in ("forward", "inverse"):
+        if keyword not in blocks:
+            raise MapSyntaxError(f"missing {keyword} block")
+    return MapFile(tuple(names), blocks["forward"][0], blocks["inverse"][0])
 
 
 def load_map_file(path) -> MapFile:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_map_file(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise MapSyntaxError(f"{path}: {exc}") from None
+    return parse_map_file(text)

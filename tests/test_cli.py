@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -6,7 +8,7 @@ import sys
 
 import pytest
 
-from affdyn import cli
+from affdyn import cli, kernel
 from affdyn.cli import main
 from affdyn.inequality import DeltaReport
 
@@ -70,13 +72,17 @@ class TestVerifyMap:
         assert main(["verify-map", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
-    def test_missing_inverse_needs_trust_flag(self, tmp_path, capsys):
+    def test_missing_inverse_block_exits_two(self, tmp_path, capsys):
         partial = tmp_path / "partial.map"
         partial.write_text("vars x y\nforward: x + y^2 | y\n")
-        assert main(["verify-map", str(partial)]) == 2
-        trusted = tmp_path / "inv.map"
-        trusted.write_text("vars x y\nforward: x - y^2 | y\n")
-        assert main(["verify-map", str(partial), "--trust-inverse", str(trusted)]) == 0
+        for argv in (
+            ["verify-map", str(partial)],
+            ["orbit", str(partial), "--point", "1,1", "--depth", "2"],
+            ["canonical", str(partial), "--point", "1,1", "--depth", "2"],
+            ["inequality", str(partial), "--sampler", "box:1"],
+        ):
+            assert main(argv) == 2, argv[0]
+            assert capsys.readouterr() == ("", "error: missing inverse block\n"), argv[0]
 
 
 class TestOrbit:
@@ -116,12 +122,6 @@ class TestOrbit:
         report = json.loads(out.read_text())
         assert report["truncated"] and report["completed_depth"] < 40
 
-    def test_budget_env_override(self, henon_map, tmp_path, monkeypatch):
-        monkeypatch.setenv("AFFDYN_BIT_BUDGET", "64")
-        out = tmp_path / "orbit.json"
-        main(["orbit", henon_map, "--point", "1,1,1", "--depth", "40", "--out", str(out)])
-        assert json.loads(out.read_text())["truncated"]
-
 
 class TestHeightAndCanonical:
     def test_height(self, tmp_path):
@@ -160,7 +160,10 @@ class TestHeightAndCanonical:
         assert report["plus"]["depth"] == report["minus"]["depth"] == 1100
 
     def test_canonical_needs_stopping_rule(self, henon_map):
-        assert main(["canonical", henon_map, "--point", "1,1,1"]) == 2
+        # The depth is the one stopping rule: argparse requires it.
+        with pytest.raises(SystemExit) as err:
+            main(["canonical", henon_map, "--point", "1,1,1"])
+        assert err.value.code == 2
 
 
 class TestInequality:
@@ -244,6 +247,8 @@ class TestInequality:
             ["height", "--point", "1,2", "--bit-budget", "3"],
             ["verify-map", henon_map, "--format", "csv"],
             ["canonical", henon_map, "--point", "1,1,1", "--depth", "2", "--convention", "sum"],
+            ["canonical", henon_map, "--point", "1,1,1", "--depth", "2", "--tolerance", "1e-4"],
+            ["verify-map", henon_map, "--trust-inverse", henon_map],
         ):
             with pytest.raises(SystemExit) as err:
                 main(argv)
@@ -426,6 +431,17 @@ class TestDivisor:
                 assert hashlib.sha256(printed.encode()).hexdigest() == digests["printed"], name
                 assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[form], (name, form)
 
+    def test_csv_to_stdout_is_one_table(self, datum_paths, tmp_path, capsys):
+        assert main(["divisor", *datum_paths, "--format", "csv"]) == 0
+        out, err = capsys.readouterr()
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["label", "coefficient"]
+        report = tmp_path / "divisor.json"
+        assert main(["divisor", *datum_paths, "--out", str(report)]) == 0
+        coefficients = json.loads(report.read_text())["D"]["coefficients"]
+        assert len(rows) == len(coefficients) and dict(rows) == coefficients
+        assert err.startswith("D = 7/8*H") and "effective: True\n" in err
+
     def test_single_datum_validates(self, datum_paths, capsys):
         assert main(["divisor", datum_paths[0]]) == 0
 
@@ -527,6 +543,62 @@ class TestReportLayout:
             capture_output=True, check=True,
         ).stdout
         assert pretty == indented(report)
+
+
+ONE_VARIABLE = "vars x\nforward: x + 1\ninverse: x - 1\n"
+NOT_UTF8 = b"vars x y\nforward: x | y\ninverse: x | y\n# \xff\n"
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        ({"m.map": ONE_VARIABLE}, ["verify-map", "m.map"], "dimension >= 2"),
+        ({"m.map": ONE_VARIABLE}, ["inequality", "m.map", "--sampler", "box:1"],
+         "dimension >= 2"),
+        ({"m.map": "vars x y\nforward: x | 0\ninverse: x | 0\n"}, ["verify-map", "m.map"],
+         "automorphism coordinates cannot be zero"),
+        ({"m.map": NOT_UTF8}, ["verify-map", "m.map"], "can't decode byte 0xff"),
+        ({"d.json": b'{"side": "\xff"}'}, ["divisor", "d.json"], "can't decode byte 0xff"),
+        ({}, ["canonical", "MAP", "--point", "1,1,1", "--depth", "0"], "depth must be >= 1"),
+        ({}, ["orbit", "MAP", "--point", "1,1,1", "--depth", "-1"], "depth must be >= 0"),
+        ({}, ["inequality", "MAP", "--sampler", "orbit:-1:1,1,1"],
+         "orbit depth must be non-negative, got -1"),
+        ({}, ["orbit", "MAP", "--point", "1000,1,1", "--depth", "2", "--bit-budget", "4"],
+         "starting point already exceeds the bit budget"),
+        ({}, ["inequality", "MAP", "--sampler", "orbit:2:1000,1,1", "--bit-budget", "4",
+              "--assume-regular"],
+         "starting point already exceeds the bit budget"),
+    ],
+    ids=["one-variable-verify-map", "one-variable-inequality", "zero-coordinate",
+         "map-not-utf8", "datum-not-utf8", "canonical-depth-0", "orbit-depth-negative",
+         "orbit-sampler-depth-negative", "orbit-start-over-budget",
+         "orbit-sampler-seed-over-budget"],
+)
+def test_input_errors_exit_two(files, argv, message, henon_map, tmp_path, capsys):
+    paths = {"MAP": henon_map}
+    for name, content in files.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        paths[name] = str(path)
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_plain_value_error_exits_three(monkeypatch, henon_map, capsys):
+    # No input check raised it: a ValueError from inside affdyn is a fault.
+    def broken(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(kernel, "eval_point", broken)
+    assert main(["orbit", henon_map, "--point", "1,1,1", "--depth", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == "internal error: ValueError: boom"
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):

@@ -85,10 +85,6 @@ class TestCanonicalPlus:
         assert est.values == (h,) * 5
         assert est.tail_bound == 0.0 and est.certified
 
-    def test_tolerance_stopping(self, henon):
-        est = canonical_plus(henon, (1, 1, 1), tolerance=1e-4)
-        assert est.certified and est.tail_bound <= 1e-4
-
     def test_budget_truncation_uncertified(self, henon):
         est = canonical_plus(henon, (1, 1, 1), depth=40, bit_budget=64)
         assert est.truncated and not est.certified
@@ -125,6 +121,16 @@ class TestCanonicalMinus:
 
     def test_fixed_point(self, henon):
         assert canonical_minus(henon, (0, 0, 0), depth=4).estimate == 0.0
+
+    def test_certified_is_not_a_proof(self, henon):
+        # Four backward steps of height 1 extrapolate to a zero tail, and the
+        # estimate is certified; the fifth step moves the heights and the
+        # tail, and ten steps give an estimate seven times 1e-4.
+        shallow = canonical_minus(henon, (1, 1, 1), depth=4)
+        assert shallow.certified and shallow.estimate == shallow.tail_bound == 0.0
+        deeper = canonical_minus(henon, (1, 1, 1), depth=5)
+        assert deeper.certified and deeper.tail_bound > 2e-4
+        assert canonical_minus(henon, (1, 1, 1), depth=10).estimate > 6.9e-4
 
     def test_identity_map(self):
         ident = AffineAutomorphism.identity(2)
@@ -164,21 +170,16 @@ class TestCanonical:
         assert deep.certified and 0.0 <= deep.tail_bound <= shallow.tail_bound
         assert all(0.0 <= v <= math.log(3) / 2**1000 for v in deep.values[1000:])
 
-    def test_degree_one_runs_to_the_step_cap(self):
-        # A shear never meets a tolerance: its tail bound is infinite from
-        # the first nonzero difference on, so the tolerance-only rule stops
-        # there instead of running to the 10,000-step cap.
+    def test_degree_one_runs_the_full_depth(self):
+        # A shear's tail bound is infinite from the first nonzero difference
+        # on; the orbit still runs to the given depth, uncertified.
         names = ("x", "y", "z")
         shear = AffineAutomorphism(
             [parse_polynomial(c, names) for c in ("x + y", "y", "z")],
             [parse_polynomial(c, names) for c in ("x - y", "y", "z")],
             names,
         )
-        est = canonical_plus(shear, (1, 1, 1), tolerance=1e-9)
-        assert est.depth == 1 and est.tail_bound == math.inf
-        assert est.step_integers == (1, 2) and not est.certified
-        # a given depth is still run in full
-        est = canonical_plus(shear, (1, 1, 1), depth=50, tolerance=1e-9)
+        est = canonical_plus(shear, (1, 1, 1), depth=50)
         assert est.depth == 50 and est.tail_bound == math.inf
         assert est.step_integers[-1] == 51 and not est.certified
 

@@ -97,8 +97,8 @@ def test_bundled_map_file():
 
 
 def test_map_file_without_inverse():
-    mf = parse_map_file("vars x y\nforward: y | x\n")
-    assert mf.inverse is None
+    with pytest.raises(MapSyntaxError, match="missing inverse block"):
+        parse_map_file("vars x y\nforward: y | x\n")
 
 
 @pytest.mark.parametrize(

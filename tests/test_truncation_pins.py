@@ -24,8 +24,7 @@ STARTS = {
 }
 BUDGETS = (8, 16, 64, 200)
 ORBIT_DEPTH = 40
-# (depth, tolerance): depth only, tolerance only, both
-STOPPING_RULES = ((30, None), (None, 0.05), (8, 0.01))
+CANONICAL_DEPTH = 30
 
 
 def _digest(value) -> str:
@@ -40,12 +39,9 @@ def orbit_pin(automorphism, point, budget, direction):
     return (result.completed_depth, result.truncated, _digest(result.points))
 
 
-def canonical_pins(automorphism, point, budget, estimator):
-    out = []
-    for depth, tolerance in STOPPING_RULES:
-        est = estimator(automorphism, point, depth, tolerance, budget)
-        out.append((est.depth, est.certified, est.truncated, _digest(est.step_integers)))
-    return tuple(out)
+def canonical_pin(automorphism, point, budget, estimator):
+    est = estimator(automorphism, point, CANONICAL_DEPTH, budget)
+    return (est.depth, est.certified, est.truncated, _digest(est.step_integers))
 
 
 def compute_pins(henon):
@@ -59,8 +55,8 @@ def compute_pins(henon):
                     orbit_pin(automorphism, point, budget, "forward"),
                     orbit_pin(automorphism, point, budget, "inverse"),
                 )
-                plus[key] = canonical_pins(automorphism, point, budget, canonical_plus)
-                minus[key] = canonical_pins(automorphism, point, budget, canonical_minus)
+                plus[key] = canonical_pin(automorphism, point, budget, canonical_plus)
+                minus[key] = canonical_pin(automorphism, point, budget, canonical_minus)
     return orbits, plus, minus
 
 
@@ -111,172 +107,92 @@ ORBIT = {
     ("identity", "huge", 200): (None, None),
 }
 
-# (map, start, budget) -> one (depth, certified, truncated, digest of the step
-# integers) per stopping rule in STOPPING_RULES.
+# (map, start, budget) -> (depth, certified, truncated, digest of the step
+# integers) at CANONICAL_DEPTH.
 CANONICAL_PLUS = {
-    ("henon", "origin", 8): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("henon", "origin", 16): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("henon", "origin", 64): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("henon", "origin", 200): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("henon", "unit", 8): (
-        (3, False, True, "1deaad57b4"), (3, False, True, "1deaad57b4"), (3, False, True, "1deaad57b4")),
-    ("henon", "unit", 16): (
-        (4, False, True, "3c26ff35cf"), (4, True, False, "3c26ff35cf"), (4, False, True, "3c26ff35cf")),
-    ("henon", "unit", 64): (
-        (6, False, True, "9539c55162"), (4, True, False, "3c26ff35cf"), (6, False, True, "9539c55162")),
-    ("henon", "unit", 200): (
-        (8, False, True, "d7cd0ae207"), (4, True, False, "3c26ff35cf"), (7, True, False, "7d7ef61386")),
-    ("henon", "rational", 8): (
-        (1, False, True, "256dd069c7"), (1, False, True, "256dd069c7"), (1, False, True, "256dd069c7")),
-    ("henon", "rational", 16): (
-        (2, False, True, "4e265b07ba"), (2, False, True, "4e265b07ba"), (2, False, True, "4e265b07ba")),
-    ("henon", "rational", 64): (
-        (4, False, True, "11a75adef7"), (4, True, False, "11a75adef7"), (4, False, True, "11a75adef7")),
-    ("henon", "rational", 200): (
-        (6, False, True, "6206cb70bd"), (4, True, False, "11a75adef7"), (6, True, False, "6206cb70bd")),
-    ("henon", "nine_bits", 8): (
-        (0, False, True, "6d29428eb1"), (0, False, True, "6d29428eb1"), (0, False, True, "6d29428eb1")),
-    ("henon", "nine_bits", 16): (
-        (1, False, True, "125beaf97d"), (1, False, True, "125beaf97d"), (1, False, True, "125beaf97d")),
-    ("henon", "nine_bits", 64): (
-        (3, False, True, "d723f4ef40"), (3, False, True, "d723f4ef40"), (3, False, True, "d723f4ef40")),
-    ("henon", "nine_bits", 200): (
-        (5, False, True, "33132cb186"), (5, False, True, "33132cb186"), (5, False, True, "33132cb186")),
-    ("henon", "huge", 8): (
-        (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3")),
-    ("henon", "huge", 16): (
-        (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3")),
-    ("henon", "huge", 64): (
-        (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3")),
-    ("henon", "huge", 200): (
-        (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3")),
-    ("identity", "origin", 8): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("identity", "origin", 16): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("identity", "origin", 64): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("identity", "origin", 200): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("identity", "unit", 8): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("identity", "unit", 16): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("identity", "unit", 64): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("identity", "unit", 200): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("identity", "rational", 8): (
-        (30, True, False, "e67bd76b94"), (1, True, False, "a9364e9894"), (1, True, False, "a9364e9894")),
-    ("identity", "rational", 16): (
-        (30, True, False, "e67bd76b94"), (1, True, False, "a9364e9894"), (1, True, False, "a9364e9894")),
-    ("identity", "rational", 64): (
-        (30, True, False, "e67bd76b94"), (1, True, False, "a9364e9894"), (1, True, False, "a9364e9894")),
-    ("identity", "rational", 200): (
-        (30, True, False, "e67bd76b94"), (1, True, False, "a9364e9894"), (1, True, False, "a9364e9894")),
-    ("identity", "nine_bits", 8): (
-        (0, False, True, "6d29428eb1"), (0, False, True, "6d29428eb1"), (0, False, True, "6d29428eb1")),
-    ("identity", "nine_bits", 16): (
-        (30, True, False, "ffbe6a7833"), (1, True, False, "2637e6f254"), (1, True, False, "2637e6f254")),
-    ("identity", "nine_bits", 64): (
-        (30, True, False, "ffbe6a7833"), (1, True, False, "2637e6f254"), (1, True, False, "2637e6f254")),
-    ("identity", "nine_bits", 200): (
-        (30, True, False, "ffbe6a7833"), (1, True, False, "2637e6f254"), (1, True, False, "2637e6f254")),
-    ("identity", "huge", 8): (
-        (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3")),
-    ("identity", "huge", 16): (
-        (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3")),
-    ("identity", "huge", 64): (
-        (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3")),
-    ("identity", "huge", 200): (
-        (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3")),
+    ("henon", "origin", 8): (30, True, False, "44a4cc906f"),
+    ("henon", "origin", 16): (30, True, False, "44a4cc906f"),
+    ("henon", "origin", 64): (30, True, False, "44a4cc906f"),
+    ("henon", "origin", 200): (30, True, False, "44a4cc906f"),
+    ("henon", "unit", 8): (3, False, True, "1deaad57b4"),
+    ("henon", "unit", 16): (4, False, True, "3c26ff35cf"),
+    ("henon", "unit", 64): (6, False, True, "9539c55162"),
+    ("henon", "unit", 200): (8, False, True, "d7cd0ae207"),
+    ("henon", "rational", 8): (1, False, True, "256dd069c7"),
+    ("henon", "rational", 16): (2, False, True, "4e265b07ba"),
+    ("henon", "rational", 64): (4, False, True, "11a75adef7"),
+    ("henon", "rational", 200): (6, False, True, "6206cb70bd"),
+    ("henon", "nine_bits", 8): (0, False, True, "6d29428eb1"),
+    ("henon", "nine_bits", 16): (1, False, True, "125beaf97d"),
+    ("henon", "nine_bits", 64): (3, False, True, "d723f4ef40"),
+    ("henon", "nine_bits", 200): (5, False, True, "33132cb186"),
+    ("henon", "huge", 8): (0, False, True, "8fc19881e3"),
+    ("henon", "huge", 16): (0, False, True, "8fc19881e3"),
+    ("henon", "huge", 64): (0, False, True, "8fc19881e3"),
+    ("henon", "huge", 200): (0, False, True, "8fc19881e3"),
+    ("identity", "origin", 8): (30, True, False, "44a4cc906f"),
+    ("identity", "origin", 16): (30, True, False, "44a4cc906f"),
+    ("identity", "origin", 64): (30, True, False, "44a4cc906f"),
+    ("identity", "origin", 200): (30, True, False, "44a4cc906f"),
+    ("identity", "unit", 8): (30, True, False, "44a4cc906f"),
+    ("identity", "unit", 16): (30, True, False, "44a4cc906f"),
+    ("identity", "unit", 64): (30, True, False, "44a4cc906f"),
+    ("identity", "unit", 200): (30, True, False, "44a4cc906f"),
+    ("identity", "rational", 8): (30, True, False, "e67bd76b94"),
+    ("identity", "rational", 16): (30, True, False, "e67bd76b94"),
+    ("identity", "rational", 64): (30, True, False, "e67bd76b94"),
+    ("identity", "rational", 200): (30, True, False, "e67bd76b94"),
+    ("identity", "nine_bits", 8): (0, False, True, "6d29428eb1"),
+    ("identity", "nine_bits", 16): (30, True, False, "ffbe6a7833"),
+    ("identity", "nine_bits", 64): (30, True, False, "ffbe6a7833"),
+    ("identity", "nine_bits", 200): (30, True, False, "ffbe6a7833"),
+    ("identity", "huge", 8): (0, False, True, "8fc19881e3"),
+    ("identity", "huge", 16): (0, False, True, "8fc19881e3"),
+    ("identity", "huge", 64): (0, False, True, "8fc19881e3"),
+    ("identity", "huge", 200): (0, False, True, "8fc19881e3"),
 }
 
 CANONICAL_MINUS = {
-    ("henon", "origin", 8): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("henon", "origin", 16): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("henon", "origin", 64): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("henon", "origin", 200): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("henon", "unit", 8): (
-        (6, False, True, "8c0595036c"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("henon", "unit", 16): (
-        (6, False, True, "8c0595036c"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("henon", "unit", 64): (
-        (7, False, True, "2a4437e1e3"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("henon", "unit", 200): (
-        (8, False, True, "3a421e5116"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("henon", "rational", 8): (
-        (1, False, True, "9755f5e26b"), (1, False, True, "9755f5e26b"), (1, False, True, "9755f5e26b")),
-    ("henon", "rational", 16): (
-        (1, False, True, "9755f5e26b"), (1, False, True, "9755f5e26b"), (1, False, True, "9755f5e26b")),
-    ("henon", "rational", 64): (
-        (2, False, True, "fdf3657511"), (2, False, True, "fdf3657511"), (2, False, True, "fdf3657511")),
-    ("henon", "rational", 200): (
-        (3, False, True, "bf19d080b2"), (3, True, False, "bf19d080b2"), (3, False, True, "bf19d080b2")),
-    ("henon", "nine_bits", 8): (
-        (0, False, True, "6d29428eb1"), (0, False, True, "6d29428eb1"), (0, False, True, "6d29428eb1")),
-    ("henon", "nine_bits", 16): (
-        (0, False, True, "6d29428eb1"), (0, False, True, "6d29428eb1"), (0, False, True, "6d29428eb1")),
-    ("henon", "nine_bits", 64): (
-        (1, False, True, "0d8213e495"), (1, False, True, "0d8213e495"), (1, False, True, "0d8213e495")),
-    ("henon", "nine_bits", 200): (
-        (2, False, True, "7b003e5113"), (2, True, False, "7b003e5113"), (2, False, True, "7b003e5113")),
-    ("henon", "huge", 8): (
-        (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3")),
-    ("henon", "huge", 16): (
-        (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3")),
-    ("henon", "huge", 64): (
-        (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3")),
-    ("henon", "huge", 200): (
-        (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3")),
-    ("identity", "origin", 8): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("identity", "origin", 16): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("identity", "origin", 64): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("identity", "origin", 200): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("identity", "unit", 8): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("identity", "unit", 16): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("identity", "unit", 64): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("identity", "unit", 200): (
-        (30, True, False, "44a4cc906f"), (1, True, False, "d02b5ba5c3"), (1, True, False, "d02b5ba5c3")),
-    ("identity", "rational", 8): (
-        (30, True, False, "e67bd76b94"), (1, True, False, "a9364e9894"), (1, True, False, "a9364e9894")),
-    ("identity", "rational", 16): (
-        (30, True, False, "e67bd76b94"), (1, True, False, "a9364e9894"), (1, True, False, "a9364e9894")),
-    ("identity", "rational", 64): (
-        (30, True, False, "e67bd76b94"), (1, True, False, "a9364e9894"), (1, True, False, "a9364e9894")),
-    ("identity", "rational", 200): (
-        (30, True, False, "e67bd76b94"), (1, True, False, "a9364e9894"), (1, True, False, "a9364e9894")),
-    ("identity", "nine_bits", 8): (
-        (0, False, True, "6d29428eb1"), (0, False, True, "6d29428eb1"), (0, False, True, "6d29428eb1")),
-    ("identity", "nine_bits", 16): (
-        (30, True, False, "ffbe6a7833"), (1, True, False, "2637e6f254"), (1, True, False, "2637e6f254")),
-    ("identity", "nine_bits", 64): (
-        (30, True, False, "ffbe6a7833"), (1, True, False, "2637e6f254"), (1, True, False, "2637e6f254")),
-    ("identity", "nine_bits", 200): (
-        (30, True, False, "ffbe6a7833"), (1, True, False, "2637e6f254"), (1, True, False, "2637e6f254")),
-    ("identity", "huge", 8): (
-        (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3")),
-    ("identity", "huge", 16): (
-        (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3")),
-    ("identity", "huge", 64): (
-        (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3")),
-    ("identity", "huge", 200): (
-        (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3"), (0, False, True, "8fc19881e3")),
+    ("henon", "origin", 8): (30, True, False, "44a4cc906f"),
+    ("henon", "origin", 16): (30, True, False, "44a4cc906f"),
+    ("henon", "origin", 64): (30, True, False, "44a4cc906f"),
+    ("henon", "origin", 200): (30, True, False, "44a4cc906f"),
+    ("henon", "unit", 8): (6, False, True, "8c0595036c"),
+    ("henon", "unit", 16): (6, False, True, "8c0595036c"),
+    ("henon", "unit", 64): (7, False, True, "2a4437e1e3"),
+    ("henon", "unit", 200): (8, False, True, "3a421e5116"),
+    ("henon", "rational", 8): (1, False, True, "9755f5e26b"),
+    ("henon", "rational", 16): (1, False, True, "9755f5e26b"),
+    ("henon", "rational", 64): (2, False, True, "fdf3657511"),
+    ("henon", "rational", 200): (3, False, True, "bf19d080b2"),
+    ("henon", "nine_bits", 8): (0, False, True, "6d29428eb1"),
+    ("henon", "nine_bits", 16): (0, False, True, "6d29428eb1"),
+    ("henon", "nine_bits", 64): (1, False, True, "0d8213e495"),
+    ("henon", "nine_bits", 200): (2, False, True, "7b003e5113"),
+    ("henon", "huge", 8): (0, False, True, "8fc19881e3"),
+    ("henon", "huge", 16): (0, False, True, "8fc19881e3"),
+    ("henon", "huge", 64): (0, False, True, "8fc19881e3"),
+    ("henon", "huge", 200): (0, False, True, "8fc19881e3"),
+    ("identity", "origin", 8): (30, True, False, "44a4cc906f"),
+    ("identity", "origin", 16): (30, True, False, "44a4cc906f"),
+    ("identity", "origin", 64): (30, True, False, "44a4cc906f"),
+    ("identity", "origin", 200): (30, True, False, "44a4cc906f"),
+    ("identity", "unit", 8): (30, True, False, "44a4cc906f"),
+    ("identity", "unit", 16): (30, True, False, "44a4cc906f"),
+    ("identity", "unit", 64): (30, True, False, "44a4cc906f"),
+    ("identity", "unit", 200): (30, True, False, "44a4cc906f"),
+    ("identity", "rational", 8): (30, True, False, "e67bd76b94"),
+    ("identity", "rational", 16): (30, True, False, "e67bd76b94"),
+    ("identity", "rational", 64): (30, True, False, "e67bd76b94"),
+    ("identity", "rational", 200): (30, True, False, "e67bd76b94"),
+    ("identity", "nine_bits", 8): (0, False, True, "6d29428eb1"),
+    ("identity", "nine_bits", 16): (30, True, False, "ffbe6a7833"),
+    ("identity", "nine_bits", 64): (30, True, False, "ffbe6a7833"),
+    ("identity", "nine_bits", 200): (30, True, False, "ffbe6a7833"),
+    ("identity", "huge", 8): (0, False, True, "8fc19881e3"),
+    ("identity", "huge", 16): (0, False, True, "8fc19881e3"),
+    ("identity", "huge", 64): (0, False, True, "8fc19881e3"),
+    ("identity", "huge", 200): (0, False, True, "8fc19881e3"),
 }
 
 
