@@ -2,10 +2,13 @@
 
 Subcommands: verify-map, orbit, height, canonical, inequality, divisor.
 Identical configuration and inputs produce byte-identical reports; all
-randomness is seeded and the seed is recorded.  Exit codes: 0 pass,
-1 verification failure (on every subcommand this includes an inverse that
-fails symbolic verification, and on ``inequality`` a sample that keeps
-no point), 2 input error
+randomness is seeded and JSON reports record the seed.  ``inequality``
+decides regularity, evaluates delta and applies the fixed verdict rule
+of ``affdyn.inequality``; its sampler defaults to ``rationals:5:3``.
+
+Exit codes: 0 pass, 1 verification failure (on every subcommand this
+includes an inverse that fails symbolic verification, and on
+``inequality`` a sample that keeps no point), 2 input error
 (``InputError``, ``MapSyntaxError``, ``DatumError`` or ``OSError``),
 3 internal error (any other exception, a plain ``ValueError`` included:
 a fault in affdyn, reported as ``internal error: ...`` and its traceback
@@ -19,7 +22,8 @@ to stderr.
 
 JSON reports are compact and key-sorted: one line, no spaces, then a
 newline.  ``python -m json.tool --sort-keys --indent 2 report.json`` gives
-the indented layout of earlier versions, byte for byte.
+the indented layout of earlier versions, byte for byte.  They are strict
+JSON: ``null`` stands for a missing minimum or an infinite tail bound.
 """
 
 from __future__ import annotations
@@ -86,8 +90,10 @@ def _verdict_stream(args):
 def _emit(payload, args, csv_rows=None) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "json":
-        # Compact, so that CPython takes its one-shot C encoder.
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        # Compact, so that CPython takes its one-shot C encoder.  Strict:
+        # reports write null for a missing or infinite value, so a NaN or
+        # infinity here is a fault and raises.
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -101,20 +107,22 @@ def _emit(payload, args, csv_rows=None) -> None:
         sys.stdout.write(text)
 
 
+def _bounds(text: str) -> tuple[int, int]:
+    """The rational bounds ``N[:D]`` as ``(N, D)``; ``D`` defaults to 3."""
+    num, _, den = text.partition(":")
+    return int(num), int(den) if den else 3
+
+
 def _parse_sampler(spec: str, seed: int, n: int):
     kind, _, rest = spec.partition(":")
     try:
         if kind == "box":
             return BoxSampler(int(rest))
         if kind == "rationals":
-            num, _, den = rest.partition(":")
-            return RationalBoxSampler(int(num), int(den) if den else 3)
+            return RationalBoxSampler(*_bounds(rest))
         if kind == "random":
             count, _, bounds = rest.partition(":")
-            if bounds:
-                num, _, den = bounds.partition(":")
-                return RandomRationalSampler(int(count), int(num), int(den), seed)
-            return RandomRationalSampler(int(count), seed=seed)
+            return RandomRationalSampler(int(count), *_bounds(bounds or "5:3"), seed)
         if kind == "orbit":
             depth, _, seeds_text = rest.partition(":")
             if not seeds_text:
@@ -203,17 +211,10 @@ def cmd_canonical(args) -> int:
 
 def cmd_inequality(args) -> int:
     automorphism = _load_automorphism(args)
-    samplers = [_parse_sampler(spec, args.seed, automorphism.n) for spec in args.sampler]
+    specs = args.sampler or ["rationals:5:3"]
+    samplers = [_parse_sampler(spec, args.seed, automorphism.n) for spec in specs]
     sampler = samplers[0] if len(samplers) == 1 else CompositeSampler(tuple(samplers))
-    report = batch_verify(
-        automorphism,
-        sampler,
-        slack=args.slack,
-        warmup=args.warmup,
-        bit_budget=_bit_budget(args),
-        assume_regular=args.assume_regular,
-        mode="silverman" if args.silverman else "delta",
-    )
+    report = batch_verify(automorphism, sampler, _bit_budget(args))
     verdict = "PASS" if report.stabilized else "FAIL"
     print(
         f"{verdict}: min_delta={report.min_delta!r} over {len(report.records)} points "
@@ -356,21 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report(p)
     _add_bit_budget(p)
     p.add_argument(
-        "--seed", type=int, default=0, help="seed of the random: sampler, recorded in reports"
+        "--seed", type=int, default=0,
+        help="seed of the random: sampler, recorded in JSON reports",
     )
     p.add_argument(
         "--sampler",
         action="append",
-        default=None,
-        help="box:B | rationals:N[:D] | random:COUNT[:N:D] | orbit:DEPTH:P1;P2 "
+        help="box:B | rationals:N[:D] | random:COUNT[:N[:D]] | orbit:DEPTH:P1;P2 "
         "(repeatable; default rationals:5:3)",
     )
-    p.add_argument("--slack", type=float, default=0.05)
-    p.add_argument("--warmup", type=int, default=64)
-    p.add_argument(
-        "--silverman", action="store_true", help="Silverman statistic (no mixed term) instead"
-    )
-    p.add_argument("--assume-regular", action="store_true")
     p.set_defaults(func=cmd_inequality)
 
     p = sub.add_parser("divisor", help="validate resolution data and compute D")
@@ -384,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "sampler", None) is None and args.command == "inequality":
-        args.sampler = ["rationals:5:3"]
     try:
         return args.func(args)
     except InverseVerificationError as exc:

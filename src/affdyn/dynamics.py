@@ -98,15 +98,6 @@ class OrbitResult:
     def completed_depth(self) -> int:
         return len(self.raw) - 1
 
-    def __len__(self) -> int:
-        return len(self.raw)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, index):
-        return self.points[index]
-
 
 class AffineAutomorphism:
     """A verified polynomial automorphism pair of affine n-space.

@@ -16,7 +16,8 @@ from observed decay; it is not a proven bound, and a deeper orbit can
 raise it (a run of equal heights gives a tail of 0 until the heights
 move).  ``K`` is kept as a running maximum, so each step costs the same;
 where ``d^k`` leaves the float range the terms are scaled in logs
-instead.  For ``d = 1`` the tail is infinite once ``K > 0``.
+instead.  For ``d = 1`` the tail is infinite once ``K > 0``; reports
+write an infinite tail as null.
 
 The combined invariant ``h_plus + h_minus`` is nonnegative and vanishes
 exactly on periodic points.
@@ -80,7 +81,7 @@ class CanonicalHeightEstimate:
             "step_height_integers": list(self.step_integers),
             "values": list(self.values),
             "estimate": self.estimate,
-            "tail_bound": self.tail_bound,
+            "tail_bound": self.tail_bound if math.isfinite(self.tail_bound) else None,
             "depth": self.depth,
             "certified": self.certified,
             "truncated": self.truncated,
@@ -200,7 +201,7 @@ class CanonicalHeight:
     def to_report(self, map_id: str | None = None) -> dict:
         report = {
             "value": self.value,
-            "tail_bound": self.tail_bound,
+            "tail_bound": self.tail_bound if math.isfinite(self.tail_bound) else None,
             "certified": self.certified,
             "plus": self.plus.to_report(),
             "minus": self.minus.to_report(),

@@ -5,11 +5,10 @@ For an automorphism pair of degrees ``(d, d')`` the pointwise statistic is
     delta(P) = (1/d) h(f P) + (1/d') h(f^{-1} P) - (1 + 1/(d d')) h(P),
 
 whose lower envelope over growing samples estimates the uniform constant
-in the two-sided height inequality.  The Silverman statistic
-``(1/d) h(f P) + (1/d') h(f^{-1} P) - h(P)`` drops the mixed term, so it
-exceeds delta by exactly ``h(P) / (d d')``.  Both are exact rational
-combinations of logs of integers; the stored per-point height integers make
-every record recomputable.
+in the two-sided height inequality.  It is the one statistic computed: it
+is an exact rational combination of logs of integers, and the stored
+per-point height integers make every record recomputable (so they also
+give any other combination of the three heights).
 
 A sampler is any object with ``describe()``, a JSON-ready description of
 the sample, and ``points(automorphism, bit_budget)``, an iterator over
@@ -23,9 +22,12 @@ reduced integer pairs ``(a, q)`` and build each point from them directly
 form; a point becomes text only when a report is encoded.
 
 Verification PASSES when the running minimum stabilizes across nested
-samples: past a warmup size, growing the sample by 4x must move the
-minimum by less than the configured slack.  A sample that keeps no point
-FAILS.
+samples.  The rule is fixed: checkpoints fall at ``WARMUP`` = 64 kept
+points and at every 4x growth past it, plus one at the end of the sample,
+and the minimum must move by less than ``SLACK`` = 0.05 between the last
+two.  A sample with fewer than two checkpoints (at most ``WARMUP`` kept
+points) PASSES with a note that the rule was not evaluated.  A sample that
+keeps no point FAILS.
 
 Per-point evaluations are independent (parallelizable); report assembly
 is a single sequential reduction, which keeps record order deterministic.
@@ -45,6 +47,10 @@ from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, InputError, RawPoi
 from .parsing import format_point, format_raw_point
 
 Point = tuple[Fraction, ...]
+
+# The stabilization rule of the module docstring.
+SLACK = 0.05
+WARMUP = 64
 
 
 # -- samplers ------------------------------------------------------------
@@ -225,12 +231,7 @@ class DeltaRecord(NamedTuple):
         ]
 
 
-def _record(
-    automorphism: AffineAutomorphism,
-    raw: RawPoint,
-    bit_budget: int,
-    mode: str,
-) -> DeltaRecord | None:
+def _record(automorphism: AffineAutomorphism, raw: RawPoint, bit_budget: int) -> DeltaRecord | None:
     height = kernel.height_integer(*raw)
     if height.bit_length() > bit_budget:
         return None
@@ -244,10 +245,7 @@ def _record(
     h_f = log(h_forward)
     h_i = log(h_inverse)
     d, d_inv = automorphism.degrees
-    if mode == "delta":
-        delta = h_f / d + h_i / d_inv - (1.0 + 1.0 / (d * d_inv)) * h_p
-    else:
-        delta = h_f / d + h_i / d_inv - h_p
+    delta = h_f / d + h_i / d_inv - (1.0 + 1.0 / (d * d_inv)) * h_p
     return DeltaRecord(raw, (height, h_forward, h_inverse), h_p, h_f, h_i, delta)
 
 
@@ -260,7 +258,6 @@ class DeltaReport:
 
     map_id: str
     degrees: tuple[int, int]
-    mode: str
     sample: dict
     regularity: str
     records: tuple[DeltaRecord, ...]
@@ -270,8 +267,6 @@ class DeltaReport:
     checkpoints: tuple[tuple[int, float], ...]
     stabilized: bool
     stabilization_note: str
-    slack: float
-    warmup: int
 
     CSV_HEADER = [
         "point",
@@ -285,21 +280,24 @@ class DeltaReport:
     ]
 
     def to_json_dict(self) -> dict:
+        """The JSON payload; ``min_delta`` is None when no point was kept.
+        ``mode``, ``slack`` and ``warmup`` record the fixed rule, so that
+        the report layout stays the same."""
         return {
             "map_id": self.map_id,
             "degrees": list(self.degrees),
-            "mode": self.mode,
+            "mode": "delta",
             "sample": self.sample,
             "regularity": self.regularity,
             "count": len(self.records),
             "skipped": self.skipped,
-            "min_delta": self.min_delta,
+            "min_delta": self.min_delta if self.records else None,
             "argmin": format_raw_point(*self.argmin) if self.argmin is not None else None,
             "checkpoints": [[c, m] for c, m in self.checkpoints],
             "stabilized": self.stabilized,
             "stabilization_note": self.stabilization_note,
-            "slack": self.slack,
-            "warmup": self.warmup,
+            "slack": SLACK,
+            "warmup": WARMUP,
             "records": [
                 {
                     "point": format_raw_point(*r.point),
@@ -322,33 +320,26 @@ class DeltaReport:
 def batch_verify(
     automorphism: AffineAutomorphism,
     sampler,
-    slack: float = 0.05,
-    warmup: int = 64,
     bit_budget: int = DEFAULT_BIT_BUDGET,
-    assume_regular: bool = False,
-    mode: str = "delta",
 ) -> DeltaReport:
-    """Evaluate the statistic over a deterministic sample and test whether
-    its minimum has stabilized.
+    """Evaluate delta over a deterministic sample and test whether its
+    minimum has stabilized, by the rule of the module docstring.
 
     ``sampler`` follows the sampler protocol of the module docstring; a
     point that is not in canonical ``(nums, den)`` form, or that has the
     wrong number of coordinates, raises ``InputError`` (a ``ValueError``).
 
     Points whose exact evaluation exceeds the bit budget are skipped and
-    counted.  When ``assume_regular`` is not set, the regularity verdict is
-    computed and recorded in the report.
+    counted.  The regularity verdict is decided and recorded in the report.
     """
-    if mode not in ("delta", "silverman"):
-        raise InputError("mode must be 'delta' or 'silverman'")
-    regularity = "asserted" if assume_regular else is_regular(automorphism).verdict
+    regularity = is_regular(automorphism).verdict
 
     records: list[DeltaRecord] = []
     skipped = 0
     running_min = float("inf")
     argmin: RawPoint | None = None
     checkpoints: list[tuple[int, float]] = []
-    next_checkpoint = max(warmup, 1)
+    next_checkpoint = WARMUP
     for raw in sampler.points(automorphism, bit_budget):
         nums, den = raw
         if len(nums) != automorphism.n:
@@ -357,7 +348,7 @@ def batch_verify(
             )
         if den <= 0 or gcd(den, *nums) != 1:
             raise InputError(f"sampler point {raw!r} is not in canonical (nums, den) form")
-        record = _record(automorphism, raw, bit_budget, mode)
+        record = _record(automorphism, raw, bit_budget)
         if record is None:
             skipped += 1
             continue
@@ -371,22 +362,23 @@ def batch_verify(
     if records and (not checkpoints or checkpoints[-1][0] != len(records)):
         checkpoints.append((len(records), running_min))
 
-    past_warmup = [c for c in checkpoints if c[0] >= warmup]
     if not records:
         stabilized = False
         note = "the sample kept no point; nothing to verify"
-    elif len(past_warmup) >= 2:
-        drift = abs(past_warmup[-1][1] - past_warmup[-2][1])
-        stabilized = drift < slack
-        note = f"min moved {drift:.6g} between the last two checkpoints"
-    else:
+    elif len(records) < WARMUP:
         stabilized = True
         note = "sample below warmup; stabilization not evaluated"
+    elif len(checkpoints) == 1:
+        stabilized = True
+        note = "one checkpoint, at warmup; stabilization not evaluated"
+    else:
+        drift = abs(checkpoints[-1][1] - checkpoints[-2][1])
+        stabilized = drift < SLACK
+        note = f"min moved {drift:.6g} between the last two checkpoints"
 
     return DeltaReport(
         map_id=automorphism.map_id,
         degrees=automorphism.degrees,
-        mode=mode,
         sample=sampler.describe(),
         regularity=regularity,
         records=tuple(records),
@@ -396,6 +388,4 @@ def batch_verify(
         checkpoints=tuple(checkpoints),
         stabilized=stabilized,
         stabilization_note=note,
-        slack=slack,
-        warmup=warmup,
     )

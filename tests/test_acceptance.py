@@ -118,14 +118,10 @@ def test_criterion_6_inequality_at_desk_scale(henon):
             for seed in ((1, 1, 1), (1, 0, 0), (0, 1, 2), (-1, 2, 1), (2, -1, 0))
         )
         orbits = OrbitSampler(seeds, 8)
-        small = batch_verify(
-            henon, CompositeSampler((BoxSampler(5), orbits)), assume_regular=True
-        )
+        small = batch_verify(henon, CompositeSampler((BoxSampler(5), orbits)))
         assert sum(1 for r in small.records) >= 11**3
         assert math.isfinite(small.min_delta)
-        large = batch_verify(
-            henon, CompositeSampler((BoxSampler(7), orbits)), assume_regular=True
-        )
+        large = batch_verify(henon, CompositeSampler((BoxSampler(7), orbits)))
         assert math.isfinite(large.min_delta)
         assert abs(large.min_delta - small.min_delta) < 0.05
         assert small.stabilized and large.stabilized

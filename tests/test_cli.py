@@ -177,20 +177,34 @@ class TestInequality:
         report = json.loads(out.read_text())
         assert report["stabilized"] and report["count"] == 343
 
-    def test_multiple_samplers_and_silverman(self, henon_map, capsys):
+    def test_multiple_samplers(self, henon_map, capsys):
         code = main(
             ["inequality", henon_map, "--sampler", "box:1",
-             "--sampler", "orbit:4:(1,1,1);(0,1,2)", "--silverman",
-             "--assume-regular"]
+             "--sampler", "orbit:4:(1,1,1);(0,1,2)"]
         )
         assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS: ") and out.endswith(
+            " over 37 points (0 skipped); sample below warmup; stabilization not evaluated\n"
+        )
+
+    def test_random_bounds_read_like_rationals(self, henon_map, tmp_path, capsys):
+        # random:COUNT:N means random:COUNT:N:3, as rationals:N means rationals:N:3.
+        reports = []
+        for spec in ("random:100:5", "random:100:5:3"):
+            out = tmp_path / "report.json"
+            assert main(["inequality", henon_map, "--sampler", spec, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        for spec in ("rationals:5:3:9", "random:100:5:3:9"):
+            assert main(["inequality", henon_map, "--sampler", spec]) == 2
 
     def test_bad_sampler_exits_two(self, henon_map, capsys):
         assert main(["inequality", henon_map, "--sampler", "carrots:1"]) == 2
 
     @pytest.mark.parametrize("seed", ["(1,1)", "(1,1,1,1)"])
     def test_orbit_seed_of_wrong_dimension_exits_two(self, henon_map, capsys, seed):
-        argv = ["inequality", henon_map, "--sampler", f"orbit:2:{seed}", "--assume-regular"]
+        argv = ["inequality", henon_map, "--sampler", f"orbit:2:{seed}"]
         assert main(argv) == 2
         count = seed.count(",") + 1
         assert capsys.readouterr().err == (
@@ -200,15 +214,17 @@ class TestInequality:
 
     def test_unstable_verdict_exits_one(self, henon_map, capsys):
         code = main(
-            ["inequality", henon_map, "--sampler", "box:2", "--warmup", "60",
-             "--slack", "0.02", "--assume-regular"]
+            ["inequality", henon_map, "--sampler", "random:64:50:20", "--sampler", "box:1"]
         )
         assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "FAIL: min_delta=0.0 over 91 points (0 skipped); "
+            "min moved 1.55186 between the last two checkpoints\n"
+        )
 
     def test_empty_sample_exits_one(self, henon_map, capsys):
         # No denominator allowed: the value table is empty, nothing is drawn.
-        argv = ["inequality", henon_map, "--sampler", "rationals:5:0", "--assume-regular"]
+        argv = ["inequality", henon_map, "--sampler", "rationals:5:0"]
         assert main(argv) == 1
         assert capsys.readouterr().out == (
             "FAIL: min_delta=nan over 0 points (0 skipped); "
@@ -218,7 +234,7 @@ class TestInequality:
     @pytest.mark.parametrize("spec", ["random:5:3:0", "random:5:-1:3"])
     def test_empty_value_table_draws_nothing(self, henon_map, capsys, spec):
         # The random sampler draws from the same table: none, so no point.
-        argv = ["inequality", henon_map, "--sampler", spec, "--assume-regular"]
+        argv = ["inequality", henon_map, "--sampler", spec]
         assert main(argv) == 1
         assert capsys.readouterr() == (
             "FAIL: min_delta=nan over 0 points (0 skipped); "
@@ -234,7 +250,7 @@ class TestInequality:
         ],
     )
     def test_out_of_range_sampler_exits_two(self, henon_map, capsys, spec, message):
-        argv = ["inequality", henon_map, "--sampler", spec, "--assume-regular"]
+        argv = ["inequality", henon_map, "--sampler", spec]
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -249,6 +265,10 @@ class TestInequality:
             ["canonical", henon_map, "--point", "1,1,1", "--depth", "2", "--convention", "sum"],
             ["canonical", henon_map, "--point", "1,1,1", "--depth", "2", "--tolerance", "1e-4"],
             ["verify-map", henon_map, "--trust-inverse", henon_map],
+            ["inequality", henon_map, "--silverman"],
+            ["inequality", henon_map, "--assume-regular"],
+            ["inequality", henon_map, "--slack", "0.1"],
+            ["inequality", henon_map, "--warmup", "8"],
         ):
             with pytest.raises(SystemExit) as err:
                 main(argv)
@@ -261,68 +281,59 @@ class TestInequality:
         # Fractions.  A JSON report has two: of its payload in the indented
         # layout, as pinned then, and of its compact bytes.
         seeds = "(1,1,1);(1/2,0,-1)"
-        box_minima = ("-0.23048443379588357", "-0.1438410362258904")
+        box_minimum = "-0.23048443379588357"
         mixes = {
             "200 bits": (
                 ["--sampler", "box:3", "--sampler", "rationals:2:2",
                  "--sampler", f"orbit:6:{seeds}", "--bit-budget", "200"],
                 "over 700 points (0 skipped)",
-                box_minima,
+                box_minimum,
                 {
                     "json": "948898075966a9051ea5264443b377796d26f5679a6bad67525f91ab79817770",
                     "json compact": "c94c54e9fb32d03ffe43b623f6b54ec1025455945843a24c4e504244a4a30270",
                     "csv": "ac64a6aa7df320f46715462efbf6e4d284aa5083dae9a9475e58fdc21160eded",
-                    "silverman": "2550d77bc713acc5ee05524a3cb7863449181c2fd48e0ba3e36aeb230f466c9d",
-                    "silverman compact": "9bdef59f203577673bd5b4ed71fc5098243856149be63b73c1e75fc9def5d942",
                 },
             ),
             "24 bits": (
                 ["--sampler", "box:6", "--sampler", "rationals:3:3",
                  "--sampler", f"orbit:12:{seeds}", "--bit-budget", "24"],
                 "over 5581 points (2 skipped)",
-                box_minima,
+                box_minimum,
                 {
                     "json": "ee3209f627b628eb19c4a8592196fef4fd51817d72e528fcfaaa39159766dde4",
                     "json compact": "a706214cadffe6069e4efd3ae6030524c674990e056a87cc3d65e2728f753e18",
                     "csv": "53260dc9dedda9e16b8a3020e6d4c7e3b4135f5d67af74ff6f0e17b487edb0fe",
-                    "silverman": "47a64edd0dcd57772c30f7cedb6766530f6aa8c93f9a25be3ae0bdaf501fcefe",
-                    "silverman compact": "3164f38c73ed748b301c1ede8e126c32996d771c9970946c91efd21d54ec6a82",
                 },
             ),
             "random 50:20": (
                 ["--sampler", "random:2000:50:20", "--seed", "3"],
                 "over 2000 points (0 skipped)",
-                ("0.42230347696509885", "0.7688770672450715"),
+                "0.42230347696509885",
                 {
                     "json": "3b66e7ac3c4ad0ad13a6e385adf9cf11fa48fd03c72e92167f120937d2b55dd8",
                     "json compact": "ed9007431f1f8963db521db4b597948760f1c02073afb68458bf7789053007e6",
                     "csv": "68daeb75fa37e45661f9c54a84550853482b77e0585365b55d4b43b4a4303bfb",
-                    "silverman": "2f350a9917b5941992e031b97770f3700b0fe15fc18f1cb9e2a52a7cb6da736a",
-                    "silverman compact": "6b132f77cae9eca6a2990e693547aa428c16cb5212d29e34d68b49a0cb00f2e9",
                 },
             ),
             "random 5:3": (
                 ["--sampler", "random:300:5:3", "--seed", "0"],
                 "over 300 points (0 skipped)",
-                box_minima,
+                box_minimum,
                 {
                     "json": "55780ab3c899230535e391365e61f7ec13f60347933f5317e30b779b44e6bbfe",
                     "json compact": "847a46bc3649005c4e4c9fe8eec18ba63910280fb03481900839e9934568f8b7",
                     "csv": "9882d06ba3e0505640e10634df80977dc7d7a51fa963abd4e9349be2ae67e538",
-                    "silverman": "58f2ec1e81e6ce79d31c444e595d18cdb48c159b739a12eba803a74616dae336",
-                    "silverman compact": "127df30af477e8b6a6370f70827eba027801d09559b72da07ee7b736ba2572f0",
                 },
             ),
         }
-        forms = {"json": [], "csv": ["--format", "csv"], "silverman": ["--silverman"]}
-        for name, (argv, counts, (minimum, silverman_minimum), digests) in mixes.items():
+        forms = {"json": [], "csv": ["--format", "csv"]}
+        for name, (argv, counts, minimum, digests) in mixes.items():
             for form, extra in forms.items():
                 out = tmp_path / f"{form}.report"
                 code = main(["inequality", henon_map, *argv, *extra, "--out", str(out)])
                 assert code == 0, (name, form)
-                delta = silverman_minimum if form == "silverman" else minimum
                 assert capsys.readouterr().out == (
-                    f"PASS: min_delta={delta} {counts}; "
+                    f"PASS: min_delta={minimum} {counts}; "
                     "min moved 0 between the last two checkpoints\n"
                 ), (name, form)
                 report = out.read_bytes()
@@ -340,14 +351,13 @@ class TestInequality:
 
         monkeypatch.setattr(DeltaReport, "to_json_dict", refuse)
         out = tmp_path / "ineq.csv"
-        base = ["inequality", henon_map, "--sampler", "box:1", "--assume-regular"]
+        base = ["inequality", henon_map, "--sampler", "box:1"]
         assert main([*base, "--format", "csv", "--out", str(out)]) == 0
         assert main([*base, "--format", "csv"]) == 0
         assert main(base) == 0
 
     def test_csv_to_stdout_is_one_table(self, henon_map, capsys):
-        argv = ["inequality", henon_map, "--sampler", "box:1", "--format", "csv",
-                "--assume-regular"]
+        argv = ["inequality", henon_map, "--sampler", "box:1", "--format", "csv"]
         assert main(argv) == 0
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
@@ -358,7 +368,7 @@ class TestInequality:
     def test_csv_output(self, henon_map, tmp_path):
         out = tmp_path / "ineq.csv"
         main(["inequality", henon_map, "--sampler", "box:1", "--format", "csv",
-              "--out", str(out), "--assume-regular"])
+              "--out", str(out)])
         lines = out.read_text().splitlines()
         assert lines[0].startswith("point,")
         assert len(lines) == 28
@@ -496,47 +506,58 @@ class TestDivisor:
 
 
 class TestReportLayout:
-    """Every JSON report is one compact, key-sorted line: the payload the
-    indented layout held, written by the C encoder."""
+    """Every JSON report is one compact, key-sorted line of strict JSON: the
+    payload the indented layout held, written by the C encoder."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, code",
         [
-            ["verify-map", "MAP"],
-            ["orbit", "MAP", "--point", "1,1/2,-3", "--depth", "5"],
-            ["height", "--point", "1/2,3"],
-            ["canonical", "MAP", "--point", "1,1,1", "--depth", "8"],
-            ["inequality", "MAP", "--sampler", "box:2", "--sampler", "rationals:1:2"],
-            ["inequality", "MAP", "--sampler", "random:5:50:20", "--bit-budget", "1",
-             "--assume-regular"],
-            ["divisor", "DATUM"],
+            (["verify-map", "MAP"], 0),
+            (["orbit", "MAP", "--point", "1,1/2,-3", "--depth", "5"], 0),
+            (["height", "--point", "1/2,3"], 0),
+            (["canonical", "MAP", "--point", "1,1,1", "--depth", "8"], 0),
+            (["canonical", "SHEAR", "--point", "1,1", "--depth", "3"], 1),
+            (["inequality", "MAP", "--sampler", "box:2", "--sampler", "rationals:1:2"], 0),
+            (["inequality", "MAP", "--sampler", "random:5:50:20", "--bit-budget", "1"], 1),
+            (["divisor", "DATUM"], 0),
         ],
-        ids=["verify-map", "orbit", "height", "canonical", "inequality",
-             "inequality-all-skipped", "divisor"],
+        ids=["verify-map", "orbit", "height", "canonical", "canonical-degree-one",
+             "inequality", "inequality-all-skipped", "divisor"],
     )
-    def test_one_line_reloads_and_reruns(self, argv, henon_map, datum_paths, tmp_path, capsys):
-        expand = {"MAP": [henon_map], "DATUM": datum_paths}
+    def test_one_line_reloads_and_reruns(
+        self, argv, code, henon_map, datum_paths, tmp_path, capsys
+    ):
+        shear = tmp_path / "shear.map"
+        shear.write_text("vars x y\nforward: x + y | y\ninverse: x - y | y\n")
+        expand = {"MAP": [henon_map], "SHEAR": [str(shear)], "DATUM": datum_paths}
         argv = [part for arg in argv for part in expand.get(arg, [arg])]
-        all_skipped = argv[-1] == "--assume-regular"
         reports = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
-            assert main([*argv, "--out", str(out)]) == (1 if all_skipped else 0)
+            assert main([*argv, "--out", str(out)]) == code
             reports.append(out.read_bytes())
         printed = capsys.readouterr().out
         report = reports[0]
         assert report == reports[1]
         assert report.endswith(b"\n") and report.count(b"\n") == 1
-        payload = json.loads(report)
+
+        def refuse(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        payload = json.loads(report, parse_constant=refuse)
         compact = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         assert report == compact.encode()
-        if all_skipped:
+        if argv[0] == "inequality" and code == 1:
             assert payload["count"] == 0 and payload["skipped"] == 5
-            assert math.isnan(payload["min_delta"]) and payload["stabilized"] is False
+            assert payload["min_delta"] is None and payload["stabilized"] is False
             assert printed == 2 * (
                 "FAIL: min_delta=nan over 0 points (5 skipped); "
                 "the sample kept no point; nothing to verify\n"
             )
+        if argv[0] == "canonical" and code == 1:
+            # Degree 1: the extrapolated tail is infinite, and null in JSON.
+            assert payload["tail_bound"] is None and payload["certified"] is False
+            assert payload["plus"]["tail_bound"] is None
         pretty = subprocess.run(
             [sys.executable, "-m", "json.tool", "--sort-keys", "--indent", "2",
              str(tmp_path / "a.json")],
@@ -565,8 +586,7 @@ NOT_UTF8 = b"vars x y\nforward: x | y\ninverse: x | y\n# \xff\n"
          "orbit depth must be non-negative, got -1"),
         ({}, ["orbit", "MAP", "--point", "1000,1,1", "--depth", "2", "--bit-budget", "4"],
          "starting point already exceeds the bit budget"),
-        ({}, ["inequality", "MAP", "--sampler", "orbit:2:1000,1,1", "--bit-budget", "4",
-              "--assume-regular"],
+        ({}, ["inequality", "MAP", "--sampler", "orbit:2:1000,1,1", "--bit-budget", "4"],
          "starting point already exceeds the bit budget"),
     ],
     ids=["one-variable-verify-map", "one-variable-inequality", "zero-coordinate",

@@ -5,22 +5,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
 
 from affdyn import kernel
 from affdyn.dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism
-from affdyn.heights import weil_height, weil_height_integer
+from affdyn.heights import weil_height_integer
 from affdyn.inequality import (
     BoxSampler,
     CompositeSampler,
     OrbitSampler,
     RandomRationalSampler,
     RationalBoxSampler,
+    WARMUP,
     _rational_values,
     batch_verify,
 )
 
-from conftest import count_calls, small_points
+from conftest import count_calls
 
 LOG2 = math.log(2)
 
@@ -64,52 +64,31 @@ class FixedSampler:
         yield self.raw
 
 
-def silverman_at(automorphism, point, mode="silverman") -> float:
-    """The statistic ``batch_verify`` records at one point in ``mode``."""
+def delta_at(automorphism, point) -> float:
+    """The statistic ``batch_verify`` records at one point."""
     sampler = OrbitSampler((tuple(Fraction(c) for c in point),), 0)
-    report = batch_verify(automorphism, sampler, assume_regular=True, mode=mode)
-    (record,) = report.records
+    (record,) = batch_verify(automorphism, sampler).records
     return record.delta
 
 
 class TestDeltaStatistic:
     def test_origin(self, henon):
-        assert silverman_at(henon, (0, 0, 0), "delta") == 0.0
+        assert delta_at(henon, (0, 0, 0)) == 0.0
 
     def test_unit_point(self, henon):
         # images (1,2,2) and (1,1,0): heights log 2 and 0; h(P) = 0
-        assert silverman_at(henon, (1, 1, 1), "delta") == pytest.approx(LOG2 / 2, abs=0)
+        assert delta_at(henon, (1, 1, 1)) == pytest.approx(LOG2 / 2, abs=0)
 
     def test_orbit_point_against_direct_formula(self, henon):
         # f(2,6,5) = (6,41,27), f^{-1}(2,6,5) = (1,2,2)
         expected = math.log(41) / 2 + LOG2 / 4 - (1 + Fraction(1, 8)) * math.log(6)
-        delta = silverman_at(henon, (2, 6, 5), "delta")
+        delta = delta_at(henon, (2, 6, 5))
         assert delta == pytest.approx(expected, rel=1e-15)
 
-
-class TestSilvermanStatistic:
-    def test_unit_point(self, henon):
-        assert silverman_at(henon, (1, 1, 1)) == pytest.approx(LOG2 / 2, abs=0)
-
-    def test_zero_height_cycle(self, henon):
-        # (0,0,0) maps to height-0 points in both directions
-        assert silverman_at(henon, (0, 0, 0)) == 0.0
-
     def test_identity_family(self):
-        # on the pair (id, id) the statistic is h(P) + h(P) - h(P) = h(P)
+        # on the pair (id, id) the statistic is h(P) + h(P) - 2 h(P) = 0
         ident = AffineAutomorphism.identity(3)
-        point = (3, Fraction(1, 2), -4)
-        assert silverman_at(ident, point) == weil_height(point)
-
-    @given(small_points)
-    @settings(max_examples=50)
-    def test_exceeds_delta_by_exact_margin(self, henon, point):
-        d, d_inv = henon.degrees
-        margin = weil_height(point) / (d * d_inv)
-        silverman = silverman_at(henon, point)
-        delta = silverman_at(henon, point, "delta")
-        assert silverman == pytest.approx(delta + margin, abs=1e-12)
-        assert silverman >= delta - margin - 1e-12
+        assert delta_at(ident, (3, Fraction(1, 2), -4)) == 0.0
 
     @pytest.mark.parametrize(
         "sampler",
@@ -120,23 +99,18 @@ class TestSilvermanStatistic:
         ids=["box", "orbit"],
     )
     def test_records_match_fraction_oracle(self, henon, sampler):
-        # Recompute every kernel record through Polynomial.evaluate, and check
-        # silverman - delta = h(P) / (d d') record by record.
-        silverman = batch_verify(henon, sampler, assume_regular=True, mode="silverman")
-        delta = batch_verify(henon, sampler, assume_regular=True, mode="delta")
+        # Recompute every kernel record through Polynomial.evaluate.
+        report = batch_verify(henon, sampler)
         d, d_inv = henon.degrees
-        assert len(silverman.records) == len(delta.records) > 0
-        for record, other in zip(silverman.records, delta.records):
+        assert report.records
+        for record in report.records:
             point = kernel.to_fractions(*record.point)
             image = tuple(p.evaluate(point) for p in henon.forward)
             preimage = tuple(p.evaluate(point) for p in henon.inverse)
             ints = tuple(weil_height_integer(q) for q in (point, image, preimage))
             assert record.height_integers == ints
             h_p, h_f, h_i = (math.log(h) for h in ints)
-            assert record.delta == h_f / d + h_i / d_inv - h_p
-            assert (other.point, other.height_integers) == (record.point, ints)
-            margin = h_p / (d * d_inv)
-            assert record.delta - other.delta == pytest.approx(margin, abs=1e-12)
+            assert record.delta == h_f / d + h_i / d_inv - (1 + 1 / (d * d_inv)) * h_p
 
 
 class TestSamplers:
@@ -206,14 +180,14 @@ class TestSamplers:
 
 class TestBatchVerify:
     def test_single_fixed_point(self, henon):
-        report = batch_verify(henon, OrbitSampler(((Fraction(0),) * 3,), 0), assume_regular=True)
+        report = batch_verify(henon, OrbitSampler(((Fraction(0),) * 3,), 0))
         assert report.min_delta == 0.0
         assert report.argmin == ((0, 0, 0), 1)
         assert report.stabilized  # flagged as below warmup
         assert "below warmup" in report.stabilization_note
 
     def test_small_box(self, henon):
-        report = batch_verify(henon, BoxSampler(3), assume_regular=True)
+        report = batch_verify(henon, BoxSampler(3))
         assert len(report.records) == 7**3
         assert math.isfinite(report.min_delta)
         assert report.argmin is not None
@@ -228,9 +202,9 @@ class TestBatchVerify:
         assert recomputed == report.min_delta
 
     def test_orbit_points_stay_above_box_minimum(self, henon):
-        box = batch_verify(henon, BoxSampler(3), assume_regular=True)
+        box = batch_verify(henon, BoxSampler(3))
         seeds = (tuple(map(Fraction, (1, 1, 1))),)
-        orbit = batch_verify(henon, OrbitSampler(seeds, 8), assume_regular=True)
+        orbit = batch_verify(henon, OrbitSampler(seeds, 8))
         assert all(r.delta >= box.min_delta for r in orbit.records)
 
     def test_composite_sampler_and_regularity_recorded(self, henon):
@@ -238,18 +212,16 @@ class TestBatchVerify:
         report = batch_verify(henon, sampler)
         assert report.regularity == "regular"
         assert len(report.records) == 27 + 4
-        asserted = batch_verify(henon, sampler, assume_regular=True)
-        assert asserted.regularity == "asserted"
 
     @pytest.mark.parametrize("raw", [((2, 4), 2), ((1, 2), -1)], ids=["gcd", "sign"])
     def test_non_canonical_sampler_point_is_rejected(self, raw):
         with pytest.raises(ValueError, match="canonical"):
-            batch_verify(AffineAutomorphism.identity(2), FixedSampler(raw), assume_regular=True)
+            batch_verify(AffineAutomorphism.identity(2), FixedSampler(raw))
 
     @pytest.mark.parametrize("raw", [((1, 1), 1), ((1, 1, 1, 1), 1)], ids=["short", "long"])
     def test_wrong_length_sampler_point_is_rejected(self, henon, raw):
         with pytest.raises(ValueError, match=r"has \d coordinates, expected 3"):
-            batch_verify(henon, FixedSampler(raw), assume_regular=True)
+            batch_verify(henon, FixedSampler(raw))
 
     def test_forward_overflow_skips_without_inverse(self, henon, monkeypatch):
         # f(0, 0, 16) = (0, 16, 256) exceeds 8 bits; the point does not.  The
@@ -257,7 +229,7 @@ class TestBatchVerify:
         # is evaluated, and the inverse is not.
         calls = count_calls(monkeypatch, "eval_point")
         sampler = OrbitSampler(((Fraction(0), Fraction(0), Fraction(16)),), 0)
-        report = batch_verify(henon, sampler, assume_regular=True, bit_budget=8)
+        report = batch_verify(henon, sampler, bit_budget=8)
         assert len(calls) == 1
         assert report.skipped == 1 and not report.records
 
@@ -265,7 +237,7 @@ class TestBatchVerify:
         # f(0, 0, 200) = (0, 200, 40000): z^2 alone proves 40000 > 2^8.
         calls = count_calls(monkeypatch, "eval_point")
         sampler = OrbitSampler(((Fraction(0), Fraction(0), Fraction(200)),), 0)
-        report = batch_verify(henon, sampler, assume_regular=True, bit_budget=8)
+        report = batch_verify(henon, sampler, bit_budget=8)
         assert calls == []
         assert report.skipped == 1 and not report.records
         # A sample that keeps no point cannot pass.
@@ -277,47 +249,56 @@ class TestBatchVerify:
         # H(P) for the budget test and the record; each step hands back the
         # height integer of its image.
         scans = count_calls(monkeypatch, "height_integer")
-        report = batch_verify(henon, BoxSampler(1), assume_regular=True)
+        report = batch_verify(henon, BoxSampler(1))
         assert len(report.records) == 27 and report.skipped == 0
         assert len(scans) == 3 * len(report.records)
 
     def test_bit_budget_skips_are_counted(self, henon):
         seeds = (tuple(map(Fraction, (1, 1, 1))),)
         report = batch_verify(
-            henon, OrbitSampler(seeds, 12), assume_regular=True, bit_budget=48
+            henon, OrbitSampler(seeds, 12), bit_budget=48
         )
         assert report.skipped > 0
 
-    def test_silverman_mode(self, henon):
-        report = batch_verify(henon, BoxSampler(1), assume_regular=True, mode="silverman")
-        assert report.mode == "silverman"
-        d, d_inv = henon.degrees
-        for record in report.records:
-            expected = record.h_forward / d + record.h_inverse / d_inv - record.h_point
-            assert record.delta == expected
-
     def test_json_report_is_deterministic(self, henon):
         sampler = BoxSampler(2)
-        a = json.dumps(batch_verify(henon, sampler, assume_regular=True).to_json_dict(), sort_keys=True)
-        b = json.dumps(batch_verify(henon, sampler, assume_regular=True).to_json_dict(), sort_keys=True)
+        a = json.dumps(batch_verify(henon, sampler).to_json_dict(), sort_keys=True)
+        b = json.dumps(batch_verify(henon, sampler).to_json_dict(), sort_keys=True)
         assert a == b
 
     def test_stabilization_checkpoints(self, henon):
-        report = batch_verify(henon, BoxSampler(5), assume_regular=True, warmup=32)
-        counts = [c for c, _ in report.checkpoints]
-        assert counts[0] == 32 and counts[-1] == len(report.records)
+        report = batch_verify(henon, BoxSampler(5))
+        assert [c for c, _ in report.checkpoints] == [WARMUP, 4 * WARMUP, 16 * WARMUP, 11**3]
         mins = [m for _, m in report.checkpoints]
         assert all(b <= a for a, b in zip(mins, mins[1:]))  # running minima
         assert report.stabilized
 
+    @pytest.mark.parametrize(
+        "count, checkpoints, note",
+        [
+            (63, 1, "sample below warmup; stabilization not evaluated"),
+            (64, 1, "one checkpoint, at warmup; stabilization not evaluated"),
+            (65, 2, "min moved 0 between the last two checkpoints"),
+        ],
+    )
+    def test_note_at_warmup(self, henon, count, checkpoints, note):
+        report = batch_verify(henon, RandomRationalSampler(count))
+        assert len(report.records) == count and len(report.checkpoints) == checkpoints
+        assert report.stabilized and report.stabilization_note == note
+
     def test_unstable_minimum_fails_verdict(self, henon):
-        # the minimum still drops by ~0.026 after the checkpoint at 60 points,
-        # so a 0.02 slack must report failure
-        report = batch_verify(
-            henon, BoxSampler(2), assume_regular=True, warmup=60, slack=0.02
-        )
-        assert not report.stabilized
-        relaxed = batch_verify(
-            henon, BoxSampler(2), assume_regular=True, warmup=60, slack=0.05
-        )
-        assert relaxed.stabilized
+        # The verdict compares the drift of the minimum between the last two
+        # checkpoints with SLACK: random draws with large heights, then small
+        # boxes, move it by various amounts.
+        cases = [
+            (64, BoxSampler(1), False, "1.55186"),
+            (214, BoxSampler(2), False, "0.127706"),
+            (200, BoxSampler(2), True, "0.0263401"),
+        ]
+        for count, box, stabilized, drift in cases:
+            sampler = CompositeSampler((RandomRationalSampler(count, 50, 20), box))
+            report = batch_verify(henon, sampler)
+            assert report.stabilized is stabilized, count
+            assert report.stabilization_note == (
+                f"min moved {drift} between the last two checkpoints"
+            )
