@@ -37,8 +37,7 @@ from .heights import (
     CanonicalHeight,
     CanonicalHeightEstimate,
     canonical,
-    canonical_minus,
-    canonical_plus,
+    canonical_estimate,
     height_growth_constant,
     weil_height,
     weil_height_integer,
@@ -89,8 +88,7 @@ __all__ = [
     "ZeroPolynomialError",
     "batch_verify",
     "canonical",
-    "canonical_minus",
-    "canonical_plus",
+    "canonical_estimate",
     "check_effective",
     "check_pushpull_identity",
     "combine_resolutions",

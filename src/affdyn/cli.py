@@ -8,14 +8,16 @@ of ``affdyn.inequality``; its sampler defaults to ``rationals:5:3``.
 
 Exit codes: 0 pass, 1 verification failure (on every subcommand this
 includes an inverse that fails symbolic verification, and on
-``inequality`` a sample that keeps no point), 2 input error
-(``InputError``, ``MapSyntaxError``, ``DatumError`` or ``OSError``),
-3 internal error (any other exception, a plain ``ValueError`` included:
-a fault in affdyn, reported as ``internal error: ...`` and its traceback
-on stderr).
+``inequality`` a sample of at most 64 kept points, whose verdict rule was
+never evaluated), 2 input error (``InputError``, ``MapSyntaxError``,
+``DatumError`` or ``OSError``; a start over the bit budget is one on
+``orbit`` and ``canonical`` alike), 3 internal error (any other
+exception, a plain ``ValueError`` included: a fault in affdyn, reported
+as ``internal error: ...`` and its traceback on stderr).
 
 Without ``--out``, ``orbit``, ``height`` and ``canonical`` write their
-report to stdout.  ``verify-map``, ``inequality`` and ``divisor`` print
+report to stdout; the heights in the first two are those the one orbit
+loop measured.  ``verify-map``, ``inequality`` and ``divisor`` print
 their verdict lines and write a JSON report only with ``--out``; their
 CSV report goes to stdout without ``--out``, and the verdict lines then go
 to stderr.
@@ -35,7 +37,6 @@ import json
 import math
 import sys
 
-from . import kernel
 from .divisors import (
     DatumError,
     check_effective,
@@ -164,7 +165,7 @@ def cmd_orbit(args) -> int:
     point = parse_point(args.point, automorphism.n)
     result = automorphism.orbit(point, args.depth, args.direction, _bit_budget(args))
     texts = [format_raw_point(*raw) for raw in result.raw]
-    heights = [math.log(kernel.height_integer(*raw)) for raw in result.raw]
+    heights = [math.log(h) for h in result.heights]
     payload = {
         "map_id": automorphism.map_id,
         "direction": args.direction,
@@ -198,7 +199,6 @@ def cmd_canonical(args) -> int:
     point = parse_point(args.point, automorphism.n)
     result = canonical(automorphism, point, args.depth, _bit_budget(args))
     payload = result.to_report(automorphism.map_id)
-    payload["point"] = format_point(point)
     rows = [["k", "direction", "height_integer", "value"]]
     for estimate in (result.plus, result.minus):
         for k, (integer, value) in enumerate(

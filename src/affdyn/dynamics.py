@@ -22,6 +22,10 @@ Both steps read the forms as one ``kernel.CompiledMap``: the Macaulay
 rows come from its integer terms, and each candidate is evaluated by its
 ``eval_map``.
 
+``AffineAutomorphism.orbit`` is the one loop over ``step``; its
+``OrbitResult`` keeps the height integer ``step`` measured for each point,
+which canonical heights and reports read without a ``Fraction``.
+
 Automorphisms and their derived objects are immutable; orbits of distinct
 points may be computed in parallel with no coordination.
 """
@@ -81,13 +85,15 @@ class OrbitResult:
     """Orbit segment ``[P, f(P), ..., f^k(P)]`` with truncation metadata.
 
     ``raw`` holds the points in the kernel's canonical ``(nums, den)`` form;
-    ``points`` gives them as ``Fraction`` tuples.  ``truncated`` is set when
-    the bit budget stopped iteration before the requested depth;
+    ``points`` gives them as ``Fraction`` tuples; ``heights`` holds the
+    height integer of each, as ``step`` measured it.  ``truncated`` is set
+    when the bit budget stopped iteration before the requested depth;
     ``completed_depth`` then reports the last index that was actually
     computed.
     """
 
     raw: tuple[RawPoint, ...]
+    heights: tuple[int, ...]
     truncated: bool = False
 
     @cached_property
@@ -180,11 +186,14 @@ class AffineAutomorphism:
 
     def apply(self, point: Sequence[Fraction | int], direction: Direction = "forward"):
         """Exact image of an affine rational point."""
+        nums, den = kernel.eval_point(self.compiled(direction), *self._raw(point))
+        return kernel.to_fractions(nums, den)
+
+    def _raw(self, point: Sequence[Fraction | int]) -> RawPoint:
+        """The canonical ``(nums, den)`` form of a point of the right length."""
         if len(point) != self.n:
             raise InputError(f"point has {len(point)} coordinates, expected {self.n}")
-        nums, den = kernel.to_common_denominator(point)
-        nums, den = kernel.eval_point(self.compiled(direction), nums, den)
-        return kernel.to_fractions(nums, den)
+        return kernel.to_common_denominator(point)
 
     def step(
         self, raw: RawPoint, height: int, direction: Direction, bit_budget: int
@@ -221,23 +230,25 @@ class AffineAutomorphism:
     ) -> OrbitResult:
         """``[P, f(P), ..., f^depth(P)]`` with exact arithmetic.
 
-        Stops early (``truncated``) as soon as any coordinate integer would
-        exceed the bit budget.
+        The one loop over ``step``.  Stops early (``truncated``) as soon as
+        any coordinate integer would exceed the bit budget; a start already
+        over the budget is an ``InputError``.
         """
         if depth < 0:
             raise InputError("depth must be >= 0")
-        raw = [kernel.to_common_denominator(point)]
-        height = kernel.height_integer(*raw[0])
-        if height.bit_length() > bit_budget:
+        raw = [self._raw(point)]
+        heights = [kernel.height_integer(*raw[0])]
+        if heights[0].bit_length() > bit_budget:
             raise InputError("starting point already exceeds the bit budget")
         truncated = False
         for _ in range(depth):
-            image, height = self.step(raw[-1], height, direction, bit_budget)
+            image, height = self.step(raw[-1], heights[-1], direction, bit_budget)
             truncated = image is None
             if truncated:
                 break
             raw.append(image)
-        return OrbitResult(tuple(raw), truncated)
+            heights.append(height)
+        return OrbitResult(tuple(raw), tuple(heights), truncated)
 
 
 # -- regularity ---------------------------------------------------------

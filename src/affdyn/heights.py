@@ -6,10 +6,12 @@ maximum is exact and exposed for bit-exact regression tests; logs are
 natural logs at 64-bit float precision, for reporting only.
 
 Canonical heights are limits of ``h(f^k P) / d^k`` along forward orbits
-(and of ``h(f^{-k} P) / d'^k`` backward).  An estimate runs the orbit to a
-given depth and reports the last computed term together with a tail bound
-obtained by extrapolating the observed successive differences
-geometrically with ratio ``1/d``: with
+(and of ``h(f^{-k} P) / d'^k`` backward).  ``canonical_estimate`` reads
+the height integers that ``AffineAutomorphism.orbit``, the one orbit loop,
+measured along the orbit to a given depth, so a start over the bit budget
+is an ``InputError`` here too.  It reports the last computed term
+together with a tail bound obtained by extrapolating the observed
+successive differences geometrically with ratio ``1/d``: with
 ``K = max_k |v_{k+1} - v_k| * d^(k+1)`` over the observed range, the tail
 beyond depth ``N`` is taken as ``K / (d^N (d - 1))``.  This extrapolates
 from observed decay; it is not a proven bound, and a deeper orbit can
@@ -36,6 +38,7 @@ from typing import Sequence
 
 from . import kernel
 from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, Direction, InputError
+from .parsing import format_point
 
 
 def weil_height(point: Sequence[Fraction | int]) -> float:
@@ -65,16 +68,22 @@ class CanonicalHeightEstimate:
     step_integers: tuple[int, ...]
     values: tuple[float, ...]
     tail_bound: float
-    depth: int
-    certified: bool
     truncated: bool
+
+    @property
+    def depth(self) -> int:
+        return len(self.values) - 1
+
+    @property
+    def certified(self) -> bool:
+        return not self.truncated and math.isfinite(self.tail_bound)
 
     @property
     def estimate(self) -> float:
         return self.values[-1]
 
-    def to_report(self, map_id: str | None = None) -> dict:
-        report = {
+    def to_report(self) -> dict:
+        return {
             "direction": self.direction,
             "ratio": self.ratio,
             "point": [str(c) for c in self.point],
@@ -86,9 +95,6 @@ class CanonicalHeightEstimate:
             "certified": self.certified,
             "truncated": self.truncated,
         }
-        if map_id is not None:
-            report["map_id"] = map_id
-        return report
 
 
 def _float_power(ratio: int, k: int) -> float | None:
@@ -119,29 +125,28 @@ def _tail_bound(peak: float, ratio: int, depth: int) -> float:
     return peak / (scale * (ratio - 1.0))
 
 
-def _canonical_estimate(
+def canonical_estimate(
     automorphism: AffineAutomorphism,
     point: Sequence[Fraction | int],
-    direction: Direction,
     depth: int,
-    bit_budget: int,
+    direction: Direction = "forward",
+    bit_budget: int = DEFAULT_BIT_BUDGET,
 ) -> CanonicalHeightEstimate:
+    """Canonical height estimate along ``automorphism.orbit``: the terms
+    ``h(f^k P)/d^k`` forward, ``h(f^{-k} P)/d'^k`` inverse.
+
+    Raises ``InputError`` where ``orbit`` does (a point of the wrong length,
+    a start over the bit budget) and for ``depth < 1``.
+    """
     if depth < 1:
         raise InputError("depth must be >= 1")
+    orbit = automorphism.orbit(point, depth, direction, bit_budget)
     ratio = automorphism.degree(direction)
-
-    raw = kernel.to_common_denominator(point)
-    integers = [kernel.height_integer(*raw)]
+    integers = orbit.heights
     values = [math.log(integers[0])]
-    truncated = False
     peak = 0.0
-    for k in range(1, depth + 1):
-        raw, height = automorphism.step(raw, integers[-1], direction, bit_budget)
-        truncated = raw is None
-        if truncated:
-            break
-        integers.append(height)
-        log_k = math.log(integers[-1])
+    for k in range(1, len(integers)):
+        log_k = math.log(integers[k])
         scale = _float_power(ratio, k)
         if scale is not None:
             values.append(log_k / scale)
@@ -150,42 +155,18 @@ def _canonical_estimate(
             # Past the float range: v_k is scaled in logs, and
             # |v_k - v_{k-1}| * d^k is exactly |log H_k - d log H_{k-1}|.
             values.append(_scaled_down(log_k, ratio, k))
-            rate = abs(log_k - ratio * math.log(integers[-2]))
+            rate = abs(log_k - ratio * math.log(integers[k - 1]))
         if rate > peak:
             peak = rate
-    tail = _tail_bound(peak, ratio, len(values) - 1)
-    start = tuple(Fraction(c) for c in point)
     return CanonicalHeightEstimate(
         direction=direction,
         ratio=ratio,
-        point=start,
-        step_integers=tuple(integers),
+        point=kernel.to_fractions(*orbit.raw[0]),
+        step_integers=integers,
         values=tuple(values),
-        tail_bound=tail,
-        depth=len(values) - 1,
-        certified=not truncated and math.isfinite(tail),
-        truncated=truncated,
+        tail_bound=_tail_bound(peak, ratio, len(values) - 1),
+        truncated=orbit.truncated,
     )
-
-
-def canonical_plus(
-    automorphism: AffineAutomorphism,
-    point: Sequence[Fraction | int],
-    depth: int,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
-) -> CanonicalHeightEstimate:
-    """Forward canonical height estimate (terms ``h(f^k P)/d^k``)."""
-    return _canonical_estimate(automorphism, point, "forward", depth, bit_budget)
-
-
-def canonical_minus(
-    automorphism: AffineAutomorphism,
-    point: Sequence[Fraction | int],
-    depth: int,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
-) -> CanonicalHeightEstimate:
-    """Backward canonical height estimate (terms ``h(f^{-k} P)/d'^k``)."""
-    return _canonical_estimate(automorphism, point, "inverse", depth, bit_budget)
 
 
 @dataclass(frozen=True)
@@ -194,15 +175,25 @@ class CanonicalHeight:
 
     plus: CanonicalHeightEstimate
     minus: CanonicalHeightEstimate
-    value: float
-    tail_bound: float
-    certified: bool
+
+    @property
+    def value(self) -> float:
+        return self.plus.estimate + self.minus.estimate
+
+    @property
+    def tail_bound(self) -> float:
+        return self.plus.tail_bound + self.minus.tail_bound
+
+    @property
+    def certified(self) -> bool:
+        return self.plus.certified and self.minus.certified
 
     def to_report(self, map_id: str | None = None) -> dict:
         report = {
             "value": self.value,
             "tail_bound": self.tail_bound if math.isfinite(self.tail_bound) else None,
             "certified": self.certified,
+            "point": format_point(self.plus.point),
             "plus": self.plus.to_report(),
             "minus": self.minus.to_report(),
         }
@@ -222,14 +213,9 @@ def canonical(
     The sum of the two one-sided estimates is nonnegative and vanishes
     exactly on periodic points.
     """
-    plus = canonical_plus(automorphism, point, depth, bit_budget)
-    minus = canonical_minus(automorphism, point, depth, bit_budget)
     return CanonicalHeight(
-        plus=plus,
-        minus=minus,
-        value=plus.estimate + minus.estimate,
-        tail_bound=plus.tail_bound + minus.tail_bound,
-        certified=plus.certified and minus.certified,
+        plus=canonical_estimate(automorphism, point, depth, "forward", bit_budget),
+        minus=canonical_estimate(automorphism, point, depth, "inverse", bit_budget),
     )
 
 

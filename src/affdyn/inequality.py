@@ -26,8 +26,9 @@ samples.  The rule is fixed: checkpoints fall at ``WARMUP`` = 64 kept
 points and at every 4x growth past it, plus one at the end of the sample,
 and the minimum must move by less than ``SLACK`` = 0.05 between the last
 two.  A sample with fewer than two checkpoints (at most ``WARMUP`` kept
-points) PASSES with a note that the rule was not evaluated.  A sample that
-keeps no point FAILS.
+points) FAILS with a note that the rule was not evaluated, and so does a
+sample that keeps no point: a verdict that was never evaluated is no
+PASS.
 
 Per-point evaluations are independent (parallelizable); report assembly
 is a single sequential reduction, which keeps record order deterministic.
@@ -362,14 +363,12 @@ def batch_verify(
     if records and (not checkpoints or checkpoints[-1][0] != len(records)):
         checkpoints.append((len(records), running_min))
 
+    stabilized = False
     if not records:
-        stabilized = False
         note = "the sample kept no point; nothing to verify"
     elif len(records) < WARMUP:
-        stabilized = True
         note = "sample below warmup; stabilization not evaluated"
     elif len(checkpoints) == 1:
-        stabilized = True
         note = "one checkpoint, at warmup; stabilization not evaluated"
     else:
         drift = abs(checkpoints[-1][1] - checkpoints[-2][1])

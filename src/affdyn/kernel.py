@@ -7,8 +7,8 @@ This form is unique, maps directly onto the primitive homogeneous vector
 ``Fraction`` overhead.  It is the one point form inside the package: the
 samplers yield it (the rational ones build it from reduced integer pairs),
 orbits and inequality records keep it, and ``to_common_denominator`` and
-``to_fractions`` convert only at the API edges: ``apply``, ``orbit``,
-``heights`` and ``format_point``.
+``to_fractions`` convert only at the API edges: the start point of
+``apply`` and ``orbit``, ``heights`` and ``format_point``.
 The raw-point statistic lives here too: ``height_integer``, the Weil
 height integer, whose bit length is the point's size for the bit budget.
 
@@ -34,10 +34,11 @@ a table interpreter that checks it.
 
 Within the package ``eval_point`` has two callers:
 ``AffineAutomorphism.apply`` and ``AffineAutomorphism.step``.  ``step`` is
-the single orbit step that orbits, canonical heights and the inequality
-records all share; it hands back each image with its height integer,
-which its caller reuses for the next bit-budget test and for the record,
-so each integer is measured once.
+the single orbit step: ``orbit`` is the one loop over it, which canonical
+heights read, and each inequality record takes one step each way.  It
+hands back each image with its height integer, which its caller reuses
+for the next bit-budget test and for the record, so each integer is
+measured once.
 
 Before it evaluates, ``step`` asks ``exceeds_budget`` whether the image is
 certain to break the budget; if so the image is never computed.  The bound

@@ -19,7 +19,7 @@ from affdyn.divisors import (
     validate_resolution,
 )
 from affdyn.dynamics import AffineAutomorphism, InverseVerificationError, is_regular
-from affdyn.heights import canonical_plus, height_growth_constant, weil_height
+from affdyn.heights import canonical_estimate, height_growth_constant, weil_height
 from affdyn.inequality import BoxSampler, CompositeSampler, OrbitSampler, batch_verify
 from affdyn.parsing import parse_polynomial
 
@@ -129,7 +129,7 @@ def test_criterion_6_inequality_at_desk_scale(henon):
 
 def test_criterion_7_canonical_height_convergence(henon):
     with criterion(7, "canonical height converges with certified tail", 120.0):
-        estimate = canonical_plus(henon, (1, 1, 1), depth=10)
+        estimate = canonical_estimate(henon, (1, 1, 1), depth=10)
         assert abs(estimate.values[6] - estimate.values[10]) < 1e-2
         assert estimate.certified and estimate.tail_bound <= 1e-2
 

@@ -159,6 +159,59 @@ class TestHeightAndCanonical:
         assert report["value"] == 0.0 and report["tail_bound"] == 0.0
         assert report["plus"]["depth"] == report["minus"]["depth"] == 1100
 
+    def test_reports_match_pinned_digests(self, henon_map, tmp_path):
+        # sha256 of the report files, recorded while canonical heights still
+        # ran a loop of their own and orbit measured every point again.
+        cases = {
+            "canonical unit": (
+                ["canonical", henon_map, "--point", "1,1,1", "--depth", "8"],
+                0,
+                {
+                    "json": "ed01e5556785e4aae47814e39b50e273215918bed7b28ef6d4c5e5f781e6f6db",
+                    "csv": "e51112e6f85083b880f6b20f3ec83a7236089901ae9f60197107ac7723640b0e",
+                },
+            ),
+            "canonical past the float range": (
+                ["canonical", henon_map, "--point", "0,0,0", "--depth", "1100"],
+                0,
+                {
+                    "json": "6cb021d12d21eec5d6449fb7ee0ca80665aa030acaf1bf654a7a7d0f37ea12ad",
+                    "csv": "4dc7509e1fcdf27d56888593959bcf5df2f8128649c56a7c9acbf4691bddbfd3",
+                },
+            ),
+            "canonical at 64 bits": (
+                ["canonical", henon_map, "--point", "1/2,0,-1", "--depth", "6",
+                 "--bit-budget", "64"],
+                1,
+                {
+                    "json": "20b02a9a850da6a30c897a3ee58cb72e810ffed799ba58310b9823e26627c26a",
+                    "csv": "1abfbe9910be5ebcbe8d1e641a1ec0cab54fd6dadff1c741f8e1a8a879b2f637",
+                },
+            ),
+            "orbit forward": (
+                ["orbit", henon_map, "--point", "1,1,1", "--depth", "6"],
+                0,
+                {
+                    "json": "4535e01bc66abf447e7bc754eeba980c5defb7474e1c3ab0f06961744c77ebbc",
+                    "csv": "0c7e0fcac05e933379650f509dca9a8ee147f73a8477ac0b1e0f9be91c0e3084",
+                },
+            ),
+            "orbit inverse": (
+                ["orbit", henon_map, "--point", "1,1,1", "--depth", "6",
+                 "--direction", "inverse"],
+                0,
+                {
+                    "json": "af72251ee8602a13d16cd540d37e576f1ae9546ecec3ef1db45203362257e3ce",
+                    "csv": "da08d7f215dabfc8e50dcc88bffa9a47a75a7ddc7a27ff5130fdda17331c1355",
+                },
+            ),
+        }
+        for name, (argv, exit_code, digests) in cases.items():
+            for form, digest in digests.items():
+                out = tmp_path / f"{form}.report"
+                assert main([*argv, "--format", form, "--out", str(out)]) == exit_code, name
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (name, form)
+
     def test_canonical_needs_stopping_rule(self, henon_map):
         # The depth is the one stopping rule: argparse requires it.
         with pytest.raises(SystemExit) as err:
@@ -178,13 +231,15 @@ class TestInequality:
         assert report["stabilized"] and report["count"] == 343
 
     def test_multiple_samplers(self, henon_map, capsys):
+        # 37 points: below warmup the verdict rule is never evaluated, and
+        # an unevaluated verdict FAILS.
         code = main(
             ["inequality", henon_map, "--sampler", "box:1",
              "--sampler", "orbit:4:(1,1,1);(0,1,2)"]
         )
-        assert code == 0
+        assert code == 1
         out = capsys.readouterr().out
-        assert out.startswith("PASS: ") and out.endswith(
+        assert out.startswith("FAIL: ") and out.endswith(
             " over 37 points (0 skipped); sample below warmup; stabilization not evaluated\n"
         )
 
@@ -351,19 +406,20 @@ class TestInequality:
 
         monkeypatch.setattr(DeltaReport, "to_json_dict", refuse)
         out = tmp_path / "ineq.csv"
+        # box:1 keeps 27 points, below warmup: each run FAILS and exits 1.
         base = ["inequality", henon_map, "--sampler", "box:1"]
-        assert main([*base, "--format", "csv", "--out", str(out)]) == 0
-        assert main([*base, "--format", "csv"]) == 0
-        assert main(base) == 0
+        assert main([*base, "--format", "csv", "--out", str(out)]) == 1
+        assert main([*base, "--format", "csv"]) == 1
+        assert main(base) == 1
 
     def test_csv_to_stdout_is_one_table(self, henon_map, capsys):
         argv = ["inequality", henon_map, "--sampler", "box:1", "--format", "csv"]
-        assert main(argv) == 0
+        assert main(argv) == 1  # 27 points, below warmup
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
         assert lines[0].startswith("point,H_point,")
         assert len(lines) == 28  # the header and one line per point of box:1
-        assert captured.err.startswith("PASS: ")
+        assert captured.err.startswith("FAIL: ")
 
     def test_csv_output(self, henon_map, tmp_path):
         out = tmp_path / "ineq.csv"
@@ -588,11 +644,13 @@ NOT_UTF8 = b"vars x y\nforward: x | y\ninverse: x | y\n# \xff\n"
          "starting point already exceeds the bit budget"),
         ({}, ["inequality", "MAP", "--sampler", "orbit:2:1000,1,1", "--bit-budget", "4"],
          "starting point already exceeds the bit budget"),
+        ({}, ["canonical", "MAP", "--point", "300,-7,5/2", "--depth", "3", "--bit-budget", "8"],
+         "starting point already exceeds the bit budget"),
     ],
     ids=["one-variable-verify-map", "one-variable-inequality", "zero-coordinate",
          "map-not-utf8", "datum-not-utf8", "canonical-depth-0", "orbit-depth-negative",
          "orbit-sampler-depth-negative", "orbit-start-over-budget",
-         "orbit-sampler-seed-over-budget"],
+         "orbit-sampler-seed-over-budget", "canonical-start-over-budget"],
 )
 def test_input_errors_exit_two(files, argv, message, henon_map, tmp_path, capsys):
     paths = {"MAP": henon_map}

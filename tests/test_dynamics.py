@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from affdyn.dynamics import (
     AffineAutomorphism,
+    InputError,
     InverseVerificationError,
     _constraint_forms,
     _primitive_vectors,
     is_regular,
 )
+from affdyn.heights import canonical_estimate, weil_height_integer
+from affdyn.inequality import OrbitSampler, batch_verify
 from affdyn.parsing import parse_polynomial
 from affdyn.polyring import Polynomial
 
@@ -111,6 +114,29 @@ class TestOrbit:
         # everything reported was computed exactly
         check = henon.orbit((1, 1, 1), orbit.completed_depth)
         assert check.points == orbit.points
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    @pytest.mark.parametrize("budget", [2**20, 64], ids=["full", "truncated"])
+    def test_heights_match_the_fraction_oracle(self, henon, direction, budget):
+        orbit = henon.orbit((1, 1, 1), 12, direction, budget)
+        assert orbit.truncated == (budget == 64)
+        assert len(orbit.heights) == len(orbit.points) == orbit.completed_depth + 1
+        for height, point in zip(orbit.heights, orbit.points):
+            assert height == weil_height_integer(point)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f: f.orbit((1, 1), 0),
+            lambda f: f.orbit((1, 1), 2),
+            lambda f: canonical_estimate(f, (1, 1), 2),
+            lambda f: batch_verify(f, OrbitSampler(((1, 1),), 3)),
+        ],
+        ids=["orbit-depth-0", "orbit-depth-2", "canonical_estimate", "orbit-sampler"],
+    )
+    def test_point_of_wrong_length_is_an_input_error(self, henon, call):
+        with pytest.raises(InputError, match="point has 2 coordinates, expected 3"):
+            call(henon)
 
     def test_double_composition_degree(self, henon):
         twice = [p.compose(henon.forward) for p in henon.forward]

@@ -10,8 +10,7 @@ from affdyn import kernel
 from affdyn.dynamics import AffineAutomorphism
 from affdyn.heights import (
     canonical,
-    canonical_minus,
-    canonical_plus,
+    canonical_estimate,
     height_growth_constant,
     weil_height,
     weil_height_integer,
@@ -61,7 +60,7 @@ class TestWeilHeight:
 
 class TestCanonicalPlus:
     def test_henon_sequence(self, henon):
-        est = canonical_plus(henon, (1, 1, 1), depth=4)
+        est = canonical_estimate(henon, (1, 1, 1), depth=4)
         assert est.step_integers == (1, 2, 6, 41, 1708)
         assert est.values[0] == 0.0
         assert est.values[1] == LOG2 / 2
@@ -69,34 +68,34 @@ class TestCanonicalPlus:
         assert est.values[3] == math.log(41) / 8
         assert est.values[4] == math.log(1708) / 16
         # stabilizes near 0.46
-        deep = canonical_plus(henon, (1, 1, 1), depth=10)
+        deep = canonical_estimate(henon, (1, 1, 1), depth=10)
         assert abs(deep.estimate - 0.4652) < 1e-3
         assert deep.certified
 
     def test_fixed_point(self, henon):
-        est = canonical_plus(henon, (0, 0, 0), depth=5)
+        est = canonical_estimate(henon, (0, 0, 0), depth=5)
         assert est.values == (0.0,) * 6
         assert est.estimate == 0.0 and est.tail_bound == 0.0
 
     def test_identity_map(self):
         ident = AffineAutomorphism.identity(3)
-        est = canonical_plus(ident, (Fraction(1, 2), 3, 0), depth=4)
+        est = canonical_estimate(ident, (Fraction(1, 2), 3, 0), depth=4)
         h = weil_height((Fraction(1, 2), 3, 0))
         assert est.values == (h,) * 5
         assert est.tail_bound == 0.0 and est.certified
 
     def test_budget_truncation_uncertified(self, henon):
-        est = canonical_plus(henon, (1, 1, 1), depth=40, bit_budget=64)
+        est = canonical_estimate(henon, (1, 1, 1), depth=40, bit_budget=64)
         assert est.truncated and not est.certified
 
     def test_telescoping(self, henon):
-        at_p = canonical_plus(henon, (1, 1, 1), depth=10)
-        at_fp = canonical_plus(henon, henon.apply((1, 1, 1)), depth=10)
+        at_p = canonical_estimate(henon, (1, 1, 1), depth=10)
+        at_fp = canonical_estimate(henon, henon.apply((1, 1, 1)), depth=10)
         gap = abs(at_fp.estimate - henon.d * at_p.estimate)
         assert gap <= at_fp.tail_bound + henon.d * at_p.tail_bound + 1e-12
 
     def test_geometric_difference_decay(self, henon):
-        est = canonical_plus(henon, (1, 1, 1), depth=10)
+        est = canonical_estimate(henon, (1, 1, 1), depth=10)
         diffs = [
             abs(b - a) for a, b in zip(est.values, est.values[1:])
         ]
@@ -106,35 +105,35 @@ class TestCanonicalPlus:
 
     def test_tail_bound_nonincreasing_in_depth(self, henon):
         tails = [
-            canonical_plus(henon, (1, 1, 1), depth=n).tail_bound for n in range(2, 11)
+            canonical_estimate(henon, (1, 1, 1), depth=n).tail_bound for n in range(2, 11)
         ]
         assert all(b <= a for a, b in zip(tails, tails[1:]))
 
 
 class TestCanonicalMinus:
     def test_henon_backward_terms_stay_small(self, henon):
-        est = canonical_minus(henon, (1, 1, 1), depth=5)
+        est = canonical_estimate(henon, (1, 1, 1), 5, "inverse")
         # the five listed backward points all have height <= log 2
         assert est.step_integers == (1, 1, 1, 1, 1, 2)
         assert all(v <= LOG2 / 4**k for k, v in enumerate(est.values))
         assert est.estimate < 1e-3  # numerically zero at this scale
 
     def test_fixed_point(self, henon):
-        assert canonical_minus(henon, (0, 0, 0), depth=4).estimate == 0.0
+        assert canonical_estimate(henon, (0, 0, 0), 4, "inverse").estimate == 0.0
 
     def test_certified_is_not_a_proof(self, henon):
         # Four backward steps of height 1 extrapolate to a zero tail, and the
         # estimate is certified; the fifth step moves the heights and the
         # tail, and ten steps give an estimate seven times 1e-4.
-        shallow = canonical_minus(henon, (1, 1, 1), depth=4)
+        shallow = canonical_estimate(henon, (1, 1, 1), 4, "inverse")
         assert shallow.certified and shallow.estimate == shallow.tail_bound == 0.0
-        deeper = canonical_minus(henon, (1, 1, 1), depth=5)
+        deeper = canonical_estimate(henon, (1, 1, 1), 5, "inverse")
         assert deeper.certified and deeper.tail_bound > 2e-4
-        assert canonical_minus(henon, (1, 1, 1), depth=10).estimate > 6.9e-4
+        assert canonical_estimate(henon, (1, 1, 1), 10, "inverse").estimate > 6.9e-4
 
     def test_identity_map(self):
         ident = AffineAutomorphism.identity(2)
-        est = canonical_minus(ident, (5, Fraction(1, 3)), depth=3)
+        est = canonical_estimate(ident, (5, Fraction(1, 3)), 3, "inverse")
         assert est.estimate == weil_height((5, Fraction(1, 3)))
 
 
@@ -147,7 +146,7 @@ class TestCanonical:
 
     def test_each_kept_step_measures_its_image_once(self, henon, monkeypatch):
         scans = count_calls(monkeypatch, "height_integer")
-        estimate = canonical_plus(henon, (1, 1, 1), depth=6)
+        estimate = canonical_estimate(henon, (1, 1, 1), depth=6)
         assert not estimate.truncated
         assert len(scans) == 1 + estimate.depth  # the start, then one per step
         scanned = list(scans)
@@ -163,8 +162,8 @@ class TestCanonical:
         names = ("x", "y", "z")
         coords = [parse_polynomial(c, names) for c in ("y", "x", "z + x^2 - y^2")]
         involution = AffineAutomorphism(coords, coords, names)
-        shallow = canonical_plus(involution, (2, 1, 0), depth=40)
-        deep = canonical_plus(involution, (2, 1, 0), depth=1100)
+        shallow = canonical_estimate(involution, (2, 1, 0), depth=40)
+        deep = canonical_estimate(involution, (2, 1, 0), depth=1100)
         assert deep.step_integers[:41] == shallow.step_integers
         assert deep.values[:41] == shallow.values
         assert deep.certified and 0.0 <= deep.tail_bound <= shallow.tail_bound
@@ -179,7 +178,7 @@ class TestCanonical:
             [parse_polynomial(c, names) for c in ("x - y", "y", "z")],
             names,
         )
-        est = canonical_plus(shear, (1, 1, 1), depth=50)
+        est = canonical_estimate(shear, (1, 1, 1), depth=50)
         assert est.depth == 50 and est.tail_bound == math.inf
         assert est.step_integers[-1] == 51 and not est.certified
 

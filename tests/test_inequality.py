@@ -183,7 +183,8 @@ class TestBatchVerify:
         report = batch_verify(henon, OrbitSampler(((Fraction(0),) * 3,), 0))
         assert report.min_delta == 0.0
         assert report.argmin == ((0, 0, 0), 1)
-        assert report.stabilized  # flagged as below warmup
+        # Below warmup the rule is never evaluated, so the verdict FAILS.
+        assert not report.stabilized
         assert "below warmup" in report.stabilization_note
 
     def test_small_box(self, henon):
@@ -284,7 +285,9 @@ class TestBatchVerify:
     def test_note_at_warmup(self, henon, count, checkpoints, note):
         report = batch_verify(henon, RandomRationalSampler(count))
         assert len(report.records) == count and len(report.checkpoints) == checkpoints
-        assert report.stabilized and report.stabilization_note == note
+        # With fewer than two checkpoints the rule was not evaluated: no PASS.
+        assert report.stabilized is (checkpoints == 2)
+        assert report.stabilization_note == note
 
     def test_unstable_minimum_fails_verdict(self, henon):
         # The verdict compares the drift of the minimum between the last two

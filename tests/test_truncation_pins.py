@@ -1,11 +1,12 @@
 """Pinned outputs of the orbit loops at small bit budgets.
 
-Every orbit loop stops at the first image whose integers exceed the bit
-budget.  The tables below pin what ``orbit`` (both directions),
-``canonical_plus`` and ``canonical_minus`` return for the Henon map and the
-identity at budgets from 8 to 200 bits, from start points that include one
-already over every budget, so a change to the loops cannot move a
-truncation point unnoticed.  Exact outputs are pinned through a short digest of their
+``AffineAutomorphism.orbit`` stops at the first image whose integers
+exceed the bit budget, and ``canonical_estimate`` reads its heights.  The
+tables below pin what ``orbit`` and ``canonical_estimate`` (both
+directions) return for the Henon map and the identity at budgets from 8 to
+200 bits, from start points that include one already over every budget
+(an input error: ``None`` in the tables), so a change to the loop cannot
+move a truncation point unnoticed.  Exact outputs are pinned through a short digest of their
 ``repr``; the structural fields are spelled out.
 """
 
@@ -13,7 +14,7 @@ import hashlib
 from fractions import Fraction
 
 from affdyn.dynamics import AffineAutomorphism
-from affdyn.heights import canonical_minus, canonical_plus
+from affdyn.heights import canonical_estimate
 
 STARTS = {
     "origin": (0, 0, 0),
@@ -39,8 +40,11 @@ def orbit_pin(automorphism, point, budget, direction):
     return (result.completed_depth, result.truncated, _digest(result.points))
 
 
-def canonical_pin(automorphism, point, budget, estimator):
-    est = estimator(automorphism, point, CANONICAL_DEPTH, budget)
+def canonical_pin(automorphism, point, budget, direction):
+    try:
+        est = canonical_estimate(automorphism, point, CANONICAL_DEPTH, direction, budget)
+    except ValueError:
+        return None
     return (est.depth, est.certified, est.truncated, _digest(est.step_integers))
 
 
@@ -55,8 +59,8 @@ def compute_pins(henon):
                     orbit_pin(automorphism, point, budget, "forward"),
                     orbit_pin(automorphism, point, budget, "inverse"),
                 )
-                plus[key] = canonical_pin(automorphism, point, budget, canonical_plus)
-                minus[key] = canonical_pin(automorphism, point, budget, canonical_minus)
+                plus[key] = canonical_pin(automorphism, point, budget, "forward")
+                minus[key] = canonical_pin(automorphism, point, budget, "inverse")
     return orbits, plus, minus
 
 
@@ -108,7 +112,8 @@ ORBIT = {
 }
 
 # (map, start, budget) -> (depth, certified, truncated, digest of the step
-# integers) at CANONICAL_DEPTH.
+# integers) at CANONICAL_DEPTH; None where the start is already over the
+# budget.
 CANONICAL_PLUS = {
     ("henon", "origin", 8): (30, True, False, "44a4cc906f"),
     ("henon", "origin", 16): (30, True, False, "44a4cc906f"),
@@ -122,14 +127,14 @@ CANONICAL_PLUS = {
     ("henon", "rational", 16): (2, False, True, "4e265b07ba"),
     ("henon", "rational", 64): (4, False, True, "11a75adef7"),
     ("henon", "rational", 200): (6, False, True, "6206cb70bd"),
-    ("henon", "nine_bits", 8): (0, False, True, "6d29428eb1"),
+    ("henon", "nine_bits", 8): None,
     ("henon", "nine_bits", 16): (1, False, True, "125beaf97d"),
     ("henon", "nine_bits", 64): (3, False, True, "d723f4ef40"),
     ("henon", "nine_bits", 200): (5, False, True, "33132cb186"),
-    ("henon", "huge", 8): (0, False, True, "8fc19881e3"),
-    ("henon", "huge", 16): (0, False, True, "8fc19881e3"),
-    ("henon", "huge", 64): (0, False, True, "8fc19881e3"),
-    ("henon", "huge", 200): (0, False, True, "8fc19881e3"),
+    ("henon", "huge", 8): None,
+    ("henon", "huge", 16): None,
+    ("henon", "huge", 64): None,
+    ("henon", "huge", 200): None,
     ("identity", "origin", 8): (30, True, False, "44a4cc906f"),
     ("identity", "origin", 16): (30, True, False, "44a4cc906f"),
     ("identity", "origin", 64): (30, True, False, "44a4cc906f"),
@@ -142,14 +147,14 @@ CANONICAL_PLUS = {
     ("identity", "rational", 16): (30, True, False, "e67bd76b94"),
     ("identity", "rational", 64): (30, True, False, "e67bd76b94"),
     ("identity", "rational", 200): (30, True, False, "e67bd76b94"),
-    ("identity", "nine_bits", 8): (0, False, True, "6d29428eb1"),
+    ("identity", "nine_bits", 8): None,
     ("identity", "nine_bits", 16): (30, True, False, "ffbe6a7833"),
     ("identity", "nine_bits", 64): (30, True, False, "ffbe6a7833"),
     ("identity", "nine_bits", 200): (30, True, False, "ffbe6a7833"),
-    ("identity", "huge", 8): (0, False, True, "8fc19881e3"),
-    ("identity", "huge", 16): (0, False, True, "8fc19881e3"),
-    ("identity", "huge", 64): (0, False, True, "8fc19881e3"),
-    ("identity", "huge", 200): (0, False, True, "8fc19881e3"),
+    ("identity", "huge", 8): None,
+    ("identity", "huge", 16): None,
+    ("identity", "huge", 64): None,
+    ("identity", "huge", 200): None,
 }
 
 CANONICAL_MINUS = {
@@ -165,14 +170,14 @@ CANONICAL_MINUS = {
     ("henon", "rational", 16): (1, False, True, "9755f5e26b"),
     ("henon", "rational", 64): (2, False, True, "fdf3657511"),
     ("henon", "rational", 200): (3, False, True, "bf19d080b2"),
-    ("henon", "nine_bits", 8): (0, False, True, "6d29428eb1"),
+    ("henon", "nine_bits", 8): None,
     ("henon", "nine_bits", 16): (0, False, True, "6d29428eb1"),
     ("henon", "nine_bits", 64): (1, False, True, "0d8213e495"),
     ("henon", "nine_bits", 200): (2, False, True, "7b003e5113"),
-    ("henon", "huge", 8): (0, False, True, "8fc19881e3"),
-    ("henon", "huge", 16): (0, False, True, "8fc19881e3"),
-    ("henon", "huge", 64): (0, False, True, "8fc19881e3"),
-    ("henon", "huge", 200): (0, False, True, "8fc19881e3"),
+    ("henon", "huge", 8): None,
+    ("henon", "huge", 16): None,
+    ("henon", "huge", 64): None,
+    ("henon", "huge", 200): None,
     ("identity", "origin", 8): (30, True, False, "44a4cc906f"),
     ("identity", "origin", 16): (30, True, False, "44a4cc906f"),
     ("identity", "origin", 64): (30, True, False, "44a4cc906f"),
@@ -185,14 +190,14 @@ CANONICAL_MINUS = {
     ("identity", "rational", 16): (30, True, False, "e67bd76b94"),
     ("identity", "rational", 64): (30, True, False, "e67bd76b94"),
     ("identity", "rational", 200): (30, True, False, "e67bd76b94"),
-    ("identity", "nine_bits", 8): (0, False, True, "6d29428eb1"),
+    ("identity", "nine_bits", 8): None,
     ("identity", "nine_bits", 16): (30, True, False, "ffbe6a7833"),
     ("identity", "nine_bits", 64): (30, True, False, "ffbe6a7833"),
     ("identity", "nine_bits", 200): (30, True, False, "ffbe6a7833"),
-    ("identity", "huge", 8): (0, False, True, "8fc19881e3"),
-    ("identity", "huge", 16): (0, False, True, "8fc19881e3"),
-    ("identity", "huge", 64): (0, False, True, "8fc19881e3"),
-    ("identity", "huge", 200): (0, False, True, "8fc19881e3"),
+    ("identity", "huge", 8): None,
+    ("identity", "huge", 16): None,
+    ("identity", "huge", 64): None,
+    ("identity", "huge", 200): None,
 }
 
 
