@@ -18,9 +18,10 @@ forms, up to the Macaulay degree bound n*(max_degree - 1) + 1, which is a
 complete criterion over the algebraic closure.  A "not regular" verdict
 comes with a witness when the locus has a point with small integer
 coordinates; the search visits each projective point of the box once.
-Both steps read the forms as one ``kernel.CompiledMap``: the Macaulay
-rows come from its integer terms, and each candidate is evaluated by its
-``eval_map``.
+Both steps read the forms as one ``kernel.CompiledMap``.  Each monomial
+shift of a form is a sparse row built from its integer terms, and one
+exact elimination over those rows gives the rank; each witness candidate
+is evaluated by its ``eval_map``.
 
 ``AffineAutomorphism.orbit`` is the one loop over ``step``; its
 ``OrbitResult`` keeps the height integer ``step`` measured for each point,
@@ -37,7 +38,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import comb, gcd
 from typing import Literal, Sequence
 
 from . import kernel
@@ -333,52 +334,36 @@ def _projective_system_empty(cm: kernel.CompiledMap, n: int) -> tuple[bool, dict
 
 def _spans_all_monomials(cm: kernel.CompiledMap, n: int, target: int) -> bool:
     """Whether the degree-``target`` shifts of the integer-cleared forms
-    span every monomial of that degree."""
-    basis = {mono: i for i, mono in enumerate(_monomials(target, n))}
-    rows: list[list[int]] = []
+    span every monomial of that degree.
+
+    Each shift is a sparse row, monomial to coefficient, reduced against
+    the pivots found so far (keyed by their largest monomial) by
+    fraction-free steps with content reduction; what is left becomes a new
+    pivot.  The pivots are independent, so their count is the rank.
+    """
+    pivots: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for terms, deg in zip(cm.terms, cm.degs):
         for shift in _monomials(target - deg, n):
-            row = [0] * len(basis)
-            for coeff, exps in terms:
-                row[basis[tuple(a + b for a, b in zip(exps, shift))]] = coeff
-            rows.append(row)
-    return _integer_rank(rows) == len(basis)
-
-
-def _integer_rank(rows: list[list[int]]) -> int:
-    """Row rank over Q by fraction-free elimination with content reduction."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            entry = rows[r][col]
-            if not entry:
-                continue
-            new_row = [pivot * a - entry * b for a, b in zip(rows[r], rows[rank])]
-            content = 0
-            for value in new_row:
-                content = gcd(content, value)
-                if content == 1:
+            row = {tuple(a + b for a, b in zip(exps, shift)): coeff for coeff, exps in terms}
+            while row:
+                lead = max(row)
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    pivots[lead] = row
                     break
-            if content > 1:
-                new_row = [value // content for value in new_row]
-            rows[r] = new_row
-        rank += 1
-        col += 1
-    return rank
+                g = gcd(pivot[lead], row[lead])
+                a, b = pivot[lead] // g, row[lead] // g
+                row = {mono: a * coeff for mono, coeff in row.items()}
+                for mono, coeff in pivot.items():
+                    value = row.get(mono, 0) - b * coeff
+                    if value:
+                        row[mono] = value
+                    else:
+                        del row[mono]
+                content = gcd(*row.values())
+                if content > 1:
+                    row = {mono: coeff // content for mono, coeff in row.items()}
+    return len(pivots) == comb(target + n - 1, n - 1)
 
 
 def _primitive_vectors(n: int, bound: int):

@@ -16,9 +16,9 @@ height integer, whose bit length is the point's size for the bit budget.
 cleared: each coordinate becomes integer terms over one cleared
 denominator, kept on the ``CompiledMap``.  Three code paths read these
 tables: map evaluation (the generated evaluator below and
-``exceeds_budget``), ``dynamics.is_regular`` (the Macaulay rows and the
-witness search, over its compiled constraint forms) and
-``heights.height_growth_constant``.
+``exceeds_budget``), ``dynamics.is_regular`` (the sparse rows of its
+exact elimination and the witness search, over its compiled constraint
+forms) and ``heights.height_growth_constant``.
 
 ``compile_map`` also writes each map as one straight-line Python function,
 ``eval_map(nums, d1)``, compiled once and kept on the ``CompiledMap``.  It

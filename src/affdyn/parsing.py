@@ -263,7 +263,7 @@ def parse_map_file(text: str) -> MapFile:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("vars"):
+        if line.split(maxsplit=1)[0] == "vars":
             if names is not None:
                 raise MapSyntaxError("variables declared twice", lineno)
             declared = line[len("vars"):].replace(",", " ").split()

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from affdyn import kernel
 from affdyn.divisors import ResolutionDatum, load_datum
-from affdyn.dynamics import AffineAutomorphism
+from affdyn.dynamics import AffineAutomorphism, _constraint_forms, _spans_all_monomials
 from affdyn.parsing import parse_map_file, parse_polynomial
 from affdyn.polyring import Polynomial
+
+from oracles import dense_spans_all_monomials
 
 
 def indented(report: bytes) -> bytes:
@@ -28,8 +30,8 @@ LEDGER_PATHS = (
 )
 
 
-def bundled_map_text() -> str:
-    return (DATA / "henon3.map").read_text()
+def bundled_map_text(name: str = "henon3") -> str:
+    return (DATA / f"{name}.map").read_text()
 
 
 def bundled_ledger() -> tuple[ResolutionDatum, ResolutionDatum]:
@@ -59,6 +61,22 @@ def count_calls(monkeypatch, name: str) -> list:
     original = getattr(kernel, name)
     monkeypatch.setattr(kernel, name, lambda *args: calls.append(args) or original(*args))
     return calls
+
+
+def assert_sparse_rank_matches_dense(automorphism: AffineAutomorphism) -> None:
+    """The sparse elimination of ``is_regular`` and the dense oracle agree
+    on whether the Macaulay rows span every monomial, at each target
+    degree from the largest form degree up to the first that saturates,
+    or up to the Macaulay bound when none does."""
+    forms = _constraint_forms(automorphism.forward, automorphism.d)
+    forms += _constraint_forms(automorphism.inverse, automorphism.d_inv)
+    cm = kernel.compile_map(forms)
+    n = automorphism.n
+    for target in range(cm.deg, n * (cm.deg - 1) + 2):
+        spans = _spans_all_monomials(cm, n, target)
+        assert spans == dense_spans_all_monomials(cm, n, target), target
+        if spans:
+            break
 
 
 # -- hypothesis strategies ------------------------------------------------

@@ -2,8 +2,9 @@
 
 These deliberately take different computational routes from the package:
 dense-array polynomial arithmetic, Horner-style evaluation, a table
-interpreter for compiled maps, brute-force grid searches, and the
-extension at infinity read off a line through the origin.
+interpreter for compiled maps, brute-force grid searches, the extension
+at infinity read off a line through the origin, and a dense exact rank of
+the Macaulay rows that the regularity decision eliminates sparsely.
 """
 
 from __future__ import annotations
@@ -154,3 +155,66 @@ def undefined_at_infinity(coords, direction) -> bool:
     s = Polynomial.variable(1, 0)
     line = [Polynomial.constant(1, w) * s for w in direction]
     return all(p.compose(line).terms.get((degree,), 0) == 0 for p in coords)
+
+
+def _monomials(degree: int, nvars: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of the monomials of one degree, in any order."""
+    out = []
+    for combo in itertools.combinations_with_replacement(range(nvars), degree):
+        exps = [0] * nvars
+        for i in combo:
+            exps[i] += 1
+        out.append(tuple(exps))
+    return out
+
+
+def dense_spans_all_monomials(cm, n: int, target: int) -> bool:
+    """Whether the degree-``target`` monomial shifts of the forms compiled
+    in ``cm`` span every monomial of that degree, by the dense rank of one
+    list row per shift over one column per monomial."""
+    basis = {mono: i for i, mono in enumerate(_monomials(target, n))}
+    rows: list[list[int]] = []
+    for terms, deg in zip(cm.terms, cm.degs):
+        for shift in _monomials(target - deg, n):
+            row = [0] * len(basis)
+            for coeff, exps in terms:
+                row[basis[tuple(a + b for a, b in zip(exps, shift))]] = coeff
+            rows.append(row)
+    return integer_rank(rows) == len(basis)
+
+
+def integer_rank(rows: list[list[int]]) -> int:
+    """Row rank over Q by fraction-free elimination with content reduction,
+    sweeping the columns in order."""
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    while col < ncols and rank < len(rows):
+        pivot_row = None
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            entry = rows[r][col]
+            if not entry:
+                continue
+            new_row = [pivot * a - entry * b for a, b in zip(rows[r], rows[rank])]
+            content = 0
+            for value in new_row:
+                content = gcd(content, value)
+                if content == 1:
+                    break
+            if content > 1:
+                new_row = [value // content for value in new_row]
+            rows[r] = new_row
+        rank += 1
+        col += 1
+    return rank

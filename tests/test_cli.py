@@ -230,6 +230,17 @@ class TestInequality:
         report = json.loads(out.read_text())
         assert report["stabilized"] and report["count"] == 343
 
+    def test_five_dimensional_family_member(self, tmp_path, capsys):
+        # The n = 5 member of henon3's family: deciding its regularity takes
+        # under a second, so a small sample runs end to end.
+        path = tmp_path / "henon5.map"
+        path.write_text(bundled_map_text("henon5"))
+        out = tmp_path / "r.json"
+        assert main(["inequality", str(path), "--sampler", "box:1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("PASS: ")
+        report = json.loads(out.read_text())
+        assert report["regularity"] == "regular" and report["count"] == 243
+
     def test_multiple_samplers(self, henon_map, capsys):
         # 37 points: below warmup the verdict rule is never evaluated, and
         # an unevaluated verdict FAILS.
@@ -635,6 +646,8 @@ NOT_UTF8 = b"vars x y\nforward: x | y\ninverse: x | y\n# \xff\n"
         ({"m.map": "vars x y\nforward: x | 0\ninverse: x | 0\n"}, ["verify-map", "m.map"],
          "automorphism coordinates cannot be zero"),
         ({"m.map": NOT_UTF8}, ["verify-map", "m.map"], "can't decode byte 0xff"),
+        ({"m.map": "varsx y\nforward: x | y\ninverse: x | y\n"}, ["verify-map", "m.map"],
+         "unrecognized line 'varsx y'"),
         ({"d.json": b'{"side": "\xff"}'}, ["divisor", "d.json"], "can't decode byte 0xff"),
         ({}, ["canonical", "MAP", "--point", "1,1,1", "--depth", "0"], "depth must be >= 1"),
         ({}, ["orbit", "MAP", "--point", "1,1,1", "--depth", "-1"], "depth must be >= 0"),
@@ -648,8 +661,8 @@ NOT_UTF8 = b"vars x y\nforward: x | y\ninverse: x | y\n# \xff\n"
          "starting point already exceeds the bit budget"),
     ],
     ids=["one-variable-verify-map", "one-variable-inequality", "zero-coordinate",
-         "map-not-utf8", "datum-not-utf8", "canonical-depth-0", "orbit-depth-negative",
-         "orbit-sampler-depth-negative", "orbit-start-over-budget",
+         "map-not-utf8", "vars-without-space", "datum-not-utf8", "canonical-depth-0",
+         "orbit-depth-negative", "orbit-sampler-depth-negative", "orbit-start-over-budget",
          "orbit-sampler-seed-over-budget", "canonical-start-over-budget"],
 )
 def test_input_errors_exit_two(files, argv, message, henon_map, tmp_path, capsys):

@@ -18,7 +18,7 @@ from affdyn.inequality import OrbitSampler, batch_verify
 from affdyn.parsing import parse_polynomial
 from affdyn.polyring import Polynomial
 
-from conftest import small_points
+from conftest import assert_sparse_rank_matches_dense, small_points
 from oracles import grid_common_zeros, normalize_projective, undefined_at_infinity
 
 XYZ = ("x", "y", "z")
@@ -232,7 +232,8 @@ class TestRegularity:
         """``L o (H_c1 x H_c2) o L^-1`` on A^4, with ``H_c = (y, x + c*y^2)``
         and L unit upper-triangular, is regular; with one factor replaced
         by the triangular ``(x + c*y^2, y)`` it is not, and the witness is
-        checked by the oracle."""
+        checked by the oracle.  The dense rank agrees with the sparse one
+        on every map."""
         x, y = (Polynomial.variable(2, i) for i in range(2))
         factors = []
         for slot, c in enumerate((c1, c2)):
@@ -243,7 +244,9 @@ class TestRegularity:
         forward, inverse = (
             _conjugate(_product(factors[0][k], factors[1][k]), upper) for k in (0, 1)
         )
-        result = is_regular(AffineAutomorphism(forward, inverse))
+        automorphism = AffineAutomorphism(forward, inverse)
+        result = is_regular(automorphism)
+        assert_sparse_rank_matches_dense(automorphism)
         if triangular_slot is None:
             assert result.verdict == "regular"
             assert result.details["saturation_degree"] <= result.details["bound"] == 5

@@ -2,14 +2,16 @@
 
 ``is_regular`` decides whether the indeterminacy loci of ``f`` and
 ``f^-1`` on the hyperplane at infinity meet.  The table below pins its
-verdict, method, witness and details for twelve maps (Henon maps in
-dimensions 3 and 2, the product of two Henon maps on A^4, a triangular
-map, shears in dimensions 3, 4 and 6, the identities in dimensions 2 to
-5, and ``far2``, whose locus ``(7:1)`` lies outside the witness search
-bound), and the digests pin the
-``verify-map`` JSON reports, both their payload and their compact bytes,
-so a change in how the constraint forms are built cannot move a decision
-or a report unnoticed.
+verdict, method, witness and details for fourteen maps (the bundled
+Henon-type family in dimensions 3, 4 and 5, the Henon map in dimension
+2, the product of two Henon maps on A^4, a triangular map, shears in
+dimensions 3, 4 and 6, the identities in dimensions 2 to 5, and ``far2``,
+whose locus ``(7:1)`` lies outside the witness search bound), and the
+digests pin the ``verify-map`` JSON reports, both their payload and their
+compact bytes, so a change in how the constraint forms are built or
+eliminated cannot move a decision or a report unnoticed.  The dense
+exact rank of ``oracles`` checks the sparse elimination on every map but
+``henon5``, whose dense rows at degree 20 take minutes.
 """
 
 import hashlib
@@ -21,10 +23,12 @@ from affdyn.cli import main
 from affdyn.dynamics import AffineAutomorphism, is_regular
 from affdyn.parsing import parse_map_file
 
-from conftest import bundled_map_text, indented
+from conftest import assert_sparse_rank_matches_dense, bundled_map_text, indented
 
 MAPS = {
     "henon3": bundled_map_text(),
+    "henon4": bundled_map_text("henon4"),
+    "henon5": bundled_map_text("henon5"),
     "henon2": "vars x y\nforward: y | x + y^2\ninverse: y - x^2 | x\n",
     "triangular": "vars x y\nforward: x + y^2 | y\ninverse: x - y^2 | y\n",
     "shear3": "vars x y z\nforward: x | y | z + x^2\ninverse: x | y | z - x^2\n",
@@ -45,6 +49,10 @@ MAPS = {
 DECISIONS = {
     "henon3": ("regular", "irrelevant-power-elimination", None,
                (("bound", 10), ("saturation_degree", 6))),
+    "henon4": ("regular", "irrelevant-power-elimination", None,
+               (("bound", 29), ("saturation_degree", 11))),
+    "henon5": ("regular", "irrelevant-power-elimination", None,
+               (("bound", 76), ("saturation_degree", 20))),
     "henon2": ("regular", "irrelevant-power-elimination", None,
                (("bound", 3), ("saturation_degree", 3))),
     "triangular": ("not_regular", "irrelevant-power-elimination", (0, 1, 0),
@@ -74,8 +82,13 @@ DECISIONS = {
 # sha256 of ``verify-map MAP --out report.json``, re-indented by
 # ``conftest.indented``.  Re-recorded when the report lost its ``seed`` key
 # (``verify-map`` takes no seed): each payload is the earlier one without it.
+# The ``henon4`` digests were recorded with the dense rank, before the rows
+# became sparse; ``henon5``'s with the sparse rows, as the dense rank takes
+# about five minutes there.
 REPORT_DIGESTS = {
     "henon3": "e37611b9d51bbc32e63ebc5b17841248d9a5928a16e8ed78aade5576dfe8982a",
+    "henon4": "ae5e355cb8b57ba75cac13d40f486d1456e1387718f3a604dee0e77cbaaa56af",
+    "henon5": "2e5df4eb638a0c583031dffacb2105e96eb68fc5983ba2ad0d4efd3becd0338d",
     "henon2": "4d1b289d079fc8cf4067848590e9f8a5798b91a8039976dbf7774203522afdc5",
     "triangular": "9550562256c8c1ced4bc03eb1871af1ac99af08ead5711c7db3d885db9e981d4",
     "shear3": "5038a619ef8a1edca4ccd379ba39d9f00ba7e2e597c11598fb0cb040a55e96fc",
@@ -92,6 +105,10 @@ REPORT_DIGESTS = {
 # sha256 of the same reports as written: compact and key-sorted.
 COMPACT_DIGESTS = {
     "henon3": "a81caa28c064458c54ad6b839c8dded48b6b0380728eec053cbec1b8a547772f",
+    "henon4": "1e7b4c6cbf8836d8008c9d83faa8d75551b8f07e232cd0d76667f4a7de3de8a5",
+    "henon5": "7dc103ec268a70898a31691249ae38a148498f8227c54b3694f8ed85aa9eae12",
+    "henon4": "1e7b4c6cbf8836d8008c9d83faa8d75551b8f07e232cd0d76667f4a7de3de8a5",
+    "henon5": "7dc103ec268a70898a31691249ae38a148498f8227c54b3694f8ed85aa9eae12",
     "henon2": "96d67c6b89379c2396c0292a0a5a628137a5cfc342589c31b71470039ce9347d",
     "triangular": "a181370a23a18ebb0a66d1ee7fbf3943a1f284fd5883521b1c0d27d3f6ab7d47",
     "shear3": "c5369ef1489f6ec0c85237488a9dd1a57b4d2d36ad943cc08901c2011fcb9f33",
@@ -128,6 +145,11 @@ def test_verify_map_report_is_pinned(name, tmp_path, capsys):
     report = out.read_bytes()
     assert hashlib.sha256(indented(report)).hexdigest() == REPORT_DIGESTS[name]
     assert hashlib.sha256(report).hexdigest() == COMPACT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(set(MAPS) - {"henon5"}))
+def test_sparse_rank_matches_dense_rank(name):
+    assert_sparse_rank_matches_dense(automorphism(name))
 
 
 def test_every_export_resolves():
