@@ -20,21 +20,29 @@ report to stdout; the heights in the first two are those the one orbit
 loop measured.  ``verify-map``, ``inequality`` and ``divisor`` print
 their verdict lines and write a JSON report only with ``--out``; their
 CSV report goes to stdout without ``--out``, and the verdict lines then go
-to stderr.
+to stderr.  A report file is written beside its target and renamed onto
+it once complete (``_write``).
 
 JSON reports are compact and key-sorted: one line, no spaces, then a
 newline.  ``python -m json.tool --sort-keys --indent 2 report.json`` gives
 the indented layout of earlier versions, byte for byte.  They are strict
 JSON: ``null`` stands for a missing minimum or an infinite tail bound.
+``inequality`` writes its reports record by record from fixed templates
+(``DeltaReport.write_json`` and ``write_csv``), byte-identical to that
+layout; the other reports go through ``json.dumps`` or ``csv.writer``.
+Every report writes an integer of more than 4,300 decimal digits as exact
+hex text, ``"0x..."`` or ``"-0x..."``, and decimal below that.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import sys
 
 from .divisors import (
@@ -63,7 +71,14 @@ from .inequality import (
     RationalBoxSampler,
     batch_verify,
 )
-from .parsing import MapSyntaxError, format_point, format_raw_point, load_map_file, parse_point
+from .parsing import (
+    MapSyntaxError,
+    format_point,
+    format_raw_point,
+    load_map_file,
+    parse_point,
+    report_int,
+)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -88,6 +103,34 @@ def _verdict_stream(args):
     return sys.stderr if args.format == "csv" and not args.out else sys.stdout
 
 
+def _write(args, write) -> None:
+    """Call ``write`` with the report's handle: the ``--out`` file, else
+    stdout.  A report writer needs only the handle's ``write``.
+
+    A file report is written beside its target and renamed onto it once
+    complete, so that a run that fails on the way leaves no partial report
+    and keeps an earlier one.  A target that exists and is not a regular
+    file, such as ``/dev/stdout``, is written in place.
+    """
+    if not args.out:
+        write(sys.stdout)
+        return
+    if os.path.exists(args.out) and not os.path.isfile(args.out):
+        with open(args.out, "w", encoding="utf-8") as handle:
+            write(handle)
+        return
+    target = os.path.realpath(args.out)
+    partial = target + ".partial"
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            write(handle)
+        os.replace(partial, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
+
+
 def _emit(payload, args, csv_rows=None) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "json":
@@ -101,11 +144,7 @@ def _emit(payload, args, csv_rows=None) -> None:
         for row in csv_rows:
             writer.writerow(row)
         text = buffer.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, lambda handle: handle.write(text))
 
 
 def _bounds(text: str) -> tuple[int, int]:
@@ -185,7 +224,7 @@ def cmd_height(args) -> int:
     point = parse_point(args.point)
     payload = {
         "point": format_point(point),
-        "height_integer": weil_height_integer(point),
+        "height_integer": report_int(weil_height_integer(point)),
         "height": weil_height(point),
     }
     rows = [["point", "height_integer", "height"],
@@ -204,7 +243,7 @@ def cmd_canonical(args) -> int:
         for k, (integer, value) in enumerate(
             zip(estimate.step_integers, estimate.values)
         ):
-            rows.append([k, estimate.direction, integer, value])
+            rows.append([k, estimate.direction, report_int(integer), value])
     _emit(payload, args, rows)
     return EXIT_OK if result.certified else EXIT_VERIFICATION
 
@@ -222,11 +261,9 @@ def cmd_inequality(args) -> int:
         file=_verdict_stream(args),
     )
     if args.format == "csv":
-        _emit(None, args, report.to_csv_rows())
+        _write(args, report.write_csv)
     elif args.out:
-        payload = report.to_json_dict()
-        payload["seed"] = args.seed
-        _emit(payload, args)
+        _write(args, lambda handle: report.write_json(handle, args.seed))
     return EXIT_OK if report.stabilized else EXIT_VERIFICATION
 
 

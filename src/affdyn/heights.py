@@ -38,7 +38,7 @@ from typing import Sequence
 
 from . import kernel
 from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, Direction, InputError
-from .parsing import format_point
+from .parsing import format_point, report_int
 
 
 def weil_height(point: Sequence[Fraction | int]) -> float:
@@ -86,8 +86,8 @@ class CanonicalHeightEstimate:
         return {
             "direction": self.direction,
             "ratio": self.ratio,
-            "point": [str(c) for c in self.point],
-            "step_height_integers": list(self.step_integers),
+            "point": format_point(self.point).split(","),
+            "step_height_integers": [report_int(h) for h in self.step_integers],
             "values": list(self.values),
             "estimate": self.estimate,
             "tail_bound": self.tail_bound if math.isfinite(self.tail_bound) else None,

@@ -221,15 +221,39 @@ def parse_point(text: str, nvars: int | None = None) -> tuple[Fraction, ...]:
     return coords
 
 
-def format_raw_point(nums: Sequence[int], den: int) -> str:
+# Reports write an integer of more than 4,300 decimal digits as exact hex:
+# CPython refuses longer decimal text by default, and its decimal
+# conversion takes quadratic time.  The threshold is fixed here rather than
+# read from ``sys.get_int_max_str_digits()``, so that a report does not
+# depend on the environment.
+DECIMAL_LIMIT = 10**4300
+
+
+def report_int(n: int) -> int | str:
+    """How a report writes the integer ``n``: ``n`` itself, in decimal, when
+    it has at most 4,300 digits, else its exact hex text ``"0x..."`` or
+    ``"-0x..."`` (``int(text, 16)`` reads it back)."""
+    return n if -DECIMAL_LIMIT < n < DECIMAL_LIMIT else hex(n)
+
+
+def _int_text(n: int) -> str:
+    return str(report_int(n))
+
+
+def format_raw_point(nums: Sequence[int], den: int, decimal: bool = False) -> str:
     """Text of the point ``nums / den`` (``den > 0``), each coordinate in
-    lowest terms, e.g. ``1,1/2,-3``, without building ``Fraction``s."""
+    lowest terms, e.g. ``1,1/2,-3``, without building ``Fraction``s.
+
+    Each integer is written by the ``report_int`` rule.  A caller that
+    knows every integer of the point is below ``DECIMAL_LIMIT`` may say so
+    with ``decimal=True``, which skips the check."""
+    digits = str if decimal else _int_text
     if den == 1:
-        return ",".join(map(str, nums))
+        return ",".join(map(digits, nums))
     parts = []
     for n in nums:
         g = gcd(n, den)
-        parts.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        parts.append(digits(n // g) if g == den else f"{digits(n // g)}/{digits(den // g)}")
     return ",".join(parts)
 
 

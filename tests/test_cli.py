@@ -3,13 +3,19 @@ import hashlib
 import io
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import threading
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from affdyn import cli, kernel
+from affdyn import cli, inequality, kernel
 from affdyn.cli import main
+from affdyn.heights import weil_height_integer
 from affdyn.inequality import DeltaReport
 
 from conftest import LEDGER_PATHS, bundled_map_text, indented
@@ -412,16 +418,27 @@ class TestInequality:
                 assert compact == digests[f"{form} compact"], (name, form)
 
     def test_json_payload_built_only_for_json(self, henon_map, tmp_path, monkeypatch):
-        def refuse(self):
-            raise AssertionError("JSON payload built")
+        # The reference layouts never run in the CLI; a CSV run never runs
+        # the JSON writer, and a JSON run never runs the CSV writer.
+        def refuse(name):
+            def method(self, *args):
+                raise AssertionError(f"{name} ran")
 
-        monkeypatch.setattr(DeltaReport, "to_json_dict", refuse)
-        out = tmp_path / "ineq.csv"
+            return method
+
+        for name in ("to_json_dict", "to_csv_rows"):
+            monkeypatch.setattr(DeltaReport, name, refuse(name))
+        out = tmp_path / "ineq.report"
         # box:1 keeps 27 points, below warmup: each run FAILS and exits 1.
         base = ["inequality", henon_map, "--sampler", "box:1"]
-        assert main([*base, "--format", "csv", "--out", str(out)]) == 1
-        assert main([*base, "--format", "csv"]) == 1
-        assert main(base) == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(DeltaReport, "write_json", refuse("write_json"))
+            assert main([*base, "--format", "csv", "--out", str(out)]) == 1
+            assert main([*base, "--format", "csv"]) == 1
+            assert main(base) == 1  # no --out: no JSON report at all
+        with monkeypatch.context() as patch:
+            patch.setattr(DeltaReport, "write_csv", refuse("write_csv"))
+            assert main([*base, "--out", str(out)]) == 1
 
     def test_csv_to_stdout_is_one_table(self, henon_map, capsys):
         argv = ["inequality", henon_map, "--sampler", "box:1", "--format", "csv"]
@@ -439,6 +456,63 @@ class TestInequality:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("point,")
         assert len(lines) == 28
+
+    def test_failed_write_leaves_no_partial_report(self, henon_map, tmp_path, monkeypatch, capsys):
+        # The CSV writer raises after its header and first chunk of 10
+        # records: the run exits 3, writes no --out file, and keeps the one
+        # an earlier run wrote.
+        out = tmp_path / "ineq.csv"
+        argv = ["inequality", henon_map, "--sampler", "box:2", "--format", "csv",
+                "--out", str(out)]
+        assert main(argv) == 0
+        complete = out.read_bytes()
+
+        class CutHandle:
+            def __init__(self, handle):
+                self.handle, self.writes = handle, 0
+
+            def write(self, text):
+                if self.writes == 2:
+                    raise RuntimeError("cut")
+                self.writes += 1
+                return self.handle.write(text)
+
+        write_csv = DeltaReport.write_csv
+        monkeypatch.setattr(inequality, "CHUNK_RECORDS", 10)
+        monkeypatch.setattr(
+            DeltaReport, "write_csv", lambda self, handle: write_csv(self, CutHandle(handle))
+        )
+        for earlier in (None, b"earlier report\n"):
+            if earlier is None:
+                out.unlink()
+            else:
+                out.write_bytes(earlier)
+            capsys.readouterr()
+            assert main(argv) == 3, earlier
+            assert "internal error: RuntimeError: cut" in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+                name for name in ("henon3.map", earlier and out.name) if name
+            )
+            assert earlier is None or out.read_bytes() == earlier
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert out.read_bytes() == complete
+
+    def test_out_writes_into_a_fifo(self, henon_map, tmp_path):
+        # A target that is not a regular file is written in place, not
+        # replaced by a renamed file.
+        regular, fifo = tmp_path / "ineq.csv", tmp_path / "ineq.fifo"
+        base = ["inequality", henon_map, "--sampler", "box:1", "--format", "csv", "--out"]
+        assert main([*base, str(regular)]) == 1
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main([*base, str(fifo)]) == 1
+        reader.join(timeout=30)
+        assert received == [regular.read_bytes()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["henon3.map", "ineq.csv", "ineq.fifo"]
 
 
 class TestDivisor:
@@ -718,3 +792,143 @@ def test_console_entry_point(henon_map):
     )
     assert proc.returncode == 0
     assert "regular, d=2, d'=4" in proc.stdout
+
+
+# -- reports past 4,300 digits ----------------------------------------------
+
+
+def report_integer(value) -> int:
+    """An integer as a report writes it: a JSON number, decimal text, or
+    exact hex text past 4,300 digits."""
+    return value if isinstance(value, int) else int(value, 0)
+
+
+def report_point(text: str) -> tuple[Fraction, ...]:
+    """A point text whose numerators and denominators may be hex."""
+    return tuple(
+        Fraction(*(report_integer(part) for part in coord.split("/")))
+        for coord in text.split(",")
+    )
+
+
+def run_report(argv, form, tmp_path):
+    """Run at the default bit budget; return the exit code and the report."""
+    out = tmp_path / f"report.{form}"
+    code = main([*argv, "--format", form, "--out", str(out)])
+    limit = csv.field_size_limit(1 << 30)  # a deep point is one long field
+    try:
+        with open(out, encoding="utf-8", newline="") as handle:
+            report = json.load(handle) if form == "json" else list(csv.reader(handle))
+    finally:
+        csv.field_size_limit(limit)
+    return code, report
+
+
+def assert_some_hex(values) -> None:
+    assert any(isinstance(v, str) and v.startswith("0x") for v in values)
+
+
+@pytest.fixture(scope="module")
+def deep_orbits(henon):
+    return {
+        direction: henon.orbit((1, 1, 1), 20, direction)
+        for direction in ("forward", "inverse")
+    }
+
+
+class TestDefaultBudgetReports:
+    """Each of these runs once exited 3: CPython refuses to write an integer
+    of more than 4,300 digits in decimal.  Reports now write such integers
+    in exact hex, and the hex reads back to the heights the orbit measured."""
+
+    @pytest.mark.parametrize("form", ["json", "csv"])
+    def test_canonical_depth_12(self, henon_map, tmp_path, deep_orbits, form):
+        argv = ["canonical", henon_map, "--point", "1,1,1", "--depth", "12"]
+        code, report = run_report(argv, form, tmp_path)
+        assert code in (0, 1)
+        expected = {d: list(deep_orbits[d].heights[:13]) for d in ("forward", "inverse")}
+        if form == "json":
+            written = {
+                side["direction"]: side["step_height_integers"]
+                for side in (report["plus"], report["minus"])
+            }
+        else:
+            assert report[0] == ["k", "direction", "height_integer", "value"]
+            written = {"forward": [], "inverse": []}
+            for _, direction, integer, _ in report[1:]:
+                written[direction].append(integer)
+        assert_some_hex(written["forward"] + written["inverse"])
+        for direction, integers in written.items():
+            assert [report_integer(v) for v in integers] == expected[direction], direction
+
+    @pytest.mark.parametrize(
+        "direction, depth, form",
+        [("inverse", 12, "json"), ("forward", 20, "json"), ("forward", 20, "csv")],
+    )
+    def test_orbit(self, henon_map, tmp_path, deep_orbits, direction, depth, form):
+        argv = ["orbit", henon_map, "--point", "1,1,1", "--depth", str(depth),
+                "--direction", direction]
+        code, report = run_report(argv, form, tmp_path)
+        assert code == 0
+        points = report["points"] if form == "json" else [row[1] for row in report[1:]]
+        assert any("0x" in text for text in points)
+        heights = [weil_height_integer(report_point(text)) for text in points]
+        assert heights == list(deep_orbits[direction].heights[: len(points)])
+        assert len(points) == depth + 1 or deep_orbits[direction].truncated
+
+    @pytest.mark.parametrize("form", ["json", "csv"])
+    def test_inequality_orbit_sampler(self, henon_map, tmp_path, deep_orbits, form):
+        argv = ["inequality", henon_map, "--sampler", "orbit:14:(1,1,1)"]
+        code, report = run_report(argv, form, tmp_path)
+        assert code in (0, 1)
+        if form == "json":
+            assert report["count"] == 15 and report["skipped"] == 0
+            written = [r["height_integers"] for r in report["records"]]
+        else:
+            written = [row[1:4] for row in report[1:]]
+        assert_some_hex([v for triple in written for v in triple])
+        forward = deep_orbits["forward"].heights
+        inverse_of_start = deep_orbits["inverse"].heights[1]
+        expected = [
+            [forward[k], forward[k + 1], forward[k - 1] if k else inverse_of_start]
+            for k in range(15)
+        ]
+        assert [[report_integer(v) for v in triple] for triple in written] == expected
+
+
+def test_perfbench_tracer_leaves_reports_unchanged(henon_map, tmp_path):
+    # The benchmark's tracer wraps DeltaReport methods and cli names by
+    # attribute; a renamed hook must fail here, and tracing must not change
+    # a report.
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import tracer\n"
+        "from affdyn import cli\n"
+        "recorder = tracer.Tracer('tier-1')\n"
+        "if sys.argv[2] == 'traced':\n"
+        "    tracer.install(recorder)\n"
+        "code = cli.main(sys.argv[3:])\n"
+        "print(sorted({span[0] for span in recorder.spans}), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    for form in ("json", "csv"):
+        reports = {}
+        for mode in ("plain", "traced"):
+            out = tmp_path / f"{mode}.{form}"
+            argv = ["inequality", henon_map, "--sampler", "box:1", "--format", form,
+                    "--out", str(out)]
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(root / "perfbench"), mode, *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert done.returncode == 1, done.stderr  # 27 points, below warmup
+            spans = done.stderr.strip().splitlines()[-1]
+            reports[mode] = out.read_bytes()
+            if mode == "traced":
+                assert "'inequality.batch_verify'" in spans and "'cli.write'" in spans, spans
+            else:
+                assert spans == "[]"
+        assert reports["traced"] == reports["plain"], form

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import json
 import math
@@ -11,14 +13,18 @@ from affdyn.dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism
 from affdyn.heights import weil_height_integer
 from affdyn.inequality import (
     BoxSampler,
+    CHUNK_RECORDS,
     CompositeSampler,
+    DeltaReport,
     OrbitSampler,
     RandomRationalSampler,
     RationalBoxSampler,
     WARMUP,
     _rational_values,
+    _record,
     batch_verify,
 )
+from affdyn.parsing import parse_polynomial
 
 from conftest import count_calls
 
@@ -305,3 +311,94 @@ class TestBatchVerify:
             assert report.stabilization_note == (
                 f"min moved {drift} between the last two checkpoints"
             )
+
+
+def one_variable_report() -> DeltaReport:
+    """A report on a map of A^1 by hand: ``batch_verify`` refuses
+    dimension 1, but a report of it has points without a comma."""
+    names = ("x",)
+    forward = (parse_polynomial("2*x + 1", names),)
+    inverse = (parse_polynomial("x/2 - 1/2", names),)
+    line = AffineAutomorphism(forward, inverse, names)
+    points = [((a,), q) for a in range(-3, 4) for q in (1, 2, 3) if math.gcd(a, q) == 1]
+    records = tuple(_record(line, raw, DEFAULT_BIT_BUDGET) for raw in points)
+    low = min(records, key=lambda r: r.delta)
+    return DeltaReport(
+        map_id=line.map_id,
+        degrees=line.degrees,
+        sample={"kind": "by hand"},
+        regularity="not decided",
+        records=records,
+        min_delta=low.delta,
+        argmin=low.point,
+        skipped=0,
+        checkpoints=((len(records), low.delta),),
+        stabilized=False,
+        stabilization_note="by hand",
+    )
+
+
+class TestReportWriters:
+    """``write_json`` and ``write_csv`` fill fixed templates record by
+    record; their bytes must equal the generic encoders over the reference
+    layouts ``to_json_dict`` and ``to_csv_rows``."""
+
+    @staticmethod
+    def assert_writers_match_reference(report: DeltaReport, seed: int = 7):
+        written = io.StringIO()
+        report.write_json(written, seed)
+        reference = json.dumps(
+            report.to_json_dict() | {"seed": seed}, sort_keys=True, separators=(",", ":")
+        )
+        assert written.getvalue() == reference + "\n"
+
+        written = io.StringIO()
+        report.write_csv(written)
+        reference = io.StringIO()
+        csv.writer(reference, lineterminator="\n").writerows(report.to_csv_rows())
+        assert written.getvalue() == reference.getvalue()
+
+    @pytest.mark.parametrize(
+        "sampler, bit_budget",
+        [
+            (BoxSampler(3), DEFAULT_BIT_BUDGET),
+            (RationalBoxSampler(2, 2), DEFAULT_BIT_BUDGET),
+            (RandomRationalSampler(300, 50, 20, seed=3), DEFAULT_BIT_BUDGET),
+            (OrbitSampler(((Fraction(1), Fraction(1), Fraction(1)),), 12), 48),
+            (CompositeSampler((BoxSampler(1), RationalBoxSampler(1, 2))), DEFAULT_BIT_BUDGET),
+            (RationalBoxSampler(5, 0), DEFAULT_BIT_BUDGET),
+        ],
+        ids=["box", "rationals", "random", "orbit-with-skips", "composite", "empty"],
+    )
+    def test_writers_match_reference(self, henon, sampler, bit_budget):
+        report = batch_verify(henon, sampler, bit_budget)
+        if isinstance(sampler, OrbitSampler):
+            assert report.skipped > 0
+        if not report.records:
+            assert report.to_json_dict()["min_delta"] is None
+        self.assert_writers_match_reference(report)
+
+    def test_writers_match_reference_past_4300_digits(self, henon):
+        # Deep orbit points: some height integers are written in hex.
+        seed = (Fraction(1), Fraction(1), Fraction(1))
+        report = batch_verify(henon, OrbitSampler((seed,), 14))
+        assert max(max(r.height_integers) for r in report.records).bit_length() > 14_300
+        self.assert_writers_match_reference(report)
+
+    def test_writers_match_reference_in_one_variable(self):
+        report = one_variable_report()
+        assert "," not in report.to_json_dict()["argmin"]
+        self.assert_writers_match_reference(report)
+
+    def test_writers_write_in_bounded_chunks(self, henon):
+        # The report text is never held whole: no write carries more than
+        # CHUNK_RECORDS records.
+        class Writes(list):
+            write = list.append
+
+        report = batch_verify(henon, BoxSampler(9))  # 6,859 records
+        json_writes, csv_writes = Writes(), Writes()
+        report.write_json(json_writes, 0)
+        report.write_csv(csv_writes)
+        assert max(text.count('{"delta"') for text in json_writes) == CHUNK_RECORDS
+        assert max(text.count("\n") for text in csv_writes) == CHUNK_RECORDS

@@ -12,6 +12,7 @@ from affdyn.parsing import (
     parse_map_file,
     parse_point,
     parse_polynomial,
+    report_int,
 )
 from affdyn.polyring import Polynomial
 
@@ -74,6 +75,23 @@ def test_format_is_graded_lex():
 def test_format_raw_point_matches_fraction_text(point):
     raw = kernel.to_common_denominator(point)
     assert format_raw_point(*raw) == ",".join(str(Fraction(c)) for c in point)
+
+
+def test_report_int_writes_hex_past_4300_digits():
+    widest = 10**4300 - 1  # 4,300 digits: the widest decimal a report writes
+    for n in (0, 7, -7, widest, -widest):
+        assert report_int(n) == n
+    for n in (widest + 1, -widest - 1, 3**20_000):
+        text = report_int(n)
+        assert text == hex(n) and text.lstrip("-").startswith("0x")
+        assert int(text, 16) == n
+
+
+def test_format_raw_point_writes_hex_past_4300_digits():
+    big = 3**20_000
+    assert format_raw_point((big, -1), 1) == f"{hex(big)},-1"
+    assert format_raw_point((2 * big, 1), 2 * big) == f"1,1/{hex(2 * big)}"
+    assert format_raw_point((6, 1), 4) == format_raw_point((6, 1), 4, decimal=True) == "3/2,1/4"
 
 
 def test_parse_point():
