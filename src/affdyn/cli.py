@@ -31,7 +31,9 @@ JSON: ``null`` stands for a missing minimum or an infinite tail bound.
 (``DeltaReport.write_json`` and ``write_csv``), byte-identical to that
 layout; the other reports go through ``json.dumps`` or ``csv.writer``.
 Every report writes an integer of more than 4,300 decimal digits as exact
-hex text, ``"0x..."`` or ``"-0x..."``, and decimal below that.
+hex text, ``"0x..."`` or ``"-0x..."``, and decimal below that.  ``main``
+raises an int-to-str limit below 4,300 digits (``PYTHONINTMAXSTRDIGITS``)
+to 4,300, so that the environment does not change a report.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ from .inequality import (
     batch_verify,
 )
 from .parsing import (
+    DECIMAL_DIGITS,
     MapSyntaxError,
     format_point,
     format_raw_point,
@@ -414,6 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits") and (
+        0 < sys.get_int_max_str_digits() < DECIMAL_DIGITS
+    ):
+        sys.set_int_max_str_digits(DECIMAL_DIGITS)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

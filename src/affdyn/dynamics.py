@@ -199,20 +199,19 @@ class AffineAutomorphism:
     def step(
         self, raw: RawPoint, height: int, direction: Direction, bit_budget: int
     ) -> tuple[RawPoint, int] | tuple[None, None]:
-        """One map application in common-denominator form.
+        """One map application in common-denominator form: the step of
+        ``orbit``, its one caller.
 
         ``height`` is the height integer of ``raw`` (``kernel.height_integer``),
-        which every caller already holds.  Returns the image with its own
+        which ``orbit`` already holds.  Returns the image with its own
         height integer, or ``(None, None)`` when an integer of the image
-        exceeds the bit budget.  When ``raw`` fits the budget and
-        ``kernel.exceeds_budget`` proves that the image does not, the image
-        is not computed.
+        exceeds the bit budget.  When ``raw`` fits the budget, is past
+        ``kernel.budget_gate`` and ``kernel.exceeds_budget`` proves that the
+        image does not fit, the image is not computed.
         """
         cm = self.compiled(direction)
         bits = height.bit_length()
-        # Below deg * bits + coeff_bits no term can reach the budget, so the
-        # bound cannot fire: one comparison on small points.
-        if bits <= bit_budget < cm.deg * bits + cm.coeff_bits and kernel.exceeds_budget(
+        if kernel.budget_gate(cm, bit_budget) <= bits <= bit_budget and kernel.exceeds_budget(
             cm, *raw, bit_budget
         ):
             return None, None

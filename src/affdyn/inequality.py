@@ -231,24 +231,6 @@ class DeltaRecord(NamedTuple):
     delta: float
 
 
-def _record(automorphism: AffineAutomorphism, raw: RawPoint, bit_budget: int) -> DeltaRecord | None:
-    height = kernel.height_integer(*raw)
-    if height.bit_length() > bit_budget:
-        return None
-    forward, h_forward = automorphism.step(raw, height, "forward", bit_budget)
-    if forward is None:
-        return None
-    inverse, h_inverse = automorphism.step(raw, height, "inverse", bit_budget)
-    if inverse is None:
-        return None
-    h_p = log(height)
-    h_f = log(h_forward)
-    h_i = log(h_inverse)
-    d, d_inv = automorphism.degrees
-    delta = h_f / d + h_i / d_inv - (1.0 + 1.0 / (d * d_inv)) * h_p
-    return DeltaRecord(raw, (height, h_forward, h_inverse), h_p, h_f, h_i, delta)
-
-
 # -- reports ---------------------------------------------------------------
 
 
@@ -425,8 +407,21 @@ def batch_verify(
 
     Points whose exact evaluation exceeds the bit budget are skipped and
     counted.  The regularity verdict is decided and recorded in the report.
+
+    Each point is evaluated forward, then (if its image fits) backward,
+    over the two compiled maps fetched once; ``kernel.exceeds_budget`` is
+    asked first only past the direction's ``kernel.budget_gate``.  The
+    kernel functions are called through the module, so that a wrapped one
+    sees every call.
     """
     regularity = is_regular(automorphism).verdict
+    n = automorphism.n
+    forward_map = automorphism.compiled("forward")
+    inverse_map = automorphism.compiled("inverse")
+    forward_gate = kernel.budget_gate(forward_map, bit_budget)
+    inverse_gate = kernel.budget_gate(inverse_map, bit_budget)
+    d, d_inv = automorphism.degrees
+    weight = 1.0 + 1.0 / (d * d_inv)
 
     records: list[DeltaRecord] = []
     skipped = 0
@@ -436,20 +431,37 @@ def batch_verify(
     next_checkpoint = WARMUP
     for raw in sampler.points(automorphism, bit_budget):
         nums, den = raw
-        if len(nums) != automorphism.n:
+        if len(nums) != n:
             raise InputError(
-                f"sampler point {raw!r} has {len(nums)} coordinates, expected {automorphism.n}"
+                f"sampler point {raw!r} has {len(nums)} coordinates, expected {n}"
             )
         if den <= 0 or gcd(den, *nums) != 1:
             raise InputError(f"sampler point {raw!r} is not in canonical (nums, den) form")
-        record = _record(automorphism, raw, bit_budget)
-        if record is None:
+        height = kernel.height_integer(nums, den)
+        bits = height.bit_length()
+        if bits > bit_budget or (
+            bits >= forward_gate and kernel.exceeds_budget(forward_map, nums, den, bit_budget)
+        ):
             skipped += 1
             continue
-        records.append(record)
-        if record.delta < running_min:
-            running_min = record.delta
-            argmin = record.point
+        h_forward = kernel.height_integer(*kernel.eval_point(forward_map, nums, den))
+        if h_forward.bit_length() > bit_budget or (
+            bits >= inverse_gate and kernel.exceeds_budget(inverse_map, nums, den, bit_budget)
+        ):
+            skipped += 1
+            continue
+        h_inverse = kernel.height_integer(*kernel.eval_point(inverse_map, nums, den))
+        if h_inverse.bit_length() > bit_budget:
+            skipped += 1
+            continue
+        h_p = log(height)
+        h_f = log(h_forward)
+        h_i = log(h_inverse)
+        delta = h_f / d + h_i / d_inv - weight * h_p
+        records.append(DeltaRecord(raw, (height, h_forward, h_inverse), h_p, h_f, h_i, delta))
+        if delta < running_min:
+            running_min = delta
+            argmin = raw
         if len(records) == next_checkpoint:
             checkpoints.append((len(records), running_min))
             next_checkpoint *= 4

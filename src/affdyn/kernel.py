@@ -32,16 +32,20 @@ for the reduced image coordinates, ``g`` and ``gcd``): no text from a map
 file reaches ``exec``.  This is the one kernel; ``tests/oracles.py`` keeps
 a table interpreter that checks it.
 
-Within the package ``eval_point`` has two callers:
-``AffineAutomorphism.apply`` and ``AffineAutomorphism.step``.  ``step`` is
-the single orbit step: ``orbit`` is the one loop over it, which canonical
-heights read, and each inequality record takes one step each way.  It
-hands back each image with its height integer, which its caller reuses
-for the next bit-budget test and for the record, so each integer is
-measured once.
+Within the package ``eval_point`` has three callers:
+``AffineAutomorphism.apply``, ``AffineAutomorphism.step`` and
+``inequality.batch_verify``.  ``step`` is the single orbit step: ``orbit``
+is the one loop over it, which canonical heights read.  It hands back each
+image with its height integer, which ``orbit`` reuses for the next
+bit-budget test, so each integer is measured once.  ``batch_verify``
+evaluates each sampled point at most once each way in its own loop, over
+the two compiled maps it fetches once per run, and measures each of the
+three height integers of a record once.
 
-Before it evaluates, ``step`` asks ``exceeds_budget`` whether the image is
-certain to break the budget; if so the image is never computed.  The bound
+Before it evaluates, each of the last two asks ``exceeds_budget`` whether
+the image is certain to break the budget; if so the image is never
+computed.  ``budget_gate`` says from which height bit length the question
+can get a True answer at all; below it neither caller asks.  The bound
 reads only bit lengths.  A nonzero integer of bit length ``b`` lies in
 ``[2^(b-1), 2^b)``, so every term ``t = c * prod x_i^e_i * den^(deg-s)`` of
 coordinate ``j`` satisfies ``2^lo <= |t| < 2^hi``, with ``lo`` and ``hi``
@@ -256,6 +260,18 @@ def exceeds_budget(cm: CompiledMap, nums: Sequence[int], den: int, budget: int) 
         if top_lo - denom.bit_length() - deg * den_bits > budget:
             return True
     return False
+
+
+def budget_gate(cm: CompiledMap, budget: int) -> int:
+    """The smallest height bit length of a point at which ``exceeds_budget``
+    can answer True for ``cm`` and ``budget``.
+
+    When the point's height integer has ``bits`` bits, every term of an
+    image numerator is below ``2^(cm.deg * bits + cm.coeff_bits)``, so the
+    bound cannot fire unless ``budget < cm.deg * bits + cm.coeff_bits``;
+    the gate is the least such ``bits``.
+    """
+    return (budget - cm.coeff_bits) // cm.deg + 1
 
 
 def height_integer(nums: Sequence[int], den: int) -> int:

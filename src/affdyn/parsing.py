@@ -225,8 +225,9 @@ def parse_point(text: str, nvars: int | None = None) -> tuple[Fraction, ...]:
 # CPython refuses longer decimal text by default, and its decimal
 # conversion takes quadratic time.  The threshold is fixed here rather than
 # read from ``sys.get_int_max_str_digits()``, so that a report does not
-# depend on the environment.
-DECIMAL_LIMIT = 10**4300
+# depend on the environment; ``cli.main`` raises a lower limit to it.
+DECIMAL_DIGITS = 4300
+DECIMAL_LIMIT = 10**DECIMAL_DIGITS
 
 
 def report_int(n: int) -> int | str:

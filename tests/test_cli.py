@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -894,6 +895,37 @@ class TestDefaultBudgetReports:
             for k in range(15)
         ]
         assert [[report_integer(v) for v in triple] for triple in written] == expected
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["orbit", "--point", "1,1,1", "--depth", "12"], 0),
+        (["inequality", "--sampler", "orbit:14:(1,1,1)", "--format", "csv"], 1),
+    ],
+    ids=["orbit", "inequality-csv"],
+)
+def test_low_int_str_limit_writes_the_same_report(henon_map, tmp_path, argv, code):
+    # Both reports hold decimal integers of more than 640 digits, and under
+    # PYTHONINTMAXSTRDIGITS=640 both runs once exited 3: the front end now
+    # raises that limit to the 4,300 digits a report writes in decimal.
+    root = Path(__file__).resolve().parent.parent
+    reports = {}
+    for limit in (None, "640"):
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        out = tmp_path / f"report-{limit}"
+        done = subprocess.run(
+            [sys.executable, "-m", "affdyn.cli", argv[0], henon_map, *argv[1:],
+             "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == code, done.stderr
+        reports[limit] = out.read_bytes()
+    assert re.search(rb"\d{641}", reports[None])
+    assert reports["640"] == reports[None]
 
 
 def test_perfbench_tracer_leaves_reports_unchanged(henon_map, tmp_path):

@@ -15,18 +15,19 @@ from affdyn.inequality import (
     BoxSampler,
     CHUNK_RECORDS,
     CompositeSampler,
+    DeltaRecord,
     DeltaReport,
     OrbitSampler,
     RandomRationalSampler,
     RationalBoxSampler,
     WARMUP,
     _rational_values,
-    _record,
     batch_verify,
 )
 from affdyn.parsing import parse_polynomial
 
 from conftest import count_calls
+from oracles import horner_eval
 
 LOG2 = math.log(2)
 
@@ -267,6 +268,39 @@ class TestBatchVerify:
         )
         assert report.skipped > 0
 
+    # kernel.eval_point and kernel.exceeds_budget calls over the sweep below;
+    # exceeds_budget only saves work, so only these counts show a gate that
+    # asks it one bit too early or too late.
+    GATE_SWEEP_CALLS = (4391, 405)
+
+    def test_budget_gate_sweep_matches_fraction_oracle(self, henon, monkeypatch):
+        # A point is kept exactly when P, f(P) and f^-1(P) all fit the
+        # budget, with their Weil height integers, at every budget.
+        start = (Fraction(1),) * 3
+        cases = []
+        for budget in range(1, 65):
+            for sampler in (BoxSampler(1), OrbitSampler((start,), 8)):
+                kept, skipped = [], 0
+                for raw in sampler.points(henon, budget):
+                    point = kernel.to_fractions(*raw)
+                    heights = tuple(weil_height_integer(q) for q in (
+                        point,
+                        tuple(horner_eval(c, point) for c in henon.forward),
+                        tuple(horner_eval(c, point) for c in henon.inverse),
+                    ))
+                    if max(heights).bit_length() <= budget:
+                        kept.append((raw, heights))
+                    else:
+                        skipped += 1
+                cases.append((sampler, budget, kept, skipped))
+        evals = count_calls(monkeypatch, "eval_point")
+        bounds = count_calls(monkeypatch, "exceeds_budget")
+        for sampler, budget, kept, skipped in cases:
+            report = batch_verify(henon, sampler, budget)
+            assert [(r.point, r.height_integers) for r in report.records] == kept, budget
+            assert report.skipped == skipped, budget
+        assert (len(evals), len(bounds)) == self.GATE_SWEEP_CALLS
+
     def test_json_report_is_deterministic(self, henon):
         sampler = BoxSampler(2)
         a = json.dumps(batch_verify(henon, sampler).to_json_dict(), sort_keys=True)
@@ -321,7 +355,18 @@ def one_variable_report() -> DeltaReport:
     inverse = (parse_polynomial("x/2 - 1/2", names),)
     line = AffineAutomorphism(forward, inverse, names)
     points = [((a,), q) for a in range(-3, 4) for q in (1, 2, 3) if math.gcd(a, q) == 1]
-    records = tuple(_record(line, raw, DEFAULT_BIT_BUDGET) for raw in points)
+    d, d_inv = line.degrees
+    records = []
+    for nums, den in points:
+        point = kernel.to_fractions(nums, den)
+        heights = tuple(
+            weil_height_integer(p)
+            for p in (point, line.apply(point, "forward"), line.apply(point, "inverse"))
+        )
+        h_p, h_f, h_i = map(math.log, heights)
+        delta = h_f / d + h_i / d_inv - (1.0 + 1.0 / (d * d_inv)) * h_p
+        records.append(DeltaRecord((nums, den), heights, h_p, h_f, h_i, delta))
+    records = tuple(records)
     low = min(records, key=lambda r: r.delta)
     return DeltaReport(
         map_id=line.map_id,
