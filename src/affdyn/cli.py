@@ -113,7 +113,8 @@ def _write(args, write) -> None:
     A file report is written beside its target and renamed onto it once
     complete, so that a run that fails on the way leaves no partial report
     and keeps an earlier one.  A target that exists and is not a regular
-    file, such as ``/dev/stdout``, is written in place.
+    file, such as ``/dev/stdout``, is written in place.  An ``OSError``
+    names the ``--out`` path as given, not the file beside it.
     """
     if not args.out:
         write(sys.stdout)
@@ -128,9 +129,11 @@ def _write(args, write) -> None:
         with open(partial, "w", encoding="utf-8") as handle:
             write(handle)
         os.replace(partial, target)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(partial)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, args.out) from exc
         raise
 
 

@@ -499,6 +499,17 @@ class TestInequality:
         assert main(argv) == 0
         assert out.read_bytes() == complete
 
+    def test_out_in_missing_directory_exits_two(self, henon_map, tmp_path, capsys):
+        # The verdict is printed before the report is written; the error
+        # names the --out path as given, and no file is left behind.
+        out = tmp_path / "missing" / "report.json"
+        argv = ["inequality", henon_map, "--sampler", "box:1", "--out", str(out)]
+        assert main(argv) == 2
+        printed, err = capsys.readouterr()
+        assert printed.startswith("FAIL: min_delta=0.0 over 27 points")
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["henon3.map"]
+
     def test_out_writes_into_a_fifo(self, henon_map, tmp_path):
         # A target that is not a regular file is written in place, not
         # replaced by a renamed file.
@@ -734,14 +745,21 @@ NOT_UTF8 = b"vars x y\nforward: x | y\ninverse: x | y\n# \xff\n"
          "starting point already exceeds the bit budget"),
         ({}, ["canonical", "MAP", "--point", "300,-7,5/2", "--depth", "3", "--bit-budget", "8"],
          "starting point already exceeds the bit budget"),
+        ({}, ["orbit", "MAP", "--point", "1,1,1", "--depth", "2", "--out", "OUT"],
+         "No such file or directory: 'OUT'\n"),
+        ({}, ["canonical", "MAP", "--point", "1,1,1", "--depth", "2", "--out", "OUT"],
+         "No such file or directory: 'OUT'\n"),
     ],
     ids=["one-variable-verify-map", "one-variable-inequality", "zero-coordinate",
          "map-not-utf8", "vars-without-space", "datum-not-utf8", "canonical-depth-0",
          "orbit-depth-negative", "orbit-sampler-depth-negative", "orbit-start-over-budget",
-         "orbit-sampler-seed-over-budget", "canonical-start-over-budget"],
+         "orbit-sampler-seed-over-budget", "canonical-start-over-budget",
+         "orbit-out-in-missing-directory", "canonical-out-in-missing-directory"],
 )
 def test_input_errors_exit_two(files, argv, message, henon_map, tmp_path, capsys):
-    paths = {"MAP": henon_map}
+    # OUT is a report path in a directory that does not exist: the message
+    # names it as given, and no file is left behind.
+    paths = {"MAP": henon_map, "OUT": str(tmp_path / "missing" / "report")}
     for name, content in files.items():
         path = tmp_path / name
         if isinstance(content, bytes):
@@ -752,7 +770,9 @@ def test_input_errors_exit_two(files, argv, message, henon_map, tmp_path, capsys
     assert main([paths.get(arg, arg) for arg in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message.replace("OUT", paths["OUT"]) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["henon3.map", *files])
 
 
 def test_plain_value_error_exits_three(monkeypatch, henon_map, capsys):
@@ -786,10 +806,12 @@ def test_internal_error_exits_three(monkeypatch, capsys):
 
 
 def test_console_entry_point(henon_map):
+    root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "affdyn.cli", "verify-map", henon_map],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0
     assert "regular, d=2, d'=4" in proc.stdout

@@ -365,7 +365,7 @@ def one_variable_report() -> DeltaReport:
         )
         h_p, h_f, h_i = map(math.log, heights)
         delta = h_f / d + h_i / d_inv - (1.0 + 1.0 / (d * d_inv)) * h_p
-        records.append(DeltaRecord((nums, den), heights, h_p, h_f, h_i, delta))
+        records.append(DeltaRecord(nums, den, *heights, delta))
     records = tuple(records)
     low = min(records, key=lambda r: r.delta)
     return DeltaReport(

@@ -1,0 +1,88 @@
+"""A δ record keeps exact data only: the point's ``(nums, den)`` form, its
+three height integers and δ.  The logs of the heights are derived from the
+integers when a report is written, so a report holds no float per record
+but δ."""
+
+import csv
+import gc
+import io
+import json
+import math
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+from affdyn.inequality import (
+    BoxSampler,
+    DeltaRecord,
+    OrbitSampler,
+    RationalBoxSampler,
+    batch_verify,
+)
+
+# Bytes that the report of batch_verify retains per record, as tracemalloc
+# counts them on 64-bit CPython 3.11: about 200 for the flat record, and
+# about 380 when each record also held a nested point and height tuple and
+# the three logs as floats.
+RETAINED_BYTES_PER_RECORD = 280
+
+
+@pytest.mark.parametrize(
+    "sampler", [BoxSampler(6), RationalBoxSampler(4, 3)], ids=["box", "rationals"]
+)
+def test_records_retain_few_bytes(henon, sampler):
+    batch_verify(henon, sampler)  # warm-up: regularity and compiled maps
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = batch_verify(henon, sampler)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) in (13**3, 19**3)
+    assert retained / len(report.records) < RETAINED_BYTES_PER_RECORD
+
+
+def test_record_fields_are_exact_integers_and_delta(henon):
+    assert DeltaRecord._fields == ("nums", "den", "H_point", "H_forward", "H_inverse", "delta")
+    report = batch_verify(henon, RationalBoxSampler(2, 2))
+    for record in report.records:
+        nums, den, *heights, delta = record
+        assert {type(v) for v in (*nums, den, *heights)} == {int}
+        assert type(delta) is float
+        assert record.point == (nums, den)
+        assert record.height_integers == tuple(heights)
+
+
+def report_integer(value) -> int:
+    """A height integer as a report writes it: decimal, or hex text."""
+    return value if isinstance(value, int) else int(value, 0)
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [RationalBoxSampler(2, 2), OrbitSampler(((Fraction(1),) * 3,), 14)],
+    ids=["rationals", "orbit-past-4300-digits"],
+)
+def test_written_logs_are_logs_of_the_height_integers(henon, sampler):
+    report = batch_verify(henon, sampler)
+    written = io.StringIO()
+    report.write_json(written, 0)
+    for record in json.loads(written.getvalue())["records"]:
+        heights = map(report_integer, record["height_integers"])
+        logs = [record[key] for key in ("h_point", "h_forward", "h_inverse")]
+        assert logs == list(map(math.log, heights))
+
+    written = io.StringIO()
+    report.write_csv(written)
+    limit = csv.field_size_limit(1 << 30)  # a deep point is one long field
+    try:
+        rows = list(csv.reader(io.StringIO(written.getvalue())))
+    finally:
+        csv.field_size_limit(limit)
+    assert len(rows) == len(report.records) + 1
+    for row in rows[1:]:
+        heights = (int(text, 0) for text in row[1:4])
+        assert list(map(float, row[4:7])) == list(map(math.log, heights))
