@@ -20,8 +20,10 @@ report to stdout; the heights in the first two are those the one orbit
 loop measured.  ``verify-map``, ``inequality`` and ``divisor`` print
 their verdict lines and write a JSON report only with ``--out``; their
 CSV report goes to stdout without ``--out``, and the verdict lines then go
-to stderr.  A report file is written beside its target and renamed onto
-it once complete (``_write``).
+to stderr.  They print the verdict lines only once the report is written,
+so a run that cannot write its report prints no verdict.  A report file
+is written beside its target and renamed onto it once complete
+(``_write``).
 
 JSON reports are compact and key-sorted: one line, no spaces, then a
 newline.  ``python -m json.tool --sort-keys --indent 2 report.json`` gives
@@ -195,13 +197,13 @@ def cmd_verify_map(args) -> int:
         "witness": list(result.witness) if result.witness else None,
         "details": {k: v for k, v in sorted(result.details.items())},
     }
+    if args.out:
+        _emit(payload, args)
     print(f"{result.verdict}, d={automorphism.d}, d'={automorphism.d_inv}")
     detail = ", ".join(f"{k}={v}" for k, v in sorted(result.details.items()))
     print(f"certificate: {result.method}" + (f" ({detail})" if detail else ""))
     if result.witness:
         print(f"witness at infinity: {list(result.witness)}")
-    if args.out:
-        _emit(payload, args)
     return EXIT_OK
 
 
@@ -260,16 +262,16 @@ def cmd_inequality(args) -> int:
     samplers = [_parse_sampler(spec, args.seed, automorphism.n) for spec in specs]
     sampler = samplers[0] if len(samplers) == 1 else CompositeSampler(tuple(samplers))
     report = batch_verify(automorphism, sampler, _bit_budget(args))
+    if args.format == "csv":
+        _write(args, report.write_csv)
+    elif args.out:
+        _write(args, lambda handle: report.write_json(handle, args.seed))
     verdict = "PASS" if report.stabilized else "FAIL"
     print(
         f"{verdict}: min_delta={report.min_delta!r} over {len(report.records)} points "
         f"({report.skipped} skipped); {report.stabilization_note}",
         file=_verdict_stream(args),
     )
-    if args.format == "csv":
-        _write(args, report.write_csv)
-    elif args.out:
-        _write(args, lambda handle: report.write_json(handle, args.seed))
     return EXIT_OK if report.stabilized else EXIT_VERIFICATION
 
 
@@ -279,7 +281,7 @@ def cmd_divisor(args) -> int:
         raise InputError("--format csv needs exactly two data, one forward and one inverse")
     if len(data) == 2 and {d.side for d in data} != {"forward", "inverse"}:
         raise InputError("need one forward-side and one inverse-side datum")
-    log = _verdict_stream(args)
+    lines: list[str] = []
     payload: dict = {"data": []}
     failures = 0
     for datum in data:
@@ -296,16 +298,15 @@ def cmd_divisor(args) -> int:
                 entry["essential_index"] = find_essential(datum.b, datum.pushforward)
                 entry["essential_label"] = datum.basis.labels[entry["essential_index"]]
                 if entry["essential_index"] != datum.t:
-                    print(
+                    lines.append(
                         f"essential index mismatch: pushforward gives "
                         f"{entry['essential_label']}, datum declares "
-                        f"{datum.basis.labels[datum.t]}",
-                        file=log,
+                        f"{datum.basis.labels[datum.t]}"
                     )
                     failures += 1
             except DatumError as exc:
                 entry["essential_index"] = None
-                print(f"essential-divisor search failed: {exc}", file=log)
+                lines.append(f"essential-divisor search failed: {exc}")
                 failures += 1
             entry["pushpull_identity"] = check_pushpull_identity(datum)
             if not entry["pushpull_identity"]:
@@ -313,8 +314,7 @@ def cmd_divisor(args) -> int:
         if not report.ok:
             failures += 1
         payload["data"].append(entry)
-        for violation in report.violations:
-            print(f"violation ({violation.law}): {violation.message}", file=log)
+        lines += [f"violation ({v.law}): {v.message}" for v in report.violations]
     if len(data) == 2:
         forward, inverse = sorted(data, key=lambda d: d.side != "forward")
         combined = combine_resolutions(forward, inverse)
@@ -329,10 +329,9 @@ def cmd_divisor(args) -> int:
             "effective": effectivity.effective,
             "first_negative": effectivity.first_negative,
         }
-        print(f"D = {divisor.as_text()}", file=log)
-        print(f"effective: {effectivity.effective}", file=log)
+        lines += [f"D = {divisor.as_text()}", f"effective: {effectivity.effective}"]
         if not effectivity.effective:
-            print(f"first negative coefficient: {effectivity.first_negative}", file=log)
+            lines.append(f"first negative coefficient: {effectivity.first_negative}")
             failures += 1
         rows = [["label", "coefficient"]]
         rows += [
@@ -342,6 +341,8 @@ def cmd_divisor(args) -> int:
         _emit(None, args, rows)
     elif args.out:
         _emit(payload, args)
+    for line in lines:
+        print(line, file=_verdict_stream(args))
     return EXIT_VERIFICATION if failures else EXIT_OK
 
 

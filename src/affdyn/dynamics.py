@@ -23,9 +23,10 @@ shift of a form is a sparse row built from its integer terms, and one
 exact elimination over those rows gives the rank; each witness candidate
 is evaluated by its ``eval_map``.
 
-``AffineAutomorphism.orbit`` is the one loop over ``step``; its
-``OrbitResult`` keeps the height integer ``step`` measured for each point,
-which canonical heights and reports read without a ``Fraction``.
+``AffineAutomorphism.orbit`` is the one loop over ``kernel.step``, the
+budgeted map application; its ``OrbitResult`` keeps the height integer
+``kernel.step`` measured for each point, which canonical heights and
+reports read without a ``Fraction``.
 
 Automorphisms and their derived objects are immutable; orbits of distinct
 points may be computed in parallel with no coordination.
@@ -87,10 +88,10 @@ class OrbitResult:
 
     ``raw`` holds the points in the kernel's canonical ``(nums, den)`` form;
     ``points`` gives them as ``Fraction`` tuples; ``heights`` holds the
-    height integer of each, as ``step`` measured it.  ``truncated`` is set
-    when the bit budget stopped iteration before the requested depth;
-    ``completed_depth`` then reports the last index that was actually
-    computed.
+    height integer of each, as ``kernel.step`` measured it.  ``truncated``
+    is set when the bit budget stopped iteration before the requested
+    depth; ``completed_depth`` then reports the last index that was
+    actually computed.
     """
 
     raw: tuple[RawPoint, ...]
@@ -196,31 +197,6 @@ class AffineAutomorphism:
             raise InputError(f"point has {len(point)} coordinates, expected {self.n}")
         return kernel.to_common_denominator(point)
 
-    def step(
-        self, raw: RawPoint, height: int, direction: Direction, bit_budget: int
-    ) -> tuple[RawPoint, int] | tuple[None, None]:
-        """One map application in common-denominator form: the step of
-        ``orbit``, its one caller.
-
-        ``height`` is the height integer of ``raw`` (``kernel.height_integer``),
-        which ``orbit`` already holds.  Returns the image with its own
-        height integer, or ``(None, None)`` when an integer of the image
-        exceeds the bit budget.  When ``raw`` fits the budget, is past
-        ``kernel.budget_gate`` and ``kernel.exceeds_budget`` proves that the
-        image does not fit, the image is not computed.
-        """
-        cm = self.compiled(direction)
-        bits = height.bit_length()
-        if kernel.budget_gate(cm, bit_budget) <= bits <= bit_budget and kernel.exceeds_budget(
-            cm, *raw, bit_budget
-        ):
-            return None, None
-        image = kernel.eval_point(cm, *raw)
-        image_height = kernel.height_integer(*image)
-        if image_height.bit_length() > bit_budget:
-            return None, None
-        return image, image_height
-
     def orbit(
         self,
         point: Sequence[Fraction | int],
@@ -230,19 +206,21 @@ class AffineAutomorphism:
     ) -> OrbitResult:
         """``[P, f(P), ..., f^depth(P)]`` with exact arithmetic.
 
-        The one loop over ``step``.  Stops early (``truncated``) as soon as
-        any coordinate integer would exceed the bit budget; a start already
-        over the budget is an ``InputError``.
+        The one loop over ``kernel.step``.  Stops early (``truncated``) as
+        soon as any coordinate integer would exceed the bit budget; a start
+        already over the budget, or an unknown direction, is an
+        ``InputError``, at any depth.
         """
         if depth < 0:
             raise InputError("depth must be >= 0")
+        cm = self.compiled(direction)
         raw = [self._raw(point)]
         heights = [kernel.height_integer(*raw[0])]
         if heights[0].bit_length() > bit_budget:
             raise InputError("starting point already exceeds the bit budget")
         truncated = False
         for _ in range(depth):
-            image, height = self.step(raw[-1], heights[-1], direction, bit_budget)
+            image, height = kernel.step(cm, *raw[-1], heights[-1].bit_length(), bit_budget)
             truncated = image is None
             if truncated:
                 break

@@ -441,18 +441,15 @@ def batch_verify(
     Points whose exact evaluation exceeds the bit budget are skipped and
     counted.  The regularity verdict is decided and recorded in the report.
 
-    Each point is evaluated forward, then (if its image fits) backward,
-    over the two compiled maps fetched once; ``kernel.exceeds_budget`` is
-    asked first only past the direction's ``kernel.budget_gate``.  The
-    kernel functions are called through the module, so that a wrapped one
-    sees every call.
+    Each point is stepped forward, then (if its image fits) backward, by
+    ``kernel.step`` over the two compiled maps fetched once.  The kernel
+    functions are called through the module, so that a wrapped one sees
+    every call.
     """
     regularity = is_regular(automorphism).verdict
     n = automorphism.n
     forward_map = automorphism.compiled("forward")
     inverse_map = automorphism.compiled("inverse")
-    forward_gate = kernel.budget_gate(forward_map, bit_budget)
-    inverse_gate = kernel.budget_gate(inverse_map, bit_budget)
     d, d_inv = automorphism.degrees
     weight = 1.0 + 1.0 / (d * d_inv)
 
@@ -472,19 +469,15 @@ def batch_verify(
             raise InputError(f"sampler point {raw!r} is not in canonical (nums, den) form")
         height = kernel.height_integer(nums, den)
         bits = height.bit_length()
-        if bits > bit_budget or (
-            bits >= forward_gate and kernel.exceeds_budget(forward_map, nums, den, bit_budget)
-        ):
+        if bits > bit_budget:
             skipped += 1
             continue
-        h_forward = kernel.height_integer(*kernel.eval_point(forward_map, nums, den))
-        if h_forward.bit_length() > bit_budget or (
-            bits >= inverse_gate and kernel.exceeds_budget(inverse_map, nums, den, bit_budget)
-        ):
+        _, h_forward = kernel.step(forward_map, nums, den, bits, bit_budget)
+        if h_forward is None:
             skipped += 1
             continue
-        h_inverse = kernel.height_integer(*kernel.eval_point(inverse_map, nums, den))
-        if h_inverse.bit_length() > bit_budget:
+        _, h_inverse = kernel.step(inverse_map, nums, den, bits, bit_budget)
+        if h_inverse is None:
             skipped += 1
             continue
         delta = log(h_forward) / d + log(h_inverse) / d_inv - weight * log(height)

@@ -32,21 +32,20 @@ for the reduced image coordinates, ``g`` and ``gcd``): no text from a map
 file reaches ``exec``.  This is the one kernel; ``tests/oracles.py`` keeps
 a table interpreter that checks it.
 
-Within the package ``eval_point`` has three callers:
-``AffineAutomorphism.apply``, ``AffineAutomorphism.step`` and
-``inequality.batch_verify``.  ``step`` is the single orbit step: ``orbit``
-is the one loop over it, which canonical heights read.  It hands back each
-image with its height integer, which ``orbit`` reuses for the next
-bit-budget test, so each integer is measured once.  ``batch_verify``
-evaluates each sampled point at most once each way in its own loop, over
-the two compiled maps it fetches once per run, and measures each of the
-three height integers of a record once.
+Within the package ``eval_point`` has two callers:
+``AffineAutomorphism.apply`` and ``step``.  ``step`` is the one budgeted
+map application, and it has two callers.  ``AffineAutomorphism.orbit`` is
+the one loop over it, which canonical heights read; it reuses the height
+integer of each image for the next step, so each integer is measured
+once.  ``inequality.batch_verify`` steps each sampled point at most once
+each way, over the two compiled maps it fetches once per run, and so
+measures each of the three height integers of a record once.
 
-Before it evaluates, each of the last two asks ``exceeds_budget`` whether
-the image is certain to break the budget; if so the image is never
-computed.  ``budget_gate`` says from which height bit length the question
-can get a True answer at all; below it neither caller asks.  The bound
-reads only bit lengths.  A nonzero integer of bit length ``b`` lies in
+Before it evaluates, ``step`` asks ``exceeds_budget`` whether the image is
+certain to break the budget; if so the image is never computed.  It asks
+only when the point's height bit length lets the question get a True
+answer at all (see ``step``).  The bound reads only bit lengths.  A
+nonzero integer of bit length ``b`` lies in
 ``[2^(b-1), 2^b)``, so every term ``t = c * prod x_i^e_i * den^(deg-s)`` of
 coordinate ``j`` satisfies ``2^lo <= |t| < 2^hi``, with ``lo`` and ``hi``
 the sums of the factors' ``b - 1`` and ``b``.  If the term with the largest
@@ -262,16 +261,24 @@ def exceeds_budget(cm: CompiledMap, nums: Sequence[int], den: int, budget: int) 
     return False
 
 
-def budget_gate(cm: CompiledMap, budget: int) -> int:
-    """The smallest height bit length of a point at which ``exceeds_budget``
-    can answer True for ``cm`` and ``budget``.
+def step(cm: CompiledMap, nums: Sequence[int], den: int, bits: int, budget: int):
+    """The one budgeted map application: the image of ``nums / den`` under
+    ``cm`` with its height integer, or ``(None, None)`` when an integer of
+    the image exceeds ``budget`` bits.
 
-    When the point's height integer has ``bits`` bits, every term of an
-    image numerator is below ``2^(cm.deg * bits + cm.coeff_bits)``, so the
-    bound cannot fire unless ``budget < cm.deg * bits + cm.coeff_bits``;
-    the gate is the least such ``bits``.
+    ``bits`` is the bit length of the point's height integer, at most
+    ``budget``.  Every term of an image numerator is below
+    ``2^(cm.deg * bits + cm.coeff_bits)``, so ``exceeds_budget`` is asked
+    only when that exceeds ``budget``; when it proves the image too large,
+    the image is not computed.
     """
-    return (budget - cm.coeff_bits) // cm.deg + 1
+    if bits * cm.deg + cm.coeff_bits > budget and exceeds_budget(cm, nums, den, budget):
+        return None, None
+    image = eval_point(cm, nums, den)
+    height = height_integer(*image)
+    if height.bit_length() > budget:
+        return None, None
+    return image, height
 
 
 def height_integer(nums: Sequence[int], den: int) -> int:

@@ -273,10 +273,6 @@ class MapFile:
     forward: tuple[Polynomial, ...]
     inverse: tuple[Polynomial, ...]
 
-    @property
-    def nvars(self) -> int:
-        return len(self.names)
-
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 

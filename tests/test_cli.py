@@ -499,17 +499,6 @@ class TestInequality:
         assert main(argv) == 0
         assert out.read_bytes() == complete
 
-    def test_out_in_missing_directory_exits_two(self, henon_map, tmp_path, capsys):
-        # The verdict is printed before the report is written; the error
-        # names the --out path as given, and no file is left behind.
-        out = tmp_path / "missing" / "report.json"
-        argv = ["inequality", henon_map, "--sampler", "box:1", "--out", str(out)]
-        assert main(argv) == 2
-        printed, err = capsys.readouterr()
-        assert printed.startswith("FAIL: min_delta=0.0 over 27 points")
-        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["henon3.map"]
-
     def test_out_writes_into_a_fifo(self, henon_map, tmp_path):
         # A target that is not a regular file is written in place, not
         # replaced by a renamed file.
@@ -539,7 +528,7 @@ class TestDivisor:
         assert report["D"]["coefficients"]["F7"] == "0"
 
     def test_violating_datum_exits_one(self, datum_paths, tmp_path, capsys):
-        data = json.loads(open(datum_paths[0]).read())
+        data = json.loads(Path(datum_paths[0]).read_text())
         data["map_pullback"][5] = 2
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -548,7 +537,7 @@ class TestDivisor:
         assert "essential-map-coefficient" in capsys.readouterr().out
 
     def test_ineffective_mutation_exits_one(self, datum_paths, tmp_path, capsys):
-        data = json.loads(open(datum_paths[0]).read())
+        data = json.loads(Path(datum_paths[0]).read_text())
         data["blowdown_pullback"][3] = 9
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -562,7 +551,7 @@ class TestDivisor:
         # line among them), recorded while every ledger coefficient was
         # still a Fraction: the printed form of D must not depend on how
         # it is computed.
-        data = json.loads(open(datum_paths[0]).read())
+        data = json.loads(Path(datum_paths[0]).read_text())
         data["blowdown_pullback"][3] = 9
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -605,6 +594,20 @@ class TestDivisor:
         assert len(rows) == len(coefficients) and dict(rows) == coefficients
         assert err.startswith("D = 7/8*H") and "effective: True\n" in err
 
+    @pytest.mark.parametrize("form", ["json", "csv"])
+    def test_out_in_missing_directory_prints_nothing(
+        self, form, datum_paths, tmp_path, capsys
+    ):
+        # The D lines are printed only once the report is written.
+        out = tmp_path / "missing" / f"divisor.{form}"
+        assert main(["divisor", *datum_paths, "--format", form, "--out", str(out)]) == 2
+        printed, err = capsys.readouterr()
+        assert printed == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            Path(path).name for path in datum_paths
+        )
+
     def test_single_datum_validates(self, datum_paths, capsys):
         assert main(["divisor", datum_paths[0]]) == 0
 
@@ -645,7 +648,7 @@ class TestDivisor:
     def test_request_shape_checked_before_output(
         self, copies, form, message, datum_paths, tmp_path, capsys
     ):
-        data = json.loads(open(datum_paths[0]).read())
+        data = json.loads(Path(datum_paths[0]).read_text())
         data["map_pullback"][5] = 2  # a violation, which validation would print
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -749,16 +752,20 @@ NOT_UTF8 = b"vars x y\nforward: x | y\ninverse: x | y\n# \xff\n"
          "No such file or directory: 'OUT'\n"),
         ({}, ["canonical", "MAP", "--point", "1,1,1", "--depth", "2", "--out", "OUT"],
          "No such file or directory: 'OUT'\n"),
+        ({}, ["inequality", "MAP", "--sampler", "box:1", "--out", "OUT"],
+         "No such file or directory: 'OUT'\n"),
+        ({}, ["verify-map", "MAP", "--out", "OUT"], "No such file or directory: 'OUT'\n"),
     ],
     ids=["one-variable-verify-map", "one-variable-inequality", "zero-coordinate",
          "map-not-utf8", "vars-without-space", "datum-not-utf8", "canonical-depth-0",
          "orbit-depth-negative", "orbit-sampler-depth-negative", "orbit-start-over-budget",
          "orbit-sampler-seed-over-budget", "canonical-start-over-budget",
-         "orbit-out-in-missing-directory", "canonical-out-in-missing-directory"],
+         "orbit-out-in-missing-directory", "canonical-out-in-missing-directory",
+         "inequality-out-in-missing-directory", "verify-map-out-in-missing-directory"],
 )
 def test_input_errors_exit_two(files, argv, message, henon_map, tmp_path, capsys):
     # OUT is a report path in a directory that does not exist: the message
-    # names it as given, and no file is left behind.
+    # names it as given, no verdict is printed, and no file is left behind.
     paths = {"MAP": henon_map, "OUT": str(tmp_path / "missing" / "report")}
     for name, content in files.items():
         path = tmp_path / name

@@ -138,6 +138,11 @@ class TestOrbit:
         with pytest.raises(InputError, match="point has 2 coordinates, expected 3"):
             call(henon)
 
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_unknown_direction_is_an_input_error(self, henon, depth):
+        with pytest.raises(InputError, match="direction must be 'forward' or 'inverse'"):
+            henon.orbit((1, 1, 1), depth, "backward")
+
     def test_double_composition_degree(self, henon):
         twice = [p.compose(henon.forward) for p in henon.forward]
         assert max(p.total_degree() for p in twice) == henon.d**2

@@ -24,7 +24,7 @@ from affdyn.inequality import (
     _rational_values,
     batch_verify,
 )
-from affdyn.parsing import parse_polynomial
+from affdyn.parsing import parse_map_file, parse_polynomial
 
 from conftest import count_calls
 from oracles import horner_eval
@@ -43,6 +43,29 @@ def sorted_set_values(num_bound, den_bound):
         },
         key=lambda v: (v.denominator, abs(v), v < 0),
     )
+
+
+def fraction_sweep(automorphism, samplers):
+    """For each budget from 1 to 64 and each sampler: the points kept, with
+    their Weil height integers, and the number skipped, computed with
+    ``Fraction`` arithmetic by ``horner_eval``."""
+    cases = []
+    for budget in range(1, 65):
+        for sampler in samplers:
+            kept, skipped = [], 0
+            for raw in sampler.points(automorphism, budget):
+                point = kernel.to_fractions(*raw)
+                heights = tuple(weil_height_integer(q) for q in (
+                    point,
+                    tuple(horner_eval(c, point) for c in automorphism.forward),
+                    tuple(horner_eval(c, point) for c in automorphism.inverse),
+                ))
+                if max(heights).bit_length() <= budget:
+                    kept.append((raw, heights))
+                else:
+                    skipped += 1
+            cases.append((sampler, budget, kept, skipped))
+    return cases
 
 
 def assert_random_sampler_matches_oracle(seed, bounds, n):
@@ -268,38 +291,40 @@ class TestBatchVerify:
         )
         assert report.skipped > 0
 
-    # kernel.eval_point and kernel.exceeds_budget calls over the sweep below;
-    # exceeds_budget only saves work, so only these counts show a gate that
-    # asks it one bit too early or too late.
+    # kernel.eval_point and kernel.exceeds_budget calls over the sweep below,
+    # on henon3 and on RATIONAL_SWEEP_MAP; exceeds_budget only saves work, so
+    # only these counts show a gate that asks it one bit too early or too late.
     GATE_SWEEP_CALLS = (4391, 405)
+    RATIONAL_GATE_SWEEP_CALLS = (15020, 866)
+    # A map with coeff_bits == 2 (x + y^2/2 clears to (2x + y^2)/2), swept
+    # at points with den > 1.
+    RATIONAL_SWEEP_MAP = "vars x y\nforward: y | x + y^2/2\ninverse: y - x^2/2 | x\n"
 
     def test_budget_gate_sweep_matches_fraction_oracle(self, henon, monkeypatch):
         # A point is kept exactly when P, f(P) and f^-1(P) all fit the
         # budget, with their Weil height integers, at every budget.
+        mf = parse_map_file(self.RATIONAL_SWEEP_MAP)
+        rational = AffineAutomorphism(mf.forward, mf.inverse, mf.names)
+        assert rational.compiled("forward").coeff_bits == 2
         start = (Fraction(1),) * 3
-        cases = []
-        for budget in range(1, 65):
-            for sampler in (BoxSampler(1), OrbitSampler((start,), 8)):
-                kept, skipped = [], 0
-                for raw in sampler.points(henon, budget):
-                    point = kernel.to_fractions(*raw)
-                    heights = tuple(weil_height_integer(q) for q in (
-                        point,
-                        tuple(horner_eval(c, point) for c in henon.forward),
-                        tuple(horner_eval(c, point) for c in henon.inverse),
-                    ))
-                    if max(heights).bit_length() <= budget:
-                        kept.append((raw, heights))
-                    else:
-                        skipped += 1
-                cases.append((sampler, budget, kept, skipped))
+        sweeps = [
+            (henon, (BoxSampler(1), OrbitSampler((start,), 8)), self.GATE_SWEEP_CALLS),
+            (rational, (RationalBoxSampler(2, 3),), self.RATIONAL_GATE_SWEEP_CALLS),
+        ]
+        cases = [
+            (automorphism, fraction_sweep(automorphism, samplers), pinned)
+            for automorphism, samplers, pinned in sweeps
+        ]
         evals = count_calls(monkeypatch, "eval_point")
         bounds = count_calls(monkeypatch, "exceeds_budget")
-        for sampler, budget, kept, skipped in cases:
-            report = batch_verify(henon, sampler, budget)
-            assert [(r.point, r.height_integers) for r in report.records] == kept, budget
-            assert report.skipped == skipped, budget
-        assert (len(evals), len(bounds)) == self.GATE_SWEEP_CALLS
+        for automorphism, sweep, pinned in cases:
+            evals.clear()
+            bounds.clear()
+            for sampler, budget, kept, skipped in sweep:
+                report = batch_verify(automorphism, sampler, budget)
+                assert [(r.point, r.height_integers) for r in report.records] == kept, budget
+                assert report.skipped == skipped, budget
+            assert (len(evals), len(bounds)) == pinned
 
     def test_json_report_is_deterministic(self, henon):
         sampler = BoxSampler(2)
