@@ -39,7 +39,6 @@ from .heights import (
     canonical,
     canonical_estimate,
     height_growth_constant,
-    weil_height,
     weil_height_integer,
 )
 from .inequality import (
@@ -103,6 +102,5 @@ __all__ = [
     "parse_point",
     "parse_polynomial",
     "validate_resolution",
-    "weil_height",
     "weil_height_integer",
 ]

@@ -16,14 +16,14 @@ exception, a plain ``ValueError`` included: a fault in affdyn, reported
 as ``internal error: ...`` and its traceback on stderr).
 
 Without ``--out``, ``orbit``, ``height`` and ``canonical`` write their
-report to stdout; the heights in the first two are those the one orbit
-loop measured.  ``verify-map``, ``inequality`` and ``divisor`` print
-their verdict lines and write a JSON report only with ``--out``; their
-CSV report goes to stdout without ``--out``, and the verdict lines then go
-to stderr.  They print the verdict lines only once the report is written,
-so a run that cannot write its report prints no verdict.  A report file
-is written beside its target and renamed onto it once complete
-(``_write``).
+report to stdout; the heights in ``orbit`` and ``canonical`` reports are
+those the one orbit loop measured.  ``verify-map``, ``inequality`` and
+``divisor`` print their verdict lines and write a JSON report only with
+``--out``; their CSV report goes to stdout without ``--out``, and the
+verdict lines then go to stderr.  They print the verdict lines only once
+the report is written, so a run that cannot write its report prints no
+verdict.  A report file is written beside its target and renamed onto it
+once complete (``_write``).
 
 JSON reports are compact and key-sorted: one line, no spaces, then a
 newline.  ``python -m json.tool --sort-keys --indent 2 report.json`` gives
@@ -49,6 +49,7 @@ import math
 import os
 import sys
 
+from . import kernel
 from .divisors import (
     DatumError,
     check_effective,
@@ -66,7 +67,7 @@ from .dynamics import (
     InverseVerificationError,
     is_regular,
 )
-from .heights import canonical, weil_height, weil_height_integer
+from .heights import canonical
 from .inequality import (
     BoxSampler,
     CompositeSampler,
@@ -78,7 +79,6 @@ from .inequality import (
 from .parsing import (
     DECIMAL_DIGITS,
     MapSyntaxError,
-    format_point,
     format_raw_point,
     load_map_file,
     parse_point,
@@ -229,11 +229,12 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_height(args) -> int:
-    point = parse_point(args.point)
+    nums, den = kernel.to_common_denominator(parse_point(args.point))
+    height = kernel.height_integer(nums, den)
     payload = {
-        "point": format_point(point),
-        "height_integer": report_int(weil_height_integer(point)),
-        "height": weil_height(point),
+        "point": format_raw_point(nums, den),
+        "height_integer": report_int(height),
+        "height": math.log(height),
     }
     rows = [["point", "height_integer", "height"],
             [payload["point"], payload["height_integer"], payload["height"]]]

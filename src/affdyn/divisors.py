@@ -135,10 +135,6 @@ class ResolutionDatum:
         if self.pushforward is not None and len(self.pushforward.multiples) != rank:
             raise DatumError("pushforward rank mismatch")
 
-    @property
-    def k(self) -> int:
-        return self.basis.rank - 1
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -258,8 +254,6 @@ class CombinedResolution:
     blowdown_pullback: DivisorClass  # pi*H
     forward_pullback: DivisorClass  # phi*H
     inverse_pullback: DivisorClass  # psi*H
-    essential_forward: int  # index of the forward essential in the basis
-    essential_inverse: int
 
 
 def combine_resolutions(
@@ -283,7 +277,6 @@ def combine_resolutions(
     d_inv = inverse.degree_own
     labels = ("H",) + forward.basis.labels[1:] + inverse.basis.labels[1:]
     basis = PicBasis(labels)
-    k = forward.k
     e_block_a = forward.a[1:]
     f_block_a = inverse.a[1:]
 
@@ -297,8 +290,6 @@ def combine_resolutions(
         blowdown_pullback=pi,
         forward_pullback=phi,
         inverse_pullback=psi,
-        essential_forward=forward.t,
-        essential_inverse=k + inverse.t,
     )
 
 

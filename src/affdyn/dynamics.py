@@ -150,11 +150,6 @@ class AffineAutomorphism:
         )
         self._compiled: dict[str, kernel.CompiledMap] = {}
 
-    @classmethod
-    def identity(cls, n: int) -> "AffineAutomorphism":
-        coords = tuple(Polynomial.variable(n, i) for i in range(n))
-        return cls(coords, coords)
-
     @property
     def degrees(self) -> tuple[int, int]:
         return (self.d, self.d_inv)
@@ -186,17 +181,6 @@ class AffineAutomorphism:
 
     # -- evaluation ----------------------------------------------------
 
-    def apply(self, point: Sequence[Fraction | int], direction: Direction = "forward"):
-        """Exact image of an affine rational point."""
-        nums, den = kernel.eval_point(self.compiled(direction), *self._raw(point))
-        return kernel.to_fractions(nums, den)
-
-    def _raw(self, point: Sequence[Fraction | int]) -> RawPoint:
-        """The canonical ``(nums, den)`` form of a point of the right length."""
-        if len(point) != self.n:
-            raise InputError(f"point has {len(point)} coordinates, expected {self.n}")
-        return kernel.to_common_denominator(point)
-
     def orbit(
         self,
         point: Sequence[Fraction | int],
@@ -208,13 +192,15 @@ class AffineAutomorphism:
 
         The one loop over ``kernel.step``.  Stops early (``truncated``) as
         soon as any coordinate integer would exceed the bit budget; a start
-        already over the budget, or an unknown direction, is an
-        ``InputError``, at any depth.
+        already over the budget, a point of the wrong length or an unknown
+        direction is an ``InputError``, at any depth.
         """
         if depth < 0:
             raise InputError("depth must be >= 0")
         cm = self.compiled(direction)
-        raw = [self._raw(point)]
+        if len(point) != self.n:
+            raise InputError(f"point has {len(point)} coordinates, expected {self.n}")
+        raw = [kernel.to_common_denominator(point)]
         heights = [kernel.height_integer(*raw[0])]
         if heights[0].bit_length() > bit_budget:
             raise InputError("starting point already exceeds the bit budget")

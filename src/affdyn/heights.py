@@ -1,9 +1,11 @@
 """Weil heights of rational points and canonical heights along orbits.
 
-The height of an affine rational point is computed from its primitive
-integer homogeneous vector: ``h(P) = log max|coordinate|``.  The integer
-maximum is exact and exposed for bit-exact regression tests; logs are
-natural logs at 64-bit float precision, for reporting only.
+The height of an affine rational point is ``h(P) = log H(P)``, where the
+height integer ``H(P)`` is the largest absolute coordinate of its primitive
+integer homogeneous vector.  ``H(P)`` is exact (``weil_height_integer``);
+its log is a natural log at 64-bit float precision, for reporting only.
+A canonical estimate keeps its start point in the kernel's ``(nums, den)``
+form and writes it without building a ``Fraction``.
 
 Canonical heights are limits of ``h(f^k P) / d^k`` along forward orbits
 (and of ``h(f^{-k} P) / d'^k`` backward).  ``canonical_estimate`` reads
@@ -37,13 +39,8 @@ from math import lcm
 from typing import Sequence
 
 from . import kernel
-from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, Direction, InputError
-from .parsing import format_point, report_int
-
-
-def weil_height(point: Sequence[Fraction | int]) -> float:
-    """``log max|coordinate|`` of the primitive homogeneous vector."""
-    return math.log(weil_height_integer(point))
+from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, Direction, InputError, RawPoint
+from .parsing import format_raw_point, report_int
 
 
 def weil_height_integer(point: Sequence[Fraction | int]) -> int:
@@ -55,6 +52,7 @@ def weil_height_integer(point: Sequence[Fraction | int]) -> int:
 class CanonicalHeightEstimate:
     """Terms ``h(f^k P) / d^k`` with an extrapolated geometric tail.
 
+    ``point`` is the start P in the kernel's ``(nums, den)`` form;
     ``step_integers`` are the exact per-step height integers; ``values``
     their normalized logs.  ``certified`` means that the bit budget did not
     truncate the orbit before the requested depth and that the
@@ -64,7 +62,7 @@ class CanonicalHeightEstimate:
 
     direction: Direction
     ratio: int
-    point: tuple[Fraction, ...]
+    point: RawPoint
     step_integers: tuple[int, ...]
     values: tuple[float, ...]
     tail_bound: float
@@ -86,7 +84,7 @@ class CanonicalHeightEstimate:
         return {
             "direction": self.direction,
             "ratio": self.ratio,
-            "point": format_point(self.point).split(","),
+            "point": format_raw_point(*self.point).split(","),
             "step_height_integers": [report_int(h) for h in self.step_integers],
             "values": list(self.values),
             "estimate": self.estimate,
@@ -161,7 +159,7 @@ def canonical_estimate(
     return CanonicalHeightEstimate(
         direction=direction,
         ratio=ratio,
-        point=kernel.to_fractions(*orbit.raw[0]),
+        point=orbit.raw[0],
         step_integers=integers,
         values=tuple(values),
         tail_bound=_tail_bound(peak, ratio, len(values) - 1),
@@ -193,7 +191,7 @@ class CanonicalHeight:
             "value": self.value,
             "tail_bound": self.tail_bound if math.isfinite(self.tail_bound) else None,
             "certified": self.certified,
-            "point": format_point(self.plus.point),
+            "point": format_raw_point(*self.plus.point),
             "plus": self.plus.to_report(),
             "minus": self.minus.to_report(),
         }

@@ -22,7 +22,7 @@ reduced integer pairs ``(a, q)`` and build each point from them directly
 form; a point becomes text only when a report is encoded.  A record is
 flat exact data, the point's ``nums`` and ``den``, its three height
 integers and delta; the logs of the heights (the Weil heights) are taken
-from the integers when they are read or written, not stored.
+from the integers when a report is written, not stored.
 
 Verification PASSES when the running minimum stabilizes across nested
 samples.  The rule is fixed: checkpoints fall at ``WARMUP`` = 64 kept
@@ -40,8 +40,11 @@ is a single sequential reduction, which keeps record order deterministic.
 record, each record filled into one fixed template per format, in bounded
 chunks.  Their bytes equal ``json.dumps`` (compact, key-sorted) over
 ``to_json_dict`` and ``csv.writer`` over ``to_csv_rows``, the readable
-reference layouts; the tests hold them to that.  An integer of more than
-4,300 digits is written as exact hex text (``parsing.report_int``).
+reference layouts; the tests hold them to that.  The CSV template quotes
+the point, as ``csv.writer`` does for text with a comma: every point of a
+report has at least two coordinates, since ``batch_verify`` decides
+regularity, which refuses dimension 1.  An integer of more than 4,300
+digits is written as exact hex text (``parsing.report_int``).
 """
 
 from __future__ import annotations
@@ -224,10 +227,10 @@ class DeltaRecord(NamedTuple):
     H(P), H(fP) and H(f^{-1}P), and the statistic.
 
     A record holds exact data and ``delta`` only.  The logs of the three
-    height integers, the Weil heights, are not stored: ``h_point``,
-    ``h_forward`` and ``h_inverse`` take them when read, and the report
-    writers when they write.  A report holds one record per kept point,
-    and a flat tuple of integers and one float is the least it can keep.
+    height integers, the Weil heights, are not stored: the report writers
+    and reference layouts take them when they write.  A report holds one
+    record per kept point, and a flat tuple of integers and one float is
+    the least it can keep.
     """
 
     nums: tuple[int, ...]
@@ -245,18 +248,6 @@ class DeltaRecord(NamedTuple):
     def height_integers(self) -> tuple[int, int, int]:
         return self.H_point, self.H_forward, self.H_inverse
 
-    @property
-    def h_point(self) -> float:
-        return log(self.H_point)
-
-    @property
-    def h_forward(self) -> float:
-        return log(self.H_forward)
-
-    @property
-    def h_inverse(self) -> float:
-        return log(self.H_inverse)
-
 
 # -- reports ---------------------------------------------------------------
 
@@ -267,8 +258,7 @@ _JSON_RECORD = (
     '{"delta":%r,"h_forward":%r,"h_inverse":%r,"h_point":%r,'
     '"height_integers":[%s,%s,%s],"point":"%s"}'
 )
-_CSV = "%s,%s,%s,%s,%r,%r,%r,%r\n"
-_CSV_QUOTED = '"%s",%s,%s,%s,%r,%r,%r,%r\n'
+_CSV_RECORD = '"%s",%s,%s,%s,%r,%r,%r,%r\n'
 
 # Records per write call: bounded chunks keep the whole report text out of
 # memory, and the handle needs only ``write``.
@@ -336,9 +326,9 @@ class DeltaReport:
                 {
                     "point": format_raw_point(*r.point),
                     "height_integers": [report_int(h) for h in r.height_integers],
-                    "h_point": r.h_point,
-                    "h_forward": r.h_forward,
-                    "h_inverse": r.h_inverse,
+                    "h_point": log(r.H_point),
+                    "h_forward": log(r.H_forward),
+                    "h_inverse": log(r.H_inverse),
                     "delta": r.delta,
                 }
                 for r in self.records
@@ -352,9 +342,7 @@ class DeltaReport:
             yield [
                 format_raw_point(*r.point),
                 *map(report_int, r.height_integers),
-                r.h_point,
-                r.h_forward,
-                r.h_inverse,
+                *map(log, r.height_integers),
                 r.delta,
             ]
 
@@ -396,9 +384,6 @@ class DeltaReport:
         heights = itemgetter(2, 3, 4)
         return max(map(max, map(heights, self.records)), default=1) < DECIMAL_LIMIT
 
-    # Both writers take the logs of the height integers themselves, not
-    # through the record's properties: three attribute calls per record
-    # saved on the wide path.
     def _json_records(self) -> Iterator[str]:
         decimal = self._decimal()
         for nums, den, H_p, H_f, H_i, delta in self.records:
@@ -411,14 +396,11 @@ class DeltaReport:
 
     def _csv_records(self) -> Iterator[str]:
         decimal = self._decimal()
-        # The point holds a comma, and csv.QUOTE_MINIMAL quotes it, exactly
-        # when it has more than one coordinate.
-        template = _CSV_QUOTED if self.records and len(self.records[0].nums) > 1 else _CSV
         for nums, den, H_p, H_f, H_i, delta in self.records:
             h_p, h_f, h_i = log(H_p), log(H_f), log(H_i)
             if not decimal:
                 H_p, H_f, H_i = map(report_int, (H_p, H_f, H_i))
-            yield template % (
+            yield _CSV_RECORD % (
                 format_raw_point(nums, den, decimal), H_p, H_f, H_i, h_p, h_f, h_i, delta
             )
 

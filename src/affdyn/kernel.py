@@ -8,7 +8,10 @@ This form is unique, maps directly onto the primitive homogeneous vector
 samplers yield it (the rational ones build it from reduced integer pairs),
 orbits and inequality records keep it, and ``to_common_denominator`` and
 ``to_fractions`` convert only at the API edges: the start point of
-``apply`` and ``orbit``, ``heights`` and ``format_point``.
+``orbit``, the ``height`` subcommand's point, ``weil_height_integer``,
+``format_point`` and ``OrbitResult.points``.  ``to_common_denominator``
+takes ``int`` and ``Fraction`` coordinates only, which carry exact reduced
+parts; anything else is a ``TypeError``.
 The raw-point statistic lives here too: ``height_integer``, the Weil
 height integer, whose bit length is the point's size for the bit budget.
 
@@ -32,14 +35,14 @@ for the reduced image coordinates, ``g`` and ``gcd``): no text from a map
 file reaches ``exec``.  This is the one kernel; ``tests/oracles.py`` keeps
 a table interpreter that checks it.
 
-Within the package ``eval_point`` has two callers:
-``AffineAutomorphism.apply`` and ``step``.  ``step`` is the one budgeted
-map application, and it has two callers.  ``AffineAutomorphism.orbit`` is
-the one loop over it, which canonical heights read; it reuses the height
-integer of each image for the next step, so each integer is measured
-once.  ``inequality.batch_verify`` steps each sampled point at most once
-each way, over the two compiled maps it fetches once per run, and so
-measures each of the three height integers of a record once.
+Within the package ``eval_point`` has one caller, ``step``, the one
+budgeted map application, and ``step`` has two callers.
+``AffineAutomorphism.orbit`` is the one loop over it, which canonical
+heights read; it reuses the height integer of each image for the next
+step, so each integer is measured once.  ``inequality.batch_verify``
+steps each sampled point at most once each way, over the two compiled
+maps it fetches once per run, and so measures each of the three height
+integers of a record once.
 
 Before it evaluates, ``step`` asks ``exceeds_budget`` whether the image is
 certain to break the budget; if so the image is never computed.  It asks
@@ -198,11 +201,17 @@ def eval_point(cm: CompiledMap, nums: tuple[int, ...], den: int):
 
 
 def to_common_denominator(point: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:
-    """Canonical ``(nums, den)`` form of a rational point."""
-    # ints and Fractions already carry reduced numerator and denominator.
-    fracs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in point]
-    den = lcm(*(f.denominator for f in fracs))
-    nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
+    """Canonical ``(nums, den)`` form of a rational point.
+
+    Raises ``TypeError`` for a coordinate that is not an ``int`` or a
+    ``Fraction``: a float holds a binary value (``0.1`` is
+    ``3602879701896397/2**55``), and a string is text, not a number.
+    """
+    for i, c in enumerate(point):
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coordinate {i} is {type(c).__name__} {c!r}, not int or Fraction")
+    den = lcm(*(c.denominator for c in point))
+    nums = tuple(c.numerator * (den // c.denominator) for c in point)
     return nums, den
 
 

@@ -15,7 +15,22 @@ from math import gcd, lcm
 
 import numpy as np
 
+from affdyn.dynamics import AffineAutomorphism, Direction
 from affdyn.polyring import Polynomial
+
+
+def identity(n: int) -> AffineAutomorphism:
+    """The pair ``(id, id)`` of affine n-space."""
+    coords = tuple(Polynomial.variable(n, i) for i in range(n))
+    return AffineAutomorphism(coords, coords)
+
+
+def apply(
+    automorphism: AffineAutomorphism, point, direction: Direction = "forward"
+) -> tuple[Fraction, ...]:
+    """Exact image of a rational point by ``Polynomial.evaluate`` on each
+    coordinate: ``Fraction`` arithmetic, not the kernel."""
+    return tuple(p.evaluate(point) for p in automorphism.coordinates(direction))
 
 
 def to_dense(p: Polynomial) -> np.ndarray:

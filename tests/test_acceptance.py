@@ -19,12 +19,12 @@ from affdyn.divisors import (
     validate_resolution,
 )
 from affdyn.dynamics import AffineAutomorphism, InverseVerificationError, is_regular
-from affdyn.heights import canonical_estimate, height_growth_constant, weil_height
+from affdyn.heights import canonical_estimate, height_growth_constant, weil_height_integer
 from affdyn.inequality import BoxSampler, CompositeSampler, OrbitSampler, batch_verify
 from affdyn.parsing import parse_polynomial
 
 from conftest import bundled_ledger
-from oracles import normalize_projective, undefined_at_infinity
+from oracles import apply, normalize_projective, undefined_at_infinity
 from test_divisors import EXPECTED_D, random_valid_pair, violate_one_law
 
 F = Fraction
@@ -152,8 +152,9 @@ def test_criterion_9_height_machinery_properties(henon):
             point = tuple(
                 Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(3)
             )
-            image_height = weil_height(henon.apply(point))
-            assert image_height <= henon.d * weil_height(point) + growth + 1e-12
+            image_height = math.log(weil_height_integer(apply(henon, point)))
+            bound = henon.d * math.log(weil_height_integer(point)) + growth
+            assert image_height <= bound + 1e-12
         # push-pull identity on every bundled datum
         for datum in bundled_ledger():
             assert check_pushpull_identity(datum)

@@ -212,6 +212,23 @@ class TestHeightAndCanonical:
                     "csv": "da08d7f215dabfc8e50dcc88bffa9a47a75a7ddc7a27ff5130fdda17331c1355",
                 },
             ),
+            # Recorded while height converted its point three times.
+            "height": (
+                ["height", "--point", "1/2,3"],
+                0,
+                {
+                    "json": "bf36501d1cfdea9048a0d3cd7a6582b3e592bf9a40dc405a870a767c0cd8b7d3",
+                    "csv": "c0c99ac4e1b2c8339435bc7a0c0cf4992913cb74826e26eeb7f8cb85e220a4ac",
+                },
+            ),
+            "height with a negative coordinate": (
+                ["height", "--point=-7,0,5/3"],
+                0,
+                {
+                    "json": "e1759586007ab0e0b99f8f559181b252b513c68d9093658a8af935fcfbba97e1",
+                    "csv": "1c29af6d94b23dc1306fe5b1bfe5e52a6e571265e665bb21ef398288d2f26aad",
+                },
+            ),
         }
         for name, (argv, exit_code, digests) in cases.items():
             for form, digest in digests.items():

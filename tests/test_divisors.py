@@ -162,10 +162,11 @@ class TestComputeD:
             assert divisor.coeffs[offset + j] == (0 if j == inverse.t else expected)
 
     def test_essential_coefficients_vanish(self, dataset):
-        combined = combine_resolutions(*dataset)
-        divisor = compute_D(combined)
-        assert divisor.coeffs[combined.essential_forward] == 0
-        assert divisor.coeffs[combined.essential_inverse] == 0
+        forward, inverse = dataset
+        divisor = compute_D(combine_resolutions(forward, inverse))
+        # The combined basis is H, the forward exceptionals, then the inverse ones.
+        assert divisor.coeffs[forward.t] == 0
+        assert divisor.coeffs[forward.basis.rank - 1 + inverse.t] == 0
 
     def test_mutated_table_loses_effectivity(self, dataset):
         forward, inverse = dataset

@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affdyn import kernel
-from affdyn.dynamics import AffineAutomorphism
-from affdyn.parsing import parse_map_file
+from affdyn.heights import weil_height_integer
+from affdyn.parsing import format_point, parse_map_file
 from affdyn.polyring import Polynomial
 
 from conftest import bundled_map_text
-from oracles import interpret_map
+from oracles import identity, interpret_map
 
 
 def _canonical(nums, den):
@@ -46,9 +46,8 @@ def _canonical_points(draw):
 
 
 def _maps(henon):
-    identity = AffineAutomorphism.identity(3)
     return st.sampled_from(
-        [henon.forward, henon.inverse, identity.forward]
+        [henon.forward, henon.inverse, identity(3).forward]
     ) | st.lists(_wide_polynomials, min_size=1, max_size=3)
 
 
@@ -82,6 +81,23 @@ def test_common_denominator_form_is_canonical():
     nums, den = kernel.to_common_denominator((Fraction(2, 4), Fraction(-6, 8), 3))
     assert (nums, den) == ((2, -3, 12), 4)
     _canonical(nums, den)
+
+
+@pytest.mark.parametrize("coordinate", [0.1, "1/3"], ids=["float", "str"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda henon, point: henon.orbit(point, 1),
+        lambda henon, point: weil_height_integer(point),
+        lambda henon, point: format_point(point),
+    ],
+    ids=["orbit", "weil_height_integer", "format_point"],
+)
+def test_point_edge_takes_only_int_and_fraction(henon, call, coordinate):
+    # 0.1 would be read as the binary float 3602879701896397/2^55, and a
+    # string is text, not a coordinate.
+    with pytest.raises(TypeError, match=f"coordinate 1 is {type(coordinate).__name__}"):
+        call(henon, (1, coordinate, 1))
 
 
 def test_to_fractions_roundtrip():

@@ -13,8 +13,9 @@ move a truncation point unnoticed.  Exact outputs are pinned through a short dig
 import hashlib
 from fractions import Fraction
 
-from affdyn.dynamics import AffineAutomorphism
 from affdyn.heights import canonical_estimate
+
+from oracles import identity
 
 STARTS = {
     "origin": (0, 0, 0),
@@ -49,7 +50,7 @@ def canonical_pin(automorphism, point, budget, direction):
 
 
 def compute_pins(henon):
-    maps = {"henon": henon, "identity": AffineAutomorphism.identity(3)}
+    maps = {"henon": henon, "identity": identity(3)}
     orbits, plus, minus = {}, {}, {}
     for map_name, automorphism in maps.items():
         for start_name, point in STARTS.items():
