@@ -251,7 +251,7 @@ def is_regular(automorphism: AffineAutomorphism) -> RegularityResult:
     if empty:
         return RegularityResult(REGULAR, method, details=details)
     candidates = _primitive_vectors(n, WITNESS_BOUND)
-    witness = next((w for w in candidates if not any(cm.eval_map(w, 1)[0])), None)
+    witness = next((w for w in candidates if not any(cm.eval_map(w, 1, None)[0])), None)
     if witness is not None:
         details = dict(details, witness_verified=True)
         return RegularityResult(NOT_REGULAR, method, witness=(0, *witness), details=details)

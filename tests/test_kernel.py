@@ -3,16 +3,18 @@ with the Fraction-based evaluator, on canonical common-denominator form,
 and its source must hold no text from the map."""
 
 import io
+import random
 import re
 import tokenize
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affdyn import kernel
+from affdyn.dynamics import AffineAutomorphism
 from affdyn.heights import weil_height_integer
 from affdyn.parsing import format_point, parse_map_file
 from affdyn.polyring import Polynomial
@@ -51,7 +53,9 @@ def _maps(henon):
     ) | st.lists(_wide_polynomials, min_size=1, max_size=3)
 
 
-_FIXED_NAME = re.compile(r"def|eval_map|nums|if|return|gcd|g|[xdab][0-9]+")
+_FIXED_NAME = re.compile(
+    r"def|eval_map|nums|if|else|return|gcd|g|sq|[xdab][0-9]+|x[0-9]+_[0-9]+"
+)
 _STRUCTURE = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
@@ -143,6 +147,77 @@ def test_compile_map_clears_denominators():
 def test_max_bits():
     assert kernel.max_bits((0, 7), 1) == 3
     assert kernel.max_bits((-(2**40), 1), 3) == 41
+
+
+# -- big integers: Toom-3 squaring and the powers it squares ---------------
+
+
+@st.composite
+def _square_operands(draw):
+    """Integers of lengths that straddle ``SQUARE_CUTOFF``, from three pieces
+    of the widths ``square`` splits them into; each piece is 0, 1, all
+    ones or random, so the top piece can be 0 or 1 bit long."""
+    cut = kernel.SQUARE_CUTOFF
+    n = draw(st.sampled_from([cut + i for i in (-3, -1, 0, 1, 2, 3)] + [3 * cut, 3 * cut + 1]))
+    k = (n + 2) // 3
+    a = 0
+    for shift, width in ((0, k), (k, k), (2 * k, n - 2 * k)):
+        top = (1 << width) - 1
+        a |= draw(st.sampled_from([0, 1, top]) | st.integers(0, top)) << shift
+    return draw(st.sampled_from([1, -1])) * a
+
+
+@given(a=_square_operands())
+@example(a=0)
+@settings(max_examples=60, deadline=None)
+def test_square_is_exact(a):
+    assert kernel.square(a) == a * a
+
+
+RATIONAL_MAP = "vars x y\nforward: y | x + y^2/2\ninverse: y - x^2/2 | x\n"
+
+
+def _bundled(name):
+    text = RATIONAL_MAP if name == "rational" else bundled_map_text(name)
+    mf = parse_map_file(text)
+    return AffineAutomorphism(mf.forward, mf.inverse, mf.names)
+
+
+@pytest.mark.parametrize("name", ["henon3", "henon4", "henon5", "rational"])
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_big_evaluation_matches_oracle(name, direction):
+    # From square_bits on, the largest squaring of the power block, of
+    # x_i^(deg // 2), can reach SQUARE_CUTOFF, and step passes square.
+    automorphism = _bundled(name)
+    cm = automorphism.compiled(direction)
+    half = cm.deg // 2
+    assert (cm.square_bits - 1) * half < kernel.SQUARE_CUTOFF <= cm.square_bits * half
+    bits = cm.square_bits + 64
+    rng = random.Random(f"{name}-{direction}")
+    nums = tuple(rng.choice((1, -1)) * rng.getrandbits(bits) for _ in range(automorphism.n))
+    for den in (1, rng.getrandbits(bits) | 1):
+        g = gcd(den, *nums)
+        point = tuple(n // g for n in nums), den // g
+        image = kernel.eval_point(cm, *point, kernel.square)
+        assert image == kernel.eval_point(cm, *point) == interpret_map(cm, *point)
+
+
+def test_deep_orbit_matches_oracle_point_for_point(henon, monkeypatch):
+    squared = []
+    square = kernel.square
+    monkeypatch.setattr(kernel, "square", lambda a: squared.append(a.bit_length()) or square(a))
+    depths = []
+    for direction in ("forward", "inverse"):
+        result = henon.orbit((1, 1, 1), 64, direction, bit_budget=2**22)
+        assert result.truncated
+        depths.append(len(result.raw) - 1)
+        cm = henon.compiled(direction)
+        state = result.raw[0]
+        for raw in result.raw[1:]:
+            state = interpret_map(cm, *state)
+            assert raw == state
+    assert tuple(depths) == (22, 15)
+    assert max(squared) >= 3 * kernel.SQUARE_CUTOFF  # Toom-3 ran, recursively
 
 
 # -- the bit-length bound behind skipped orbit steps -----------------------
