@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from affdyn import kernel
+from affdyn import inequality, kernel
 from affdyn.dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism
 from affdyn.heights import weil_height_integer
 from affdyn.inequality import (
@@ -430,3 +430,44 @@ class TestReportWriters:
         report.write_csv(csv_writes)
         assert max(text.count('{"delta"') for text in json_writes) == CHUNK_RECORDS
         assert max(text.count("\n") for text in csv_writes) == CHUNK_RECORDS
+
+    @pytest.mark.parametrize(
+        "sampler, bit_budget",
+        [
+            (BoxSampler(4), DEFAULT_BIT_BUDGET),
+            (RandomRationalSampler(300, 50, 20, seed=3), DEFAULT_BIT_BUDGET),
+            (OrbitSampler(((Fraction(1), Fraction(1), Fraction(1)),), 14), DEFAULT_BIT_BUDGET),
+        ],
+        ids=["box", "random", "orbit-past-4300-digits"],
+    )
+    def test_writers_match_reference_across_small_chunks(
+        self, henon, monkeypatch, sampler, bit_budget
+    ):
+        # Chunks of 7 records put equal heights in different chunks, each
+        # with its own memo of log texts.
+        report = batch_verify(henon, sampler, bit_budget)
+        monkeypatch.setattr(inequality, "CHUNK_RECORDS", 7)
+        heights = [h for r in report.records for h in r.height_integers]
+        assert len(set(heights)) < len(heights)
+        self.assert_writers_match_reference(report)
+
+    def test_writers_format_each_height_log_once_per_chunk(self, henon, monkeypatch):
+        report = batch_verify(henon, BoxSampler(9))  # 6,859 records, 4 chunks
+        chunks = [
+            report.records[start : start + CHUNK_RECORDS]
+            for start in range(0, len(report.records), CHUNK_RECORDS)
+        ]
+        per_chunk = sum(len({h for r in chunk for h in r.height_integers}) for chunk in chunks)
+        distinct = len({h for r in report.records for h in r.height_integers})
+        # A repeated height is formatted once per chunk, and a height in two
+        # chunks is formatted in both: the memo does not outlive its chunk.
+        assert distinct < per_chunk < 3 * len(report.records)
+
+        calls = []
+        original = inequality.log
+        monkeypatch.setattr(inequality, "log", lambda x: calls.append(x) or original(x))
+        report.write_json(io.StringIO(), 0)
+        assert len(calls) == per_chunk
+        calls.clear()
+        report.write_csv(io.StringIO())
+        assert len(calls) == per_chunk

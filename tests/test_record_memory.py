@@ -1,7 +1,8 @@
 """A δ record keeps exact data only: the point's ``(nums, den)`` form, its
 three height integers and δ.  The logs of the heights are derived from the
 integers when a report is written, so a report holds no float per record
-but δ."""
+but δ.  Writing a report holds one chunk of records at a time, so the
+writers' memory does not grow with the report."""
 
 import csv
 import gc
@@ -16,7 +17,9 @@ import pytest
 from affdyn.inequality import (
     BoxSampler,
     DeltaRecord,
+    DeltaReport,
     OrbitSampler,
+    RandomRationalSampler,
     RationalBoxSampler,
     batch_verify,
 )
@@ -86,3 +89,36 @@ def test_written_logs_are_logs_of_the_height_integers(henon, sampler):
     for row in rows[1:]:
         heights = (int(text, 0) for text in row[1:4])
         assert list(map(float, row[4:7])) == list(map(math.log, heights))
+
+
+class Discard:
+    def write(self, text):
+        pass
+
+
+def writer_peak(writer, report, *args) -> int:
+    """Bytes that ``writer(report, sink, *args)`` allocates at its peak,
+    for a sink that discards what it is given."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        writer(report, Discard(), *args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "writer, args",
+    [(DeltaReport.write_csv, ()), (DeltaReport.write_json, (0,))],
+    ids=["csv", "json"],
+)
+def test_writer_memory_does_not_grow_with_the_report(henon, writer, args):
+    # The writers hold one chunk of record texts and its memo of log texts
+    # at a time, so a report four times larger takes no more memory to
+    # write; a memo that outlived its chunk would grow with the report.
+    small = batch_verify(henon, RandomRationalSampler(6_000, 50, 20))
+    large = batch_verify(henon, RandomRationalSampler(24_000, 50, 20))
+    growth = writer_peak(writer, large, *args) - writer_peak(writer, small, *args)
+    assert growth <= 64 * 1024
