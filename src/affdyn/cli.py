@@ -49,7 +49,6 @@ import math
 import os
 import sys
 
-from . import kernel
 from .divisors import (
     DatumError,
     check_effective,
@@ -67,7 +66,7 @@ from .dynamics import (
     InverseVerificationError,
     is_regular,
 )
-from .heights import canonical
+from .heights import canonical, weil_height_integer
 from .inequality import (
     BoxSampler,
     CompositeSampler,
@@ -79,6 +78,7 @@ from .inequality import (
 from .parsing import (
     DECIMAL_DIGITS,
     MapSyntaxError,
+    format_point,
     format_raw_point,
     load_map_file,
     parse_point,
@@ -229,10 +229,10 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_height(args) -> int:
-    nums, den = kernel.to_common_denominator(parse_point(args.point))
-    height = kernel.height_integer(nums, den)
+    point = parse_point(args.point)
+    height = weil_height_integer(point)
     payload = {
-        "point": format_raw_point(nums, den),
+        "point": format_point(point),
         "height_integer": report_int(height),
         "height": math.log(height),
     }

@@ -404,7 +404,8 @@ def load_datum(path) -> ResolutionDatum:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # Bad JSON or UTF-8, an integer past the digit limit, deep nesting.
             raise DatumError(f"{path}: {exc}") from None
     return datum_from_dict(data)
 

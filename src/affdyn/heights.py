@@ -186,8 +186,9 @@ class CanonicalHeight:
     def certified(self) -> bool:
         return self.plus.certified and self.minus.certified
 
-    def to_report(self, map_id: str | None = None) -> dict:
-        report = {
+    def to_report(self, map_id: str) -> dict:
+        return {
+            "map_id": map_id,
             "value": self.value,
             "tail_bound": self.tail_bound if math.isfinite(self.tail_bound) else None,
             "certified": self.certified,
@@ -195,9 +196,6 @@ class CanonicalHeight:
             "plus": self.plus.to_report(),
             "minus": self.minus.to_report(),
         }
-        if map_id is not None:
-            report["map_id"] = map_id
-        return report
 
 
 def canonical(

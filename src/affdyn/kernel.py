@@ -8,10 +8,10 @@ This form is unique, maps directly onto the primitive homogeneous vector
 samplers yield it (the rational ones build it from reduced integer pairs),
 orbits and inequality records keep it, and ``to_common_denominator`` and
 ``to_fractions`` convert only at the API edges: the start point of
-``orbit``, the ``height`` subcommand's point, ``weil_height_integer``,
-``format_point`` and ``OrbitResult.points``.  ``to_common_denominator``
-takes ``int`` and ``Fraction`` coordinates only, which carry exact reduced
-parts; anything else is a ``TypeError``.
+``orbit``, ``weil_height_integer`` and ``format_point`` (which the
+``height`` subcommand calls) and ``OrbitResult.points``.
+``to_common_denominator`` takes ``int`` and ``Fraction`` coordinates only,
+which carry exact reduced parts; anything else is a ``TypeError``.
 The raw-point statistic lives here too: ``height_integer``, the Weil
 height integer, whose bit length is the point's size for the bit budget.
 

@@ -132,23 +132,30 @@ class _Parser:
             return self.factor()
         return self.power()
 
+    def take_int(self) -> int:
+        """The value of the integer token at hand, taken."""
+        text = self.peek()[1]
+        try:
+            value = int(text)
+        except ValueError:  # past the interpreter's int-from-str digit limit
+            raise self.error(f"integer of {len(text)} digits is too long") from None
+        self.take()
+        return value
+
     def power(self) -> Polynomial:
         base = self.atom()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.take()
-            ekind, evalue, _ = self.peek()
-            if ekind != "int":
+            if self.peek()[0] != "int":
                 raise self.error("exponent must be a non-negative integer")
-            self.take()
-            return base ** int(evalue)
+            return base ** self.take_int()
         return base
 
     def atom(self) -> Polynomial:
         kind, value, _ = self.peek()
         if kind == "int":
-            self.take()
-            return Polynomial.constant(len(self.names), int(value))
+            return Polynomial.constant(len(self.names), self.take_int())
         if kind == "name":
             self.take()
             if value not in self.names:
@@ -172,7 +179,10 @@ def parse_polynomial(text: str, names: Sequence[str], line: int | None = None) -
     tokens = _tokenize(text, line)
     if not tokens:
         raise MapSyntaxError("empty polynomial expression", line)
-    return _Parser(tokens, names, line).parse()
+    try:
+        return _Parser(tokens, names, line).parse()
+    except RecursionError:  # parentheses or signs nested past the stack
+        raise MapSyntaxError("expression nested too deeply", line) from None
 
 
 def format_polynomial(p: Polynomial, names: Sequence[str] | None = None) -> str:

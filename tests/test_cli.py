@@ -741,6 +741,11 @@ class TestReportLayout:
 
 ONE_VARIABLE = "vars x\nforward: x + 1\ninverse: x - 1\n"
 NOT_UTF8 = b"vars x y\nforward: x | y\ninverse: x | y\n# \xff\n"
+# Map texts whose second line the parser cannot read: nested past the
+# stack, or an integer past the interpreter's int-from-str digit limit.
+NESTED_PARENTHESES = f"vars x y\nforward: {'(' * 3000}x{')' * 3000} | y\ninverse: x | y\n"
+NESTED_SIGNS = f"vars x y\nforward: {'-' * 3000}x | y\ninverse: x | y\n"
+LONG_LITERAL = f"vars x y\nforward: x + {'9' * 5000} | y\ninverse: x | y\n"
 
 
 @pytest.mark.parametrize(
@@ -755,6 +760,14 @@ NOT_UTF8 = b"vars x y\nforward: x | y\ninverse: x | y\n# \xff\n"
         ({"m.map": "varsx y\nforward: x | y\ninverse: x | y\n"}, ["verify-map", "m.map"],
          "unrecognized line 'varsx y'"),
         ({"d.json": b'{"side": "\xff"}'}, ["divisor", "d.json"], "can't decode byte 0xff"),
+        ({"m.map": NESTED_PARENTHESES}, ["verify-map", "m.map"],
+         "expression nested too deeply (line 2)"),
+        ({"m.map": NESTED_SIGNS}, ["verify-map", "m.map"], "expression nested too deeply (line 2)"),
+        ({"m.map": LONG_LITERAL}, ["verify-map", "m.map"],
+         "integer of 5000 digits is too long (line 2, column 6)"),
+        ({"d.json": "[" * 100_000}, ["divisor", "d.json"], "maximum recursion depth exceeded"),
+        ({"d.json": '{"essential_index": %s}' % ("9" * 5000)}, ["divisor", "d.json"],
+         "Exceeds the limit (4300 digits)"),
         ({}, ["canonical", "MAP", "--point", "1,1,1", "--depth", "0"], "depth must be >= 1"),
         ({}, ["orbit", "MAP", "--point", "1,1,1", "--depth", "-1"], "depth must be >= 0"),
         ({}, ["inequality", "MAP", "--sampler", "orbit:-1:1,1,1"],
@@ -774,9 +787,10 @@ NOT_UTF8 = b"vars x y\nforward: x | y\ninverse: x | y\n# \xff\n"
         ({}, ["verify-map", "MAP", "--out", "OUT"], "No such file or directory: 'OUT'\n"),
     ],
     ids=["one-variable-verify-map", "one-variable-inequality", "zero-coordinate",
-         "map-not-utf8", "vars-without-space", "datum-not-utf8", "canonical-depth-0",
-         "orbit-depth-negative", "orbit-sampler-depth-negative", "orbit-start-over-budget",
-         "orbit-sampler-seed-over-budget", "canonical-start-over-budget",
+         "map-not-utf8", "vars-without-space", "datum-not-utf8", "map-nested-parentheses",
+         "map-nested-signs", "map-long-literal", "datum-nested-arrays", "datum-long-integer",
+         "canonical-depth-0", "orbit-depth-negative", "orbit-sampler-depth-negative",
+         "orbit-start-over-budget", "orbit-sampler-seed-over-budget", "canonical-start-over-budget",
          "orbit-out-in-missing-directory", "canonical-out-in-missing-directory",
          "inequality-out-in-missing-directory", "verify-map-out-in-missing-directory"],
 )

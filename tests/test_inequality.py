@@ -23,7 +23,7 @@ from affdyn.inequality import (
     _rational_values,
     batch_verify,
 )
-from affdyn.parsing import parse_map_file
+from affdyn.parsing import DECIMAL_LIMIT, parse_map_file
 
 from conftest import count_calls
 from oracles import horner_eval, identity
@@ -437,8 +437,14 @@ class TestReportWriters:
             (BoxSampler(4), DEFAULT_BIT_BUDGET),
             (RandomRationalSampler(300, 50, 20, seed=3), DEFAULT_BIT_BUDGET),
             (OrbitSampler(((Fraction(1), Fraction(1), Fraction(1)),), 14), DEFAULT_BIT_BUDGET),
+            (
+                CompositeSampler(
+                    (OrbitSampler(((Fraction(1), Fraction(1), Fraction(1)),), 14), BoxSampler(1))
+                ),
+                DEFAULT_BIT_BUDGET,
+            ),
         ],
-        ids=["box", "random", "orbit-past-4300-digits"],
+        ids=["box", "random", "orbit-past-4300-digits", "hex-and-decimal-in-one-chunk"],
     )
     def test_writers_match_reference_across_small_chunks(
         self, henon, monkeypatch, sampler, bit_budget
@@ -449,6 +455,11 @@ class TestReportWriters:
         monkeypatch.setattr(inequality, "CHUNK_RECORDS", 7)
         heights = [h for r in report.records for h in r.height_integers]
         assert len(set(heights)) < len(heights)
+        if isinstance(sampler, CompositeSampler):
+            # The orbit's last record, written in hex, shares its chunk
+            # with records written in decimal.
+            decimal = [max(r.height_integers) < DECIMAL_LIMIT for r in report.records]
+            assert decimal[14:21] == [False] + [True] * 6
         self.assert_writers_match_reference(report)
 
     def test_writers_format_each_height_log_once_per_chunk(self, henon, monkeypatch):

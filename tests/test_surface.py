@@ -21,7 +21,6 @@ import affdyn
 ALLOWED = {
     # Read by perfbench, the benchmark harness, and by nothing in the package.
     "divisors.DivisorClass.scale",  # perfbench's tests build a wrong divisor
-    "heights.weil_height_integer",  # the Fraction oracle's height integers
     "inequality.DeltaReport.to_csv_rows",  # traced reference layout
     "inequality.DeltaReport.to_json_dict",  # traced reference layout
     "kernel.max_bits",  # bits of each traced kernel result
