@@ -78,9 +78,11 @@ from .inequality import (
 from .parsing import (
     DECIMAL_DIGITS,
     MapSyntaxError,
+    excerpt,
     format_point,
     format_raw_point,
     load_map_file,
+    parse_int,
     parse_point,
     report_int,
 )
@@ -158,27 +160,27 @@ def _emit(payload, args, csv_rows=None) -> None:
 def _bounds(text: str) -> tuple[int, int]:
     """The rational bounds ``N[:D]`` as ``(N, D)``; ``D`` defaults to 3."""
     num, _, den = text.partition(":")
-    return int(num), int(den) if den else 3
+    return parse_int(num), parse_int(den) if den else 3
 
 
 def _parse_sampler(spec: str, seed: int, n: int):
     kind, _, rest = spec.partition(":")
     try:
         if kind == "box":
-            return BoxSampler(int(rest))
+            return BoxSampler(parse_int(rest))
         if kind == "rationals":
             return RationalBoxSampler(*_bounds(rest))
         if kind == "random":
             count, _, bounds = rest.partition(":")
-            return RandomRationalSampler(int(count), *_bounds(bounds or "5:3"), seed)
+            return RandomRationalSampler(parse_int(count), *_bounds(bounds or "5:3"), seed)
         if kind == "orbit":
             depth, _, seeds_text = rest.partition(":")
             if not seeds_text:
                 raise InputError("orbit sampler needs seed points: orbit:DEPTH:P1;P2")
             seeds = tuple(parse_point(chunk, n) for chunk in seeds_text.split(";"))
-            return OrbitSampler(seeds, int(depth))
+            return OrbitSampler(seeds, parse_int(depth))
     except ValueError as exc:
-        raise InputError(f"bad sampler spec {spec!r}: {exc}")
+        raise InputError(f"bad sampler spec {excerpt(spec)}: {exc}")
     raise InputError(f"unknown sampler kind {kind!r}")
 
 

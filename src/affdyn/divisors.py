@@ -45,6 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .parsing import parse_int
+
 
 class DatumError(ValueError):
     """Structurally unusable ledger input (not a mere law violation)."""
@@ -403,7 +405,7 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
 def load_datum(path) -> ResolutionDatum:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=parse_int)
         except (ValueError, RecursionError) as exc:
             # Bad JSON or UTF-8, an integer past the digit limit, deep nesting.
             raise DatumError(f"{path}: {exc}") from None

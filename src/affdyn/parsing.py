@@ -4,7 +4,8 @@ Polynomial expressions use declared variable names, ``+ - * / ^`` and
 parentheses, e.g. ``3/2*x^2*y - z`` or ``z - (y - x^2)^2``.  Whitespace is
 insignificant.  Division is restricted to nonzero constant divisors (it
 exists so that rational coefficients can be written naturally); unknown
-identifiers are rejected.
+identifiers are rejected.  A point is a comma-separated list of constants
+of this syntax, e.g. ``1,1/2,-3`` or ``(1/2, -3, 2^2)``.
 
 A map definition file declares its variables once and gives the forward
 and inverse coordinates separated by ``|``::
@@ -47,9 +48,10 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str, line: int | None = None) -> list[tuple[str, str, int]]:
+def _tokenize(text: str, line: int | None, pos: int) -> list[tuple[str, str, int]]:
+    """The tokens of ``text`` from index ``pos`` on, each with its column in
+    ``text``, and last an ``end`` token at the column past the text."""
     tokens = []
-    pos = 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
@@ -57,6 +59,7 @@ def _tokenize(text: str, line: int | None = None) -> list[tuple[str, str, int]]:
         if match.lastgroup != "ws":
             tokens.append((match.lastgroup, match.group(), pos + 1))
         pos = match.end()
+    tokens.append(("end", "", pos + 1))
     return tokens
 
 
@@ -70,28 +73,24 @@ class _Parser:
         self.line = line
 
     def error(self, message: str) -> MapSyntaxError:
-        column = self.tokens[self.index][2] if self.index < len(self.tokens) else None
-        return MapSyntaxError(message, self.line, column)
+        return MapSyntaxError(message, self.line, self.peek()[2])
 
     def peek(self):
-        return self.tokens[self.index] if self.index < len(self.tokens) else (None, None, None)
+        return self.tokens[self.index]
 
     def take(self):
-        token = self.peek()
         self.index += 1
-        return token
 
-    def expect_op(self, op: str):
+    def parse(self, separator: str | None) -> list[Polynomial]:
+        """``expr (separator expr)*``, up to the end of the tokens."""
+        polys = [self.expr()]
+        while self.peek()[:2] == ("op", separator):
+            self.take()
+            polys.append(self.expr())
         kind, value, _ = self.peek()
-        if kind != "op" or value != op:
-            raise self.error(f"expected {op!r}")
-        self.take()
-
-    def parse(self) -> Polynomial:
-        poly = self.expr()
-        if self.index != len(self.tokens):
-            raise self.error("trailing input after polynomial")
-        return poly
+        if kind != "end":
+            raise self.error(f"unexpected {excerpt(value)}")
+        return polys
 
     def expr(self) -> Polynomial:
         poly = self.term()
@@ -118,27 +117,23 @@ class _Parser:
                         raise self.error("division by zero")
                     if not all(sum(e) == 0 for e in rhs.terms):
                         raise self.error("division is only allowed by nonzero constants")
-                    poly = poly * _invert_constant(rhs)
+                    poly = poly * Polynomial.constant(rhs.nvars, 1 / rhs.terms[(0,) * rhs.nvars])
             else:
                 return poly
 
     def factor(self) -> Polynomial:
         kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
+        if kind == "op" and value in "+-":
             self.take()
-            return -self.factor()
-        if kind == "op" and value == "+":
-            self.take()
-            return self.factor()
+            return -self.factor() if value == "-" else self.factor()
         return self.power()
 
     def take_int(self) -> int:
         """The value of the integer token at hand, taken."""
-        text = self.peek()[1]
         try:
-            value = int(text)
-        except ValueError:  # past the interpreter's int-from-str digit limit
-            raise self.error(f"integer of {len(text)} digits is too long") from None
+            value = parse_int(self.peek()[1])
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
         self.take()
         return value
 
@@ -159,30 +154,53 @@ class _Parser:
         if kind == "name":
             self.take()
             if value not in self.names:
-                raise self.error(f"unknown identifier {value!r}")
+                raise self.error(f"unknown identifier {excerpt(value)}")
             return Polynomial.variable(len(self.names), self.names.index(value))
         if kind == "op" and value == "(":
             self.take()
             inner = self.expr()
-            self.expect_op(")")
+            if self.peek()[:2] != ("op", ")"):
+                raise self.error("expected ')'")
+            self.take()
             return inner
         raise self.error("expected a number, variable, or parenthesized expression")
 
 
-def _invert_constant(p: Polynomial) -> Polynomial:
-    value = p.terms[(0,) * p.nvars]
-    return Polynomial.constant(p.nvars, Fraction(1) / value)
+def excerpt(text: str) -> str:
+    """``text`` quoted for an error message, cut after 20 characters."""
+    return repr(text if len(text) <= 20 else text[:20] + "...")
 
 
-def parse_polynomial(text: str, names: Sequence[str], line: int | None = None) -> Polynomial:
-    """Parse an expression over the declared variable ``names``."""
-    tokens = _tokenize(text, line)
-    if not tokens:
-        raise MapSyntaxError("empty polynomial expression", line)
+def parse_int(text: str) -> int:
+    """``int(text)``, failing with a short ``ValueError``: "integer of N
+    digits is too long" past the interpreter's int-from-str digit limit,
+    else "not an integer" and an ``excerpt`` of ``text``."""
     try:
-        return _Parser(tokens, names, line).parse()
+        return int(text)
+    except ValueError:
+        digits = re.fullmatch(r"\s*[+-]?(\d+)\s*", text)
+        if digits:
+            raise ValueError(f"integer of {len(digits[1])} digits is too long") from None
+        raise ValueError(f"not an integer: {excerpt(text)}") from None
+
+
+def _parse(
+    text: str, names: Sequence[str], separator: str | None, line: int | None = None, pos: int = 0
+) -> list[Polynomial]:
+    """The expressions ``expr (separator expr)*`` of ``text[pos:]`` over
+    ``names``; error columns count from the start of ``text``."""
+    tokens = _tokenize(text, line, pos)
+    if len(tokens) == 1:
+        raise MapSyntaxError("empty expression", line)
+    try:
+        return _Parser(tokens, names, line).parse(separator)
     except RecursionError:  # parentheses or signs nested past the stack
         raise MapSyntaxError("expression nested too deeply", line) from None
+
+
+def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
+    """Parse an expression over the declared variable ``names``."""
+    return _parse(text, names, None)[0]
 
 
 def format_polynomial(p: Polynomial, names: Sequence[str] | None = None) -> str:
@@ -215,20 +233,22 @@ def format_polynomial(p: Polynomial, names: Sequence[str] | None = None) -> str:
 
 
 def parse_point(text: str, nvars: int | None = None) -> tuple[Fraction, ...]:
-    """Parse a point like ``1,1/2,-3`` (surrounding parentheses allowed)."""
+    """Parse a point like ``1,1/2,-3`` (surrounding parentheses allowed).
+    Each coordinate is a constant of the map syntax: ``(1/3)`` and ``2^5``
+    read as in a map file, ``0.5`` and ``1e5`` do not."""
     cleaned = text.strip()
     if cleaned.startswith("(") and cleaned.endswith(")"):
         cleaned = cleaned[1:-1]
-    parts = [part.strip() for part in cleaned.split(",")]
-    if parts == [""]:
-        raise MapSyntaxError("empty point")
-    try:
-        coords = tuple(Fraction(part) for part in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MapSyntaxError(f"bad coordinate in point {text!r}: {exc}") from None
+    coords = []
+    for index, part in enumerate(cleaned.split(","), start=1):
+        try:
+            constant = parse_polynomial(part, ())
+        except MapSyntaxError as exc:
+            raise MapSyntaxError(f"coordinate {index} of the point: {exc}") from None
+        coords.append(constant.terms.get((), Fraction(0)))
     if nvars is not None and len(coords) != nvars:
         raise MapSyntaxError(f"point has {len(coords)} coordinates, expected {nvars}")
-    return coords
+    return tuple(coords)
 
 
 # Reports write an integer of more than 4,300 decimal digits as exact hex:
@@ -291,7 +311,8 @@ def parse_map_file(text: str) -> MapFile:
     names: list[str] | None = None
     blocks: dict[str, tuple[tuple[Polynomial, ...], int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         if line.split(maxsplit=1)[0] == "vars":
@@ -308,17 +329,13 @@ def parse_map_file(text: str) -> MapFile:
             names = declared
             continue
         if ":" in line:
-            keyword, _, rest = line.partition(":")
-            keyword = keyword.strip()
+            keyword = line.partition(":")[0].strip()
             if keyword in ("forward", "inverse"):
                 if names is None:
                     raise MapSyntaxError("vars must be declared before coordinates", lineno)
                 if keyword in blocks:
                     raise MapSyntaxError(f"{keyword} block given twice", lineno)
-                coords = tuple(
-                    parse_polynomial(chunk, names, lineno)
-                    for chunk in rest.split("|")
-                )
+                coords = tuple(_parse(code, names, "|", lineno, code.index(":") + 1))
                 if len(coords) != len(names):
                     raise MapSyntaxError(
                         f"{keyword} has {len(coords)} coordinates, expected {len(names)}",

@@ -105,8 +105,6 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self.nvars == other.nvars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial.constant(self.nvars, other)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -120,23 +118,17 @@ class Polynomial:
 
         return format_polynomial(self)
 
-    def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if other.nvars != self.nvars:
-                raise ValueError(
-                    f"variable count mismatch: {self.nvars} vs {other.nvars}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(self.nvars, other)
-        return NotImplemented
+    def _operand(self, other) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            raise TypeError(f"expected a Polynomial, got {type(other).__name__}")
+        if other.nvars != self.nvars:
+            raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
+        return other
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        other = self._operand(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             acc = out.get(exps, Fraction(0)) + coeff
@@ -146,27 +138,15 @@ class Polynomial:
                 del out[exps]
         return Polynomial._make(self.nvars, out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Polynomial":
         return Polynomial._make(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        other = self._operand(other)
         return self + (-other)
 
-    def __rsub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        other = self._operand(other)
         if self.is_zero or other.is_zero:
             return Polynomial.zero(self.nvars)
         out: dict[Exponents, Fraction] = {}
@@ -179,8 +159,6 @@ class Polynomial:
                 elif exps in out:
                     del out[exps]
         return Polynomial._make(self.nvars, out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:

@@ -746,6 +746,7 @@ NOT_UTF8 = b"vars x y\nforward: x | y\ninverse: x | y\n# \xff\n"
 NESTED_PARENTHESES = f"vars x y\nforward: {'(' * 3000}x{')' * 3000} | y\ninverse: x | y\n"
 NESTED_SIGNS = f"vars x y\nforward: {'-' * 3000}x | y\ninverse: x | y\n"
 LONG_LITERAL = f"vars x y\nforward: x + {'9' * 5000} | y\ninverse: x | y\n"
+LONG_COORDINATE = "1" + "0" * 5000  # 5,001 digits
 
 
 @pytest.mark.parametrize(
@@ -764,10 +765,23 @@ LONG_LITERAL = f"vars x y\nforward: x + {'9' * 5000} | y\ninverse: x | y\n"
          "expression nested too deeply (line 2)"),
         ({"m.map": NESTED_SIGNS}, ["verify-map", "m.map"], "expression nested too deeply (line 2)"),
         ({"m.map": LONG_LITERAL}, ["verify-map", "m.map"],
-         "integer of 5000 digits is too long (line 2, column 6)"),
+         "integer of 5000 digits is too long (line 2, column 14)"),
+        ({"m.map": "vars x y z\nforward: x |  | y\ninverse: x | y | z\n"}, ["verify-map", "m.map"],
+         "expected a number, variable, or parenthesized expression (line 2, column 15)"),
         ({"d.json": "[" * 100_000}, ["divisor", "d.json"], "maximum recursion depth exceeded"),
         ({"d.json": '{"essential_index": %s}' % ("9" * 5000)}, ["divisor", "d.json"],
-         "Exceeds the limit (4300 digits)"),
+         "d.json: integer of 5000 digits is too long\n"),
+        ({}, ["height", "--point", "0.5,1"], "coordinate 1 of the point: unexpected character '.'"),
+        ({}, ["height", "--point", "1,1e5"], "coordinate 2 of the point: unexpected 'e5'"),
+        ({}, ["height", "--point", f"1 {LONG_COORDINATE}"],
+         f"coordinate 1 of the point: unexpected '{LONG_COORDINATE[:20]}...'\n"),
+        ({}, ["height", "--point", "1/0,1"], "coordinate 1 of the point: division by zero"),
+        ({}, ["height", "--point", f"{LONG_COORDINATE},1/3,-2"],
+         "coordinate 1 of the point: integer of 5001 digits is too long\n"),
+        ({}, ["inequality", "MAP", "--sampler", f"box:{LONG_COORDINATE}"],
+         f"bad sampler spec 'box:{LONG_COORDINATE[:16]}...': integer of 5001 digits is too long\n"),
+        ({}, ["inequality", "MAP", "--sampler", f"box:{'x' * 5000}"],
+         f"bad sampler spec 'box:{'x' * 16}...': not an integer: '{'x' * 20}...'\n"),
         ({}, ["canonical", "MAP", "--point", "1,1,1", "--depth", "0"], "depth must be >= 1"),
         ({}, ["orbit", "MAP", "--point", "1,1,1", "--depth", "-1"], "depth must be >= 0"),
         ({}, ["inequality", "MAP", "--sampler", "orbit:-1:1,1,1"],
@@ -788,7 +802,10 @@ LONG_LITERAL = f"vars x y\nforward: x + {'9' * 5000} | y\ninverse: x | y\n"
     ],
     ids=["one-variable-verify-map", "one-variable-inequality", "zero-coordinate",
          "map-not-utf8", "vars-without-space", "datum-not-utf8", "map-nested-parentheses",
-         "map-nested-signs", "map-long-literal", "datum-nested-arrays", "datum-long-integer",
+         "map-nested-signs", "map-long-literal", "map-empty-coordinate", "datum-nested-arrays",
+         "datum-long-integer", "point-decimal", "point-exponent", "point-long-trailing-token",
+         "point-zero-denominator", "point-long-integer", "sampler-long-bound",
+         "sampler-long-word",
          "canonical-depth-0", "orbit-depth-negative", "orbit-sampler-depth-negative",
          "orbit-start-over-budget", "orbit-sampler-seed-over-budget", "canonical-start-over-budget",
          "orbit-out-in-missing-directory", "canonical-out-in-missing-directory",
@@ -809,6 +826,7 @@ def test_input_errors_exit_two(files, argv, message, henon_map, tmp_path, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.replace(str(tmp_path), "")) < 200  # a long input is not echoed
     assert message.replace("OUT", paths["OUT"]) in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["henon3.map", *files])
 

@@ -247,6 +247,7 @@ class TestRegularity:
         x, y = (Polynomial.variable(2, i) for i in range(2))
         factors = []
         for slot, c in enumerate((c1, c2)):
+            c = Polynomial.constant(2, c)
             if slot == triangular_slot:
                 factors.append(((x + c * y**2, y), (x - c * y**2, y)))
             else:
@@ -305,7 +306,8 @@ def _conjugate(coords, upper):
 
     def linear(matrix, polys):
         return tuple(
-            sum((m * p for m, p in zip(row, polys)), Polynomial.zero(4)) for row in matrix
+            sum((Polynomial.constant(4, m) * p for m, p in zip(row, polys)), Polynomial.zero(4))
+            for row in matrix
         )
 
     return linear(L, [p.compose(linear(inv, variables)) for p in coords])

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from affdyn import kernel
 from affdyn.parsing import (
@@ -97,6 +98,7 @@ def test_format_raw_point_writes_hex_past_4300_digits():
 def test_parse_point():
     assert parse_point("1,1/2,-3") == (Fraction(1), Fraction(1, 2), Fraction(-3))
     assert parse_point("(0, 0, 0)") == (Fraction(0),) * 3
+    assert parse_point("(1/2, -3, 2^2)") == (Fraction(1, 2), Fraction(-3), Fraction(4))
     assert parse_point(format_point((Fraction(2, 7), Fraction(-1)))) == (
         Fraction(2, 7),
         Fraction(-1),
@@ -135,3 +137,19 @@ def test_map_file_errors_carry_location(text, fragment):
     with pytest.raises(MapSyntaxError) as err:
         parse_map_file(text)
     assert fragment in str(err.value)
+
+
+@given(
+    st.integers(0, 4),
+    st.lists(st.sampled_from(["x", "y", "2*x - y^2", "(x + 1/3)"]), min_size=2, max_size=5),
+    st.data(),
+)
+def test_map_line_error_column_counts_from_line_start(indent, coords, data):
+    # A stray '.' anywhere after the colon, whatever the leading spaces and
+    # however many '|' come before it, is reported at its column in the line.
+    line = " " * indent + "forward: " + " | ".join(coords)
+    cut = data.draw(st.integers(line.index(":") + 1, len(line)))
+    text = f"vars x y\n{line[:cut]}.{line[cut:]}\ninverse: x | y\n"
+    with pytest.raises(MapSyntaxError) as err:
+        parse_map_file(text)
+    assert (err.value.line, err.value.column) == (2, cut + 1)
