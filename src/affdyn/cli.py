@@ -4,7 +4,13 @@ Subcommands: verify-map, orbit, height, canonical, inequality, divisor.
 Identical configuration and inputs produce byte-identical reports; all
 randomness is seeded and JSON reports record the seed.  ``inequality``
 decides regularity, evaluates delta and applies the fixed verdict rule
-of ``affdyn.inequality``; its sampler defaults to ``rationals:5:3``.
+of ``affdyn.inequality``; without ``--sampler`` it samples
+``RationalBoxSampler()``, with the dataclass's default bounds.  The
+integers of the command line, each field of a sampler spec and
+``--depth``, ``--bit-budget`` and ``--seed``, are read as integer
+constants of the map syntax (``parsing.parse_integer``), as a point
+coordinate is: ``--bit-budget 2^24`` reads, and a malformed one is an
+input error naming its flag or spec.
 
 Exit codes: 0 pass, 1 verification failure (on every subcommand this
 includes an inverse that fails symbolic verification, and on
@@ -82,7 +88,7 @@ from .parsing import (
     format_point,
     format_raw_point,
     load_map_file,
-    parse_int,
+    parse_integer,
     parse_point,
     report_int,
 )
@@ -157,31 +163,47 @@ def _emit(payload, args, csv_rows=None) -> None:
     _write(args, lambda handle: handle.write(text))
 
 
-def _bounds(text: str) -> tuple[int, int]:
-    """The rational bounds ``N[:D]`` as ``(N, D)``; ``D`` defaults to 3."""
-    num, _, den = text.partition(":")
-    return parse_int(num), parse_int(den) if den else 3
+def _integer_flags(args) -> None:
+    """Read the integer flags the subcommand has, as integer constants."""
+    for name in ("depth", "bit_budget", "seed"):
+        text = getattr(args, name, None)
+        if text is not None:
+            try:
+                setattr(args, name, parse_integer(text))
+            except MapSyntaxError as exc:
+                raise InputError(f"--{name.replace('_', '-')}: {exc}") from None
+
+
+# The most fields each sampler of integer fields takes.
+_FIELDS = {"box": 1, "rationals": 2, "random": 3}
+# What ``inequality`` samples without ``--sampler``.
+_DEFAULT_SAMPLER = RationalBoxSampler()
 
 
 def _parse_sampler(spec: str, seed: int, n: int):
+    """The sampler of ``spec``; the fields it omits take the defaults of
+    the sampler's dataclass."""
     kind, _, rest = spec.partition(":")
+    if kind != "orbit" and kind not in _FIELDS:
+        raise InputError(f"unknown sampler kind {excerpt(kind)}")
     try:
-        if kind == "box":
-            return BoxSampler(parse_int(rest))
-        if kind == "rationals":
-            return RationalBoxSampler(*_bounds(rest))
-        if kind == "random":
-            count, _, bounds = rest.partition(":")
-            return RandomRationalSampler(parse_int(count), *_bounds(bounds or "5:3"), seed)
         if kind == "orbit":
             depth, _, seeds_text = rest.partition(":")
             if not seeds_text:
                 raise InputError("orbit sampler needs seed points: orbit:DEPTH:P1;P2")
             seeds = tuple(parse_point(chunk, n) for chunk in seeds_text.split(";"))
-            return OrbitSampler(seeds, parse_int(depth))
+            return OrbitSampler(seeds, parse_integer(depth))
+        fields = rest.split(":")
+        if len(fields) > _FIELDS[kind]:
+            raise InputError("too many fields")
+        values = [parse_integer(field) for field in fields]
+        if kind == "box":
+            return BoxSampler(*values)
+        if kind == "rationals":
+            return RationalBoxSampler(*values)
+        return RandomRationalSampler(*values, seed=seed)
     except ValueError as exc:
         raise InputError(f"bad sampler spec {excerpt(spec)}: {exc}")
-    raise InputError(f"unknown sampler kind {kind!r}")
 
 
 # -- subcommands ---------------------------------------------------------
@@ -218,7 +240,7 @@ def cmd_orbit(args) -> int:
     payload = {
         "map_id": automorphism.map_id,
         "direction": args.direction,
-        "requested_depth": args.depth,
+        "requested_depth": report_int(args.depth),
         "completed_depth": result.completed_depth,
         "truncated": result.truncated,
         "points": texts,
@@ -261,8 +283,8 @@ def cmd_canonical(args) -> int:
 
 def cmd_inequality(args) -> int:
     automorphism = _load_automorphism(args)
-    specs = args.sampler or ["rationals:5:3"]
-    samplers = [_parse_sampler(spec, args.seed, automorphism.n) for spec in specs]
+    samplers = [_parse_sampler(spec, args.seed, automorphism.n) for spec in args.sampler or ()]
+    samplers = samplers or [_DEFAULT_SAMPLER]
     sampler = samplers[0] if len(samplers) == 1 else CompositeSampler(tuple(samplers))
     report = batch_verify(automorphism, sampler, _bit_budget(args))
     if args.format == "csv":
@@ -362,7 +384,7 @@ def _add_report(parser, with_csv=True):
 
 def _add_bit_budget(parser):
     cap = f"per-integer bit cap (default {DEFAULT_BIT_BUDGET})"
-    parser.add_argument("--bit-budget", type=int, default=DEFAULT_BIT_BUDGET, help=cap)
+    parser.add_argument("--bit-budget", default=str(DEFAULT_BIT_BUDGET), help=cap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report(p)
     _add_bit_budget(p)
     p.add_argument("--point", required=True, help="affine point, e.g. 1,1/2,-3")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", required=True)
     p.add_argument("--direction", choices=("forward", "inverse"), default="forward")
     p.set_defaults(func=cmd_orbit)
 
@@ -396,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report(p)
     _add_bit_budget(p)
     p.add_argument("--point", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", required=True)
     p.set_defaults(func=cmd_canonical)
 
     p = sub.add_parser("inequality", help="batch-verify the height inequality")
@@ -404,14 +426,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report(p)
     _add_bit_budget(p)
     p.add_argument(
-        "--seed", type=int, default=0,
+        "--seed", default="0",
         help="seed of the random: sampler, recorded in JSON reports",
     )
+    default = _DEFAULT_SAMPLER
     p.add_argument(
         "--sampler",
         action="append",
         help="box:B | rationals:N[:D] | random:COUNT[:N[:D]] | orbit:DEPTH:P1;P2 "
-        "(repeatable; default rationals:5:3)",
+        f"(repeatable; default rationals:{default.num_bound}:{default.den_bound})",
     )
     p.set_defaults(func=cmd_inequality)
 
@@ -431,6 +454,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _integer_flags(args)
         return args.func(args)
     except InverseVerificationError as exc:
         print(f"inverse verification failed: {exc}", file=sys.stderr)

@@ -18,11 +18,12 @@ kernel's canonical ``(nums, den)`` form: integers with ``den > 0`` and
 samplers use only the dimension ``automorphism.n``; orbit samplers iterate
 the map under the budget.  The rational samplers draw coordinates as
 reduced integer pairs ``(a, q)`` and build each point from them directly
-(``den = lcm(q_i)``), with no ``Fraction``.  Records and reports keep that
-form; a point becomes text only when a report is encoded.  A record is
-flat exact data, the point's ``nums`` and ``den``, its three height
-integers and delta; the logs of the heights (the Weil heights) are taken
-from the integers when a report is written, not stored.
+(``kernel.from_pairs``: ``den = lcm(q_i)``), with no ``Fraction``.
+Records and reports keep that form; a point becomes text only when a
+report is encoded.  A record is flat exact data, the point's ``nums``
+and ``den``, its three height integers and delta; the logs of the
+heights (the Weil heights) are taken from the integers when a report is
+written, not stored.
 
 Verification PASSES when the running minimum stabilizes across nested
 samples.  The rule is fixed: checkpoints fall at ``WARMUP`` = 64 kept
@@ -61,7 +62,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, log
+from math import gcd, log
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
@@ -123,17 +124,6 @@ def _rational_values(num_bound: int, den_bound: int) -> list[tuple[int, int]]:
     return values
 
 
-def _raw_point(pairs: Sequence[tuple[int, int]]) -> RawPoint:
-    """The canonical ``(nums, den)`` form of the point ``(a_1/q_1, ...)``.
-
-    Each ``a_i/q_i`` is in lowest terms, so ``den = lcm(q_i)`` and
-    ``nums = a_i * (den // q_i)`` share no factor: every prime power of
-    ``den`` divides some ``q_i`` whole, and that ``a_i`` is prime to it.
-    """
-    den = lcm(*[q for _, q in pairs])
-    return tuple([a * (den // q) for a, q in pairs]), den
-
-
 @dataclass(frozen=True)
 class RationalBoxSampler:
     """Exhaustive reduced rationals with ``|numerator| <= num_bound`` and
@@ -152,7 +142,7 @@ class RationalBoxSampler:
     def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[RawPoint]:
         values = _rational_values(self.num_bound, self.den_bound)
         for pairs in itertools.product(values, repeat=automorphism.n):
-            yield _raw_point(pairs)
+            yield kernel.from_pairs(pairs)
 
 
 @dataclass(frozen=True)
@@ -176,7 +166,7 @@ class RandomRationalSampler:
             "count": self.count,
             "num_bound": self.num_bound,
             "den_bound": self.den_bound,
-            "seed": self.seed,
+            "seed": report_int(self.seed),
         }
 
     def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[RawPoint]:
@@ -186,7 +176,7 @@ class RandomRationalSampler:
         if not values:
             return
         for _ in range(self.count):
-            yield _raw_point([choice(values) for _ in range(n)])
+            yield kernel.from_pairs([choice(values) for _ in range(n)])
 
 
 @dataclass(frozen=True)
@@ -204,7 +194,7 @@ class OrbitSampler:
         return {
             "kind": "orbit",
             "seeds": [format_point(p) for p in self.seeds],
-            "depth": self.depth,
+            "depth": report_int(self.depth),
         }
 
     def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[RawPoint]:
@@ -393,15 +383,15 @@ class DeltaReport:
 
     def write_json(self, handle, seed: int) -> None:
         """Write the report to ``handle`` as ``json.dumps`` would write
-        ``to_json_dict() | {"seed": seed}``, compact and key-sorted, plus a
-        newline.
+        ``to_json_dict() | {"seed": report_int(seed)}``, compact and
+        key-sorted, plus a newline.
 
         The other fields are encoded once and split at ``"records":[]``:
         keys are sorted, and the fields before it hold no such key and
         escape every quote of their strings.  Each record is then filled
         into a fixed template.
         """
-        summary = self._summary() | {"records": [], "seed": seed}
+        summary = self._summary() | {"records": [], "seed": report_int(seed)}
         text = json.dumps(summary, sort_keys=True, separators=(",", ":"), allow_nan=False)
         before, _, after = text.partition('"records":[]')
         handle.write(before + '"records":[')

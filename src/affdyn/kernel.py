@@ -5,7 +5,8 @@ The kernel works in common-denominator form: a point of Q^n is a pair
 This form is unique, maps directly onto the primitive homogeneous vector
 ``(den, *nums)`` used by heights, and keeps the inner loop free of
 ``Fraction`` overhead.  It is the one point form inside the package: the
-samplers yield it (the rational ones build it from reduced integer pairs),
+samplers yield it (the rational ones build it from reduced integer pairs
+with ``from_pairs``, which ``to_common_denominator`` calls too),
 orbits and inequality records keep it, and ``to_common_denominator`` and
 ``to_fractions`` convert only at the API edges: the start point of
 ``orbit``, ``weil_height_integer`` and ``format_point`` (which the
@@ -322,9 +323,19 @@ def to_common_denominator(point: Sequence[Fraction | int]) -> tuple[tuple[int, .
     for i, c in enumerate(point):
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"coordinate {i} is {type(c).__name__} {c!r}, not int or Fraction")
-    den = lcm(*(c.denominator for c in point))
-    nums = tuple(c.numerator * (den // c.denominator) for c in point)
-    return nums, den
+    return from_pairs([(c.numerator, c.denominator) for c in point])
+
+
+def from_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """The canonical ``(nums, den)`` form of the point ``(a_1/q_1, ...)``.
+
+    Each ``a_i/q_i`` is in lowest terms with ``q_i > 0``, so ``den =
+    lcm(q_i)`` and ``nums = a_i * (den // q_i)`` share no factor: every
+    prime power of ``den`` divides some ``q_i`` whole, and that ``a_i`` is
+    prime to it.
+    """
+    den = lcm(*[q for _, q in pairs])
+    return tuple([a * (den // q) for a, q in pairs]), den
 
 
 def to_fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:

@@ -4,8 +4,14 @@ Polynomial expressions use declared variable names, ``+ - * / ^`` and
 parentheses, e.g. ``3/2*x^2*y - z`` or ``z - (y - x^2)^2``.  Whitespace is
 insignificant.  Division is restricted to nonzero constant divisors (it
 exists so that rational coefficients can be written naturally); unknown
-identifiers are rejected.  A point is a comma-separated list of constants
-of this syntax, e.g. ``1,1/2,-3`` or ``(1/2, -3, 2^2)``.
+identifiers are rejected.  Digits are ASCII ``0-9``.  A constant raised
+to a power must stay within ``DEFAULT_BIT_BUDGET`` (2^20) bits in
+numerator and denominator: ``2^1048575`` reads, ``2^1048576`` is a
+``MapSyntaxError`` raised before the power is built.  A point is a
+comma-separated list of constants of this syntax, e.g. ``1,1/2,-3`` or
+``(1/2, -3, 2^2)``; an integer of the command line (a sampler-spec field,
+``--depth``, ``--bit-budget``, ``--seed``) is an integer constant of it
+(``parse_integer``), e.g. ``7``, ``-7``, ``2^24`` or ``6/2``.
 
 A map definition file declares its variables once and gives the forward
 and inverse coordinates separated by ``|``::
@@ -28,6 +34,7 @@ from math import gcd
 from typing import Sequence
 
 from . import kernel
+from .dynamics import DEFAULT_BIT_BUDGET
 from .polyring import Polynomial
 
 
@@ -44,7 +51,7 @@ class MapSyntaxError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()|])"
+    r"(?P<ws>\s+)|(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()|])"
 )
 
 
@@ -138,14 +145,29 @@ class _Parser:
         return value
 
     def power(self) -> Polynomial:
+        column = self.peek()[2]
         base = self.atom()
         kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.take()
-            if self.peek()[0] != "int":
-                raise self.error("exponent must be a non-negative integer")
-            return base ** self.take_int()
-        return base
+        if kind != "op" or value != "^":
+            return base
+        self.take()
+        if self.peek()[0] != "int":
+            raise self.error("exponent must be a non-negative integer")
+        exponent = self.take_int()
+        constant = base.terms.get((0,) * base.nvars)
+        if constant is None or len(base.terms) != 1:
+            return base ** exponent
+        # |a|^e has at least (bits(a) - 1) * e + 1 bits, so that bound
+        # refuses a power past the cap before it is built; a power it lets
+        # through has at most twice the cap, and is measured once built.
+        bits = max(abs(constant.numerator), constant.denominator).bit_length()
+        if (bits - 1) * exponent < DEFAULT_BIT_BUDGET:
+            value = constant**exponent
+            if max(abs(value.numerator), value.denominator).bit_length() <= DEFAULT_BIT_BUDGET:
+                return Polynomial.constant(base.nvars, value)
+        raise MapSyntaxError(
+            f"constant power of more than {DEFAULT_BIT_BUDGET} bits", self.line, column
+        )
 
     def atom(self) -> Polynomial:
         kind, value, _ = self.peek()
@@ -171,17 +193,15 @@ def excerpt(text: str) -> str:
     return repr(text if len(text) <= 20 else text[:20] + "...")
 
 
-def parse_int(text: str) -> int:
-    """``int(text)``, failing with a short ``ValueError``: "integer of N
-    digits is too long" past the interpreter's int-from-str digit limit,
-    else "not an integer" and an ``excerpt`` of ``text``."""
+def parse_int(digits: str) -> int:
+    """``int(digits)`` for a string of ASCII digits, with a ``-`` in front
+    when JSON's number grammar gave one; past the interpreter's
+    int-from-str digit limit a ``ValueError``: "integer of N digits is too
+    long"."""
     try:
-        return int(text)
+        return int(digits)
     except ValueError:
-        digits = re.fullmatch(r"\s*[+-]?(\d+)\s*", text)
-        if digits:
-            raise ValueError(f"integer of {len(digits[1])} digits is too long") from None
-        raise ValueError(f"not an integer: {excerpt(text)}") from None
+        raise ValueError(f"integer of {len(digits.lstrip('-'))} digits is too long") from None
 
 
 def _parse(
@@ -201,6 +221,20 @@ def _parse(
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     """Parse an expression over the declared variable ``names``."""
     return _parse(text, names, None)[0]
+
+
+def _constant(text: str) -> Fraction:
+    """The value of the constant expression ``text``."""
+    return parse_polynomial(text, ()).terms.get((), Fraction(0))
+
+
+def parse_integer(text: str) -> int:
+    """The integer constant ``text`` of the map syntax, e.g. ``7``, ``-7``,
+    ``(7)``, ``2^3`` or ``6/2``; ``1/2`` is "not an integer"."""
+    value = _constant(text)
+    if value.denominator != 1:
+        raise MapSyntaxError(f"not an integer: {excerpt(text)}")
+    return value.numerator
 
 
 def format_polynomial(p: Polynomial, names: Sequence[str] | None = None) -> str:
@@ -242,10 +276,9 @@ def parse_point(text: str, nvars: int | None = None) -> tuple[Fraction, ...]:
     coords = []
     for index, part in enumerate(cleaned.split(","), start=1):
         try:
-            constant = parse_polynomial(part, ())
+            coords.append(_constant(part))
         except MapSyntaxError as exc:
             raise MapSyntaxError(f"coordinate {index} of the point: {exc}") from None
-        coords.append(constant.terms.get((), Fraction(0)))
     if nvars is not None and len(coords) != nvars:
         raise MapSyntaxError(f"point has {len(coords)} coordinates, expected {nvars}")
     return tuple(coords)

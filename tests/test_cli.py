@@ -289,6 +289,23 @@ class TestInequality:
         for spec in ("rationals:5:3:9", "random:100:5:3:9"):
             assert main(["inequality", henon_map, "--sampler", spec]) == 2
 
+    def test_no_sampler_samples_the_rationals_defaults(self, tmp_path, capsys):
+        # Without --sampler, and with rationals:N or random:COUNT alone, the
+        # omitted fields are the sampler dataclasses' own defaults.
+        path = tmp_path / "henon2.map"
+        path.write_text("vars x y\nforward: y | x + y^2\ninverse: y - x^2 | x\n")
+        reports = []
+        for specs in ([], ["rationals:5:3"], ["rationals:5"], ["rationals"]):
+            out = tmp_path / "report.json"
+            argv = [part for spec in specs for part in ("--sampler", spec)]
+            code = main(["inequality", str(path), *argv, "--out", str(out)])
+            assert code == (2 if specs == ["rationals"] else 0)
+            reports.append(out.read_bytes() if code == 0 else None)
+        assert reports[0] == reports[1] == reports[2] and reports[3] is None
+        sample = json.loads(reports[0])["sample"]
+        assert sample == inequality.RationalBoxSampler().describe()
+        assert cli._parse_sampler("random:7", 2, 2) == inequality.RandomRationalSampler(7, seed=2)
+
     def test_bad_sampler_exits_two(self, henon_map, capsys):
         assert main(["inequality", henon_map, "--sampler", "carrots:1"]) == 2
 
@@ -747,6 +764,7 @@ NESTED_PARENTHESES = f"vars x y\nforward: {'(' * 3000}x{')' * 3000} | y\ninverse
 NESTED_SIGNS = f"vars x y\nforward: {'-' * 3000}x | y\ninverse: x | y\n"
 LONG_LITERAL = f"vars x y\nforward: x + {'9' * 5000} | y\ninverse: x | y\n"
 LONG_COORDINATE = "1" + "0" * 5000  # 5,001 digits
+LONG_POWER = "vars x y\nforward: x + 2^30000000 | y\ninverse: x - 2^30000000 | y\n"
 
 
 @pytest.mark.parametrize(
@@ -781,7 +799,24 @@ LONG_COORDINATE = "1" + "0" * 5000  # 5,001 digits
         ({}, ["inequality", "MAP", "--sampler", f"box:{LONG_COORDINATE}"],
          f"bad sampler spec 'box:{LONG_COORDINATE[:16]}...': integer of 5001 digits is too long\n"),
         ({}, ["inequality", "MAP", "--sampler", f"box:{'x' * 5000}"],
-         f"bad sampler spec 'box:{'x' * 16}...': not an integer: '{'x' * 20}...'\n"),
+         f"bad sampler spec 'box:{'x' * 16}...': unknown identifier '{'x' * 20}...'\n"),
+        ({}, ["height", "--point", "2^30000000,0,0"],
+         "coordinate 1 of the point: constant power of more than 1048576 bits\n"),
+        ({"m.map": LONG_POWER}, ["verify-map", "m.map"],
+         "constant power of more than 1048576 bits (line 2, column 14)\n"),
+        ({"m.map": "vars x y\nforward: x + \uff11 | y\ninverse: x - 1 | y\n"},
+         ["verify-map", "m.map"], "unexpected character '\uff11' (line 2, column 14)\n"),
+        ({}, ["inequality", "MAP", "--sampler", "box:\u0663"],
+         "bad sampler spec 'box:\u0663': unexpected character '\u0663'\n"),
+        ({}, ["inequality", "MAP", "--sampler", "rationals:5:3:9"],
+         "bad sampler spec 'rationals:5:3:9': too many fields\n"),
+        ({}, ["inequality", "MAP", "--sampler", "rationals:5:"],
+         "bad sampler spec 'rationals:5:': empty expression\n"),
+        ({}, ["orbit", "MAP", "--point", "1,1,1", "--depth", "1/2"],
+         "error: --depth: not an integer: '1/2'\n"),
+        ({}, ["orbit", "MAP", "--point", "1,1,1", "--depth", "2", "--bit-budget", "1e3"],
+         "error: --bit-budget: unexpected 'e3'\n"),
+        ({}, ["inequality", "MAP", "--seed", "1_0"], "error: --seed: unexpected '_0'\n"),
         ({}, ["canonical", "MAP", "--point", "1,1,1", "--depth", "0"], "depth must be >= 1"),
         ({}, ["orbit", "MAP", "--point", "1,1,1", "--depth", "-1"], "depth must be >= 0"),
         ({}, ["inequality", "MAP", "--sampler", "orbit:-1:1,1,1"],
@@ -805,7 +840,9 @@ LONG_COORDINATE = "1" + "0" * 5000  # 5,001 digits
          "map-nested-signs", "map-long-literal", "map-empty-coordinate", "datum-nested-arrays",
          "datum-long-integer", "point-decimal", "point-exponent", "point-long-trailing-token",
          "point-zero-denominator", "point-long-integer", "sampler-long-bound",
-         "sampler-long-word",
+         "sampler-long-word", "point-long-power", "map-long-power", "map-fullwidth-digit",
+         "sampler-arabic-digit", "sampler-too-many-fields", "sampler-empty-field",
+         "depth-not-integer", "bit-budget-exponent", "seed-underscore",
          "canonical-depth-0", "orbit-depth-negative", "orbit-sampler-depth-negative",
          "orbit-start-over-budget", "orbit-sampler-seed-over-budget", "canonical-start-over-budget",
          "orbit-out-in-missing-directory", "canonical-out-in-missing-directory",
@@ -829,6 +866,103 @@ def test_input_errors_exit_two(files, argv, message, henon_map, tmp_path, capsys
     assert len(err.replace(str(tmp_path), "")) < 200  # a long input is not echoed
     assert message.replace("OUT", paths["OUT"]) in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["henon3.map", *files])
+
+
+# Spellings of a number and what every reader of numbers in input text
+# makes of each: its value, or None for an input error.  The two rational
+# readers take 1/2, and each integer reader refuses it as "not an integer".
+SPELLINGS = [
+    ("7", 7), ("-7", -7), ("+7", 7), (" 7 ", 7), ("(7)", 7), ("2^3", 8), ("6/2", 3),
+    ("1_0", None), ("\u0663", None), ("\uff11", None), ("1/2", Fraction(1, 2)),
+    ("0x10", None), ("1e3", None), ("x", None),
+]
+# Every reader, as a command line with S for the spelling.  An integer
+# reader's value is the last positional argument of the call after it,
+# to the named ``cli`` attribute, replaced here (for a flag, that
+# argument's attribute), so that no range check after the reader (a box
+# bound must be non-negative) hides it.
+# The rational readers write theirs to the report: the map is
+# (a, b) -> (b, a + S b^2), and the orbit of (0, 1) steps to (1, S).
+INTEGER_READERS = {
+    "box:B": (["inequality", "MAP", "--sampler", "box:S"], "BoxSampler", None),
+    "rationals:N": (["inequality", "MAP", "--sampler", "rationals:S"], "RationalBoxSampler", None),
+    "rationals:N:D": (["inequality", "MAP", "--sampler", "rationals:1:S"],
+                      "RationalBoxSampler", None),
+    "random:COUNT": (["inequality", "MAP", "--sampler", "random:S"], "RandomRationalSampler", None),
+    "random:COUNT:N": (["inequality", "MAP", "--sampler", "random:1:S"],
+                       "RandomRationalSampler", None),
+    "random:COUNT:N:D": (["inequality", "MAP", "--sampler", "random:1:1:S"],
+                         "RandomRationalSampler", None),
+    "orbit:DEPTH": (["inequality", "MAP", "--sampler", "orbit:S:1,1,1"], "OrbitSampler", None),
+    "--depth": (["canonical", "MAP", "--point", "1,1,1", "--depth", "S"], "cmd_canonical", "depth"),
+    "--bit-budget": (["orbit", "MAP", "--point", "1,1,1", "--depth", "1", "--bit-budget", "S"],
+                     "cmd_orbit", "bit_budget"),
+    "--seed": (["inequality", "MAP", "--seed", "S"], "cmd_inequality", "seed"),
+}
+RATIONAL_READERS = {
+    "map coefficient": ["orbit", "m.map", "--point", "0,1", "--depth", "1"],
+    "point coordinate": ["height", "--point", "S"],
+}
+
+
+class Taken(BaseException):
+    """What a reader handed on, carried out of ``main`` past its handlers."""
+
+
+@pytest.mark.parametrize("spelling, value", SPELLINGS)
+def test_every_reader_reads_a_number_one_way(
+    spelling, value, henon_map, tmp_path, monkeypatch, capsys
+):
+    def take(*args, **kwargs):
+        raise Taken(args[-1])
+
+    (tmp_path / "m.map").write_text(
+        f"vars a b\nforward: b | a + {spelling}*b^2\ninverse: b - ({spelling})*a^2 | a\n"
+    )
+    paths = {"MAP": henon_map, "m.map": str(tmp_path / "m.map")}
+    got, wanted = {}, {}
+    for reader, argv in RATIONAL_READERS.items():
+        code = main([paths.get(arg, arg.replace("S", spelling)) for arg in argv])
+        out, err = capsys.readouterr()
+        if code == 0:
+            report = json.loads(out)
+            text = report["points"][1].split(",")[1] if "points" in report else report["point"]
+            got[reader] = Fraction(text)
+        else:
+            got[reader] = (code, out, err.startswith("error: ") and err.count("\n"))
+        wanted[reader] = value if value is not None else (2, "", 1)
+    for reader, (argv, consumer, flag) in INTEGER_READERS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, consumer, take)
+            try:
+                code = main([paths.get(arg, arg.replace("S", spelling)) for arg in argv])
+            except Taken as taken:
+                got[reader] = getattr(taken.args[0], flag) if flag else taken.args[0]
+            else:
+                out, err = capsys.readouterr()
+                got[reader] = (code, out, err.startswith("error: ") and err.count("\n"))
+        integer = isinstance(value, int)
+        wanted[reader] = value if integer else (2, "", 1)
+    assert got == wanted
+
+
+def test_echoed_integers_past_4300_digits_are_hex(henon_map, tmp_path, capsys):
+    # An integer flag or field reads up to the constant cap, past what a
+    # report writes in decimal: the report writes it as exact hex.
+    big = hex(10**5000)
+    runs = [
+        (["orbit", henon_map, "--point", "1,1,1", "--depth", "10^5000", "--bit-budget", "64"],
+         lambda r: r["requested_depth"]),
+        (["inequality", henon_map, "--sampler", "orbit:10^5000:1,1,1", "--bit-budget", "64"],
+         lambda r: r["sample"]["depth"]),
+        (["inequality", henon_map, "--sampler", "random:0", "--seed", "10^5000"],
+         lambda r: (r["seed"], r["sample"]["seed"])),
+    ]
+    for argv, echoed in runs:
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) in (0, 1)
+        assert echoed(json.loads(out.read_text())) in (big, (big, big))
+    capsys.readouterr()
 
 
 def test_plain_value_error_exits_three(monkeypatch, henon_map, capsys):

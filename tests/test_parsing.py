@@ -10,6 +10,8 @@ from affdyn.parsing import (
     format_point,
     format_raw_point,
     format_polynomial,
+    parse_int,
+    parse_integer,
     parse_map_file,
     parse_point,
     parse_polynomial,
@@ -107,6 +109,59 @@ def test_parse_point():
         parse_point("1,2", 3)
     with pytest.raises(MapSyntaxError):
         parse_point("1,a")
+
+
+@pytest.mark.parametrize("text", ["\u0663", "1\uff12", "\u0661/2", "x^\u0662"])
+def test_digits_are_ascii(text):
+    # Every Unicode decimal digit matches \d; only 0-9 are digits here.
+    with pytest.raises(MapSyntaxError, match="unexpected character"):
+        parse_polynomial(text, XYZ)
+    with pytest.raises(MapSyntaxError, match="coordinate 2 of the point: unexpected character"):
+        parse_point(f"1,{text}")
+
+
+def test_parse_integer():
+    for text, value in [("7", 7), ("-7", -7), (" +7 ", 7), ("(7)", 7), ("2^3", 8), ("6/2", 3),
+                        ("-(2^64)", -(2**64)), ("0^0", 1)]:
+        assert parse_integer(text) == value
+    for text, message in [("1/2", "not an integer: '1/2'"), ("", "empty expression"),
+                          ("1_0", "unexpected '_0'"), ("x", "unknown identifier 'x'"),
+                          ("0x10", "unexpected 'x10'"), ("1e3", "unexpected 'e3'")]:
+        with pytest.raises(MapSyntaxError) as error:
+            parse_integer(text)
+        assert str(error.value) == message
+
+
+def test_parse_int_reads_digit_strings():
+    # What the tokenizer's [0-9]+ and JSON's number grammar hand it.
+    assert parse_int("0042") == 42 and parse_int("-5") == -5
+    for digits in ("9" * 5000, "-" + "9" * 5000):
+        with pytest.raises(ValueError, match="^integer of 5000 digits is too long$"):
+            parse_int(digits)
+
+
+@pytest.mark.parametrize(
+    "text, bits",
+    [("2^1048575", 1048576), ("(-2)^1048575", 1048576), ("(1/2)^1048575", 1048576),
+     ("3^661577", 1048575), ("2^1048575 * 2^1048575", 2097151), ("1^99999999999", 1)],
+)
+def test_constant_power_within_the_cap_reads(text, bits):
+    value = parse_polynomial(text, ()).terms[()]
+    assert max(abs(value.numerator), value.denominator).bit_length() == bits
+
+
+@pytest.mark.parametrize(
+    "text", ["2^1048576", "(-2)^1048576", "(1/2)^1048576", "3^661578", "(2^1048575)^2",
+             "10^30000000", "(3/2)^700000"],
+)
+def test_constant_power_past_the_cap_is_refused(text):
+    # A power of a constant past DEFAULT_BIT_BUDGET bits is refused, most
+    # before they are built; a power of a variable still expands.
+    with pytest.raises(MapSyntaxError, match="^constant power of more than 1048576 bits$"):
+        parse_polynomial(text, ())
+    assert parse_polynomial("x^2000000", XYZ).total_degree() == 2000000
+    with pytest.raises(MapSyntaxError, match=r"bits \(line 2, column 14\)$"):
+        parse_map_file(f"vars x y\nforward: x + {text} | y\ninverse: x | y\n")
 
 
 def test_bundled_map_file():

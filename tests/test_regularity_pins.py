@@ -107,8 +107,6 @@ COMPACT_DIGESTS = {
     "henon3": "a81caa28c064458c54ad6b839c8dded48b6b0380728eec053cbec1b8a547772f",
     "henon4": "1e7b4c6cbf8836d8008c9d83faa8d75551b8f07e232cd0d76667f4a7de3de8a5",
     "henon5": "7dc103ec268a70898a31691249ae38a148498f8227c54b3694f8ed85aa9eae12",
-    "henon4": "1e7b4c6cbf8836d8008c9d83faa8d75551b8f07e232cd0d76667f4a7de3de8a5",
-    "henon5": "7dc103ec268a70898a31691249ae38a148498f8227c54b3694f8ed85aa9eae12",
     "henon2": "96d67c6b89379c2396c0292a0a5a628137a5cfc342589c31b71470039ce9347d",
     "triangular": "a181370a23a18ebb0a66d1ee7fbf3943a1f284fd5883521b1c0d27d3f6ab7d47",
     "shear3": "c5369ef1489f6ec0c85237488a9dd1a57b4d2d36ad943cc08901c2011fcb9f33",
