@@ -14,14 +14,18 @@ measured along the orbit to a given depth, so a start over the bit budget
 is an ``InputError`` here too.  It reports the last computed term
 together with a tail bound obtained by extrapolating the observed
 successive differences geometrically with ratio ``1/d``: with
-``K = max_k |v_{k+1} - v_k| * d^(k+1)`` over the observed range, the tail
-beyond depth ``N`` is taken as ``K / (d^N (d - 1))``.  This extrapolates
-from observed decay; it is not a proven bound, and a deeper orbit can
-raise it (a run of equal heights gives a tail of 0 until the heights
-move).  ``K`` is kept as a running maximum, so each step costs the same;
-where ``d^k`` leaves the float range the terms are scaled in logs
-instead.  For ``d = 1`` the tail is infinite once ``K > 0``; reports
-write an infinite tail as null.
+``K = max_k |v_{k+1} - v_k| * d^(k+1) = max_k |log H_{k+1} - d log H_k|``
+over the observed range, the tail beyond depth ``N`` is taken as
+``K / (d^N (d - 1))``.  This extrapolates from observed decay; it is not
+a proven bound, and a deeper orbit can raise it (a run of equal heights
+gives a tail of 0 until the heights move).  ``K`` is kept as a running
+maximum, so each step costs the same.  ``d^k`` is carried as a float
+mantissa and a binary exponent, so it never leaves the float range, and
+each term and the tail are one division by the mantissa and a scaling by
+a power of two.  While ``d^k`` fits in 53 bits, as it always does for a
+power-of-two ``d``, the mantissa is exact and each term is ``log H_k``
+divided by ``d^k``, correctly rounded.  For ``d = 1`` the tail is
+infinite once ``K > 0``; reports write an infinite tail as null.
 
 The combined invariant ``h_plus + h_minus`` is nonnegative and vanishes
 exactly on periodic points.
@@ -95,34 +99,6 @@ class CanonicalHeightEstimate:
         }
 
 
-def _float_power(ratio: int, k: int) -> float | None:
-    """``float(ratio) ** k``, or None past the float range."""
-    try:
-        return float(ratio) ** k
-    except OverflowError:
-        return None
-
-
-def _scaled_down(x: float, ratio: int, k: int) -> float:
-    """``x / ratio**k`` for ``x >= 0`` when ``ratio**k`` is no float."""
-    return math.exp(math.log(x) - k * math.log(ratio)) if x else 0.0
-
-
-def _tail_bound(peak: float, ratio: int, depth: int) -> float:
-    """``peak / (d^depth (d - 1))``; ``peak`` is the running maximum of
-    ``|v_{k+1} - v_k| * d^(k+1)`` over the first ``depth`` differences."""
-    if depth < 1:
-        return math.inf
-    if peak == 0.0:
-        return 0.0
-    if ratio < 2:
-        return math.inf
-    scale = _float_power(ratio, depth)
-    if scale is None:
-        return _scaled_down(peak, ratio, depth) / (ratio - 1.0)
-    return peak / (scale * (ratio - 1.0))
-
-
 def canonical_estimate(
     automorphism: AffineAutomorphism,
     point: Sequence[Fraction | int],
@@ -141,28 +117,31 @@ def canonical_estimate(
     orbit = automorphism.orbit(point, depth, direction, bit_budget)
     ratio = automorphism.degree(direction)
     integers = orbit.heights
-    values = [math.log(integers[0])]
+    log_prev = math.log(integers[0])
+    values = [log_prev]
+    # d^k = mant * 2^exp, with mant in [1/2, 1) from k = 1 on.
+    mant, exp = 1.0, 0
     peak = 0.0
-    for k in range(1, len(integers)):
-        log_k = math.log(integers[k])
-        scale = _float_power(ratio, k)
-        if scale is not None:
-            values.append(log_k / scale)
-            rate = abs(values[-1] - values[-2]) * scale
-        else:
-            # Past the float range: v_k is scaled in logs, and
-            # |v_k - v_{k-1}| * d^k is exactly |log H_k - d log H_{k-1}|.
-            values.append(_scaled_down(log_k, ratio, k))
-            rate = abs(log_k - ratio * math.log(integers[k - 1]))
-        if rate > peak:
-            peak = rate
+    for height in integers[1:]:
+        log_k = math.log(height)
+        mant, shift = math.frexp(mant * ratio)
+        exp += shift
+        values.append(math.ldexp(log_k / mant, -exp))
+        peak = max(peak, abs(log_k - ratio * log_prev))
+        log_prev = log_k
+    if len(values) == 1 or (peak and ratio == 1):
+        tail_bound = math.inf
+    elif peak:
+        tail_bound = math.ldexp(peak / ((ratio - 1) * mant), -exp)
+    else:
+        tail_bound = 0.0
     return CanonicalHeightEstimate(
         direction=direction,
         ratio=ratio,
         point=orbit.raw[0],
         step_integers=integers,
         values=tuple(values),
-        tail_bound=_tail_bound(peak, ratio, len(values) - 1),
+        tail_bound=tail_bound,
         truncated=orbit.truncated,
     )
 

@@ -2,16 +2,18 @@
 
 Polynomial expressions use declared variable names, ``+ - * / ^`` and
 parentheses, e.g. ``3/2*x^2*y - z`` or ``z - (y - x^2)^2``.  Whitespace is
-insignificant.  Division is restricted to nonzero constant divisors (it
-exists so that rational coefficients can be written naturally); unknown
-identifiers are rejected.  Digits are ASCII ``0-9``.  A constant raised
-to a power must stay within ``DEFAULT_BIT_BUDGET`` (2^20) bits in
-numerator and denominator: ``2^1048575`` reads, ``2^1048576`` is a
-``MapSyntaxError`` raised before the power is built.  A point is a
-comma-separated list of constants of this syntax, e.g. ``1,1/2,-3`` or
-``(1/2, -3, 2^2)``; an integer of the command line (a sampler-spec field,
-``--depth``, ``--bit-budget``, ``--seed``) is an integer constant of it
-(``parse_integer``), e.g. ``7``, ``-7``, ``2^24`` or ``6/2``.
+insignificant, and ASCII: the characters of ``string.whitespace``.
+Division is restricted to nonzero constant divisors (it exists so that
+rational coefficients can be written naturally); unknown identifiers are
+rejected.  Digits are ASCII ``0-9``.  Every coefficient that a
+``+ - * / ^`` builds must stay within ``DEFAULT_BIT_BUDGET`` (2^20) bits
+in numerator and denominator: ``2^1048575`` reads, ``2^1048576`` and
+``2^1048575*2^1048575`` are ``MapSyntaxError``s, the power raised before
+it is built.  A point is a comma-separated list of constants of this
+syntax, e.g. ``1,1/2,-3`` or ``(1/2, -3, 2^2)``; an integer of the
+command line (a sampler-spec field, ``--depth``, ``--bit-budget``,
+``--seed``) is an integer constant of it (``parse_integer``), e.g. ``7``,
+``-7``, ``2^24`` or ``6/2``.
 
 A map definition file declares its variables once and gives the forward
 and inverse coordinates separated by ``|``::
@@ -50,8 +52,13 @@ class MapSyntaxError(ValueError):
         self.column = column
 
 
+# Whitespace is ASCII, the characters of ``string.whitespace``: ``\s``
+# without ``re.ASCII``, and ``str.strip`` or ``str.split`` without an
+# argument, also take Unicode spaces such as U+3000.
+_SPACE = " \t\n\r\v\f"
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()|])"
+    r"(?P<ws>\s+)|(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()|])",
+    re.ASCII,
 )
 
 
@@ -88,6 +95,17 @@ class _Parser:
     def take(self):
         self.index += 1
 
+    def check_cap(self, poly: Polynomial, exponents, column: int) -> None:
+        """Refuse, at ``column``, a coefficient of ``poly`` at one of
+        ``exponents`` (those the last operation built) whose numerator or
+        denominator has more than ``DEFAULT_BIT_BUDGET`` bits."""
+        for exps in exponents:
+            coeff = poly.terms.get(exps)
+            if coeff is not None and _bits(coeff) > DEFAULT_BIT_BUDGET:
+                raise MapSyntaxError(
+                    f"coefficient of more than {DEFAULT_BIT_BUDGET} bits", self.line, column
+                )
+
     def parse(self, separator: str | None) -> list[Polynomial]:
         """``expr (separator expr)*``, up to the end of the tokens."""
         polys = [self.expr()]
@@ -102,18 +120,19 @@ class _Parser:
     def expr(self) -> Polynomial:
         poly = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, column = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
                 rhs = self.term()
                 poly = poly + rhs if value == "+" else poly - rhs
+                self.check_cap(poly, rhs.terms, column)
             else:
                 return poly
 
     def term(self) -> Polynomial:
         poly = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, column = self.peek()
             if kind == "op" and value in "*/":
                 self.take()
                 rhs = self.factor()
@@ -125,6 +144,7 @@ class _Parser:
                     if not all(sum(e) == 0 for e in rhs.terms):
                         raise self.error("division is only allowed by nonzero constants")
                     poly = poly * Polynomial.constant(rhs.nvars, 1 / rhs.terms[(0,) * rhs.nvars])
+                self.check_cap(poly, poly.terms, column)
             else:
                 return poly
 
@@ -156,14 +176,15 @@ class _Parser:
         exponent = self.take_int()
         constant = base.terms.get((0,) * base.nvars)
         if constant is None or len(base.terms) != 1:
-            return base ** exponent
+            poly = base**exponent
+            self.check_cap(poly, poly.terms, column)
+            return poly
         # |a|^e has at least (bits(a) - 1) * e + 1 bits, so that bound
         # refuses a power past the cap before it is built; a power it lets
         # through has at most twice the cap, and is measured once built.
-        bits = max(abs(constant.numerator), constant.denominator).bit_length()
-        if (bits - 1) * exponent < DEFAULT_BIT_BUDGET:
+        if (_bits(constant) - 1) * exponent < DEFAULT_BIT_BUDGET:
             value = constant**exponent
-            if max(abs(value.numerator), value.denominator).bit_length() <= DEFAULT_BIT_BUDGET:
+            if _bits(value) <= DEFAULT_BIT_BUDGET:
                 return Polynomial.constant(base.nvars, value)
         raise MapSyntaxError(
             f"constant power of more than {DEFAULT_BIT_BUDGET} bits", self.line, column
@@ -186,6 +207,11 @@ class _Parser:
             self.take()
             return inner
         raise self.error("expected a number, variable, or parenthesized expression")
+
+
+def _bits(value: Fraction) -> int:
+    """The bit length of the longer of ``value``'s numerator and denominator."""
+    return max(abs(value.numerator), value.denominator).bit_length()
 
 
 def excerpt(text: str) -> str:
@@ -266,13 +292,22 @@ def format_polynomial(p: Polynomial, names: Sequence[str] | None = None) -> str:
     return " ".join(pieces)
 
 
+def _unwrapped(text: str) -> str:
+    """``text`` without a pair of parentheses that encloses all of it."""
+    depth = 0
+    for index, char in enumerate(text):
+        depth += (char == "(") - (char == ")")
+        if depth == 0:
+            return text[1:-1] if 0 < index == len(text) - 1 else text
+    return text
+
+
 def parse_point(text: str, nvars: int | None = None) -> tuple[Fraction, ...]:
-    """Parse a point like ``1,1/2,-3`` (surrounding parentheses allowed).
-    Each coordinate is a constant of the map syntax: ``(1/3)`` and ``2^5``
-    read as in a map file, ``0.5`` and ``1e5`` do not."""
-    cleaned = text.strip()
-    if cleaned.startswith("(") and cleaned.endswith(")"):
-        cleaned = cleaned[1:-1]
+    """Parse a point like ``1,1/2,-3``, or ``(1,1/2,-3)`` in parentheses
+    that enclose all of it.  Each coordinate is a constant of the map
+    syntax: ``(1/3)`` and ``2^5`` read as in a map file, ``0.5`` and ``1e5``
+    do not."""
+    cleaned = _unwrapped(text.strip(_SPACE))
     coords = []
     for index, part in enumerate(cleaned.split(","), start=1):
         try:
@@ -338,20 +373,26 @@ class MapFile:
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+_VARS_RE = re.compile(r"vars(\s|$)", re.ASCII)
+# The variable names of a ``vars`` line: separated by commas or whitespace.
+_WORD_RE = re.compile(r"[^\s,]+", re.ASCII)
+# The line breaks of ``open``'s universal newlines, so that a text read
+# from a file and the same text given here count lines alike.
+_LINE_BREAK_RE = re.compile(r"\r\n?|\n")
 
 
 def parse_map_file(text: str) -> MapFile:
     names: list[str] | None = None
-    blocks: dict[str, tuple[tuple[Polynomial, ...], int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    blocks: dict[str, tuple[Polynomial, ...]] = {}
+    for lineno, raw in enumerate(_LINE_BREAK_RE.split(text), start=1):
         code = raw.split("#", 1)[0]
-        line = code.strip()
+        line = code.strip(_SPACE)
         if not line:
             continue
-        if line.split(maxsplit=1)[0] == "vars":
+        if _VARS_RE.match(line):
             if names is not None:
                 raise MapSyntaxError("variables declared twice", lineno)
-            declared = line[len("vars"):].replace(",", " ").split()
+            declared = _WORD_RE.findall(line, len("vars"))
             if not declared:
                 raise MapSyntaxError("no variables declared", lineno)
             for name in declared:
@@ -362,7 +403,7 @@ def parse_map_file(text: str) -> MapFile:
             names = declared
             continue
         if ":" in line:
-            keyword = line.partition(":")[0].strip()
+            keyword = line.partition(":")[0].strip(_SPACE)
             if keyword in ("forward", "inverse"):
                 if names is None:
                     raise MapSyntaxError("vars must be declared before coordinates", lineno)
@@ -374,7 +415,7 @@ def parse_map_file(text: str) -> MapFile:
                         f"{keyword} has {len(coords)} coordinates, expected {len(names)}",
                         lineno,
                     )
-                blocks[keyword] = (coords, lineno)
+                blocks[keyword] = coords
                 continue
         raise MapSyntaxError(f"unrecognized line {line!r}", lineno)
     if names is None:
@@ -382,7 +423,7 @@ def parse_map_file(text: str) -> MapFile:
     for keyword in ("forward", "inverse"):
         if keyword not in blocks:
             raise MapSyntaxError(f"missing {keyword} block")
-    return MapFile(tuple(names), blocks["forward"][0], blocks["inverse"][0])
+    return MapFile(tuple(names), blocks["forward"], blocks["inverse"])
 
 
 def load_map_file(path) -> MapFile:

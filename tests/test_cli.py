@@ -817,6 +817,14 @@ LONG_POWER = "vars x y\nforward: x + 2^30000000 | y\ninverse: x - 2^30000000 | y
         ({}, ["orbit", "MAP", "--point", "1,1,1", "--depth", "2", "--bit-budget", "1e3"],
          "error: --bit-budget: unexpected 'e3'\n"),
         ({}, ["inequality", "MAP", "--seed", "1_0"], "error: --seed: unexpected '_0'\n"),
+        ({}, ["orbit", "MAP", "--point", "1,1,1", "--depth", "\u30007"],
+         "error: --depth: unexpected character '\\u3000'\n"),
+        ({}, ["height", "--point", "1,\u00a02"],
+         "coordinate 2 of the point: unexpected character '\\xa0'\n"),
+        ({"m.map": "vars\u3000x y\nforward: y | x\ninverse: y | x\n"}, ["verify-map", "m.map"],
+         "unrecognized line 'vars\\u3000x y' (line 1)\n"),
+        ({}, ["height", "--point", "2^1048575*2^1048575,0"],
+         "coordinate 1 of the point: coefficient of more than 1048576 bits\n"),
         ({}, ["canonical", "MAP", "--point", "1,1,1", "--depth", "0"], "depth must be >= 1"),
         ({}, ["orbit", "MAP", "--point", "1,1,1", "--depth", "-1"], "depth must be >= 0"),
         ({}, ["inequality", "MAP", "--sampler", "orbit:-1:1,1,1"],
@@ -843,6 +851,8 @@ LONG_POWER = "vars x y\nforward: x + 2^30000000 | y\ninverse: x - 2^30000000 | y
          "sampler-long-word", "point-long-power", "map-long-power", "map-fullwidth-digit",
          "sampler-arabic-digit", "sampler-too-many-fields", "sampler-empty-field",
          "depth-not-integer", "bit-budget-exponent", "seed-underscore",
+         "depth-ideographic-space", "point-no-break-space", "map-vars-ideographic-space",
+         "point-product-past-the-cap",
          "canonical-depth-0", "orbit-depth-negative", "orbit-sampler-depth-negative",
          "orbit-start-over-budget", "orbit-sampler-seed-over-budget", "canonical-start-over-budget",
          "orbit-out-in-missing-directory", "canonical-out-in-missing-directory",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -14,12 +15,22 @@ from affdyn.heights import (
     height_growth_constant,
     weil_height_integer,
 )
-from affdyn.parsing import parse_polynomial
+from affdyn.parsing import parse_map_file, parse_polynomial
 
-from conftest import count_calls, small_points
+from conftest import bundled_map_text, count_calls, small_points
 from oracles import apply, identity, normalize_projective
 
 LOG2 = math.log(2)
+
+# Degree-2 and degree-3 involutions: every point has period 2, so the
+# heights stay bounded and an orbit runs to any depth.
+INVOLUTION = "vars x y z\nforward: y | x | z + x^2 - y^2\ninverse: y | x | z + x^2 - y^2\n"
+CUBIC_INVOLUTION = "vars x y z\nforward: y | x | z + x^3 - y^3\ninverse: y | x | z + x^3 - y^3\n"
+
+
+def _load(text: str) -> AffineAutomorphism:
+    mf = parse_map_file(text)
+    return AffineAutomorphism(mf.forward, mf.inverse, mf.names)
 
 
 def weil_height(point) -> float:
@@ -171,6 +182,61 @@ class TestCanonical:
         assert deep.values[:41] == shallow.values
         assert deep.certified and 0.0 <= deep.tail_bound <= shallow.tail_bound
         assert all(0.0 <= v <= math.log(3) / 2**1000 for v in deep.values[1000:])
+
+    def test_terms_past_the_float_range_are_correctly_rounded(self):
+        # 2^k is no float from k = 1024 on; each term is still log H_k
+        # divided by 2^k and rounded once.
+        est = canonical_estimate(_load(INVOLUTION), (2, 1, 0), depth=1100)
+        assert est.depth == 1100
+        for k in range(1024, 1101):
+            exact = Fraction(math.log(est.step_integers[k])) / 2**k
+            assert est.values[k] == float(exact), k
+
+    @pytest.mark.parametrize(
+        "text, start",
+        [("vars x y\nforward: y | x + y^3\ninverse: y - x^3 | x\n", (1, 1)),
+         (CUBIC_INVOLUTION, (2, 1, 0))],
+    )
+    def test_degree_three_terms_while_the_power_is_exact(self, text, start):
+        # While 3^k < 2^53 the float 3.0**k is exact, and each term is
+        # log H_k / 3.0**k, rounded once.
+        automorphism = _load(text)
+        for direction in ("forward", "inverse"):
+            est = canonical_estimate(automorphism, start, 40, direction)
+            for k, (height, value) in enumerate(zip(est.step_integers, est.values)):
+                if 3**k < 2**53:
+                    assert value == math.log(height) / 3.0**k, (direction, k)
+
+    def test_tail_where_the_scale_times_d_minus_one_is_no_float(self):
+        # 3.0**646 is a float, 2 * 3.0**646 is not; the tail there is
+        # still positive, as at the depths around it.
+        involution = _load(CUBIC_INVOLUTION)
+        tails = [canonical_estimate(involution, (2, 1, 0), n).tail_bound for n in (645, 646, 647)]
+        assert tails[0] > tails[1] > tails[2] > 0.0
+
+    def test_estimates_match_pinned_digest(self):
+        # sha256 of the values and tail bounds below, recorded while d^k
+        # was a float power and, past the float range, scaled in logs.  All
+        # these degrees are powers of two and every d^k is below 2^1024.
+        maps = [
+            "vars x y\nforward: y | x + y^2\ninverse: y - x^2 | x\n",
+            bundled_map_text("henon3"),
+            bundled_map_text("henon4"),
+            bundled_map_text("henon5"),
+            INVOLUTION,
+        ]
+        rows = []
+        for text in maps:
+            automorphism = _load(text)
+            n = automorphism.n
+            starts = [(1,) * n, tuple(range(2, 2 - n, -1)), (Fraction(1, 2),) + (-3,) * (n - 1)]
+            for start in starts:
+                for depth in (1, 8, 40):
+                    for direction in ("forward", "inverse"):
+                        est = canonical_estimate(automorphism, start, depth, direction, 2**16)
+                        rows.append((est.values, est.tail_bound))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "c9ba1557cf5f97ba9c9fb41d4f3d9b415023f5db966ac910c30c2063367cfb27"
 
     def test_degree_one_runs_the_full_depth(self):
         # A shear's tail bound is infinite from the first nonzero difference

@@ -105,6 +105,9 @@ def test_parse_point():
         Fraction(2, 7),
         Fraction(-1),
     )
+    # Only parentheses that enclose the whole point are dropped.
+    for text in ("(1),(2)", "(1,2)", "((1),(2))", " (1) , 2 "):
+        assert parse_point(text) == (Fraction(1), Fraction(2)), text
     with pytest.raises(MapSyntaxError):
         parse_point("1,2", 3)
     with pytest.raises(MapSyntaxError):
@@ -118,6 +121,33 @@ def test_digits_are_ascii(text):
         parse_polynomial(text, XYZ)
     with pytest.raises(MapSyntaxError, match="coordinate 2 of the point: unexpected character"):
         parse_point(f"1,{text}")
+
+
+@pytest.mark.parametrize("space", ["\u00a0", "\u3000", "\u2028", "\x85"])
+def test_whitespace_is_ascii(space):
+    # str.strip, str.split, str.splitlines and \s take these Unicode
+    # spaces and line breaks; the syntax does not.
+    with pytest.raises(MapSyntaxError, match="^unexpected character"):
+        parse_integer(f"{space}7")
+    with pytest.raises(MapSyntaxError, match="^coordinate 2 of the point: unexpected character"):
+        parse_point(f"1,{space}2")
+    with pytest.raises(MapSyntaxError, match="^coordinate 1 of the point: unexpected character"):
+        parse_point(f"{space}(1,2)")
+    for text, message in [
+        (f"vars{space}x y\nforward: y | x\n", "unrecognized line"),
+        (f"vars x{space}y\nforward: y | x\n", "bad variable name"),
+        (f"vars x y\nforward{space}: y | x\n", "unrecognized line"),
+        (f"vars x y\nforward: y | x{space}\n", "unexpected character"),
+        (f"vars x y{space}forward: y | x\n", "bad variable name"),
+    ]:
+        with pytest.raises(MapSyntaxError, match=f"^{message}"):
+            parse_map_file(text + "inverse: y | x\n")
+    # The ASCII ones read, and \r\n and \r end a line as \n does.
+    assert parse_integer("\t\v7\f\r\n") == 7
+    assert parse_point("\t(1,\f2)\n") == (Fraction(1), Fraction(2))
+    for newline in ("\n", "\r\n", "\r"):
+        text = newline.join(["vars\tx,\fy", "forward:\vy | x\t", "inverse: y | x", ""])
+        assert parse_map_file(text) == parse_map_file("vars x y\nforward: y | x\ninverse: y | x\n")
 
 
 def test_parse_integer():
@@ -143,7 +173,7 @@ def test_parse_int_reads_digit_strings():
 @pytest.mark.parametrize(
     "text, bits",
     [("2^1048575", 1048576), ("(-2)^1048575", 1048576), ("(1/2)^1048575", 1048576),
-     ("3^661577", 1048575), ("2^1048575 * 2^1048575", 2097151), ("1^99999999999", 1)],
+     ("3^661577", 1048575), ("1^99999999999", 1)],
 )
 def test_constant_power_within_the_cap_reads(text, bits):
     value = parse_polynomial(text, ()).terms[()]
@@ -162,6 +192,24 @@ def test_constant_power_past_the_cap_is_refused(text):
     assert parse_polynomial("x^2000000", XYZ).total_degree() == 2000000
     with pytest.raises(MapSyntaxError, match=r"bits \(line 2, column 14\)$"):
         parse_map_file(f"vars x y\nforward: x + {text} | y\ninverse: x | y\n")
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [("2^1048575 * 2^1048575", 10), ("1/(2^1048575-1)+1/(2^1048575+1)", 15),
+     ("2^1048575-(-2^1048575)", 9), ("1/2^1048575/2", 11), ("(2^1048575*x)^2", 0),
+     ("x*2^1048575 + x*2^1048575", 12)],
+)
+def test_every_result_past_the_cap_is_refused(text, offset):
+    # A sum, difference, product, quotient or power of capped constants
+    # can pass the cap; each is refused at the operator that built it (at
+    # the base for a power).
+    with pytest.raises(MapSyntaxError, match="^coefficient of more than 1048576 bits$"):
+        parse_polynomial(text, XYZ)
+    with pytest.raises(MapSyntaxError) as error:
+        parse_map_file(f"vars x y\nforward: x + {text} | y\ninverse: x | y\n")
+    assert (error.value.line, error.value.column) == (2, 14 + offset)
+    assert str(error.value).startswith("coefficient of more than 1048576 bits")
 
 
 def test_bundled_map_file():
