@@ -45,22 +45,58 @@ interpreter, whose products use plain ``*``, that checks it.
 
 Deep orbits spend almost all their time squaring integers of up to
 millions of bits, and CPython 3.11 squares an ``int`` by Karatsuba.
-``square`` squares exactly by Toom-3 from ``SQUARE_CUTOFF`` bits on: it
-writes ``a = a0 + a1*2^k + a2*2^(2k)`` with ``0 <= a0, a1 < 2^k`` and the
-sign in ``a2``, squares the values of the piece polynomial
-``a0 + a1*t + a2*t^2`` at 0, 1, -1, -2 and infinity (recursively),
-recovers the five coefficients by Bodrato's interpolation sequence, whose
-divisions (``// 3`` and ``>> 1``) are exact, and adds them up Horner-style
-by shifts.  Below the cutoff it is ``a*a``.
+``square`` squares exactly by one Schönhage–Strassen transform
+(Schönhage and Strassen, *Computing* 7, 1971) from ``SQUARE_CUTOFF`` bits
+on; below the cutoff it is ``a*a``.  For an operand of ``n`` bits it takes
+``k = (n.bit_length() - 1) // 2`` and ``K = 2^k``, and cuts ``|a|`` into
+``K/2`` pieces ``a_i`` of ``M`` bits, ``M`` the least multiple of 8 with
+``M*K/2 >= n``, by slicing its bytes.  Then ``a^2 = sum c_j 2^(jM)`` with
+``c_j = sum_(i+i'=j) a_i a_i'`` for ``j < K - 1``: the convolution of the
+pieces, which the cyclic one of length ``K`` of the pieces padded with
+``K/2`` zeros equals, since no index wraps.  Each ``c_j`` sums at most
+``K/2`` products of at most ``(2^M - 1)^2``, so
+``0 <= c_j <= (K/2)(2^M - 1)^2 < 2^(2M+k-1)``.
 
-The cutoff was measured by timing ``square`` against ``a*a`` on random
-integers of 50 kbit to 1.4 Mbit, interleaved, best of 7 to 25, for
-cutoffs from 20 to 120 kbit (2-vCPU x86_64, Python 3.11.7).  One Toom-3
-split ties with ``a*a`` at 50 kbit and wins from 100 kbit on.  At 1.4 Mbit
-cutoffs of 20 to 40 kbit gave the best time, 0.072 s against 0.105 s for
-``a*a``; cutoffs of 60 to 120 kbit gave 0.080 to 0.084 s.  ``step`` passes
-``square`` only when some squaring in the power block can reach the
-cutoff (see ``step``), so small points pay nothing for it.
+The convolution is taken in the ring ``Z/(2^L + 1)``, with ``L`` the least
+multiple of ``K/2`` from ``2M + k - 1`` on.  There ``2^L = -1``, so
+``w = 2^(2L/K)`` has ``w^(K/2) = -1`` and is a principal ``K``-th root of
+unity, and ``K``, a power of 2, is a unit of the odd modulus with
+``1/K = -2^(L-k)``.  The transform by ``w``, pointwise squaring, and the
+transform by ``1/w`` divided by ``K`` give each ``c_j`` modulo
+``2^L + 1``; because ``0 <= c_j < 2^(2M+k-1) <= 2^L``, its least residue
+is ``c_j`` itself, and the result is exact.  Every twiddle factor is a
+power of 2, applied as a shift (``w^(-e) = -2^(L - 2Le/K)``), and every
+reduction is ``(v & mask) - (v >> L)`` with ``mask = 2^L - 1``, which is
+congruent to ``v`` for every integer ``v`` (``v = (v >> L)*2^L + (v &
+mask)``) and keeps each entry within a few bits of ``L``: no division
+runs, as CPython's is quadratic.  The forward transform decimates in
+frequency and leaves its output in bit-reversed order; the inverse
+decimates in time and restores the natural order, so no permutation runs.
+The ``K`` pointwise squares go through ``square`` itself, so an operand
+whose ``L`` reaches the cutoff (about 2^31 bits) recurses.  The
+coefficients are carried into one integer by adding adjacent pairs, level
+by level, in ``O(n log K)``.
+
+The cutoff and the rule for ``k`` were measured on random integers with
+the top bit set (2-vCPU x86_64, Python 3.11.7, a shared and noisy host).
+``square`` won 0 of 21 interleaved pairs against ``a*a`` at 150 kbit, 8 at
+175 kbit, 17 at 200 kbit and 19 or 20 from 250 to 400 kbit.  Best of 5
+interleaved, in ms, for ``a*a`` and the transform with the rule's ``k`` and
+its neighbours:
+
+    ======  ==  =====  =====  =====  =====
+    bits    k   a*a    k - 1  k      k + 1
+    ======  ==  =====  =====  =====  =====
+    200k     8    8.8    7.3    7.1    9.6
+    400k     9   24.2   15.8   16.5   23.3
+    700k     9   39.4   22.1   22.1   21.2
+    1.4M    10  122.1   47.1   44.4   50.0
+    2.8M    10  385.9  119.6  108.3  103.7
+    5.6M    11   1195  241.9  216.9  215.8
+    ======  ==  =====  =====  =====  =====
+
+``step`` passes ``square`` only when some squaring in the power block can
+reach the cutoff (see ``step``), so small points pay nothing for it.
 
 The orbit stays in ``int``.  libmpdec's ``Decimal`` multiplies faster
 still, but converting a coordinate between ``int`` and ``Decimal`` is
@@ -107,9 +143,10 @@ from typing import Callable, Sequence
 #: results from different kernels are never compared.
 BACKEND = "python"
 
-#: Bit length from which ``square`` splits its operand by Toom-3; below it
-#: CPython's own product is faster (see the module docstring).
-SQUARE_CUTOFF = 40_000
+#: Bit length from which ``square`` squares by a Schönhage–Strassen
+#: transform; below it CPython's own product is faster (see the module
+#: docstring).
+SQUARE_CUTOFF = 200_000
 
 
 @dataclass(frozen=True)
@@ -277,40 +314,71 @@ def eval_point(cm: CompiledMap, nums: tuple[int, ...], den: int, sq=None):
 
 
 def square(a: int) -> int:
-    """``a*a``, by Toom-3 from ``SQUARE_CUTOFF`` bits (see the module
-    docstring)."""
+    """``a*a``, by a Schönhage–Strassen transform from ``SQUARE_CUTOFF``
+    bits (see the module docstring for the sizes and why they are exact)."""
     n = a.bit_length()
     if n < SQUARE_CUTOFF:
         return a * a
-    k = (n + 2) // 3
-    mask = (1 << k) - 1
-    a0 = a & mask
-    a1 = (a >> k) & mask
-    a2 = a >> 2 * k
+    k = (n.bit_length() - 1) // 2
+    size = 1 << k  # K
+    half = size >> 1
+    piece = -(-n // (8 * half))  # bytes per piece
+    width = 8 * piece
+    bits = -(-(2 * width + k - 1) // half) * half  # L: the ring is Z/(2^L + 1)
+    mask = (1 << bits) - 1
+    data = abs(a).to_bytes(piece * half, "little")
     del a
-    # r(t) is the square of the piece polynomial a0 + a1 t + a2 t^2; it is
-    # taken at 1, -1, -2, 0 and infinity, and each temporary is dropped as
-    # soon as it has been read.
-    p = a0 + a2
-    r_1 = square(p + a1)
-    p -= a1
-    r_m1 = square(p)
-    r_m2 = square(((p + a2) << 1) - a0)
-    del p
-    c3 = (r_m2 - r_1) // 3
-    del r_m2
-    r_0 = square(a0)
-    r_inf = square(a2)
-    del a0, a1, a2
-    # Bodrato's sequence: c1, c2, c3 are the middle coefficients of r.
-    c1 = (r_1 - r_m1) >> 1
-    del r_1
-    c2 = r_m1 - r_0
-    del r_m1
-    c3 = ((c2 - c3) >> 1) + (r_inf << 1)
-    c2 += c1 - r_inf
-    c1 -= c3
-    return ((((((r_inf << k) + c3) << k) + c2) << k) + c1 << k) + r_0
+    v = [int.from_bytes(data[i:i + piece], "little") for i in range(0, len(data), piece)]
+    del data
+    v += [0] * half
+    # Forward transform, decimation in frequency: v[j + h] takes the twiddle
+    # 2^(t*e) with t = L/h, and the output is in bit-reversed order.
+    h = half
+    while h:
+        t = bits // h
+        for start in range(0, size, 2 * h):
+            for j in range(start, start + h):
+                x = v[j]
+                y = v[j + h]
+                w = x + y
+                v[j] = (w & mask) - (w >> bits)
+                w = (x - y) << t * (j - start)
+                v[j + h] = (w & mask) - (w >> bits)
+        h >>= 1
+    for j in range(size):
+        w = square(v[j])
+        v[j] = (w & mask) - (w >> bits)
+    # Inverse transform, decimation in time, back to natural order: the
+    # twiddle 2^(-t*e) is -2^(L - t*e), so y below is minus the twiddled value.
+    h = 1
+    while h < size:
+        t = bits // h
+        for start in range(0, size, 2 * h):
+            for j in range(start, start + h):
+                x = v[j]
+                w = v[j + h] << bits - t * (j - start)
+                y = (w & mask) - (w >> bits)
+                w = x - y
+                v[j] = (w & mask) - (w >> bits)
+                w = x + y
+                v[j + h] = (w & mask) - (w >> bits)
+        h <<= 1
+    # v[j] is K*c_j mod 2^L + 1, and 1/K = -2^(L - k) there; c_j is the
+    # residue in [0, 2^L).
+    modulus = mask + 2
+    for j in range(size):
+        w = v[j] << bits - k
+        w = (w >> bits) - (w & mask)
+        while w < 0:
+            w += modulus
+        while w > mask:
+            w -= modulus
+        v[j] = w
+    # Carry the coefficients into one integer, adjacent pairs at a time.
+    while len(v) > 1:
+        v = [lo + (hi << width) for lo, hi in zip(v[::2], v[1::2])]
+        width *= 2
+    return v[0]
 
 
 def to_common_denominator(point: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:

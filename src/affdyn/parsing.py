@@ -95,12 +95,12 @@ class _Parser:
     def take(self):
         self.index += 1
 
-    def check_cap(self, poly: Polynomial, exponents, column: int) -> None:
-        """Refuse, at ``column``, a coefficient of ``poly`` at one of
+    def check_cap(self, terms, exponents, column: int) -> None:
+        """Refuse, at ``column``, a coefficient of ``terms`` at one of
         ``exponents`` (those the last operation built) whose numerator or
         denominator has more than ``DEFAULT_BIT_BUDGET`` bits."""
         for exps in exponents:
-            coeff = poly.terms.get(exps)
+            coeff = terms.get(exps)
             if coeff is not None and _bits(coeff) > DEFAULT_BIT_BUDGET:
                 raise MapSyntaxError(
                     f"coefficient of more than {DEFAULT_BIT_BUDGET} bits", self.line, column
@@ -118,16 +118,23 @@ class _Parser:
         return polys
 
     def expr(self) -> Polynomial:
-        poly = self.term()
+        # The terms of a sum go into one dict, so that a sum of n terms
+        # costs O(n) and not the O(n^2) of one ``Polynomial`` per ``+``.
+        first = self.term()
+        terms = dict(first.terms)
         while True:
             kind, value, column = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                rhs = self.term()
-                poly = poly + rhs if value == "+" else poly - rhs
-                self.check_cap(poly, rhs.terms, column)
-            else:
-                return poly
+            if kind != "op" or value not in "+-":
+                return Polynomial(first.nvars, terms)
+            self.take()
+            rhs = self.term()
+            for exps, coeff in rhs.terms.items():
+                coeff = terms.get(exps, 0) + (coeff if value == "+" else -coeff)
+                if coeff:
+                    terms[exps] = coeff
+                else:
+                    terms.pop(exps, None)
+            self.check_cap(terms, rhs.terms, column)
 
     def term(self) -> Polynomial:
         poly = self.factor()
@@ -144,7 +151,7 @@ class _Parser:
                     if not all(sum(e) == 0 for e in rhs.terms):
                         raise self.error("division is only allowed by nonzero constants")
                     poly = poly * Polynomial.constant(rhs.nvars, 1 / rhs.terms[(0,) * rhs.nvars])
-                self.check_cap(poly, poly.terms, column)
+                self.check_cap(poly.terms, poly.terms, column)
             else:
                 return poly
 
@@ -177,7 +184,7 @@ class _Parser:
         constant = base.terms.get((0,) * base.nvars)
         if constant is None or len(base.terms) != 1:
             poly = base**exponent
-            self.check_cap(poly, poly.terms, column)
+            self.check_cap(poly.terms, poly.terms, column)
             return poly
         # |a|^e has at least (bits(a) - 1) * e + 1 bits, so that bound
         # refuses a power past the cap before it is built; a power it lets

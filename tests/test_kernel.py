@@ -149,29 +149,64 @@ def test_max_bits():
     assert kernel.max_bits((-(2**40), 1), 3) == 41
 
 
-# -- big integers: Toom-3 squaring and the powers it squares ---------------
+# -- big integers: Schönhage–Strassen squaring and the powers it squares ---
 
 
-@st.composite
-def _square_operands(draw):
-    """Integers of lengths that straddle ``SQUARE_CUTOFF``, from three pieces
-    of the widths ``square`` splits them into; each piece is 0, 1, all
-    ones or random, so the top piece can be 0 or 1 bit long."""
-    cut = kernel.SQUARE_CUTOFF
-    n = draw(st.sampled_from([cut + i for i in (-3, -1, 0, 1, 2, 3)] + [3 * cut, 3 * cut + 1]))
-    k = (n + 2) // 3
-    a = 0
-    for shift, width in ((0, k), (k, k), (2 * k, n - 2 * k)):
-        top = (1 << width) - 1
-        a |= draw(st.sampled_from([0, 1, top]) | st.integers(0, top)) << shift
-    return draw(st.sampled_from([1, -1])) * a
+def _rule_changes(low, high):
+    """The operand lengths in ``[low, high]`` at which ``square``'s
+    transform length 2^k, with k = (bit length of n - 1) // 2, steps up:
+    n = 4^k, each with the length below it."""
+    return [m for k in range(1, 20) for m in (4**k - 1, 4**k) if low <= m <= high]
 
 
-@given(a=_square_operands())
-@example(a=0)
-@settings(max_examples=60, deadline=None)
-def test_square_is_exact(a):
+def _ones(n):
+    return (1 << n) - 1
+
+
+# At n = 4^k, 2^(k - 1) pieces of 2^(k + 1) bits, whole bytes, fill n
+# exactly: all ones give every convolution coefficient its largest value.
+_LENGTHS = sorted({kernel.SQUARE_CUTOFF + i for i in (-1, 0, 1)} | set(_rule_changes(1, 4**10)))
+
+
+@given(n=st.sampled_from(_LENGTHS), fill=st.sampled_from(["random", "ones", "top"]),
+       sign=st.sampled_from([1, -1]), data=st.data())
+@example(n=0, fill="top", sign=1, data=None)
+@example(n=1, fill="top", sign=-1, data=None)
+@example(n=4**10, fill="ones", sign=1, data=None)
+@example(n=4**10, fill="ones", sign=-1, data=None)
+@example(n=4**10 + 1, fill="top", sign=1, data=None)
+@example(n=kernel.SQUARE_CUTOFF, fill="ones", sign=-1, data=None)
+@example(n=kernel.SQUARE_CUTOFF, fill="top", sign=1, data=None)
+@settings(max_examples=30, deadline=None)
+def test_square_is_exact(n, fill, sign, data):
+    # "top" is the power of two 2^(n-1) (0 for n = 0), "ones" fills every
+    # bit, "random" keeps the top bit and draws the rest.
+    if fill == "random":
+        a = (1 << n - 1) | data.draw(st.integers(0, _ones(n - 1)))
+    else:
+        a = _ones(n) if fill == "ones" else 1 << n - 1 if n else 0
+    a *= sign
     assert kernel.square(a) == a * a
+
+
+@pytest.mark.parametrize("n", _rule_changes(4**10 + 1, 4**11))
+def test_square_of_all_ones_past_a_megabit(n):
+    # (2^n - 1)^2 = 2^(2n) - 2^(n+1) + 1 needs no reference product.
+    assert kernel.square(-_ones(n)) == (1 << 2 * n) - (1 << n + 1) + 1
+
+
+@given(n=st.sampled_from(_rule_changes(300, 4**7)) | st.integers(300, 4**7),
+       fill=st.sampled_from(["random", "ones"]), data=st.data())
+@example(n=4**7, fill="ones", data=None)
+@settings(max_examples=60, deadline=None)
+def test_square_is_exact_when_the_transform_recurses(n, fill, data):
+    # With the cutoff lowered, the rule steps k at every 4^k from 4^5 to
+    # 4^7, and the pointwise squares of L bits go through the transform
+    # again once L reaches the cutoff.
+    a = _ones(n) if fill == "ones" else data.draw(st.integers(1 << n - 1, _ones(n)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "SQUARE_CUTOFF", 300)
+        assert kernel.square(a) == a * a
 
 
 RATIONAL_MAP = "vars x y\nforward: y | x + y^2/2\ninverse: y - x^2/2 | x\n"
@@ -217,7 +252,14 @@ def test_deep_orbit_matches_oracle_point_for_point(henon, monkeypatch):
             state = interpret_map(cm, *state)
             assert raw == state
     assert tuple(depths) == (22, 15)
-    assert max(squared) >= 3 * kernel.SQUARE_CUTOFF  # Toom-3 ran, recursively
+    # The transform ran: each squaring from SQUARE_CUTOFF on is followed by
+    # its 2^k pointwise squarings, through square itself.
+    big = [i for i, bits in enumerate(squared) if bits >= kernel.SQUARE_CUTOFF]
+    assert big
+    for i in big:
+        size = 1 << (squared[i].bit_length() - 1) // 2
+        pointwise = squared[i + 1:i + 1 + size]
+        assert len(pointwise) == size and max(pointwise) < kernel.SQUARE_CUTOFF
 
 
 # -- the bit-length bound behind skipped orbit steps -----------------------

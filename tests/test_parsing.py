@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,21 @@ def test_every_result_past_the_cap_is_refused(text, offset):
         parse_map_file(f"vars x y\nforward: x + {text} | y\ninverse: x | y\n")
     assert (error.value.line, error.value.column) == (2, 14 + offset)
     assert str(error.value).startswith("coefficient of more than 1048576 bits")
+
+
+def test_long_sum_parses_equal_to_the_fold():
+    # The parser adds the terms of a sum into one dict; the result must be
+    # the left fold of the terms by Polynomial + and -, with its
+    # cancellations, over 6,000 terms on 64 monomials.
+    rng = random.Random(6000)
+    pieces = [(rng.choice("+-"), rng.randrange(1, 10), rng.randrange(8), rng.randrange(8))
+              for _ in range(6000)]
+    fold = Polynomial.zero(3)
+    for op, c, a, b in pieces:
+        term = Polynomial(3, {(a, b, 0): c})
+        fold = fold + term if op == "+" else fold - term
+    text = " ".join(f"{op} {c}*x^{a}*y^{b}" for op, c, a, b in pieces)
+    assert parse_polynomial(text, XYZ) == fold
 
 
 def test_bundled_map_file():
