@@ -149,7 +149,12 @@ class RationalBoxSampler:
 class RandomRationalSampler:
     """``count`` points whose coordinates are drawn uniformly, with a seeded
     ``random.Random``, from the values of ``RationalBoxSampler``.  Bounds
-    that allow no value give no point."""
+    that allow no value give no point.
+
+    Each index into the ``N`` values is ``getrandbits(k)`` with ``k =
+    N.bit_length()``, drawn again while it is ``N`` or more: the stream of
+    ``random.choice``, which calls ``getrandbits`` the same way, without
+    the Python-level calls of ``choice`` and ``_randbelow`` per coordinate."""
 
     count: int
     num_bound: int = 5
@@ -171,12 +176,20 @@ class RandomRationalSampler:
 
     def points(self, automorphism: AffineAutomorphism, bit_budget: int) -> Iterator[RawPoint]:
         n = automorphism.n
-        choice = random.Random(self.seed).choice
+        getrandbits = random.Random(self.seed).getrandbits
         values = _rational_values(self.num_bound, self.den_bound)
         if not values:
             return
+        size = len(values)
+        bits = size.bit_length()
         for _ in range(self.count):
-            yield kernel.from_pairs([choice(values) for _ in range(n)])
+            pairs = []
+            for _ in range(n):
+                index = getrandbits(bits)
+                while index >= size:
+                    index = getrandbits(bits)
+                pairs.append(values[index])
+            yield kernel.from_pairs(pairs)
 
 
 @dataclass(frozen=True)

@@ -32,16 +32,20 @@ as a local ``x<i>_<e>``, by the binary chain: an even power squares
 (``x0_2 = x0*x0``, ``x0_4 = x0_2*x0_2``).  This power block squares with
 ``sq(...)`` when the caller passes a squaring function and with ``*``
 otherwise.  The evaluator then spells out every monomial (``x2 + x1_2``)
-and computes the powers ``d2, d3, ...`` of the denominator once.  On
-integer points (``d1 == 1``) it skips the gcd of each coordinate whose
-cleared denominator is 1, and returns the image directly when all of
-them are; this branch and the scaled one share the power locals.  The
-source is built from integer literals and fixed names only (``x0, x1,
-...`` for the numerators, ``x<i>_<e>`` for their powers, ``d1, d2, ...``
-for the denominator powers, ``a_j``/``b_j`` for the reduced image
-coordinates, ``g``, ``gcd`` and ``sq``): no text from a map file reaches
-``exec``.  This is the one kernel; ``tests/oracles.py`` keeps a table
-interpreter, whose products use plain ``*``, that checks it.
+over one denominator for all coordinates, the least common multiple ``L``
+of the cleared ones times ``d1^m`` for the largest degree ``m``, and
+computes the powers ``d2, d3, ...`` of ``d1`` once.  One gcd of that
+denominator and every numerator reduces the image, and the division is
+skipped when the gcd is 1.  On integer points (``d1 == 1``) the
+denominator is ``L``, and when ``L`` is 1 the numerators are returned
+with no gcd at all; this branch and the scaled one share the power
+locals.  The source is built from integer literals and fixed names only
+(``x0, x1, ...`` for the numerators, ``x<i>_<e>`` for their powers, ``d1,
+d2, ...`` for the denominator powers, ``a<j>`` for the image numerators,
+``b0`` for their denominator, ``g``, ``gcd`` and ``sq``): no text from a
+map file reaches ``exec``.  This is the one kernel; ``tests/oracles.py``
+keeps a table interpreter, which reduces each coordinate by its own gcd
+and multiplies with plain ``*``, that checks it.
 
 Deep orbits spend almost all their time squaring integers of up to
 millions of bits, and CPython 3.11 squares an ``int`` by Karatsuba.
@@ -123,13 +127,15 @@ coordinate ``j`` satisfies ``2^lo <= |t| < 2^hi``, with ``lo`` and ``hi``
 the sums of the factors' ``b - 1`` and ``b``.  If the term with the largest
 ``lo`` has ``lo >= hi' + bitlen(m) + 1``, where ``hi'`` is the largest
 ``hi`` of the ``m`` other nonzero terms, those terms sum to less than
-``2^(lo-1)`` and the numerator ``acc`` has ``|acc| > 2^(lo-1)``.  The
-gcd reduction divides ``acc`` by a divisor of ``denoms[j] * den^deg``, which
-is below ``2^B`` with ``B = bitlen(denoms[j]) + deg * bitlen(den)``, so
-the reduced numerator exceeds ``2^(lo-1-B)``; the common-denominator
-rescale only multiplies it.  Hence ``lo - B > budget`` proves an image
-integer of more than ``budget`` bits.  The test is one-sided: cancellation
-between terms of similar size makes it answer False, never wrongly True.
+``2^(lo-1)`` and the numerator ``acc`` has ``|acc| > 2^(lo-1)``.  In the
+evaluator's terms, coordinate ``j`` is ``N_j / D`` with ``|N_j| / D =
+|acc| / (denoms[j] * den^deg)``, and the canonical image divides ``N_j``
+and ``D`` by their common gcd ``g <= D``.  So its numerator is at least
+``|N_j| / D``, which exceeds ``2^(lo-1-B)`` with ``B = bitlen(denoms[j]) +
+deg * bitlen(den)``, as ``denoms[j] * den^deg < 2^B``.  Hence ``lo - B >
+budget`` proves an image integer of more than ``budget`` bits.  The test
+is one-sided: cancellation between terms of similar size makes it answer
+False, never wrongly True.
 """
 
 from __future__ import annotations
@@ -208,11 +214,17 @@ def compile_map(coords) -> CompiledMap:
 def _evaluator_source(nvars, terms, denoms, degs) -> str:
     """Python source of ``eval_map(nums, d1, sq)`` for the cleared map.
 
-    Coordinate ``j`` has numerator ``sum c * x^e * d1^(degs[j] - |e|)``
-    over ``denoms[j] * d1^degs[j]``; each quotient is reduced by its gcd
-    and the images are brought to their least common denominator, which
-    yields the canonical form.  Only integers and fixed names are written.
+    With ``L = lcm(denoms)`` and ``m = max(degs)``, the image is
+    ``(N_0, ...) / D`` with ``D = L * d1^m`` and ``N_j`` the sum of
+    ``c * (L // denoms[j]) * x^e * d1^(m - |e|)`` over the terms of
+    coordinate ``j``.  One gcd of ``D`` and every ``N_j`` divides the vector
+    down to the canonical form, the unique primitive integer vector with a
+    positive last entry on its line.  Only integers and fixed names are
+    written.
     """
+    common = lcm(*denoms)
+    terms = [[(c * (common // denom), exps) for c, exps in coordinate]
+             for coordinate, denom in zip(terms, denoms)]
     xs = [f"x{i}" for i in range(nvars)]
     lines = ["def eval_map(nums, d1, sq):"]
     if nvars:
@@ -224,10 +236,10 @@ def _evaluator_source(nvars, terms, denoms, degs) -> str:
         lines.append("    else:")
         lines += [f"        {_power(i, e)} = {_power_product(i, e, False)}" for i, e in powers]
     lines.append("    if d1 == 1:")
-    lines += _reduction(terms, denoms, degs, scaled=False, indent="        ")
+    lines += _reduction(terms, common, 0, indent="        ")
     dmax = max(degs)
     lines += [f"    d{k} = d{k - 1}*d1" for k in range(2, dmax + 1)]
-    lines += _reduction(terms, denoms, degs, scaled=True, indent="    ")
+    lines += _reduction(terms, common, dmax, indent="    ")
     return "\n".join(lines) + "\n"
 
 
@@ -255,36 +267,23 @@ def _power_product(i: int, e: int, squared: bool) -> str:
     return f"sq({half})" if squared else f"{half}*{half}"
 
 
-def _reduction(terms, denoms, degs, scaled: bool, indent: str) -> list[str]:
-    """Statements computing and returning the canonical image, with the
-    denominator powers ``d1, d2, ...`` when ``scaled`` and with ``d1 == 1``
-    otherwise."""
-    nums = [_numerator(t, deg if scaled else 0) for t, deg in zip(terms, degs)]
-    raw_dens = []
-    for denom, deg in zip(denoms, degs):
-        factors = [str(denom)] if denom != 1 else []
-        if scaled and deg:
-            factors.append(f"d{deg}")
-        raw_dens.append("*".join(factors))
-    reduced = [j for j, raw in enumerate(raw_dens) if raw]
-    if not reduced:  # every denominator is 1: the numerators are the image
+def _reduction(terms, common: int, deg: int, indent: str) -> list[str]:
+    """Statements returning the image ``(N_0, ...) / D``, with ``D = common
+    * d1^deg``, in canonical form: the vector divided by its gcd, when that
+    is not 1."""
+    nums = [_numerator(t, deg) for t in terms]
+    factors = ([str(common)] if common != 1 else []) + ([f"d{deg}"] if deg else [])
+    if not factors:  # the denominator is 1: the numerators are the image
         return [f"{indent}return {_tuple(nums)}, 1"]
-    lines = []
-    for j, (num, raw) in enumerate(zip(nums, raw_dens)):
-        lines.append(f"{indent}a{j} = {num}")
-        if raw:
-            lines += [
-                f"{indent}b{j} = {raw}",
-                f"{indent}g = gcd(a{j}, b{j})",
-                f"{indent}a{j} //= g",
-                f"{indent}b{j} //= g",
-            ]
-    # g becomes the least common denominator of the reduced coordinates.
-    lines.append(f"{indent}g = b{reduced[0]}")
-    lines += [f"{indent}g = g // gcd(g, b{j})*b{j}" for j in reduced[1:]]
-    out = [f"a{j}*(g // b{j})" if j in reduced else f"a{j}*g" for j in range(len(nums))]
-    lines.append(f"{indent}return {_tuple(out)}, g")
-    return lines
+    names = [f"a{j}" for j in range(len(nums))]
+    return [
+        *(f"{indent}{a} = {num}" for a, num in zip(names, nums)),
+        f"{indent}b0 = {'*'.join(factors)}",
+        f"{indent}g = gcd(b0, {', '.join(names)})",
+        f"{indent}if g == 1:",
+        f"{indent}    return {_tuple(names)}, b0",
+        f"{indent}return {_tuple([f'{a} // g' for a in names])}, b0 // g",
+    ]
 
 
 def _tuple(items: list[str]) -> str:

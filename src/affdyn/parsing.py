@@ -7,9 +7,9 @@ Division is restricted to nonzero constant divisors (it exists so that
 rational coefficients can be written naturally); unknown identifiers are
 rejected.  Digits are ASCII ``0-9``.  Every coefficient that a
 ``+ - * / ^`` builds must stay within ``DEFAULT_BIT_BUDGET`` (2^20) bits
-in numerator and denominator: ``2^1048575`` reads, ``2^1048576`` and
-``2^1048575*2^1048575`` are ``MapSyntaxError``s, the power raised before
-it is built.  A point is a comma-separated list of constants of this
+in numerator and denominator: ``2^1048575`` reads, ``2^1048576``,
+``(3*x)^1000000000`` and ``2^1048575*2^1048575`` are ``MapSyntaxError``s,
+a power of one term raised before it is built.  A point is a comma-separated list of constants of this
 syntax, e.g. ``1,1/2,-3`` or ``(1/2, -3, 2^2)``; an integer of the
 command line (a sampler-spec field, ``--depth``, ``--bit-budget``,
 ``--seed``) is an integer constant of it (``parse_integer``), e.g. ``7``,
@@ -181,21 +181,21 @@ class _Parser:
         if self.peek()[0] != "int":
             raise self.error("exponent must be a non-negative integer")
         exponent = self.take_int()
-        constant = base.terms.get((0,) * base.nvars)
-        if constant is None or len(base.terms) != 1:
+        if len(base.terms) != 1:
             poly = base**exponent
             self.check_cap(poly.terms, poly.terms, column)
             return poly
-        # |a|^e has at least (bits(a) - 1) * e + 1 bits, so that bound
+        # The power of a monomial c*x^e is the one term c^k*x^(k*e).
+        # |c|^k has at least (bits(c) - 1) * k + 1 bits, so that bound
         # refuses a power past the cap before it is built; a power it lets
         # through has at most twice the cap, and is measured once built.
-        if (_bits(constant) - 1) * exponent < DEFAULT_BIT_BUDGET:
-            value = constant**exponent
-            if _bits(value) <= DEFAULT_BIT_BUDGET:
-                return Polynomial.constant(base.nvars, value)
-        raise MapSyntaxError(
-            f"constant power of more than {DEFAULT_BIT_BUDGET} bits", self.line, column
-        )
+        (exps, coeff), = base.terms.items()
+        if (_bits(coeff) - 1) * exponent < DEFAULT_BIT_BUDGET:
+            poly = base**exponent
+            if _bits(*poly.terms.values()) <= DEFAULT_BIT_BUDGET:
+                return poly
+        what = "coefficient" if any(exps) else "constant power"
+        raise MapSyntaxError(f"{what} of more than {DEFAULT_BIT_BUDGET} bits", self.line, column)
 
     def atom(self) -> Polynomial:
         kind, value, _ = self.peek()

@@ -163,6 +163,11 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent}")
+        if len(self.terms) == 1:  # a monomial: one coefficient power
+            (exps, coeff), = self.terms.items()
+            return Polynomial._make(
+                self.nvars, {tuple(e * exponent for e in exps): coeff**exponent}
+            )
         result = Polynomial.constant(self.nvars, 1)
         base = self
         e = exponent

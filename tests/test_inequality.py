@@ -176,14 +176,17 @@ class TestSamplers:
         assert [Fraction(a, q) for a, q in table] == sorted_set_values(num_bound, den_bound)
         assert all(q == Fraction(a, q).denominator for a, q in table)
 
+    # The sampler draws its indices from getrandbits as random.choice does.
+    # (0, 2) has one value, so every draw of getrandbits(1) that reads 1 is
+    # drawn again; (5, 2) has 17, so about half of the 5-bit draws are.
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    @pytest.mark.parametrize("bounds", [(50, 20), (5, 3)])
+    @pytest.mark.parametrize("bounds", [(50, 20), (5, 3), (0, 2), (5, 2)])
     def test_random_sampler_draws_from_the_sorted_set(self, seed, bounds):
         assert_random_sampler_matches_oracle(seed, bounds, 3)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    @pytest.mark.parametrize("bounds", [(50, 20), (5, 3)])
+    @pytest.mark.parametrize("bounds", [(50, 20), (5, 3), (0, 2), (5, 2)])
     def test_random_sampler_draws_in_every_dimension(self, seed, bounds, n):
         assert_random_sampler_matches_oracle(seed, bounds, n)
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from affdyn import kernel
 from affdyn.dynamics import AffineAutomorphism
 from affdyn.heights import weil_height_integer
-from affdyn.parsing import format_point, parse_map_file
+from affdyn.parsing import format_point, parse_map_file, parse_polynomial
 from affdyn.polyring import Polynomial
 
 from conftest import bundled_map_text
@@ -47,10 +47,12 @@ def _canonical_points(draw):
     return tuple(n // g for n in nums), den // g
 
 
-def _maps(henon):
-    return st.sampled_from(
-        [henon.forward, henon.inverse, identity(3).forward]
-    ) | st.lists(_wide_polynomials, min_size=1, max_size=3)
+_HENON = parse_map_file(bundled_map_text())
+_MAPS = st.sampled_from(
+    [_HENON.forward, _HENON.inverse, identity(3).forward]
+) | st.lists(_wide_polynomials, min_size=1, max_size=3)
+
+RATIONAL_MAP = "vars x y\nforward: y | x + y^2/2\ninverse: y - x^2/2 | x\n"
 
 
 _FIXED_NAME = re.compile(
@@ -67,11 +69,22 @@ def _assert_fixed_tokens(source):
             assert tok.type in _STRUCTURE | {tokenize.NUMBER, tokenize.OP}, tok
 
 
-@given(data=st.data())
+def _polynomials(names, *texts):
+    return [parse_polynomial(text, names) for text in texts]
+
+
+# One gcd reduces the whole image: in these examples it removes a high
+# power of den, 2^41 under (x, y + x^2), which maps the point to
+# ((2^19, 1), 2^39), 2^40 under (x/2, y/2 + x^2/4), whose cleared
+# denominators are 2 and 4, and under henon3, and 2^80 under its inverse.
+@given(coords=_MAPS, point=_canonical_points())
+@example(coords=_polynomials(("x", "y"), "x", "y + x^2"), point=((2**20, 1), 2**40))
+@example(coords=_polynomials(("x", "y"), "x/2", "y/2 + x^2/4"), point=((2**20, 1), 2**40))
+@example(coords=_HENON.forward, point=((3, 2**20, 2**20), 2**40))
+@example(coords=_HENON.inverse, point=((2**20, 2**40, 3), 2**40))
 @settings(max_examples=200, deadline=None)
-def test_backends_match_fraction_evaluation(henon, data):
-    coords = data.draw(_maps(henon))
-    nums, den = data.draw(_canonical_points())
+def test_backends_match_fraction_evaluation(coords, point):
+    nums, den = point
     cm = kernel.compile_map(coords)
     _assert_fixed_tokens(cm.source)
     image = kernel.eval_point(cm, nums, den)
@@ -79,6 +92,31 @@ def test_backends_match_fraction_evaluation(henon, data):
     assert image == interpret_map(cm, nums, den)
     point = kernel.to_fractions(nums, den)
     assert kernel.to_fractions(*image) == tuple(p.evaluate(point) for p in coords)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [_HENON.forward, _HENON.inverse, parse_map_file(RATIONAL_MAP).forward,
+     parse_map_file(RATIONAL_MAP).inverse, _polynomials(("x", "y"), "1/2", "-3")],
+    ids=["henon3-forward", "henon3-inverse", "rational-forward", "rational-inverse", "constant"],
+)
+def test_one_gcd_per_rational_image(coords):
+    # The generated source, run again with a gcd that counts its calls,
+    # reduces each image at a point with a denominator by one gcd call.
+    cm = kernel.compile_map(coords)
+    calls = []
+    namespace = {"__builtins__": {}, "gcd": lambda *args: calls.append(args) or gcd(*args)}
+    exec(cm.source, namespace)
+    rng = random.Random(len(coords))
+    for den in (3, 2**40, 6**30 + 1):
+        nums = (1, *(rng.randrange(-den, den) for _ in coords[1:]))
+        calls.clear()
+        assert namespace["eval_map"](nums, den, None) == cm.eval_map(nums, den, None)
+        assert len(calls) == 1
+    # Integer points of a map without cleared denominators take no gcd.
+    calls.clear()
+    namespace["eval_map"]((2, -3, 5)[:len(coords)], 1, None)
+    assert len(calls) == (max(cm.denoms) > 1)
 
 
 def test_common_denominator_form_is_canonical():
@@ -136,8 +174,6 @@ def test_evaluator_source_holds_no_map_text():
 
 
 def test_compile_map_clears_denominators():
-    from affdyn.parsing import parse_polynomial
-
     p = parse_polynomial("1/6*x^2 - 1/4*y", ("x", "y"))
     cm = kernel.compile_map([p])
     assert cm.denoms == (12,)
@@ -209,9 +245,6 @@ def test_square_is_exact_when_the_transform_recurses(n, fill, data):
         assert kernel.square(a) == a * a
 
 
-RATIONAL_MAP = "vars x y\nforward: y | x + y^2/2\ninverse: y - x^2/2 | x\n"
-
-
 def _bundled(name):
     text = RATIONAL_MAP if name == "rational" else bundled_map_text(name)
     mf = parse_map_file(text)
@@ -267,8 +300,8 @@ def test_deep_orbit_matches_oracle_point_for_point(henon, monkeypatch):
 
 @given(data=st.data())
 @settings(max_examples=400, deadline=None)
-def test_exceeds_budget_is_sound(henon, data):
-    coords = data.draw(_maps(henon))
+def test_exceeds_budget_is_sound(data):
+    coords = data.draw(_MAPS)
     nums, den = data.draw(_canonical_points())
     cm = kernel.compile_map(coords)
     bits = kernel.height_integer(*kernel.eval_point(cm, nums, den)).bit_length()

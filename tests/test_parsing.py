@@ -228,6 +228,27 @@ def test_long_sum_parses_equal_to_the_fold():
     assert parse_polynomial(text, XYZ) == fold
 
 
+def test_powers_of_monomials_take_no_product(monkeypatch):
+    # x^i is a one-term power: one coefficient power and one exponent
+    # scaling, with no Polynomial product; the 6,000 products left are
+    # those of the * signs.
+    text = " + ".join(f"{i}*x^{i}" for i in range(1, 6001))
+    products = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    assert parse_polynomial(text, XYZ) == Polynomial(3, {(i, 0, 0): i for i in range(1, 6001)})
+    assert len(products) == 6000
+
+
+@pytest.mark.parametrize("text", ["(3*x)^1000000000", "(-3/2*x*y)^1000000000"])
+def test_monomial_power_past_the_cap_is_refused_before_it_is_built(text, monkeypatch):
+    # The bound (bits(c) - 1) * k + 1 refuses c^k, of about 1.6e9 bits,
+    # before it is built: building it would take minutes.
+    monkeypatch.setattr(Polynomial, "__pow__", lambda *args: pytest.fail("power was built"))
+    with pytest.raises(MapSyntaxError, match="^coefficient of more than 1048576 bits$"):
+        parse_polynomial(text, XYZ)
+
+
 def test_bundled_map_file():
     mf = parse_map_file(bundled_map_text())
     assert mf.names == ("x", "y", "z")

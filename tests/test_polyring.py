@@ -1,6 +1,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affdyn.parsing import parse_polynomial
 from affdyn.polyring import Polynomial, ZeroPolynomialError
@@ -43,6 +44,16 @@ class TestMul:
         p = P("x + 2*y*z")
         assert p * Polynomial.constant(3, 1) == p
         assert (p * Polynomial.zero(3)).is_zero
+
+    @given(polynomials(max_terms=1) | polynomials(), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_power_against_dense_oracle(self, p, exponent):
+        # A one-term base takes its own path: one coefficient power and
+        # one scaling of the exponents.
+        expected = Polynomial.constant(3, 1)
+        for _ in range(exponent):
+            expected = dense_mul(expected, p)
+        assert p**exponent == expected
 
 
 class TestEvaluate:
