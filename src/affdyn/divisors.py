@@ -52,7 +52,7 @@ class DatumError(ValueError):
     """Structurally unusable ledger input (not a mere law violation)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PicBasis:
     """Ordered divisor labels: hyperplane transform first, then exceptionals."""
 
@@ -69,7 +69,7 @@ class PicBasis:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivisorClass:
     """Coefficient vector over a basis; coefficients are ints or Fractions."""
 
@@ -91,7 +91,7 @@ class DivisorClass:
         return " + ".join(pieces)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PushforwardMap:
     """Pushforward to the rank-1 group of projective space.
 
@@ -110,7 +110,7 @@ class PushforwardMap:
             raise DatumError("pushforward multiples must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolutionDatum:
     """Coefficient tables for one side of the pair (see module docstring)."""
 
@@ -138,13 +138,13 @@ class ResolutionDatum:
             raise DatumError("pushforward rank mismatch")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     law: str
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     violations: tuple[Violation, ...]
 
@@ -246,7 +246,7 @@ def check_pushpull_identity(datum: ResolutionDatum) -> bool:
 # -- combination and the effective divisor ------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CombinedResolution:
     """Both sides on one blowup: basis and the three hyperplane pullbacks."""
 
@@ -329,7 +329,7 @@ def compute_D(combined: CombinedResolution) -> DivisorClass:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EffectivityResult:
     effective: bool
     first_negative: str | None = None

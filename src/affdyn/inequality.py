@@ -23,7 +23,12 @@ Records and reports keep that form; a point becomes text only when a
 report is encoded.  A record is flat exact data, the point's ``nums``
 and ``den``, its three height integers and delta; the logs of the
 heights (the Weil heights) are taken from the integers when a report is
-written, not stored.
+written, not stored.  A report keeps its records column-wise
+(``DeltaRecords``): the coordinates of every record in one flat list,
+the denominators in another, the three height integers of every record
+in a third and delta in an ``array('d')``.  A ``DeltaRecord`` is built
+only when a record is read, so a box:20 report retains about 110 bytes
+per record, against about 240 with a named tuple per record.
 
 Verification PASSES when the running minimum stabilizes across nested
 samples.  The rule is fixed: checkpoints fall at ``WARMUP`` = 64 kept
@@ -47,12 +52,14 @@ Within a chunk it formats the log text of each distinct height integer
 once, into a memo dropped with the chunk: box samples repeat heights (of
 box:20's 206,763 height integers about 55,000 are distinct within their
 chunks), and the memo stays as small as a chunk whatever the size of the
-report.  The CSV template quotes the point, as ``csv.writer`` does for
-text with a comma: every point of a report has at least two coordinates,
-since ``batch_verify`` decides regularity, which refuses dimension 1.  An
-integer of more than 4,300 digits is written as exact hex text
-(``parsing.report_int``); each record decides from its three height
-integers whether it needs that rule at all.
+report.  No ``DeltaRecord`` is built while a report is written: the
+writers read each chunk's columns.  The CSV template quotes the point,
+as ``csv.writer`` does for text with a comma: every point of a report
+has at least two coordinates, since ``batch_verify`` decides
+regularity, which refuses dimension 1.  An integer of more than 4,300
+digits is written as exact hex text (``parsing.report_int``); each
+record decides from its three height integers whether it needs that
+rule at all.
 """
 
 from __future__ import annotations
@@ -60,11 +67,14 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
+from operator import index as as_index
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from . import kernel
 from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, InputError, RawPoint, is_regular
@@ -259,6 +269,94 @@ class DeltaRecord(NamedTuple):
         return self.H_point, self.H_forward, self.H_inverse
 
 
+class DeltaRecords(Sequence):
+    """The records of a report: a read-only sequence of ``DeltaRecord``,
+    stored column-wise.
+
+    The columns are the coordinates of every record in one flat list,
+    ``n`` per record; the denominators in a list; the height integers
+    H(P), H(fP) and H(f^{-1}P) of every record in one flat list, three per
+    record; and delta in an ``array('d')``.  A ``DeltaRecord`` is built
+    only when a record is indexed or iterated; the report writers read the
+    columns.  A box:20 record then retains about 110 bytes, its pointers
+    and its own height integers, against about 240 with a named tuple, a
+    ``nums`` tuple and a float object per record.
+
+    The integer columns are lists of Python ints, not integer arrays: the
+    coordinates and heights of a record can reach the bit budget.
+
+    Slices are ``DeltaRecords`` too, and two sequences compare equal when
+    their records do.  Only ``batch_verify`` fills the columns.
+    """
+
+    __slots__ = ("_n", "_coords", "_dens", "_heights", "_deltas")
+
+    def __init__(self, n: int, coords: list, dens: list, heights: list, deltas: array):
+        self._n = n
+        self._coords = coords
+        self._dens = dens
+        self._heights = heights
+        self._deltas = deltas
+
+    def __len__(self) -> int:
+        return len(self._dens)
+
+    def _rows(self) -> Iterator[tuple]:
+        """Each record's fields as a plain tuple, in ``DeltaRecord`` order."""
+        coords = iter(self._coords)
+        heights = iter(self._heights)
+        # zip draws from each iterator in argument order: n coordinates
+        # make one nums tuple, and three heights fill the three fields.
+        nums = zip(*[coords] * self._n)
+        return zip(nums, self._dens, heights, heights, heights, self._deltas)
+
+    def __iter__(self) -> Iterator[DeltaRecord]:
+        return itertools.starmap(DeltaRecord, self._rows())
+
+    def __getitem__(self, index):
+        n = self._n
+        if isinstance(index, slice):
+            rows = range(len(self._dens))[index]
+            if rows.step == 1:
+                a, b = rows.start, rows.stop
+                return DeltaRecords(
+                    n,
+                    self._coords[a * n : b * n],
+                    self._dens[a:b],
+                    self._heights[3 * a : 3 * b],
+                    self._deltas[a:b],
+                )
+            coords, heights = self._coords, self._heights
+            return DeltaRecords(
+                n,
+                [c for i in rows for c in coords[i * n : i * n + n]],
+                [self._dens[i] for i in rows],
+                [h for i in rows for h in heights[3 * i : 3 * i + 3]],
+                array("d", [self._deltas[i] for i in rows]),
+            )
+        i = as_index(index)
+        if i < 0:
+            i += len(self._dens)
+        if not 0 <= i < len(self._dens):
+            raise IndexError("record index out of range")
+        return DeltaRecord(
+            tuple(self._coords[i * n : i * n + n]),
+            self._dens[i],
+            *self._heights[3 * i : 3 * i + 3],
+            self._deltas[i],
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, DeltaRecords):
+            return NotImplemented
+        return (
+            self._dens == other._dens
+            and self._coords == other._coords
+            and self._heights == other._heights
+            and self._deltas == other._deltas
+        )
+
+
 # -- reports ---------------------------------------------------------------
 
 
@@ -288,15 +386,16 @@ _CSV_RECORD = '"%s",%s,%s,%s,%s,%s,%s,%r\n'
 CHUNK_RECORDS = 2048
 
 
-def _chunks(records: tuple[DeltaRecord, ...]) -> Iterator[tuple[DeltaRecord, ...]]:
+def _chunks(records: DeltaRecords) -> Iterator[DeltaRecords]:
     for start in range(0, len(records), CHUNK_RECORDS):
         yield records[start : start + CHUNK_RECORDS]
 
 
-def _record_fields(chunk: Sequence[DeltaRecord], int_text) -> Iterator[tuple]:
+def _record_fields(chunk: DeltaRecords, int_text) -> Iterator[tuple]:
     """The fields of each record of ``chunk`` in CSV column order: point
     text, the three height integers (through ``int_text`` in a record
-    that is not all decimal), their three log texts and delta.
+    that is not all decimal), their three log texts and delta.  They are
+    read from the chunk's columns; no ``DeltaRecord`` is built.
 
     The log text of each distinct height integer is formatted once, into a
     dict dropped with the chunk.  The lookups are inline: a call per lookup
@@ -304,7 +403,7 @@ def _record_fields(chunk: Sequence[DeltaRecord], int_text) -> Iterator[tuple]:
     """
     texts = {}
     get = texts.get
-    for nums, den, H_p, H_f, H_i, delta in chunk:
+    for nums, den, H_p, H_f, H_i, delta in chunk._rows():
         if (h_p := get(H_p)) is None:
             h_p = texts[H_p] = repr(log(H_p))
         if (h_f := get(H_f)) is None:
@@ -320,13 +419,18 @@ def _record_fields(chunk: Sequence[DeltaRecord], int_text) -> Iterator[tuple]:
 
 @dataclass(frozen=True)
 class DeltaReport:
-    """Sample-wide report: records, lower envelope, stabilization verdict."""
+    """Sample-wide report: records, lower envelope, stabilization verdict.
+
+    ``records`` is a ``DeltaRecords``, a read-only sequence that keeps the
+    records column-wise (about 110 bytes per box:20 record) and builds
+    each ``DeltaRecord`` when it is read.  ``argmin`` is the sampled
+    point's ``(nums, den)`` form."""
 
     map_id: str
     degrees: tuple[int, int]
     sample: dict
     regularity: str
-    records: tuple[DeltaRecord, ...]
+    records: DeltaRecords
     min_delta: float
     argmin: RawPoint | None
     skipped: int
@@ -453,7 +557,10 @@ def batch_verify(
     d, d_inv = automorphism.degrees
     weight = 1.0 + 1.0 / (d * d_inv)
 
-    records: list[DeltaRecord] = []
+    coords: list[int] = []
+    dens: list[int] = []
+    heights: list[int] = []
+    deltas = array("d")
     skipped = 0
     running_min = float("inf")
     argmin: RawPoint | None = None
@@ -481,20 +588,24 @@ def batch_verify(
             skipped += 1
             continue
         delta = log(h_forward) / d + log(h_inverse) / d_inv - weight * log(height)
-        records.append(DeltaRecord(nums, den, height, h_forward, h_inverse, delta))
+        coords += nums
+        dens.append(den)
+        heights += height, h_forward, h_inverse
+        deltas.append(delta)
         if delta < running_min:
             running_min = delta
             argmin = raw
-        if len(records) == next_checkpoint:
-            checkpoints.append((len(records), running_min))
+        if len(dens) == next_checkpoint:
+            checkpoints.append((next_checkpoint, running_min))
             next_checkpoint *= 4
-    if records and (not checkpoints or checkpoints[-1][0] != len(records)):
-        checkpoints.append((len(records), running_min))
+    kept = len(dens)
+    if kept and (not checkpoints or checkpoints[-1][0] != kept):
+        checkpoints.append((kept, running_min))
 
     stabilized = False
-    if not records:
+    if not kept:
         note = "the sample kept no point; nothing to verify"
-    elif len(records) < WARMUP:
+    elif kept < WARMUP:
         note = "sample below warmup; stabilization not evaluated"
     elif len(checkpoints) == 1:
         note = "one checkpoint, at warmup; stabilization not evaluated"
@@ -508,8 +619,8 @@ def batch_verify(
         degrees=automorphism.degrees,
         sample=sampler.describe(),
         regularity=regularity,
-        records=tuple(records),
-        min_delta=running_min if records else float("nan"),
+        records=DeltaRecords(n, coords, dens, heights, deltas),
+        min_delta=running_min if kept else float("nan"),
         argmin=argmin,
         skipped=skipped,
         checkpoints=tuple(checkpoints),

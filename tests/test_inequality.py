@@ -15,6 +15,7 @@ from affdyn.inequality import (
     BoxSampler,
     CHUNK_RECORDS,
     CompositeSampler,
+    DeltaRecord,
     DeltaReport,
     OrbitSampler,
     RandomRationalSampler,
@@ -333,6 +334,55 @@ class TestBatchVerify:
         a = json.dumps(batch_verify(henon, sampler).to_json_dict(), sort_keys=True)
         b = json.dumps(batch_verify(henon, sampler).to_json_dict(), sort_keys=True)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "sampler", [BoxSampler(2), RationalBoxSampler(1, 2)], ids=["box", "rationals"]
+    )
+    def test_records_are_a_read_only_sequence_of_records(self, henon, sampler):
+        # The columns give back, by iteration and by index, the records
+        # that batch_verify measured, in sample order.
+        report = batch_verify(henon, sampler)
+        records = report.records
+        listed = tuple(records)
+        count = len(listed)
+        assert len(records) == count == 5**3 and records
+        assert all(type(r) is DeltaRecord and len(r.nums) == henon.n for r in listed)
+        assert [r.point for r in listed] == list(sampler.points(henon, DEFAULT_BIT_BUDGET))
+        assert [records[i] for i in range(count)] == list(listed)
+        assert [records[i] for i in range(-count, 0)] == list(listed)
+        assert records[True] == listed[1]
+        for index in (count, -count - 1, 10**30):
+            with pytest.raises(IndexError):
+                records[index]
+        with pytest.raises(TypeError):
+            records["0"]
+        for cut in (
+            slice(None),
+            slice(3, 40),
+            slice(-7, None),
+            slice(None, 5, 3),
+            slice(None, None, -2),
+            slice(40, 3),
+            slice(count + 5, None),
+            slice(2, -2, 7),
+        ):
+            part = records[cut]
+            assert type(part) is type(records)
+            assert tuple(part) == listed[cut]
+            assert len(part) == len(listed[cut])
+            assert [part[i] for i in range(len(part))] == list(listed[cut])
+        assert records[::-1][0] == listed[-1] and records[1:][-1] == listed[-1]
+
+        again = batch_verify(henon, sampler)
+        assert again.records == records and again == report
+        assert records[1:] != records[:-1] and records != listed
+
+        empty = batch_verify(henon, RationalBoxSampler(5, 0)).records
+        assert len(empty) == 0 and not empty and tuple(empty) == ()
+        assert empty == records[:0] == records[count:] and not empty[2:9]
+        for index in (0, -1):
+            with pytest.raises(IndexError):
+                empty[index]
 
     def test_stabilization_checkpoints(self, henon):
         report = batch_verify(henon, BoxSampler(5))

@@ -1,8 +1,9 @@
 """A δ record keeps exact data only: the point's ``(nums, den)`` form, its
 three height integers and δ.  The logs of the heights are derived from the
 integers when a report is written, so a report holds no float per record
-but δ.  Writing a report holds one chunk of records at a time, so the
-writers' memory does not grow with the report."""
+but δ, and it keeps its records column-wise.  Writing a report holds one
+chunk of records at a time, so the writers' memory does not grow with the
+report."""
 
 import csv
 import gc
@@ -25,16 +26,27 @@ from affdyn.inequality import (
 )
 
 # Bytes that the report of batch_verify retains per record, as tracemalloc
-# counts them on 64-bit CPython 3.11: about 200 for the flat record, and
-# about 380 when each record also held a nested point and height tuple and
-# the three logs as floats.
-RETAINED_BYTES_PER_RECORD = 280
+# counts them on 64-bit CPython 3.11.  The records are kept column-wise:
+# pointers in flat lists, delta in an array of doubles, and the height
+# integers that small-int caching does not share.  That is about 85 bytes
+# for a box:6 record and 100 for a rationals:4:3 one, against about 210
+# and 225 with a named tuple, a nums tuple and a float object per record.
+RETAINED_BYTES_PER_RECORD = 150
+# A random:3000:50:20 record also holds coordinates and a denominator of
+# its own: about 270 bytes, against about 390.
+RANDOM_RETAINED_BYTES_PER_RECORD = 320
 
 
 @pytest.mark.parametrize(
-    "sampler", [BoxSampler(6), RationalBoxSampler(4, 3)], ids=["box", "rationals"]
+    "sampler, count, bound",
+    [
+        (BoxSampler(6), 13**3, RETAINED_BYTES_PER_RECORD),
+        (RationalBoxSampler(4, 3), 19**3, RETAINED_BYTES_PER_RECORD),
+        (RandomRationalSampler(3000, 50, 20, 1), 3000, RANDOM_RETAINED_BYTES_PER_RECORD),
+    ],
+    ids=["box", "rationals", "random"],
 )
-def test_records_retain_few_bytes(henon, sampler):
+def test_records_retain_few_bytes(henon, sampler, count, bound):
     batch_verify(henon, sampler)  # warm-up: regularity and compiled maps
     gc.collect()
     tracemalloc.start()
@@ -44,8 +56,8 @@ def test_records_retain_few_bytes(henon, sampler):
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(report.records) in (13**3, 19**3)
-    assert retained / len(report.records) < RETAINED_BYTES_PER_RECORD
+    assert len(report.records) == count
+    assert retained / len(report.records) < bound
 
 
 def test_record_fields_are_exact_integers_and_delta(henon):
