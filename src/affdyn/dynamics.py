@@ -38,7 +38,6 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import comb, gcd
 from typing import Literal, Sequence
 
@@ -87,8 +86,8 @@ class OrbitResult:
     """Orbit segment ``[P, f(P), ..., f^k(P)]`` with truncation metadata.
 
     ``raw`` holds the points in the kernel's canonical ``(nums, den)`` form;
-    ``points`` gives them as ``Fraction`` tuples; ``heights`` holds the
-    height integer of each, as ``kernel.step`` measured it.  ``truncated``
+    ``heights`` holds the height integer of each, as ``kernel.step``
+    measured it.  ``truncated``
     is set when the bit budget stopped iteration before the requested
     depth; ``completed_depth`` then reports the last index that was
     actually computed.
@@ -97,10 +96,6 @@ class OrbitResult:
     raw: tuple[RawPoint, ...]
     heights: tuple[int, ...]
     truncated: bool = False
-
-    @cached_property
-    def points(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(kernel.to_fractions(nums, den) for nums, den in self.raw)
 
     @property
     def completed_depth(self) -> int:

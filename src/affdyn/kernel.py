@@ -7,10 +7,11 @@ This form is unique, maps directly onto the primitive homogeneous vector
 ``Fraction`` overhead.  It is the one point form inside the package: the
 samplers yield it (the rational ones build it from reduced integer pairs
 with ``from_pairs``, which ``to_common_denominator`` calls too),
-orbits and inequality records keep it, and ``to_common_denominator`` and
-``to_fractions`` convert only at the API edges: the start point of
-``orbit``, ``weil_height_integer`` and ``format_point`` (which the
-``height`` subcommand calls) and ``OrbitResult.points``.
+orbits and inequality records keep it, and ``to_common_denominator``
+converts only at the API edges: the start point of ``orbit``,
+``weil_height_integer`` and ``format_point`` (which the ``height``
+subcommand calls).  No function of the package turns a point back into
+``Fraction`` coordinates.
 ``to_common_denominator`` takes ``int`` and ``Fraction`` coordinates only,
 which carry exact reduced parts; anything else is a ``TypeError``.
 The raw-point statistic lives here too: ``height_integer``, the Weil
@@ -403,10 +404,6 @@ def from_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
     """
     den = lcm(*[q for _, q in pairs])
     return tuple([a * (den // q) for a, q in pairs]), den
-
-
-def to_fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(n, den) for n in nums)
 
 
 def max_bits(nums: Sequence[int], den: int) -> int:

@@ -5,6 +5,9 @@ dense-array polynomial arithmetic, Horner-style evaluation, a table
 interpreter for compiled maps, brute-force grid searches, the extension
 at infinity read off a line through the origin, and a dense exact rank of
 the Macaulay rows that the regularity decision eliminates sparsely.
+The package keeps points in ``(nums, den)`` form only; ``to_fractions``
+and ``orbit_points`` give them the ``Fraction`` coordinates that
+``Polynomial.evaluate`` and the exact comparisons here take.
 """
 
 from __future__ import annotations
@@ -31,6 +34,17 @@ def apply(
     """Exact image of a rational point by ``Polynomial.evaluate`` on each
     coordinate: ``Fraction`` arithmetic, not the kernel."""
     return tuple(p.evaluate(point) for p in automorphism.coordinates(direction))
+
+
+def to_fractions(nums, den) -> tuple[Fraction, ...]:
+    """A point's canonical ``(nums, den)`` form as ``Fraction`` coordinates,
+    the form that ``Polynomial.evaluate`` takes."""
+    return tuple(Fraction(a, den) for a in nums)
+
+
+def orbit_points(orbit) -> tuple[tuple[Fraction, ...], ...]:
+    """The points of an ``OrbitResult`` as ``Fraction`` tuples."""
+    return tuple(to_fractions(nums, den) for nums, den in orbit.raw)
 
 
 def to_dense(p: Polynomial) -> np.ndarray:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from affdyn.inequality import (
 from affdyn.parsing import DECIMAL_LIMIT, parse_map_file
 
 from conftest import count_calls
-from oracles import horner_eval, identity
+from oracles import horner_eval, identity, to_fractions
 
 LOG2 = math.log(2)
 
@@ -54,7 +55,7 @@ def fraction_sweep(automorphism, samplers):
         for sampler in samplers:
             kept, skipped = [], 0
             for raw in sampler.points(automorphism, budget):
-                point = kernel.to_fractions(*raw)
+                point = to_fractions(*raw)
                 heights = tuple(weil_height_integer(q) for q in (
                     point,
                     tuple(horner_eval(c, point) for c in automorphism.forward),
@@ -84,14 +85,31 @@ def assert_random_sampler_matches_oracle(seed, bounds, n):
 
 
 class FixedSampler:
-    def __init__(self, raw):
-        self.raw = raw
+    """The given ``(nums, den)`` points, in order."""
+
+    def __init__(self, *raws):
+        self.raws = raws
 
     def describe(self):
         return {"kind": "fixed"}
 
     def points(self, automorphism, bit_budget):
-        yield self.raw
+        yield from self.raws
+
+
+def assert_records_match_fraction_oracle(automorphism, report):
+    """Every record of ``report``, recomputed through
+    ``Polynomial.evaluate``: the three height integers and delta."""
+    d, d_inv = automorphism.degrees
+    assert report.records
+    for record in report.records:
+        point = to_fractions(*record.point)
+        image = tuple(p.evaluate(point) for p in automorphism.forward)
+        preimage = tuple(p.evaluate(point) for p in automorphism.inverse)
+        ints = tuple(weil_height_integer(q) for q in (point, image, preimage))
+        assert record.height_integers == ints
+        h_p, h_f, h_i = (math.log(h) for h in ints)
+        assert record.delta == h_f / d + h_i / d_inv - (1 + 1 / (d * d_inv)) * h_p
 
 
 def delta_at(automorphism, point) -> float:
@@ -129,18 +147,7 @@ class TestDeltaStatistic:
         ids=["box", "orbit"],
     )
     def test_records_match_fraction_oracle(self, henon, sampler):
-        # Recompute every kernel record through Polynomial.evaluate.
-        report = batch_verify(henon, sampler)
-        d, d_inv = henon.degrees
-        assert report.records
-        for record in report.records:
-            point = kernel.to_fractions(*record.point)
-            image = tuple(p.evaluate(point) for p in henon.forward)
-            preimage = tuple(p.evaluate(point) for p in henon.inverse)
-            ints = tuple(weil_height_integer(q) for q in (point, image, preimage))
-            assert record.height_integers == ints
-            h_p, h_f, h_i = (math.log(h) for h in ints)
-            assert record.delta == h_f / d + h_i / d_inv - (1 + 1 / (d * d_inv)) * h_p
+        assert_records_match_fraction_oracle(henon, batch_verify(henon, sampler))
 
 
 class TestSamplers:
@@ -422,6 +429,52 @@ class TestBatchVerify:
             assert report.stabilization_note == (
                 f"min moved {drift} between the last two checkpoints"
             )
+
+
+class TestWordColumns:
+    """A report's integer columns are machine words until a record's
+    largest height integer passes 63 bits, and lists of ints from then on.
+
+    henon3 maps ``(0, 0, z)`` to ``(0, z, z^2)`` and back to ``(z, 0, 0)``,
+    so the largest height of that record is ``z^2``."""
+
+    BELOW = ((0, 0, 3_037_000_499), 1)  # z^2 has 63 bits
+    ABOVE = ((0, 0, 3_037_000_500), 1)  # z^2 has 64 bits
+    SMALL = ((1, 2, 3), 1)
+
+    @staticmethod
+    def column_types(report) -> set:
+        records = report.records
+        return {type(records._coords), type(records._dens), type(records._heights)}
+
+    # batch_verify moves its staged records into the columns every
+    # CHUNK_RECORDS records: with 1 the 64-bit record widens columns that
+    # already hold a record, and with 2048 it widens empty ones.
+    @pytest.mark.parametrize("chunk", [1, 2, CHUNK_RECORDS])
+    def test_columns_widen_once_past_63_bits(self, henon, monkeypatch, chunk):
+        monkeypatch.setattr(inequality, "CHUNK_RECORDS", chunk)
+        words = batch_verify(henon, FixedSampler(self.BELOW, self.SMALL))
+        wide = batch_verify(henon, FixedSampler(self.BELOW, self.ABOVE, self.SMALL))
+        assert max(wide.records[0].height_integers) == 3_037_000_499**2 < 2**63
+        assert max(wide.records[1].height_integers) == 3_037_000_500**2 >= 2**63
+        assert self.column_types(words) == {array}
+        assert self.column_types(wide) == {list}
+        assert self.column_types(batch_verify(henon, FixedSampler(self.BELOW))) == {array}
+        assert self.column_types(batch_verify(henon, FixedSampler(self.ABOVE))) == {list}
+
+        for report in (words, wide):
+            assert_records_match_fraction_oracle(henon, report)
+            TestReportWriters.assert_writers_match_reference(report)
+            for record in report.records:
+                assert {type(v) for v in (*record.nums, record.den, *record.height_integers)} == {int}
+
+        # A stepped slice has list columns and a contiguous one keeps the
+        # arrays; records compare by content, whatever the column types.
+        stepped, contiguous = words.records[::2], words.records[:1]
+        assert type(stepped._dens) is list and type(contiguous._dens) is array
+        assert stepped == contiguous and tuple(stepped) == tuple(contiguous)
+        assert wide.records[::2] == words.records and wide.records[:1] == words.records[:1]
+        assert wide.records[1:] != words.records[1:]
 
 
 class TestReportWriters:

@@ -20,7 +20,7 @@ from affdyn.parsing import format_point, parse_map_file, parse_polynomial
 from affdyn.polyring import Polynomial
 
 from conftest import bundled_map_text
-from oracles import identity, interpret_map
+from oracles import identity, interpret_map, to_fractions
 
 
 def _canonical(nums, den):
@@ -90,8 +90,8 @@ def test_backends_match_fraction_evaluation(coords, point):
     image = kernel.eval_point(cm, nums, den)
     _canonical(*image)
     assert image == interpret_map(cm, nums, den)
-    point = kernel.to_fractions(nums, den)
-    assert kernel.to_fractions(*image) == tuple(p.evaluate(point) for p in coords)
+    point = to_fractions(nums, den)
+    assert to_fractions(*image) == tuple(p.evaluate(point) for p in coords)
 
 
 @pytest.mark.parametrize(
@@ -144,7 +144,7 @@ def test_point_edge_takes_only_int_and_fraction(henon, call, coordinate):
 
 def test_to_fractions_roundtrip():
     point = (Fraction(5, 3), Fraction(0), Fraction(-7, 2))
-    assert kernel.to_fractions(*kernel.to_common_denominator(point)) == point
+    assert to_fractions(*kernel.to_common_denominator(point)) == point
 
 
 def test_orbit_agrees_between_backends(henon):

@@ -1,7 +1,8 @@
 """A δ record keeps exact data only: the point's ``(nums, den)`` form, its
 three height integers and δ.  The logs of the heights are derived from the
 integers when a report is written, so a report holds no float per record
-but δ, and it keeps its records column-wise.  Writing a report holds one
+but δ, and it keeps its records column-wise, in machine words while they
+fit.  Writing a report holds one
 chunk of records at a time, so the writers' memory does not grow with the
 report."""
 
@@ -26,15 +27,17 @@ from affdyn.inequality import (
 )
 
 # Bytes that the report of batch_verify retains per record, as tracemalloc
-# counts them on 64-bit CPython 3.11.  The records are kept column-wise:
-# pointers in flat lists, delta in an array of doubles, and the height
-# integers that small-int caching does not share.  That is about 85 bytes
-# for a box:6 record and 100 for a rationals:4:3 one, against about 210
-# and 225 with a named tuple, a nums tuple and a float object per record.
-RETAINED_BYTES_PER_RECORD = 150
-# A random:3000:50:20 record also holds coordinates and a denominator of
-# its own: about 270 bytes, against about 390.
-RANDOM_RETAINED_BYTES_PER_RECORD = 320
+# counts them on 64-bit CPython 3.11.  The records are kept column-wise,
+# and while every height fits in 63 bits the coordinates, denominators and
+# height integers are machine words in arrays, beside delta in an array of
+# doubles: 8 bytes per integer and per delta, plus the arrays' spare
+# capacity.  That is about 75 bytes for a box:6 record and 70 for a
+# rationals:4:3 one, against about 85 and 101 with lists of int objects.
+RETAINED_BYTES_PER_RECORD = 90
+# A random:3000:50:20 record, about 96 bytes, against about 269 with lists
+# of int objects.  About 23 of the 96 are pairs of the sampler's value
+# table that CPython's tuple free list keeps and tracemalloc counts.
+RANDOM_RETAINED_BYTES_PER_RECORD = 120
 
 
 @pytest.mark.parametrize(

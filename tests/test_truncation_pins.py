@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from affdyn.heights import canonical_estimate
 
-from oracles import identity
+from oracles import identity, orbit_points
 
 STARTS = {
     "origin": (0, 0, 0),
@@ -38,7 +38,7 @@ def orbit_pin(automorphism, point, budget, direction):
         result = automorphism.orbit(point, ORBIT_DEPTH, direction, budget)
     except ValueError:
         return None
-    return (result.completed_depth, result.truncated, _digest(result.points))
+    return (result.completed_depth, result.truncated, _digest(orbit_points(result)))
 
 
 def canonical_pin(automorphism, point, budget, direction):
