@@ -84,7 +84,9 @@ class CanonicalHeightEstimate:
     def estimate(self) -> float:
         return self.values[-1]
 
-    def to_report(self) -> dict:
+    def to_side_report(self) -> dict:
+        """The report of one side, the ``plus`` or ``minus`` field of
+        ``CanonicalHeight.to_report``."""
         return {
             "direction": self.direction,
             "ratio": self.ratio,
@@ -172,8 +174,8 @@ class CanonicalHeight:
             "tail_bound": self.tail_bound if math.isfinite(self.tail_bound) else None,
             "certified": self.certified,
             "point": format_raw_point(*self.plus.point),
-            "plus": self.plus.to_report(),
-            "minus": self.minus.to_report(),
+            "plus": self.plus.to_side_report(),
+            "minus": self.minus.to_side_report(),
         }
 
 

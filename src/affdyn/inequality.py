@@ -53,24 +53,31 @@ PASS.
 Per-point evaluations are independent (parallelizable); report assembly
 is a single sequential reduction, which keeps record order deterministic.
 
-``DeltaReport.write_json`` and ``write_csv`` write a report record by
-record, each record filled into one fixed template per format, in bounded
-chunks of ``CHUNK_RECORDS`` records.  Their bytes equal ``json.dumps``
-(compact, key-sorted) over ``to_json_dict`` and ``csv.writer`` over
+``DeltaReport.write_json`` and ``write_csv`` write a report in bounded
+chunks of ``CHUNK_RECORDS`` records, each record filled into one fixed
+template per format.  Their bytes equal ``json.dumps`` (compact,
+key-sorted) over ``to_json_dict`` and ``csv.writer`` over
 ``to_csv_rows``, the readable reference layouts; the tests hold them to
-that.  Both take a record's fields from one generator, ``_record_fields``.
-Within a chunk it formats the log text of each distinct height integer
-once, into a memo dropped with the chunk: box samples repeat heights (of
+that.  Both take a chunk's fields from one builder, ``_text_columns``,
+which turns the chunk's record columns into eight field columns (point
+texts, the three height integers, their three log texts, delta) that
+each writer zips in its own field order.  No ``DeltaRecord`` is built
+while a report is written.  An integer of more than 4,300 digits is
+written as exact hex text (``parsing.report_int``).  The column type
+decides once per chunk whether that rule is needed: machine-word columns
+hold integers below 2^63, always decimal, so only a chunk with list
+columns applies the rule integer by integer.  A machine-word chunk whose
+denominators are all 1 gets its point texts from one ``str`` map over
+its coordinates, joined ``n`` at a time; every other chunk formats each
+point in lowest terms (``parsing.format_raw_point``).  The builder
+formats the log text of each distinct height integer of the chunk once,
+into a memo dropped with the chunk: box samples repeat heights (of
 box:20's 206,763 height integers about 55,000 are distinct within their
-chunks), and the memo stays as small as a chunk whatever the size of the
-report.  No ``DeltaRecord`` is built while a report is written: the
-writers read each chunk's columns.  The CSV template quotes the point,
-as ``csv.writer`` does for text with a comma: every point of a report
-has at least two coordinates, since ``batch_verify`` decides
-regularity, which refuses dimension 1.  An integer of more than 4,300
-digits is written as exact hex text (``parsing.report_int``); each
-record decides from its three height integers whether it needs that
-rule at all.
+chunks), and the memo stays as small as a chunk whatever the size of
+the report.  The CSV template quotes the point, as ``csv.writer`` does
+for text with a comma: every point of a report has at least two
+coordinates, since ``batch_verify`` decides regularity, which refuses
+dimension 1.
 """
 
 from __future__ import annotations
@@ -84,13 +91,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
 from operator import index as as_index
-from operator import itemgetter
 from struct import pack
 from typing import Iterator, NamedTuple
 
 from . import kernel
 from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, InputError, RawPoint, is_regular
-from .parsing import DECIMAL_LIMIT, format_point, format_raw_point, report_int
+from .parsing import format_point, format_raw_point, report_int
 
 Point = tuple[Fraction, ...]
 
@@ -376,25 +382,19 @@ class DeltaRecords(Sequence):
 # -- reports ---------------------------------------------------------------
 
 
-# One record of each report format.  Both are filled from the fields of
-# ``_record_fields``, the CSV template as they come and the JSON template
-# in its key-sorted order (``_JSON_FIELDS``).  The three logs arrive as
-# ``repr(log(H))`` and are filled in with ``%s``; delta is filled in with
-# ``%r``.  ``repr`` of a float is ``float.__repr__``, which the json C
-# encoder and csv.writer both use.
-#
-# Each record picks decimal or hex itself.  A record whose three height
-# integers are below ``DECIMAL_LIMIT`` is written in decimal as it stands:
-# a point's integers never exceed its height.  Any other record takes the
-# ``report_int`` rule integer by integer.  The three comparisons per
-# record keep the texts of box:20's CSV records at about 0.18 s, against
-# 0.24 s with a ``report_int`` call per integer (in process, median of 15
-# interleaved runs).
+# One record of each report format.  Each writer zips the columns of
+# ``_text_columns`` in its own field order: the CSV template in CSV column
+# order, the JSON template in its key-sorted order.  The three logs arrive
+# as ``repr(log(H))`` and are filled in with ``%s``; delta is filled in
+# with ``%r``.  ``repr`` of a float is ``float.__repr__``, which the json C
+# encoder and csv.writer both use.  A chunk is filled by one ``%`` over the
+# template repeated once per record, with the records' fields in one flat
+# tuple: on box:20 that formatted the chunks 7-10% faster than one ``%``
+# per record (in process, 15 interleaved runs).
 _JSON_RECORD = (
     '{"delta":%r,"h_forward":%s,"h_inverse":%s,"h_point":%s,'
     '"height_integers":[%s,%s,%s],"point":"%s"}'
 )
-_JSON_FIELDS = itemgetter(7, 5, 6, 4, 1, 2, 3, 0)
 _CSV_RECORD = '"%s",%s,%s,%s,%s,%s,%s,%r\n'
 
 # Records per write call: bounded chunks keep the whole report text out of
@@ -408,30 +408,36 @@ def _chunks(records: DeltaRecords) -> Iterator[DeltaRecords]:
         yield records[start : start + CHUNK_RECORDS]
 
 
-def _record_fields(chunk: DeltaRecords, int_text) -> Iterator[tuple]:
-    """The fields of each record of ``chunk`` in CSV column order: point
-    text, the three height integers (through ``int_text`` in a record
-    that is not all decimal), their three log texts and delta.  They are
-    read from the chunk's columns; no ``DeltaRecord`` is built.
+def _text_columns(chunk: DeltaRecords, int_text) -> tuple:
+    """The eight field columns of ``chunk`` in CSV column order, as
+    iterables: point texts, the height integers H(P), H(fP) and
+    H(f^{-1}P), their log texts and delta.
 
-    The log text of each distinct height integer is formatted once, into a
-    dict dropped with the chunk.  The lookups are inline: a call per lookup
-    costs as much as the memo saves.
+    Machine-word columns hold integers below
+    2^63 < ``parsing.DECIMAL_LIMIT``, so their integers are written in
+    decimal as they stand.  List columns appear only after a record passes
+    63 bits; there every height integer goes through ``int_text`` and every
+    point through the ``report_int`` rule of ``format_raw_point``.  The
+    module docstring gives the rules.
     """
-    texts = {}
-    get = texts.get
-    for nums, den, H_p, H_f, H_i, delta in chunk._rows():
-        if (h_p := get(H_p)) is None:
-            h_p = texts[H_p] = repr(log(H_p))
-        if (h_f := get(H_f)) is None:
-            h_f = texts[H_f] = repr(log(H_f))
-        if (h_i := get(H_i)) is None:
-            h_i = texts[H_i] = repr(log(H_i))
-        if H_p < DECIMAL_LIMIT and H_f < DECIMAL_LIMIT and H_i < DECIMAL_LIMIT:
-            yield format_raw_point(nums, den, True), H_p, H_f, H_i, h_p, h_f, h_i, delta
-        else:
-            point = format_raw_point(nums, den, False)
-            yield point, int_text(H_p), int_text(H_f), int_text(H_i), h_p, h_f, h_i, delta
+    n, coords, dens, heights = chunk._n, chunk._coords, chunk._dens, chunk._heights
+    words = type(heights) is array
+    if words and dens.count(1) == len(dens):
+        # One iterator n times over: zip takes n coordinates per point.
+        points = map(",".join, zip(*[map(str, coords)] * n))
+    else:
+        nums = zip(*[iter(coords)] * n)
+        points = map(format_raw_point, nums, dens, itertools.repeat(words))
+    # The memo of log texts is filled in place: a set of the heights and
+    # then a dict built from it would hold both at once.
+    texts = dict.fromkeys(heights)
+    for h in texts:
+        texts[h] = repr(log(h))
+    integers = [heights[0::3], heights[1::3], heights[2::3]]
+    logs = [map(texts.__getitem__, column) for column in integers]
+    if not words:
+        integers = [map(int_text, column) for column in integers]
+    return (points, *integers, *logs, chunk._deltas)
 
 
 @dataclass(frozen=True)
@@ -532,8 +538,11 @@ class DeltaReport:
         handle.write(before + '"records":[')
         separator = ""
         for chunk in _chunks(self.records):
-            fields = _record_fields(chunk, lambda h: json.dumps(report_int(h)))
-            handle.write(separator + ",".join([_JSON_RECORD % _JSON_FIELDS(f) for f in fields]))
+            point, H_p, H_f, H_i, h_p, h_f, h_i, delta = _text_columns(
+                chunk, lambda h: json.dumps(report_int(h))
+            )
+            fields = itertools.chain.from_iterable(zip(delta, h_f, h_i, h_p, H_p, H_f, H_i, point))
+            handle.write(separator + ",".join([_JSON_RECORD] * len(chunk)) % tuple(fields))
             separator = ","
         handle.write("]" + after + "\n")
 
@@ -542,7 +551,8 @@ class DeltaReport:
         with ``"\n"`` line ends, each record filled into a fixed template."""
         handle.write(",".join(self.CSV_HEADER) + "\n")
         for chunk in _chunks(self.records):
-            handle.write("".join([_CSV_RECORD % f for f in _record_fields(chunk, report_int)]))
+            fields = itertools.chain.from_iterable(zip(*_text_columns(chunk, report_int)))
+            handle.write(_CSV_RECORD * len(chunk) % tuple(fields))
 
 
 # -- batch verification ----------------------------------------------------

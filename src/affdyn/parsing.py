@@ -9,11 +9,38 @@ rejected.  Digits are ASCII ``0-9``.  Every coefficient that a
 ``+ - * / ^`` builds must stay within ``DEFAULT_BIT_BUDGET`` (2^20) bits
 in numerator and denominator: ``2^1048575`` reads, ``2^1048576``,
 ``(3*x)^1000000000`` and ``2^1048575*2^1048575`` are ``MapSyntaxError``s,
-a power of one term raised before it is built.  A point is a comma-separated list of constants of this
-syntax, e.g. ``1,1/2,-3`` or ``(1/2, -3, 2^2)``; an integer of the
-command line (a sampler-spec field, ``--depth``, ``--bit-budget``,
-``--seed``) is an integer constant of it (``parse_integer``), e.g. ``7``,
-``-7``, ``2^24`` or ``6/2``.
+a power of one term raised before it is built.
+
+A power ``p^k`` of a polynomial of ``t >= 2`` terms is bounded before it
+is built, by the work of building it.  Write ``p = P/Q``, with ``Q`` the
+lcm of the denominators of ``p``'s coefficients, and let ``L`` be the bit
+length of the larger of ``Q`` and the sum of the absolute values of
+``P``'s coefficients.
+
+- For ``j <= k``, each coefficient of ``p^j`` is a coefficient of
+  ``P^j``, at most ``(sum |P|)^j`` in absolute value, over ``Q^j``.  So
+  its numerator and denominator have at most ``j*L <= k*L`` bits.
+- ``p^j`` has at most ``T = min(C(k+t-1, k), prod_v (k*deg_v(p) + 1))``
+  terms: each of its monomials is the product of a multiset of ``j`` of
+  ``p``'s ``t`` monomials, and its exponent of a variable ``v`` lies in
+  ``[0, j*deg_v(p)]``.
+- ``Polynomial.__pow__`` builds ``p^k`` by repeated squaring: fewer than
+  ``2*bits(k)`` products ``p^i * p^j`` with ``i, j <= k``, each of at
+  most ``T^2`` products of coefficients of at most ``k*L`` bits.
+
+So ``W = T^2 * k * L`` bounds the work of each product, and a power with
+``W > POWER_WORK = 2^28`` is a ``MapSyntaxError`` at the column of its
+base, raised before any product.  ``T >= k + 1``, because ``p`` has a
+variable of positive degree and ``C(k+t-1, k) >= k + 1``, and ``L >= 1``;
+so ``W >= k^3``, and an exponent with ``k^3 > 2^28`` is refused without
+counting.  ``(y+1)^500`` reads (``W`` about ``2.5e8``; 0.6 to 0.9 s on a
+2-vCPU x86_64 VM), ``(y+1)^515`` and ``(y+1)^3000`` do not.
+
+A point is a comma-separated list of constants of this syntax, e.g.
+``1,1/2,-3`` or ``(1/2, -3, 2^2)``; an integer of the command line (a
+sampler-spec field, ``--depth``, ``--bit-budget``, ``--seed``) is an
+integer constant of it (``parse_integer``), e.g. ``7``, ``-7``, ``2^24``
+or ``6/2``.
 
 A map definition file declares its variables once and gives the forward
 and inverse coordinates separated by ``|``::
@@ -32,7 +59,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, lcm, prod
 from typing import Sequence
 
 from . import kernel
@@ -182,6 +209,8 @@ class _Parser:
             raise self.error("exponent must be a non-negative integer")
         exponent = self.take_int()
         if len(base.terms) != 1:
+            if len(base.terms) > 1 and _power_work(base, exponent) > POWER_WORK:
+                raise MapSyntaxError("power too large to expand", self.line, column)
             poly = base**exponent
             self.check_cap(poly.terms, poly.terms, column)
             return poly
@@ -214,6 +243,25 @@ class _Parser:
             self.take()
             return inner
         raise self.error("expected a number, variable, or parenthesized expression")
+
+
+# The bound on ``_power_work`` past which a power of a polynomial of two
+# or more terms is refused before it is built (module docstring).
+POWER_WORK = 2**28
+
+
+def _power_work(base: Polynomial, k: int) -> int:
+    """``W = T^2 * k * L`` of the module docstring for ``base^k``, where
+    ``base`` has two or more terms; ``k^3``, a lower bound of ``W``, when
+    that alone exceeds ``POWER_WORK``."""
+    if k**3 > POWER_WORK:
+        return k**3
+    coeffs = base.terms.values()
+    den = lcm(*(c.denominator for c in coeffs))
+    total = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
+    degrees = map(max, zip(*base.terms))
+    terms = min(comb(k + len(coeffs) - 1, k), prod(k * d + 1 for d in degrees))
+    return terms * terms * k * max(total, den).bit_length()
 
 
 def _bits(value: Fraction) -> int:

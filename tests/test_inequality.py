@@ -568,6 +568,23 @@ class TestReportWriters:
             assert decimal[14:21] == [False] + [True] * 6
         self.assert_writers_match_reference(report)
 
+    def test_writers_pick_the_point_rule_per_chunk(self, henon, monkeypatch):
+        # Chunks of 11 records over box:1 (27 integer points) then
+        # rationals:2:2, whose sixth point (0, 0, 1/2) is record 32: two
+        # chunks of integer points, one whose denominators are all 1 but
+        # the last, then chunks with rational points.  Only a chunk whose
+        # every denominator is 1 takes the joined coordinate texts.
+        monkeypatch.setattr(inequality, "CHUNK_RECORDS", 11)
+        sampler = CompositeSampler((BoxSampler(1), RationalBoxSampler(2, 2)))
+        report = batch_verify(henon, sampler)
+        dens = [record.den for record in report.records]
+        chunks = [dens[start : start + 11] for start in range(0, len(dens), 11)]
+        assert chunks[0] == chunks[1] == [1] * 11
+        assert chunks[2] == [1] * 10 + [2]
+        assert len(chunks) == 34 and all(max(chunk) > 1 for chunk in chunks[3:])
+        assert type(report.records._dens) is array
+        self.assert_writers_match_reference(report)
+
     def test_writers_format_each_height_log_once_per_chunk(self, henon, monkeypatch):
         report = batch_verify(henon, BoxSampler(9))  # 6,859 records, 4 chunks
         chunks = [

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -247,6 +248,46 @@ def test_monomial_power_past_the_cap_is_refused_before_it_is_built(text, monkeyp
     monkeypatch.setattr(Polynomial, "__pow__", lambda *args: pytest.fail("power was built"))
     with pytest.raises(MapSyntaxError, match="^coefficient of more than 1048576 bits$"):
         parse_polynomial(text, XYZ)
+
+
+def test_multi_term_power_past_the_work_bound_is_refused_before_it_is_built(monkeypatch):
+    # (y+1)^3000 has W = 3001^2 * 3000 * 2, about 200 times POWER_WORK;
+    # expanding it took about a minute.
+    monkeypatch.setattr(Polynomial, "__pow__", lambda *args: pytest.fail("power was built"))
+    with pytest.raises(MapSyntaxError, match="^power too large to expand$"):
+        parse_polynomial("(y+1)^3000", XYZ)
+    with pytest.raises(MapSyntaxError) as error:
+        parse_map_file("vars x y\nforward: x + (y+1)^3000 | y\ninverse: x - (y+1)^3000 | y\n")
+    assert (error.value.line, error.value.column) == (2, 14)
+    assert str(error.value) == "power too large to expand (line 2, column 14)"
+
+
+@pytest.mark.parametrize(
+    "base, last",
+    [
+        # T = k + 1 and L = 2: (k + 1)^2 * k * 2 <= 2^28 up to k = 511.
+        ("(y+1)", 511),
+        # Q = 6 and 3 + 2 = 5, so L = 3: (k + 1)^2 * k * 3 <= 2^28 up to 446.
+        ("(x/2 + y/3)", 446),
+        # T = C(k+3, 3) and L = 3: C(24, 3)^2 * 21 * 3 <= 2^28 < C(25, 3)^2 * 22 * 3.
+        ("(x + y + z + 1)", 21),
+    ],
+)
+def test_multi_term_power_bound_refuses_past_its_last_exponent(monkeypatch, base, last):
+    # W = T^2 * k * L of the parsing docstring decides, before any product.
+    built = []
+    monkeypatch.setattr(Polynomial, "__pow__", lambda poly, k: built.append(k) or poly)
+    parse_polynomial(f"{base}^{last}", XYZ)
+    with pytest.raises(MapSyntaxError, match="^power too large to expand$"):
+        parse_polynomial(f"{base}^{last + 1}", XYZ)
+    assert built == [last]
+
+
+def test_multi_term_power_within_the_work_bound_reads():
+    assert parse_polynomial("(y+1)^250", XYZ) == Polynomial(
+        3, {(0, j, 0): math.comb(250, j) for j in range(251)}
+    )
+    assert parse_polynomial("(x - y)^0 + (x - y)^1", XYZ) == parse_polynomial("1 + x - y", XYZ)
 
 
 def test_bundled_map_file():

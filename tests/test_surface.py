@@ -43,10 +43,6 @@ AMBIGUOUS = {
     # The sampler protocol: batch_verify and CompositeSampler call describe
     # and points on whatever sampler they are given.
     *(f"inequality.{cls}.{name}" for cls in SAMPLERS for name in ("describe", "points")),
-    # cmd_canonical reads the height's, and the height reads each side's
-    # through self.plus and self.minus.
-    "heights.CanonicalHeight.to_report",
-    "heights.CanonicalHeightEstimate.to_report",
 }
 
 
