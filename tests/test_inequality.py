@@ -586,6 +586,8 @@ class TestReportWriters:
         self.assert_writers_match_reference(report)
 
     def test_writers_format_each_height_log_once_per_chunk(self, henon, monkeypatch):
+        # One process: a forked worker's calls would not be counted here.
+        monkeypatch.setattr(inequality, "_fork_allowed", lambda: False)
         report = batch_verify(henon, BoxSampler(9))  # 6,859 records, 4 chunks
         chunks = [
             report.records[start : start + CHUNK_RECORDS]
