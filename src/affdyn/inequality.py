@@ -23,23 +23,25 @@ Records and reports keep that form; a point becomes text only when a
 report is encoded.  A record is flat exact data, the point's ``nums``
 and ``den``, its three height integers and delta; the logs of the
 heights (the Weil heights) are taken from the integers when a report is
-written, not stored.  A report keeps its records column-wise
-(``DeltaRecords``): the coordinates of every record in one flat column,
-the denominators in another, the three height integers of every record
-in a third and delta in an ``array('d')``.  The three integer columns
-start as machine words, ``array('q')``.  ``batch_verify`` stages the
-integers of each record in lists and moves them into the columns once per
-block of ``CHUNK_RECORDS`` sample points.  Before a move it compares the
-largest staged height integer with ``WORD_BITS`` = 63 bits; a record's
+written, not stored.  A report keeps its records as the blocks that
+``batch_verify`` evaluated (``DeltaRecords``): each block of
+``CHUNK_RECORDS`` sample points that keeps a record gives one
+``_Block``, with the coordinates of its records in one flat column, the
+denominators in another, the three height integers of every record in a
+third and delta in an ``array('d')``.  A block that keeps no record is
+not stored.
+
+The word rule: a block's three integer columns are machine words,
+``array('q')``, when its largest height integer has at most
+``WORD_BITS`` = 63 bits, and lists of Python ints otherwise.  A record's
 largest height bounds every integer of the record, since a canonical
-point's coordinates and denominator never exceed its height.  So the
-first record past 63 bits turns the three columns into lists of Python
-ints, once, before it is moved, and every later record goes there too;
-the columns never narrow again.  Box and rational samples stay in
-machine words, and a deep orbit widens them.  A ``DeltaRecord`` is
-built only when a record is read, and it holds plain ints either way.  A
-box:20 report retains about 65 bytes per record and a random:60000:50:20
-one about 67, against about 110 and 240 with lists of Python ints.
+point's coordinates and denominator never exceed its height, so one
+comparison per block decides its three columns.  Box and rational
+samples stay in machine words, and a deep orbit widens only the blocks
+that hold its deep points.  A ``DeltaRecord`` is built only when a record
+is read, and it holds plain ints either way.  A box:20 report retains
+about 65 bytes per record and a random:60000:50:20 one about 66, against
+about 110 and 240 with lists of Python ints.
 
 Verification PASSES when the running minimum stabilizes across nested
 samples.  The rule is fixed: checkpoints fall at ``WARMUP`` = 64 kept
@@ -50,10 +52,9 @@ points) FAILS with a note that the rule was not evaluated, and so does a
 sample that keeps no point: a verdict that was never evaluated is no
 PASS.
 
-``batch_verify`` and the two report writers work in blocks:
-``batch_verify`` in blocks of ``CHUNK_RECORDS`` sample points, the
-writers in chunks of ``CHUNK_RECORDS`` records.  ``_in_order`` runs the
-blocks.  This process runs block 0; if a second block exists, the
+``batch_verify`` works in blocks of ``CHUNK_RECORDS`` sample points, and
+the two report writers over the blocks that it kept.  ``_in_order`` runs
+the blocks.  This process runs block 0; if a second block exists, the
 platform has ``os.fork`` and ``os.sched_getaffinity``, the process may
 run on at least two CPUs and no other Python thread runs
 (``_fork_allowed``), it forks exactly one worker.  The worker runs blocks
@@ -62,41 +63,41 @@ process runs blocks 2, 4, ... and takes the results in block order.
 Otherwise every block runs here, one after the other.  Both processes
 walk the same block stream, which the fork copies with the sampler's
 state (its RNG too), so a block's points are the same in both.  A block
-of ``batch_verify`` gives its records' staged integers, their deltas and
-its skip count; this process moves them into the columns and folds the
-running minimum, the first point that reaches it and the checkpoints over
-the deltas in sample order.  So the records, verdicts and notes are those
-of one process, and so is the first error: a worker's exception is
-raised here in its block's turn.  A writer's block is one chunk's text,
-and only this process writes to the handle.  The worker always ends by
-``os._exit``: it never flushes the buffered ``stdout`` or ``--out``
-handle that it inherited, and never runs exit handlers.  On a 2-vCPU
-x86_64 VM (CPython 3.11) this took the wide-rational benchmark's
-``wall_ref`` from 10.1 to 7.7, the median of ten pairs.  Kernel calls and
-spans counted in this process (a wrapped ``kernel`` function, a tracer)
-see only the blocks that it ran.
+of ``batch_verify`` gives its records, in list columns, and its skip
+count; this process applies the word rule to each block that kept a
+record, keeps it, and folds the running minimum, the first point that
+reaches it and the checkpoints over the deltas in sample order.  So the
+records, verdicts and notes are those of one process, and so is the
+first error: a worker's exception is raised here in its block's turn.
+A writer's result is one block's text, and only this process writes to
+the handle.  The worker always ends by ``os._exit``: it never flushes
+the buffered ``stdout`` or ``--out`` handle that it inherited, and never
+runs exit handlers.  On a 2-vCPU x86_64 VM (CPython 3.11) this took the
+wide-rational benchmark's ``wall_ref`` from 10.1 to 7.7, the median of
+ten pairs.  Kernel calls and spans counted in this process (a wrapped
+``kernel`` function, a tracer) see only the blocks that it ran.
 
-``DeltaReport.write_json`` and ``write_csv`` write a report in bounded
-chunks of ``CHUNK_RECORDS`` records, each record filled into one fixed
-template per format.  Their bytes equal ``json.dumps`` (compact,
+``DeltaReport.write_json`` and ``write_csv`` write a report a block at a
+time, at most ``CHUNK_RECORDS`` records, each record filled into one
+fixed template per format.  Their bytes equal ``json.dumps`` (compact,
 key-sorted) over ``to_json_dict`` and ``csv.writer`` over
 ``to_csv_rows``, the readable reference layouts; the tests hold them to
-that.  Both take a chunk's fields from one builder, ``_text_columns``,
-which turns the chunk's record columns into eight field columns (point
+that.  Both take a block's fields from one builder, ``_text_columns``,
+which turns the block's record columns into eight field columns (point
 texts, the three height integers, their three log texts, delta) that
 each writer zips in its own field order.  No ``DeltaRecord`` is built
 while a report is written.  An integer of more than 4,300 digits is
 written as exact hex text (``parsing.report_int``).  The column type
-decides once per chunk whether that rule is needed: machine-word columns
-hold integers below 2^63, always decimal, so only a chunk with list
-columns applies the rule integer by integer.  A machine-word chunk whose
+decides once per block whether that rule is needed: machine-word columns
+hold integers below 2^63, always decimal, so only a block with list
+columns applies the rule integer by integer.  A machine-word block whose
 denominators are all 1 gets its point texts from one ``str`` map over
-its coordinates, joined ``n`` at a time; every other chunk formats each
+its coordinates, joined ``n`` at a time; every other block formats each
 point in lowest terms (``parsing.format_raw_point``).  The builder
-formats the log text of each distinct height integer of the chunk once,
-into a memo dropped with the chunk: box samples repeat heights (of
+formats the log text of each distinct height integer of the block once,
+into a memo dropped with the block: box samples repeat heights (of
 box:20's 206,763 height integers about 55,000 are distinct within their
-chunks), and the memo stays as small as a chunk whatever the size of
+blocks), and the memo stays as small as a block whatever the size of
 the report.  The CSV template quotes the point, as ``csv.writer`` does
 for text with a comma: every point of a report has at least two
 coordinates, since ``batch_verify`` decides regularity, which refuses
@@ -111,13 +112,14 @@ import os
 import random
 import threading
 from array import array
+from bisect import bisect_right
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
-from operator import index as as_index
-from struct import pack
+from operator import eq, index as as_index
+from struct import pack_into
 from typing import Iterator, NamedTuple, NoReturn
 
 from . import kernel
@@ -130,8 +132,7 @@ Point = tuple[Fraction, ...]
 SLACK = 0.05
 WARMUP = 64
 
-# Bits of the largest magnitude that a record's integer columns hold as
-# machine words (``array('q')``); see the module docstring.
+# The word rule of the module docstring.
 WORD_BITS = 63
 
 
@@ -317,92 +318,68 @@ class DeltaRecord(NamedTuple):
         return self.H_point, self.H_forward, self.H_inverse
 
 
-class DeltaRecords(Sequence):
-    """The records of a report: a read-only sequence of ``DeltaRecord``,
-    stored column-wise.
+class _Block(NamedTuple):
+    """The records that one block of ``batch_verify`` kept, column-wise:
+    the coordinates, ``n`` per record; the denominators; the height
+    integers H(P), H(fP) and H(f^{-1}P), three per record; and delta.  The
+    three integer columns are all ``array('q')`` or all lists, by the word
+    rule of the module docstring."""
 
-    The columns are the coordinates of every record in one flat column,
-    ``n`` per record; the denominators; the height integers H(P), H(fP)
-    and H(f^{-1}P) of every record in one flat column, three per record;
-    and delta in an ``array('d')``.  A ``DeltaRecord`` is built only when
-    a record is indexed or iterated; the report writers read the columns.
+    n: int
+    coords: array | list
+    dens: array | list
+    heights: array | list
+    deltas: array
 
-    The three integer columns are machine words (``array('q')``) while
-    every record's largest height has at most ``WORD_BITS`` bits, and
-    lists of Python ints from the first record that has more: the
-    widening is one-way, and the module docstring gives the rule.  A
-    box:20 record retains about 65 bytes and a random:60000:50:20 one
-    about 67, against about 110 and 240 with list columns.
-
-    Slices are ``DeltaRecords`` too: a contiguous slice keeps the column
-    types, a stepped one has list columns.  Two sequences compare equal
-    when their records do, whatever their column types.  Only
-    ``batch_verify`` fills the columns.
-    """
-
-    __slots__ = ("_n", "_coords", "_dens", "_heights", "_deltas")
-
-    def __init__(self, n: int, coords, dens, heights, deltas: array):
-        # coords, dens and heights: all array('q') or all lists.
-        self._n = n
-        self._coords = coords
-        self._dens = dens
-        self._heights = heights
-        self._deltas = deltas
-
-    def __len__(self) -> int:
-        return len(self._dens)
-
-    def _rows(self) -> Iterator[tuple]:
-        """Each record's fields as a plain tuple, in ``DeltaRecord`` order."""
-        coords = iter(self._coords)
-        heights = iter(self._heights)
+    def records(self) -> Iterator[DeltaRecord]:
+        """The block's records, each built as it is read."""
+        coords = iter(self.coords)
+        heights = iter(self.heights)
         # zip draws from each iterator in argument order: n coordinates
         # make one nums tuple, and three heights fill the three fields.
-        nums = zip(*[coords] * self._n)
-        return zip(nums, self._dens, heights, heights, heights, self._deltas)
+        nums = zip(*[coords] * self.n)
+        rows = zip(nums, self.dens, heights, heights, heights, self.deltas)
+        return itertools.starmap(DeltaRecord, rows)
+
+
+class DeltaRecords:
+    """The records of a report, in sample order: the non-empty blocks that
+    ``batch_verify`` kept (module docstring).  A ``DeltaRecord`` is built
+    only when a record is read, by iteration or by an integer index; the
+    report writers read the blocks.  Two record sequences compare equal
+    when their records do, whatever their blocks."""
+
+    __slots__ = ("_blocks", "_starts")
+
+    def __init__(self, blocks: list[_Block]):
+        self._blocks = blocks
+        # The index of each block's first record, then the record count.
+        self._starts = list(itertools.accumulate((len(b.dens) for b in blocks), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
 
     def __iter__(self) -> Iterator[DeltaRecord]:
-        return itertools.starmap(DeltaRecord, self._rows())
+        return itertools.chain.from_iterable(block.records() for block in self._blocks)
 
-    def __getitem__(self, index):
-        n = self._n
-        if isinstance(index, slice):
-            rows = range(len(self._dens))[index]
-            if rows.step == 1:
-                a, b = rows.start, rows.stop
-                return DeltaRecords(
-                    n,
-                    self._coords[a * n : b * n],
-                    self._dens[a:b],
-                    self._heights[3 * a : 3 * b],
-                    self._deltas[a:b],
-                )
-            coords, heights = self._coords, self._heights
-            return DeltaRecords(
-                n,
-                [c for i in rows for c in coords[i * n : i * n + n]],
-                [self._dens[i] for i in rows],
-                [h for i in rows for h in heights[3 * i : 3 * i + 3]],
-                array("d", [self._deltas[i] for i in rows]),
-            )
+    def __getitem__(self, index) -> DeltaRecord:
         i = as_index(index)
         if i < 0:
-            i += len(self._dens)
-        if not 0 <= i < len(self._dens):
+            i += len(self)
+        if not 0 <= i < len(self):
             raise IndexError("record index out of range")
+        b = bisect_right(self._starts, i) - 1
+        n, coords, dens, heights, deltas = self._blocks[b]
+        i -= self._starts[b]
         return DeltaRecord(
-            tuple(self._coords[i * n : i * n + n]),
-            self._dens[i],
-            *self._heights[3 * i : 3 * i + 3],
-            self._deltas[i],
+            tuple(coords[i * n : i * n + n]), dens[i], *heights[3 * i : 3 * i + 3], deltas[i]
         )
 
     def __eq__(self, other):
         if not isinstance(other, DeltaRecords):
             return NotImplemented
-        # Row by row: an array column never equals a list column.
-        return list(self._rows()) == list(other._rows())
+        # Record by record: an array column never equals a list column.
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 # -- blocks on two processes -------------------------------------------------
@@ -524,9 +501,9 @@ def _work_odd_blocks(blocks: Iterator, work: Callable, fd: int) -> NoReturn:
 # order, the JSON template in its key-sorted order.  The three logs arrive
 # as ``repr(log(H))`` and are filled in with ``%s``; delta is filled in
 # with ``%r``.  ``repr`` of a float is ``float.__repr__``, which the json C
-# encoder and csv.writer both use.  A chunk is filled by one ``%`` over the
+# encoder and csv.writer both use.  A block is filled by one ``%`` over the
 # template repeated once per record, with the records' fields in one flat
-# tuple: on box:20 that formatted the chunks 7-10% faster than one ``%``
+# tuple: on box:20 that formatted the blocks 7-10% faster than one ``%``
 # per record (in process, 15 interleaved runs).
 _JSON_RECORD = (
     '{"delta":%r,"h_forward":%s,"h_inverse":%s,"h_point":%s,'
@@ -534,45 +511,38 @@ _JSON_RECORD = (
 )
 _CSV_RECORD = '"%s",%s,%s,%s,%s,%s,%s,%r\n'
 
-# Records per write call: bounded chunks keep the whole report text out of
-# memory, and the handle needs only ``write``.  ``batch_verify`` moves its
-# staged integers into the record columns in chunks of the same size.
+# Sample points per block: bounded blocks keep the whole report text out
+# of memory, and the handle needs only ``write``.
 CHUNK_RECORDS = 2048
 
 
-def _chunks(records: DeltaRecords) -> Iterator[DeltaRecords]:
-    for start in range(0, len(records), CHUNK_RECORDS):
-        yield records[start : start + CHUNK_RECORDS]
+def _csv_text(block: _Block) -> str:
+    """The CSV text of a block of records."""
+    fields = itertools.chain.from_iterable(zip(*_text_columns(block, report_int)))
+    return _CSV_RECORD * len(block.dens) % tuple(fields)
 
 
-def _csv_text(chunk: DeltaRecords) -> str:
-    """The CSV text of a chunk of records."""
-    fields = itertools.chain.from_iterable(zip(*_text_columns(chunk, report_int)))
-    return _CSV_RECORD * len(chunk) % tuple(fields)
-
-
-def _json_text(chunk: DeltaRecords) -> str:
-    """The JSON text of a chunk of records, comma-separated."""
+def _json_text(block: _Block) -> str:
+    """The JSON text of a block of records, comma-separated."""
     point, H_p, H_f, H_i, h_p, h_f, h_i, delta = _text_columns(
-        chunk, lambda h: json.dumps(report_int(h))
+        block, lambda h: json.dumps(report_int(h))
     )
     fields = itertools.chain.from_iterable(zip(delta, h_f, h_i, h_p, H_p, H_f, H_i, point))
-    return ",".join([_JSON_RECORD] * len(chunk)) % tuple(fields)
+    return ",".join([_JSON_RECORD] * len(block.dens)) % tuple(fields)
 
 
-def _text_columns(chunk: DeltaRecords, int_text) -> tuple:
-    """The eight field columns of ``chunk`` in CSV column order, as
+def _text_columns(block: _Block, int_text) -> tuple:
+    """The eight field columns of ``block`` in CSV column order, as
     iterables: point texts, the height integers H(P), H(fP) and
     H(f^{-1}P), their log texts and delta.
 
     Machine-word columns hold integers below
     2^63 < ``parsing.DECIMAL_LIMIT``, so their integers are written in
-    decimal as they stand.  List columns appear only after a record passes
-    63 bits; there every height integer goes through ``int_text`` and every
-    point through the ``report_int`` rule of ``format_raw_point``.  The
-    module docstring gives the rules.
+    decimal as they stand.  In list columns every height integer goes
+    through ``int_text`` and every point through the ``report_int`` rule
+    of ``format_raw_point``.  The module docstring gives the rules.
     """
-    n, coords, dens, heights = chunk._n, chunk._coords, chunk._dens, chunk._heights
+    n, coords, dens, heights, deltas = block
     words = type(heights) is array
     if words and dens.count(1) == len(dens):
         # One iterator n times over: zip takes n coordinates per point.
@@ -589,18 +559,16 @@ def _text_columns(chunk: DeltaRecords, int_text) -> tuple:
     logs = [map(texts.__getitem__, column) for column in integers]
     if not words:
         integers = [map(int_text, column) for column in integers]
-    return (points, *integers, *logs, chunk._deltas)
+    return (points, *integers, *logs, deltas)
 
 
 @dataclass(frozen=True)
 class DeltaReport:
     """Sample-wide report: records, lower envelope, stabilization verdict.
 
-    ``records`` is a ``DeltaRecords``, a read-only sequence that keeps the
-    records column-wise, in machine words until a record needs more than
-    63 bits (about 65 bytes per box:20 record), and builds each
-    ``DeltaRecord`` when it is read.  ``argmin`` is the sampled
-    point's ``(nums, den)`` form."""
+    ``records`` is a ``DeltaRecords``, which keeps the blocks that
+    ``batch_verify`` evaluated and builds each ``DeltaRecord`` when it is
+    read.  ``argmin`` is the sampled point's ``(nums, den)`` form."""
 
     map_id: str
     degrees: tuple[int, int]
@@ -689,19 +657,19 @@ class DeltaReport:
         before, _, after = text.partition('"records":[]')
         handle.write(before + '"records":[')
         separator = ""
-        for text in _in_order(_chunks(self.records), _json_text):
+        for text in _in_order(self.records._blocks, _json_text):
             handle.write(separator + text)
             separator = ","
-            del text  # not held while the next chunk is formatted
+            del text  # not held while the next block is formatted
         handle.write("]" + after + "\n")
 
     def write_csv(self, handle) -> None:
         """Write ``to_csv_rows()`` to ``handle`` as ``csv.writer`` would,
         with ``"\n"`` line ends, each record filled into a fixed template."""
         handle.write(",".join(self.CSV_HEADER) + "\n")
-        for text in _in_order(_chunks(self.records), _csv_text):
+        for text in _in_order(self.records._blocks, _csv_text):
             handle.write(text)
-            del text  # not held while the next chunk is formatted
+            del text  # not held while the next block is formatted
 
 
 # -- batch verification ----------------------------------------------------
@@ -719,29 +687,14 @@ def _point_blocks(points: Iterable[RawPoint]) -> Iterator[Iterator[RawPoint]]:
         deque(block, maxlen=0)
 
 
-def _move_staged(columns: tuple, staged: tuple) -> tuple:
-    """Move the staged coordinates, denominators and height integers into
-    the three integer columns, empty the stage, and return the columns.
-
-    If a staged height has more than ``WORD_BITS`` bits, machine-word
-    columns become lists first, for good: a record's largest height
-    bounds all its integers.  A machine-word column takes the whole stage
-    as one ``struct.pack``, which reads each int in C, where
-    ``array.extend`` parses each item as a call argument.  Appending
-    record by record to ``array('q')`` columns took about 600 ns per
-    3-dimensional record, against 170 ns to lists (CPython 3.11, 2-vCPU
-    x86_64 VM).
-    """
-    heights = staged[2]
-    if type(columns[0]) is array and heights and max(heights).bit_length() > WORD_BITS:
-        columns = tuple(column.tolist() for column in columns)
-    for column, stage in zip(columns, staged):
-        if type(column) is array:
-            column.frombytes(pack(f"{len(stage)}q", *stage))
-        else:
-            column += stage
-        stage.clear()
-    return columns
+def _words(column: list[int]) -> array:
+    """``column`` in an ``array('q')`` of its exact size.  One
+    ``pack_into`` reads every int in C, where ``array.extend`` parses each
+    item as a call argument; ``array.frombytes`` would leave a sixteenth
+    of the array spare, which a report keeps once per block."""
+    words = array("q", [0]) * len(column)
+    pack_into(f"{len(column)}q", words, 0, *column)
+    return words
 
 
 def batch_verify(
@@ -774,9 +727,10 @@ def batch_verify(
     weight = 1.0 + 1.0 / (d * d_inv)
 
     def evaluate(block: Iterator[RawPoint]) -> tuple:
-        """The integers of each record of ``block`` staged in lists, the
-        records' deltas and the number of points skipped."""
-        staged = coords, dens, heights = [], [], []
+        """The coordinates, denominators and height integers of the
+        records that ``block`` keeps, in lists, the records' deltas and the
+        number of points skipped."""
+        coords, dens, heights = [], [], []
         deltas = array("d")
         skipped = 0
         for raw in block:
@@ -804,32 +758,35 @@ def batch_verify(
             dens.append(den)
             heights += height, h_forward, h_inverse
             deltas.append(log(h_forward) / d + log(h_inverse) / d_inv - weight * log(height))
-        return staged, deltas, skipped
+        return coords, dens, heights, deltas, skipped
 
-    # The blocks' results fold in sample order: the staged integers move
-    # into the columns, and the running minimum, its first index and the
-    # checkpoints are read off each block's deltas (module docstring).
+    # The blocks' results fold in sample order: each non-empty block is
+    # kept, in machine words if its heights fit, and the running minimum,
+    # its first index and the checkpoints are read off its deltas (module
+    # docstring).
     points = _point_blocks(sampler.points(automorphism, bit_budget))
-    columns = (array("q"), array("q"), array("q"))
-    deltas = array("d")
-    skipped = 0
+    blocks: list[_Block] = []
+    kept = skipped = 0
     running_min = float("inf")
     first_min = -1
     checkpoints: list[tuple[int, float]] = []
     next_checkpoint = WARMUP
-    for staged, block_deltas, block_skipped in _in_order(points, evaluate):
-        columns = _move_staged(columns, staged)
+    for coords, dens, heights, block_deltas, block_skipped in _in_order(points, evaluate):
         skipped += block_skipped
-        start = len(deltas)
-        deltas += block_deltas
-        while next_checkpoint <= len(deltas):
+        if not block_deltas:
+            continue
+        if max(heights).bit_length() <= WORD_BITS:
+            coords, dens, heights = _words(coords), _words(dens), _words(heights)
+        blocks.append(_Block(n, coords, dens, heights, block_deltas))
+        start = kept
+        kept += len(block_deltas)
+        while next_checkpoint <= kept:
             prefix = block_deltas[: next_checkpoint - start]
             checkpoints.append((next_checkpoint, min(running_min, min(prefix))))
             next_checkpoint *= 4
-        if block_deltas and min(block_deltas) < running_min:
+        if min(block_deltas) < running_min:
             running_min = min(block_deltas)
             first_min = start + block_deltas.index(running_min)
-    kept = len(deltas)
     if kept and (not checkpoints or checkpoints[-1][0] != kept):
         checkpoints.append((kept, running_min))
 
@@ -845,7 +802,7 @@ def batch_verify(
         stabilized = drift < SLACK
         note = f"min moved {drift:.6g} between the last two checkpoints"
 
-    records = DeltaRecords(n, *columns, deltas)
+    records = DeltaRecords(blocks)
     return DeltaReport(
         map_id=automorphism.map_id,
         degrees=automorphism.degrees,

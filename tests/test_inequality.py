@@ -84,6 +84,12 @@ def assert_random_sampler_matches_oracle(seed, bounds, n):
     assert list(sampler.points(space, DEFAULT_BIT_BUDGET)) == oracle
 
 
+# henon3 maps ``(0, 0, z)`` to ``(0, z, z^2)``: each of these 14 orbits of
+# depth 0 is its 11-bit seed, which a 16-bit budget skips, since z^2 has
+# 21 bits.
+SKIPPED_ORBIT = OrbitSampler(tuple((0, 0, 1024 + k) for k in range(14)), 0)
+
+
 class FixedSampler:
     """The given ``(nums, den)`` points, in order."""
 
@@ -343,50 +349,67 @@ class TestBatchVerify:
         assert a == b
 
     @pytest.mark.parametrize(
-        "sampler", [BoxSampler(2), RationalBoxSampler(1, 2)], ids=["box", "rationals"]
+        "sampler, bit_budget",
+        [
+            (BoxSampler(2), DEFAULT_BIT_BUDGET),
+            (RationalBoxSampler(1, 2), DEFAULT_BIT_BUDGET),
+            (CompositeSampler((BoxSampler(1), SKIPPED_ORBIT, RationalBoxSampler(1, 2))), 16),
+        ],
+        ids=["box", "rationals", "composite-with-a-skipped-block"],
     )
-    def test_records_are_a_read_only_sequence_of_records(self, henon, sampler):
-        # The columns give back, by iteration and by index, the records
-        # that batch_verify measured, in sample order.
-        report = batch_verify(henon, sampler)
-        records = report.records
-        listed = tuple(records)
-        count = len(listed)
-        assert len(records) == count == 5**3 and records
-        assert all(type(r) is DeltaRecord and len(r.nums) == henon.n for r in listed)
-        assert [r.point for r in listed] == list(sampler.points(henon, DEFAULT_BIT_BUDGET))
-        assert [records[i] for i in range(count)] == list(listed)
-        assert [records[i] for i in range(-count, 0)] == list(listed)
-        assert records[True] == listed[1]
-        for index in (count, -count - 1, 10**30):
-            with pytest.raises(IndexError):
-                records[index]
-        with pytest.raises(TypeError):
-            records["0"]
-        for cut in (
-            slice(None),
-            slice(3, 40),
-            slice(-7, None),
-            slice(None, 5, 3),
-            slice(None, None, -2),
-            slice(40, 3),
-            slice(count + 5, None),
-            slice(2, -2, 7),
-        ):
-            part = records[cut]
-            assert type(part) is type(records)
-            assert tuple(part) == listed[cut]
-            assert len(part) == len(listed[cut])
-            assert [part[i] for i in range(len(part))] == list(listed[cut])
-        assert records[::-1][0] == listed[-1] and records[1:][-1] == listed[-1]
+    def test_records_are_a_read_only_sequence_of_records(
+        self, henon, monkeypatch, sampler, bit_budget
+    ):
+        # The blocks give back, by iteration and by index, the records
+        # that batch_verify measured, in sample order.  Blocks of 7 put
+        # the records in many blocks, and the composite's skipped orbit
+        # fills sample points 28 to 34, one whole block that keeps none.
+        points = list(sampler.points(henon, bit_budget))
+        skipped = set(SKIPPED_ORBIT.points(henon, 16))
+        kept = [p for p in points if p not in skipped]
+        for chunk in (CHUNK_RECORDS, 7):
+            monkeypatch.setattr(inequality, "CHUNK_RECORDS", chunk)
+            report = batch_verify(henon, sampler, bit_budget)
+            records = report.records
+            listed = tuple(records)
+            count = len(listed)
+            assert len(records) == count == len(kept) and records
+            assert report.skipped == len(points) - count
+            assert all(type(r) is DeltaRecord and len(r.nums) == henon.n for r in listed)
+            assert [r.point for r in listed] == kept
 
-        again = batch_verify(henon, sampler)
-        assert again.records == records and again == report
-        assert records[1:] != records[:-1] and records != listed
+            # One stored block per block of sample points that kept a
+            # record, and none for a block that kept none.
+            per_block = [
+                sum(p not in skipped for p in points[start : start + chunk])
+                for start in range(0, len(points), chunk)
+            ]
+            assert [len(block.dens) for block in records._blocks] == [k for k in per_block if k]
+            assert (0 in per_block) == (chunk == 7 and len(kept) < len(points))
+            assert len(records._blocks) > 1 or chunk == CHUNK_RECORDS
+
+            # Every index, negative too, across the block starts.
+            assert [records[i] for i in range(-count, count)] == list(listed) * 2
+            assert records[True] == listed[1]
+            for index in (count, -count - 1, 10**30):
+                with pytest.raises(IndexError):
+                    records[index]
+            for index in ("0", slice(None), 1.0):
+                with pytest.raises(TypeError):
+                    records[index]
+
+            # Records compare record by record, whatever blocks hold them.
+            again = batch_verify(henon, sampler, bit_budget)
+            assert again.records == records and again == report
+            monkeypatch.setattr(inequality, "CHUNK_RECORDS", 5)
+            regrouped = batch_verify(henon, sampler, bit_budget).records
+            assert regrouped == records and len(regrouped._blocks) != len(records._blocks)
+            reordered = batch_verify(henon, FixedSampler(*kept[1:], kept[0]), bit_budget)
+            assert reordered.records != records and records != listed
 
         empty = batch_verify(henon, RationalBoxSampler(5, 0)).records
-        assert len(empty) == 0 and not empty and tuple(empty) == ()
-        assert empty == records[:0] == records[count:] and not empty[2:9]
+        assert len(empty) == 0 and not empty and tuple(empty) == () and empty._blocks == []
+        assert empty == batch_verify(henon, SKIPPED_ORBIT, 16).records != records
         for index in (0, -1):
             with pytest.raises(IndexError):
                 empty[index]
@@ -432,8 +455,9 @@ class TestBatchVerify:
 
 
 class TestWordColumns:
-    """A report's integer columns are machine words until a record's
-    largest height integer passes 63 bits, and lists of ints from then on.
+    """A block's integer columns are machine words unless one of its
+    records' largest height integer passes 63 bits, and lists of ints
+    then.
 
     henon3 maps ``(0, 0, z)`` to ``(0, z, z^2)`` and back to ``(z, 0, 0)``,
     so the largest height of that record is ``z^2``."""
@@ -443,13 +467,15 @@ class TestWordColumns:
     SMALL = ((1, 2, 3), 1)
 
     @staticmethod
-    def column_types(report) -> set:
-        records = report.records
-        return {type(records._coords), type(records._dens), type(records._heights)}
+    def column_types(report) -> list[set]:
+        """The types of each stored block's three integer columns."""
+        return [
+            {type(block.coords), type(block.dens), type(block.heights)}
+            for block in report.records._blocks
+        ]
 
-    # batch_verify moves its staged records into the columns every
-    # CHUNK_RECORDS records: with 1 the 64-bit record widens columns that
-    # already hold a record, and with 2048 it widens empty ones.
+    # Blocks of 1 and 2 records put the 64-bit record in a block of its own
+    # and in one with the 63-bit record; a block of 2048 holds all three.
     @pytest.mark.parametrize("chunk", [1, 2, CHUNK_RECORDS])
     def test_columns_widen_once_past_63_bits(self, henon, monkeypatch, chunk):
         monkeypatch.setattr(inequality, "CHUNK_RECORDS", chunk)
@@ -457,10 +483,15 @@ class TestWordColumns:
         wide = batch_verify(henon, FixedSampler(self.BELOW, self.ABOVE, self.SMALL))
         assert max(wide.records[0].height_integers) == 3_037_000_499**2 < 2**63
         assert max(wide.records[1].height_integers) == 3_037_000_500**2 >= 2**63
-        assert self.column_types(words) == {array}
-        assert self.column_types(wide) == {list}
-        assert self.column_types(batch_verify(henon, FixedSampler(self.BELOW))) == {array}
-        assert self.column_types(batch_verify(henon, FixedSampler(self.ABOVE))) == {list}
+        # Only the block that holds the 64-bit record has list columns.
+        assert self.column_types(words) == [{array}] * (1 if chunk > 1 else 2)
+        assert self.column_types(wide) == {
+            1: [{array}, {list}, {array}],
+            2: [{list}, {array}],
+            CHUNK_RECORDS: [{list}],
+        }[chunk]
+        assert self.column_types(batch_verify(henon, FixedSampler(self.BELOW))) == [{array}]
+        assert self.column_types(batch_verify(henon, FixedSampler(self.ABOVE))) == [{list}]
 
         for report in (words, wide):
             assert_records_match_fraction_oracle(henon, report)
@@ -468,13 +499,13 @@ class TestWordColumns:
             for record in report.records:
                 assert {type(v) for v in (*record.nums, record.den, *record.height_integers)} == {int}
 
-        # A stepped slice has list columns and a contiguous one keeps the
-        # arrays; records compare by content, whatever the column types.
-        stepped, contiguous = words.records[::2], words.records[:1]
-        assert type(stepped._dens) is list and type(contiguous._dens) is array
-        assert stepped == contiguous and tuple(stepped) == tuple(contiguous)
-        assert wide.records[::2] == words.records and wide.records[:1] == words.records[:1]
-        assert wide.records[1:] != words.records[1:]
+        # Records compare by content, whatever the column types: blocks of
+        # 1 keep the 63-bit record in machine words, which a block of 2 or
+        # 2048 holds in lists.
+        monkeypatch.setattr(inequality, "CHUNK_RECORDS", 1)
+        split = batch_verify(henon, FixedSampler(self.BELOW, self.ABOVE, self.SMALL))
+        assert split.records == wide.records != words.records
+        assert tuple(wide.records)[0::2] == tuple(words.records)
 
 
 class TestReportWriters:
@@ -555,10 +586,11 @@ class TestReportWriters:
     def test_writers_match_reference_across_small_chunks(
         self, henon, monkeypatch, sampler, bit_budget
     ):
-        # Chunks of 7 records put equal heights in different chunks, each
+        # Blocks of 7 records put equal heights in different chunks, each
         # with its own memo of log texts.
-        report = batch_verify(henon, sampler, bit_budget)
         monkeypatch.setattr(inequality, "CHUNK_RECORDS", 7)
+        report = batch_verify(henon, sampler, bit_budget)
+        assert max(len(block.dens) for block in report.records._blocks) == 7
         heights = [h for r in report.records for h in r.height_integers]
         assert len(set(heights)) < len(heights)
         if isinstance(sampler, CompositeSampler):
@@ -569,34 +601,32 @@ class TestReportWriters:
         self.assert_writers_match_reference(report)
 
     def test_writers_pick_the_point_rule_per_chunk(self, henon, monkeypatch):
-        # Chunks of 11 records over box:1 (27 integer points) then
+        # Blocks of 11 records over box:1 (27 integer points) then
         # rationals:2:2, whose sixth point (0, 0, 1/2) is record 32: two
-        # chunks of integer points, one whose denominators are all 1 but
-        # the last, then chunks with rational points.  Only a chunk whose
+        # blocks of integer points, one whose denominators are all 1 but
+        # the last, then blocks with rational points.  Only a block whose
         # every denominator is 1 takes the joined coordinate texts.
         monkeypatch.setattr(inequality, "CHUNK_RECORDS", 11)
         sampler = CompositeSampler((BoxSampler(1), RationalBoxSampler(2, 2)))
         report = batch_verify(henon, sampler)
-        dens = [record.den for record in report.records]
-        chunks = [dens[start : start + 11] for start in range(0, len(dens), 11)]
+        blocks = report.records._blocks
+        chunks = [list(block.dens) for block in blocks]
         assert chunks[0] == chunks[1] == [1] * 11
         assert chunks[2] == [1] * 10 + [2]
         assert len(chunks) == 34 and all(max(chunk) > 1 for chunk in chunks[3:])
-        assert type(report.records._dens) is array
+        assert all(type(block.dens) is array for block in blocks)
         self.assert_writers_match_reference(report)
 
     def test_writers_format_each_height_log_once_per_chunk(self, henon, monkeypatch):
         # One process: a forked worker's calls would not be counted here.
         monkeypatch.setattr(inequality, "_fork_allowed", lambda: False)
-        report = batch_verify(henon, BoxSampler(9))  # 6,859 records, 4 chunks
-        chunks = [
-            report.records[start : start + CHUNK_RECORDS]
-            for start in range(0, len(report.records), CHUNK_RECORDS)
-        ]
-        per_chunk = sum(len({h for r in chunk for h in r.height_integers}) for chunk in chunks)
+        report = batch_verify(henon, BoxSampler(9))  # 6,859 records, 4 blocks
+        blocks = report.records._blocks
+        assert len(blocks) == 4
+        per_chunk = sum(len(set(block.heights)) for block in blocks)
         distinct = len({h for r in report.records for h in r.height_integers})
-        # A repeated height is formatted once per chunk, and a height in two
-        # chunks is formatted in both: the memo does not outlive its chunk.
+        # A repeated height is formatted once per block, and a height in two
+        # blocks is formatted in both: the memo does not outlive its block.
         assert distinct < per_chunk < 3 * len(report.records)
 
         calls = []

@@ -114,7 +114,10 @@ def test_two_processes_give_the_one_process_report(henon, monkeypatch, sampler, 
     wide = [i for i, h in enumerate(largest) if h.bit_length() > 63]
     written_in_hex = [i for i, h in enumerate(largest) if h >= DECIMAL_LIMIT]
     assert (wide[:1], written_in_hex[:1]) == widened
-    assert type(two.records._heights) is type(one.records._heights) is (list if wide else array)
+    # The blocks, and so each block's column type, are those of one process.
+    types = [[type(block.heights) for block in report.records._blocks] for report in (one, two)]
+    assert types[0] == types[1]
+    assert set(types[1]) == ({list, array} if wide else {array})
 
 
 def test_first_bad_point_in_sample_order_is_raised(henon, monkeypatch):

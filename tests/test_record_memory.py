@@ -18,6 +18,7 @@ import pytest
 
 from affdyn.inequality import (
     BoxSampler,
+    CompositeSampler,
     DeltaRecord,
     DeltaReport,
     OrbitSampler,
@@ -36,7 +37,9 @@ from affdyn.inequality import (
 RETAINED_BYTES_PER_RECORD = 90
 # A random:3000:50:20 record, about 96 bytes, against about 269 with lists
 # of int objects.  About 23 of the 96 are pairs of the sampler's value
-# table that CPython's tuple free list keeps and tracemalloc counts.
+# table that CPython's tuple free list keeps and tracemalloc counts.  The
+# same bound holds when a deep orbit comes first: its records pass 63 bits,
+# and only their own block keeps lists of ints.
 RANDOM_RETAINED_BYTES_PER_RECORD = 120
 
 
@@ -46,8 +49,15 @@ RANDOM_RETAINED_BYTES_PER_RECORD = 120
         (BoxSampler(6), 13**3, RETAINED_BYTES_PER_RECORD),
         (RationalBoxSampler(4, 3), 19**3, RETAINED_BYTES_PER_RECORD),
         (RandomRationalSampler(3000, 50, 20, 1), 3000, RANDOM_RETAINED_BYTES_PER_RECORD),
+        (
+            CompositeSampler(
+                (OrbitSampler(((1, 1, 1),), 14), RandomRationalSampler(12_000, 50, 20, 1))
+            ),
+            12_015,
+            RANDOM_RETAINED_BYTES_PER_RECORD,
+        ),
     ],
-    ids=["box", "rationals", "random"],
+    ids=["box", "rationals", "random", "deep-orbit-then-random"],
 )
 def test_records_retain_few_bytes(henon, sampler, count, bound):
     batch_verify(henon, sampler)  # warm-up: regularity and compiled maps
