@@ -1,8 +1,9 @@
 """Affine automorphism pairs: verification, iteration, and regularity.
 
 An automorphism is a pair of polynomial maps ``(f, f_inv)`` of affine
-n-space whose compositions are verified symbolically at construction; the
-verification *is* the constructor.
+n-space, verified symbolically at construction; the verification *is* the
+constructor.  It composes one order, ``f o f_inv``, and the other order
+follows from it (the proof is in ``AffineAutomorphism``).
 
 The regularity decision asks whether the indeterminacy loci of ``f`` and
 ``f_inv``, both of which live inside the hyperplane at infinity, are
@@ -65,18 +66,17 @@ class InputError(ValueError):
 
 
 class InverseVerificationError(ValueError):
-    """The supplied pair fails to compose to the identity.
+    """``forward o inverse`` is not the identity.
 
-    Carries the offending coordinate index and the symbolic residual
+    Carries the first offending coordinate index and its symbolic residual
     (composition coordinate minus the matching variable).
     """
 
-    def __init__(self, order: str, coordinate: int, residual: Polynomial):
-        self.order = order
+    def __init__(self, coordinate: int, residual: Polynomial):
         self.coordinate = coordinate
         self.residual = residual
         super().__init__(
-            f"{order} is not the identity: coordinate {coordinate} "
+            f"forward o inverse is not the identity: coordinate {coordinate} "
             f"has residual {residual}"
         )
 
@@ -105,10 +105,21 @@ class OrbitResult:
 class AffineAutomorphism:
     """A verified polynomial automorphism pair of affine n-space.
 
-    Construction composes both orders symbolically and refuses anything
-    that is not exactly the identity, reporting the offending coordinate
-    and residual.  ``d`` and ``d_inv`` are the maximal coordinate degrees
-    of the forward and inverse maps.
+    Construction composes ``F o G`` symbolically, F the forward and G the
+    inverse map, and refuses anything that is not exactly the identity,
+    reporting the first offending coordinate and its residual.  ``d`` and
+    ``d_inv`` are the maximal coordinate degrees of the forward and
+    inverse maps.
+
+    ``G o F = id`` then follows, as F and G are maps of the same n-space
+    (checked above the composition).  Write ``G*(p) = p o G`` for the ring endomorphism of Q[x_1..x_n].
+    ``F o G = id`` gives ``G* o F* = id``, so G* is onto.  The kernels of
+    the powers ``G*^k`` rise, and since Q[x_1..x_n] is Noetherian they
+    stop growing at some k.  If ``G*(a) = 0``, write ``a = G*^k(b)``; then
+    b lies in ``ker G*^(k+1) = ker G*^k``, so ``a = 0``.  So G* is
+    bijective, ``F* o G* = id`` and ``G o F = id``.  The cost of a
+    composition follows the terms of its outer map, and the forward map
+    is the sparse one of every bundled pair.
     """
 
     def __init__(
@@ -127,14 +138,10 @@ class AffineAutomorphism:
                 raise InputError("coordinate count and variable count must agree")
             if poly.is_zero:
                 raise InputError("automorphism coordinates cannot be zero")
-        for order, outer, inner in (
-            ("inverse o forward", inverse, forward),
-            ("forward o inverse", forward, inverse),
-        ):
-            for j in range(n):
-                residual = outer[j].compose(inner) - Polynomial.variable(n, j)
-                if not residual.is_zero:
-                    raise InverseVerificationError(order, j, residual)
+        for j in range(n):
+            residual = forward[j].compose(inverse) - Polynomial.variable(n, j)
+            if not residual.is_zero:
+                raise InverseVerificationError(j, residual)
         self.n = n
         self.forward = forward
         self.inverse = inverse

@@ -48,7 +48,7 @@ class Polynomial:
                 raise ValueError(
                     f"exponent tuple {exps} has length {len(exps)}, expected {nvars}"
                 )
-            if any(e < 0 or not isinstance(e, int) for e in exps):
+            if any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be non-negative integers: {exps}")
             coeff = Fraction(coeff)
             if coeff:

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affdyn.dynamics import (
@@ -10,15 +10,16 @@ from affdyn.dynamics import (
     InputError,
     InverseVerificationError,
     _constraint_forms,
+    _monomials,
     _primitive_vectors,
     is_regular,
 )
 from affdyn.heights import canonical_estimate, weil_height_integer
 from affdyn.inequality import OrbitSampler, batch_verify
-from affdyn.parsing import parse_polynomial
+from affdyn.parsing import parse_map_file, parse_polynomial
 from affdyn.polyring import Polynomial
 
-from conftest import assert_sparse_rank_matches_dense, small_points
+from conftest import assert_sparse_rank_matches_dense, bundled_map_text, small_points
 from oracles import (
     apply,
     grid_common_zeros,
@@ -47,8 +48,10 @@ class TestBuild:
         bad = tuple(P(s) for s in ("z - (y - x^2)", "x", "y - x^2"))
         with pytest.raises(InverseVerificationError) as err:
             AffineAutomorphism(henon.forward, bad, XYZ)
-        assert err.value.coordinate == 0
-        assert not err.value.residual.is_zero
+        # forward o bad agrees with the identity up to its last coordinate.
+        assert err.value.coordinate == 2
+        assert str(err.value).startswith("forward o inverse is not the identity")
+        assert err.value.residual == P("(y - x^2)^2 - (y - x^2)")
 
     def test_zero_coordinate_rejected(self):
         with pytest.raises(ValueError):
@@ -57,6 +60,60 @@ class TestBuild:
     def test_map_id_is_stable(self, henon):
         assert henon.map_id == AffineAutomorphism(henon.forward, henon.inverse, XYZ).map_id
         assert len(henon.map_id) == 12
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+        st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+        st.sampled_from([None, 0, 1]),
+        st.data(),
+    )
+    def test_one_order_decides_the_pair(self, c1, c2, upper, triangular_slot, data):
+        """F o G = id exactly when G o F = id, on the pairs of
+        ``test_conjugated_henon_products`` and on wrong versions of them:
+        one monomial added to one inverse coordinate, once of the top degree
+        d*d' and once of a lower degree.  The constructor, which composes
+        F o G only, rejects exactly the wrong pairs."""
+        forward, inverse = _henon_product_pair(c1, c2, upper, triangular_slot)
+        n = len(forward)
+        top = max(p.total_degree() for p in forward) * max(p.total_degree() for p in inverse)
+        pairs = [(inverse, True)]
+        for degree in (top, data.draw(st.integers(0, top - 1))):
+            exps = data.draw(st.sampled_from(_monomials(degree, n)))
+            coeff = data.draw(st.fractions(-3, 3, max_denominator=3).filter(bool))
+            slot = data.draw(st.integers(0, n - 1))
+            wrong = list(inverse)
+            wrong[slot] += Polynomial(n, {exps: coeff})
+            assume(not wrong[slot].is_zero)
+            pairs.append((tuple(wrong), False))
+        for candidate, valid in pairs:
+            assert _is_identity(forward, candidate) == _is_identity(candidate, forward) == valid
+            if valid:
+                AffineAutomorphism(forward, candidate)
+            else:
+                with pytest.raises(InverseVerificationError):
+                    AffineAutomorphism(forward, candidate)
+
+    def test_dense_conjugated_henon4(self):
+        """henon4 conjugated by a unit upper-triangular L: a sparse forward
+        map whose inverse is dense.  The constructor composes the sparse
+        side outermost, so this builds in well under a second."""
+        mf = parse_map_file(bundled_map_text("henon4"))
+        upper = (-1, -2, 1, -2, 2, 2)
+        automorphism = AffineAutomorphism(
+            _conjugate(mf.forward, upper), _conjugate(mf.inverse, upper)
+        )
+        assert automorphism.degrees == (2, 8)
+        assert [len(p.terms) for p in automorphism.inverse] == [485, 67, 67, 62]
+        result = is_regular(automorphism)
+        assert result.verdict == "regular"
+        assert (result.details["saturation_degree"], result.details["bound"]) == (11, 29)
+        for point in ((1, 1, 1, 1), (0, -1, 2, 0), (Fraction(1, 2), 0, -1, Fraction(1, 3))):
+            image = orbit_points(automorphism.orbit(point, 1))[1]
+            assert image == apply(automorphism, point)
+            back = orbit_points(automorphism.orbit(image, 1, "inverse"))[1]
+            assert back == tuple(Fraction(c) for c in point)
 
 
 class TestApply:
@@ -248,17 +305,7 @@ class TestRegularity:
         by the triangular ``(x + c*y^2, y)`` it is not, and the witness is
         checked by the oracle.  The dense rank agrees with the sparse one
         on every map."""
-        x, y = (Polynomial.variable(2, i) for i in range(2))
-        factors = []
-        for slot, c in enumerate((c1, c2)):
-            c = Polynomial.constant(2, c)
-            if slot == triangular_slot:
-                factors.append(((x + c * y**2, y), (x - c * y**2, y)))
-            else:
-                factors.append(((y, x + c * y**2), (y - c * x**2, x)))
-        forward, inverse = (
-            _conjugate(_product(factors[0][k], factors[1][k]), upper) for k in (0, 1)
-        )
+        forward, inverse = _henon_product_pair(c1, c2, upper, triangular_slot)
         automorphism = AffineAutomorphism(forward, inverse)
         result = is_regular(automorphism)
         assert_sparse_rank_matches_dense(automorphism)
@@ -288,6 +335,30 @@ class TestWitnessSearch:
             box = itertools.product(range(-bound, bound + 1), repeat=n)
             expected = [c for c in box if any(c) and normalize_projective(c) == c]
             assert list(_primitive_vectors(n, bound)) == expected
+
+
+def _henon_product_pair(c1, c2, upper, triangular_slot):
+    """``L o (H_c1 x H_c2) o L^-1`` on A^4 and its inverse, with
+    ``H_c = (y, x + c*y^2)``; the factor at ``triangular_slot`` is the
+    triangular ``(x + c*y^2, y)`` instead."""
+    x, y = (Polynomial.variable(2, i) for i in range(2))
+    factors = []
+    for slot, c in enumerate((c1, c2)):
+        c = Polynomial.constant(2, c)
+        if slot == triangular_slot:
+            factors.append(((x + c * y**2, y), (x - c * y**2, y)))
+        else:
+            factors.append(((y, x + c * y**2), (y - c * x**2, x)))
+    forward, inverse = (
+        _conjugate(_product(factors[0][k], factors[1][k]), upper) for k in (0, 1)
+    )
+    return forward, inverse
+
+
+def _is_identity(outer, inner) -> bool:
+    """Whether ``outer o inner`` is the identity, by ``Polynomial.compose``."""
+    n = len(inner)
+    return all(p.compose(inner) == Polynomial.variable(n, j) for j, p in enumerate(outer))
 
 
 def _product(first, second):

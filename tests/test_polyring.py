@@ -16,6 +16,13 @@ def P(text: str, names=XYZ) -> Polynomial:
     return parse_polynomial(text, names)
 
 
+@pytest.mark.parametrize("exponent", [None, "a", 1.0, -1])
+def test_exponents_must_be_non_negative_integers(exponent):
+    # The type is checked before the sign, so no exponent reaches ``<``.
+    with pytest.raises(ValueError, match="exponents must be non-negative integers"):
+        Polynomial(2, {(exponent, 0): 1})
+
+
 class TestAdd:
     def test_cancellation(self):
         assert P("x + y") + P("-x") == P("y")
