@@ -69,15 +69,18 @@ class InverseVerificationError(ValueError):
     """``forward o inverse`` is not the identity.
 
     Carries the first offending coordinate index and its symbolic residual
-    (composition coordinate minus the matching variable).
+    (composition coordinate minus the matching variable); the message
+    writes the residual in the map's variable names.
     """
 
-    def __init__(self, coordinate: int, residual: Polynomial):
+    def __init__(self, coordinate: int, residual: Polynomial, names: Sequence[str]):
+        from .parsing import format_polynomial
+
         self.coordinate = coordinate
         self.residual = residual
         super().__init__(
             f"forward o inverse is not the identity: coordinate {coordinate} "
-            f"has residual {residual}"
+            f"has residual {format_polynomial(residual, names)}"
         )
 
 
@@ -133,6 +136,9 @@ class AffineAutomorphism:
         if not forward or len(forward) != len(inverse):
             raise InputError("forward and inverse must list the same number of coordinates")
         n = len(forward)
+        names = tuple(names) if names is not None else tuple(f"x{i}" for i in range(n))
+        if len(names) != n:
+            raise InputError(f"expected {n} variable names, got {len(names)}")
         for poly in (*forward, *inverse):
             if poly.nvars != n:
                 raise InputError("coordinate count and variable count must agree")
@@ -141,15 +147,13 @@ class AffineAutomorphism:
         for j in range(n):
             residual = forward[j].compose(inverse) - Polynomial.variable(n, j)
             if not residual.is_zero:
-                raise InverseVerificationError(j, residual)
+                raise InverseVerificationError(j, residual, names)
         self.n = n
         self.forward = forward
         self.inverse = inverse
         self.d = max(p.total_degree() for p in forward)
         self.d_inv = max(p.total_degree() for p in inverse)
-        self.names = tuple(names) if names is not None else tuple(
-            f"x{i}" for i in range(n)
-        )
+        self.names = names
         self._compiled: dict[str, kernel.CompiledMap] = {}
 
     @property

@@ -73,6 +73,19 @@ class TestVerifyMap:
             assert main(argv) == 1, argv[0]
             assert "inverse verification failed" in capsys.readouterr().err
 
+    def test_bad_inverse_residual_uses_the_map_variables(self, tmp_path, capsys):
+        path = tmp_path / "bad.map"
+        path.write_text(
+            "vars x y z\nforward: y | z + y^2 | x + z^2\n"
+            "inverse: z - (y - x^2) | x | y - x^2\n"
+        )
+        assert main(["verify-map", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "inverse verification failed: forward o inverse is not the identity: "
+            "coordinate 2 has residual x^4 - 2*x^2*y + x^2 + y^2 - y\n",
+        )
+
     def test_parse_failure_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.map"
         path.write_text("vars x y\nforward: x + | y\ninverse: x | y\n")

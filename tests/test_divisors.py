@@ -8,9 +8,11 @@ import pytest
 from affdyn.divisors import (
     DatumError,
     DivisorClass,
+    EffectivityResult,
     PicBasis,
     PushforwardMap,
     ResolutionDatum,
+    ValidationReport,
     check_effective,
     check_pushpull_identity,
     combine_resolutions,
@@ -209,6 +211,53 @@ class TestBasisConsistency:
             i = base.basis.labels.index(label)
             j = shuffled.basis.labels.index(label)
             assert base.coeffs[i] == shuffled.coeffs[j]
+
+
+class TestSharedResults:
+    """Repeated results are shared instances: one empty report, one
+    effective verdict, one combined basis per pair of label tuples.  Each
+    class is frozen, so a shared instance equals a fresh one."""
+
+    def test_valid_data_share_one_empty_report(self, dataset):
+        forward, inverse = dataset
+        report = validate_resolution(forward)
+        assert report == ValidationReport(()) and report.ok
+        assert validate_resolution(inverse) is report
+
+    def test_violations_get_their_own_report(self, dataset):
+        forward, _ = dataset
+        first = validate_resolution(replace(forward, a=(2,) + forward.a[1:]))
+        second = validate_resolution(replace(forward, b=(3,) + forward.b[1:]))
+        assert [v.law for v in first.violations] == ["blowdown-normalization"]
+        assert [v.law for v in second.violations] == ["map-degree"]
+        assert first is not second
+        assert validate_resolution(forward) is not first
+        assert validate_resolution(forward) == ValidationReport(())
+
+    def test_effective_verdicts(self, dataset):
+        forward, inverse = dataset
+        shared = check_effective(compute_D(combine_resolutions(forward, inverse)))
+        assert shared == EffectivityResult(True) and shared.first_negative is None
+        assert check_effective(DivisorClass(PicBasis(("H", "E1")), (0, 0))) is shared
+        # E2 and E3 go negative: (4*2 - 9)/8 and (4*1 - 9)/8.
+        mutated = replace(forward, a=forward.a[:2] + (9, 9) + forward.a[4:])
+        verdict = check_effective(compute_D(combine_resolutions(mutated, inverse)))
+        assert verdict == EffectivityResult(False, "E2")
+
+    def test_one_label_pair_gives_one_basis(self, dataset):
+        forward, inverse = dataset
+        first = combine_resolutions(forward, inverse)
+        mutated = replace(forward, a=forward.a[:3] + (9,) + forward.a[4:])
+        second = combine_resolutions(mutated, inverse)
+        assert second.basis == first.basis and second.basis is first.basis
+        assert second.blowdown_pullback != first.blowdown_pullback
+
+    def test_shared_label_raises_on_every_call(self):
+        forward = ResolutionDatum("forward", 1, 1, PicBasis(("H", "E1")), (1, 1), (1, 1), 1)
+        inverse = ResolutionDatum("inverse", 1, 1, PicBasis(("H", "E1")), (1, 1), (1, 1), 1)
+        for _ in range(2):
+            with pytest.raises(DatumError, match="duplicate divisor label"):
+                combine_resolutions(forward, inverse)
 
 
 # -- randomized equivalence (small here; the acceptance suite scales it up) --

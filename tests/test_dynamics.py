@@ -50,8 +50,21 @@ class TestBuild:
             AffineAutomorphism(henon.forward, bad, XYZ)
         # forward o bad agrees with the identity up to its last coordinate.
         assert err.value.coordinate == 2
-        assert str(err.value).startswith("forward o inverse is not the identity")
+        assert str(err.value) == (
+            "forward o inverse is not the identity: coordinate 2 "
+            "has residual x^4 - 2*x^2*y + x^2 + y^2 - y"
+        )
         assert err.value.residual == P("(y - x^2)^2 - (y - x^2)")
+
+    @pytest.mark.parametrize("names", [("a",), ("x", "y", "z", "w")], ids=["one", "four"])
+    def test_name_count_must_match_the_dimension(self, henon, names):
+        message = f"expected 3 variable names, got {len(names)}"
+        with pytest.raises(InputError, match=message):
+            AffineAutomorphism(henon.forward, henon.inverse, names)
+        # The names are checked before the composition that would use them.
+        bad = tuple(P(s) for s in ("z - (y - x^2)", "x", "y - x^2"))
+        with pytest.raises(InputError, match=message):
+            AffineAutomorphism(henon.forward, bad, names)
 
     def test_zero_coordinate_rejected(self):
         with pytest.raises(ValueError):
