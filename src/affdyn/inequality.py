@@ -33,10 +33,11 @@ not stored.
 
 The word rule: a block's three integer columns are machine words,
 ``array('q')``, when its largest height integer has at most
-``WORD_BITS`` = 63 bits, and lists of Python ints otherwise.  A record's
-largest height bounds every integer of the record, since a canonical
-point's coordinates and denominator never exceed its height, so one
-comparison per block decides its three columns.  Box and rational
+``WORD_BITS`` = 63 bits, and lists of Python ints otherwise.  The rule is
+applied where a block is built, in the process that evaluates it.  A
+record's largest height bounds every integer of the record, since a
+canonical point's coordinates and denominator never exceed its height,
+so one comparison per block decides its three columns.  Box and rational
 samples stay in machine words, and a deep orbit widens only the blocks
 that hold its deep points.  A ``DeltaRecord`` is built only when a record
 is read, and it holds plain ints either way.  A box:20 report retains
@@ -62,10 +63,11 @@ run on at least two CPUs and no other Python thread runs
 process runs blocks 2, 4, ... and takes the results in block order.
 Otherwise every block runs here, one after the other.  Both processes
 walk the same block stream, which the fork copies with the sampler's
-state (its RNG too), so a block's points are the same in both.  A block
-of ``batch_verify`` gives its records, in list columns, and its skip
-count; this process applies the word rule to each block that kept a
-record, keeps it, and folds the running minimum, the first point that
+state (its RNG too), so a block's points are the same in both.  Each
+process packs the blocks that it evaluates: a block of ``batch_verify``
+gives its finished ``_Block`` (None when it kept no record) and its skip
+count, so the worker sends finished blocks.  This process keeps each
+block as it arrives and folds the running minimum, the first point that
 reaches it and the checkpoints over the deltas in sample order.  So the
 records, verdicts and notes are those of one process, and so is the
 first error: a worker's exception is raised here in its block's turn.
@@ -119,7 +121,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
 from operator import eq, index as as_index
-from struct import pack_into
 from typing import Iterator, NamedTuple, NoReturn
 
 from . import kernel
@@ -687,16 +688,6 @@ def _point_blocks(points: Iterable[RawPoint]) -> Iterator[Iterator[RawPoint]]:
         deque(block, maxlen=0)
 
 
-def _words(column: list[int]) -> array:
-    """``column`` in an ``array('q')`` of its exact size.  One
-    ``pack_into`` reads every int in C, where ``array.extend`` parses each
-    item as a call argument; ``array.frombytes`` would leave a sixteenth
-    of the array spare, which a report keeps once per block."""
-    words = array("q", [0]) * len(column)
-    pack_into(f"{len(column)}q", words, 0, *column)
-    return words
-
-
 def batch_verify(
     automorphism: AffineAutomorphism,
     sampler,
@@ -726,9 +717,9 @@ def batch_verify(
     d, d_inv = automorphism.degrees
     weight = 1.0 + 1.0 / (d * d_inv)
 
-    def evaluate(block: Iterator[RawPoint]) -> tuple:
-        """The coordinates, denominators and height integers of the
-        records that ``block`` keeps, in lists, the records' deltas and the
+    def evaluate(block: Iterator[RawPoint]) -> tuple[_Block | None, int]:
+        """The ``_Block`` of the records that ``block`` keeps, its integer
+        columns by the word rule, or None when it keeps none; and the
         number of points skipped."""
         coords, dens, heights = [], [], []
         deltas = array("d")
@@ -758,12 +749,15 @@ def batch_verify(
             dens.append(den)
             heights += height, h_forward, h_inverse
             deltas.append(log(h_forward) / d + log(h_inverse) / d_inv - weight * log(height))
-        return coords, dens, heights, deltas, skipped
+        if not deltas:
+            return None, skipped
+        if max(heights).bit_length() <= WORD_BITS:
+            coords, dens, heights = array("q", coords), array("q", dens), array("q", heights)
+        return _Block(n, coords, dens, heights, deltas), skipped
 
-    # The blocks' results fold in sample order: each non-empty block is
-    # kept, in machine words if its heights fit, and the running minimum,
-    # its first index and the checkpoints are read off its deltas (module
-    # docstring).
+    # The blocks fold in sample order, each kept as it arrives, finished
+    # by the process that evaluated it: the running minimum, its first
+    # index and the checkpoints are read off its deltas (module docstring).
     points = _point_blocks(sampler.points(automorphism, bit_budget))
     blocks: list[_Block] = []
     kept = skipped = 0
@@ -771,13 +765,12 @@ def batch_verify(
     first_min = -1
     checkpoints: list[tuple[int, float]] = []
     next_checkpoint = WARMUP
-    for coords, dens, heights, block_deltas, block_skipped in _in_order(points, evaluate):
+    for block, block_skipped in _in_order(points, evaluate):
         skipped += block_skipped
-        if not block_deltas:
+        if block is None:
             continue
-        if max(heights).bit_length() <= WORD_BITS:
-            coords, dens, heights = _words(coords), _words(dens), _words(heights)
-        blocks.append(_Block(n, coords, dens, heights, block_deltas))
+        blocks.append(block)
+        block_deltas = block.deltas
         start = kept
         kept += len(block_deltas)
         while next_checkpoint <= kept:

@@ -2,9 +2,11 @@
 
 These deliberately take different computational routes from the package:
 dense-array polynomial arithmetic, Horner-style evaluation, a table
-interpreter for compiled maps, brute-force grid searches, the extension
-at infinity read off a line through the origin, and a dense exact rank of
-the Macaulay rows that the regularity decision eliminates sparsely.
+interpreter for compiled maps, orbits of compiled maps iterated mod a
+prime (a fingerprint of every exact step), brute-force grid searches, the
+extension at infinity read off a line through the origin, and a dense
+exact rank of the Macaulay rows that the regularity decision eliminates
+sparsely.
 The package keeps points in ``(nums, den)`` form only; ``to_fractions``
 and ``orbit_points`` give them the ``Fraction`` coordinates that
 ``Polynomial.evaluate`` and the exact comparisons here take.
@@ -142,6 +144,39 @@ def interpret_map(cm, nums, den):
 
     new_den = lcm(*red_dens)
     return tuple(n * (new_den // d) for n, d in zip(red_nums, red_dens)), new_den
+
+
+def reduce_mod_p(nums, den, p: int) -> tuple[int, ...]:
+    """The point ``nums / den`` in F_p^n: each ``a * den^-1 mod p``.  Raises
+    ``ValueError`` when ``p`` divides ``den``."""
+    inverse = pow(den, -1, p)
+    return tuple(a * inverse % p for a in nums)
+
+
+def orbit_mod_p(cm, nums, den, steps: int, p: int) -> list[tuple[int, ...]]:
+    """The orbit ``x_0, ..., x_steps`` of ``nums / den`` under the map
+    compiled in ``cm``, iterated in F_p^n from ``x_0 = reduce_mod_p(nums,
+    den, p)``: each coordinate of an image is the sum of its cleared terms
+    ``cm.terms`` times the inverse of its cleared denominator ``cm.denoms``.
+    It runs neither the generated evaluator nor ``kernel.square``, and
+    takes no gcd, so where the exact orbit's denominators are prime to
+    ``p`` its points reduce to these, step for step."""
+    inverses = [pow(denom, -1, p) for denom in cm.denoms]
+    x = reduce_mod_p(nums, den, p)
+    orbit = [x]
+    for _ in range(steps):
+        image = []
+        for terms, inverse in zip(cm.terms, inverses):
+            acc = 0
+            for coeff, exps in terms:
+                term = coeff
+                for xi, e in zip(x, exps):
+                    term = term * pow(xi, e, p) % p
+                acc += term
+            image.append(acc * inverse % p)
+        x = tuple(image)
+        orbit.append(x)
+    return orbit
 
 
 def normalize_projective(coords) -> tuple[int, ...]:

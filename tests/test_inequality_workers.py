@@ -7,6 +7,7 @@ may outlive the call that started it."""
 import contextlib
 import dataclasses
 import io
+import itertools
 import os
 import signal
 import subprocess
@@ -33,6 +34,13 @@ from affdyn.parsing import DECIMAL_LIMIT
 from test_inequality import FixedSampler
 
 ONE = (Fraction(1),) * 3
+
+# A point past the default budget, skipped before any evaluation, and the
+# 27 points of the box of bound 1.  Chunks of 7 over SMALL[:7], 14 copies
+# of HUGE and SMALL[7:] give blocks 1 (the worker's) and 2 (this
+# process's) that keep no record, and blocks 3 to 5 that keep some.
+HUGE = ((2 ** (2**20), 0, 0), 1)
+SMALL = [(nums, 1) for nums in itertools.product((-1, 0, 1), repeat=3)]
 
 
 def started_workers(monkeypatch, fork: bool | None) -> list:
@@ -92,8 +100,9 @@ def written(report: DeltaReport) -> tuple[str, str]:
         (RandomRationalSampler(300, 50, 20, seed=3), 7, ([], [])),
         (CompositeSampler((BoxSampler(1), RationalBoxSampler(1, 2))), 7, ([], [])),
         (CompositeSampler((OrbitSampler((ONE,), 14), BoxSampler(2))), 4, ([6], [14])),
+        (FixedSampler(*SMALL[:7], *[HUGE] * 14, *SMALL[7:]), 7, ([], [])),
     ],
-    ids=["box", "rationals", "random", "composite", "orbit-and-box"],
+    ids=["box", "rationals", "random", "composite", "orbit-and-box", "empty-blocks"],
 )
 def test_two_processes_give_the_one_process_report(henon, monkeypatch, sampler, chunk, widened):
     monkeypatch.setattr(inequality, "CHUNK_RECORDS", chunk)

@@ -2,6 +2,7 @@
 with the Fraction-based evaluator, on canonical common-denominator form,
 and its source must hold no text from the map."""
 
+import dataclasses
 import io
 import random
 import re
@@ -20,7 +21,7 @@ from affdyn.parsing import format_point, parse_map_file, parse_polynomial
 from affdyn.polyring import Polynomial
 
 from conftest import bundled_map_text
-from oracles import identity, interpret_map, to_fractions
+from oracles import identity, interpret_map, orbit_mod_p, reduce_mod_p, to_fractions
 
 
 def _canonical(nums, den):
@@ -293,6 +294,85 @@ def test_deep_orbit_matches_oracle_point_for_point(henon, monkeypatch):
         size = 1 << (squared[i].bit_length() - 1) // 2
         pointwise = squared[i + 1:i + 1 + size]
         assert len(pointwise) == size and max(pointwise) < kernel.SQUARE_CUTOFF
+
+
+# -- every deep orbit step, by fingerprints mod fixed primes ---------------
+
+# Two primes that divide no denominator of the bundled maps or of the
+# starts below, so every exact orbit point reduces mod each of them.
+FINGERPRINT_PRIMES = (2**61 - 1, 2**61 - 31)
+
+
+def first_wrong_step(cm, raws) -> int | None:
+    """The first index at which the exact orbit ``raws`` differs, mod one of
+    ``FINGERPRINT_PRIMES``, from the orbit of ``raws[0]`` that
+    ``orbit_mod_p`` iterates from ``cm``'s terms; None when every step
+    agrees."""
+    orbits = [(p, orbit_mod_p(cm, *raws[0], len(raws) - 1, p)) for p in FINGERPRINT_PRIMES]
+    for k, raw in enumerate(raws):
+        if any(reduce_mod_p(*raw, p) != orbit[k] for p, orbit in orbits):
+            return k
+    return None
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize(
+    "name, start",
+    [
+        ("henon3", (1, 1, 1)),
+        ("henon3", (1, Fraction(1, 2), -3)),
+        ("henon4", (1,) * 4),
+        ("henon5", (1,) * 5),
+    ],
+    ids=["henon3", "henon3-rational", "henon4", "henon5"],
+)
+def test_every_deep_orbit_step_matches_its_fingerprints(name, start, direction):
+    automorphism = _bundled(name)
+    orbit = automorphism.orbit(start, 64, direction)
+    assert orbit.truncated  # it ran to the default budget
+    assert first_wrong_step(automorphism.compiled(direction), orbit.raw) is None
+
+
+def assert_fingerprints_catch(cm, raws, exact):
+    """The fingerprints of the mutated orbit ``raws`` fail at the first
+    step where it leaves the ``exact`` one."""
+    wrong = next((k for k, (raw, good) in enumerate(zip(raws, exact)) if raw != good), None)
+    assert wrong is not None
+    assert first_wrong_step(cm, raws) == wrong
+
+
+def test_fingerprints_catch_a_wrong_square(monkeypatch):
+    # henon3's forward orbit from (1,1,1) squares a 351,872-bit coordinate
+    # for its last step, the one squaring past SQUARE_CUTOFF that it keeps.
+    automorphism = _bundled("henon3")
+    cm = automorphism.compiled("forward")
+    exact = automorphism.orbit((1, 1, 1), 64).raw
+    square = kernel.square
+    flipped = []
+
+    def wrong_square(a):
+        if a.bit_length() < kernel.SQUARE_CUTOFF:
+            return square(a)
+        flipped.append(a.bit_length())
+        return square(a) ^ (1 << a.bit_length())
+
+    monkeypatch.setattr(kernel, "square", wrong_square)
+    raws = automorphism.orbit((1, 1, 1), 64).raw
+    assert flipped
+    assert_fingerprints_catch(cm, raws, exact)
+
+
+def test_fingerprints_catch_a_wrong_evaluator(monkeypatch):
+    # The evaluator of henon3's forward map with x's coefficient 2 in its
+    # last coordinate; the fingerprints still read the map's own terms.
+    automorphism = _bundled("henon3")
+    cm = automorphism.compiled("forward")
+    exact = automorphism.orbit((1, 1, 1), 64).raw
+    mutant = kernel.compile_map(_polynomials(automorphism.names, "y", "z + y^2", "2*x + z^2"))
+    wrong = dataclasses.replace(cm, source=mutant.source, eval_map=mutant.eval_map)
+    monkeypatch.setattr(automorphism, "compiled", lambda direction: wrong)
+    raws = automorphism.orbit((1, 1, 1), 64).raw
+    assert_fingerprints_catch(cm, raws, exact)
 
 
 # -- the bit-length bound behind skipped orbit steps -----------------------
