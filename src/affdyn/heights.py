@@ -28,10 +28,12 @@ divided by ``d^k``, correctly rounded.  For ``d = 1`` the tail is
 infinite once ``K > 0``; reports write an infinite tail as null.
 
 The combined invariant ``h_plus + h_minus`` is nonnegative and vanishes
-exactly on periodic points.
+exactly on periodic points.  A finite-depth estimate of it vanishes only
+where both ends of the orbit have height integer 1 (see ``canonical``).
 
-Everything here is a pure function of immutable inputs; batch evaluation
-over point sets is embarrassingly parallel.
+Everything here is a pure function of immutable inputs.  ``canonical``
+runs its two directions on two processes where it can (``kernel``'s
+module docstring gives the rule); its result is that of one process.
 """
 
 from __future__ import annotations
@@ -185,15 +187,24 @@ def canonical(
     depth: int,
     bit_budget: int = DEFAULT_BIT_BUDGET,
 ) -> CanonicalHeight:
-    """Combined canonical height ``h_plus + h_minus``.
+    """Combined canonical height estimate ``h_plus + h_minus``.
 
-    The sum of the two one-sided estimates is nonnegative and vanishes
-    exactly on periodic points.
+    The limit, Kawaguchi's canonical height, is nonnegative and vanishes
+    exactly on periodic points.  The estimate at a finite depth ``N`` need
+    not vanish there: its forward term is ``log H_N / d^N``, with ``H_N``
+    the height integer of ``f^N P``, which is positive whenever ``H_N >
+    1``.  A fixed point of height ``H > 1`` reads ``log H / d^N +
+    log H / d'^N > 0`` at every depth.
+
+    The two directions share nothing, and ``kernel._in_order`` runs them
+    on two processes when it may fork: the forward one here, the inverse
+    one in the worker.  The first error is raised in direction order.
     """
-    return CanonicalHeight(
-        plus=canonical_estimate(automorphism, point, depth, "forward", bit_budget),
-        minus=canonical_estimate(automorphism, point, depth, "inverse", bit_budget),
+    plus, minus = kernel._in_order(
+        ("forward", "inverse"),
+        lambda direction: canonical_estimate(automorphism, point, depth, direction, bit_budget),
     )
+    return CanonicalHeight(plus=plus, minus=minus)
 
 
 def height_growth_constant(

@@ -54,30 +54,22 @@ sample that keeps no point: a verdict that was never evaluated is no
 PASS.
 
 ``batch_verify`` works in blocks of ``CHUNK_RECORDS`` sample points, and
-the two report writers over the blocks that it kept.  ``_in_order`` runs
-the blocks.  This process runs block 0; if a second block exists, the
-platform has ``os.fork`` and ``os.sched_getaffinity``, the process may
-run on at least two CPUs and no other Python thread runs
-(``_fork_allowed``), it forks exactly one worker.  The worker runs blocks
-1, 3, 5, ... and sends each result back pickled over a pipe, and this
-process runs blocks 2, 4, ... and takes the results in block order.
-Otherwise every block runs here, one after the other.  Both processes
-walk the same block stream, which the fork copies with the sampler's
-state (its RNG too), so a block's points are the same in both.  Each
-process packs the blocks that it evaluates: a block of ``batch_verify``
-gives its finished ``_Block`` (None when it kept no record) and its skip
-count, so the worker sends finished blocks.  This process keeps each
-block as it arrives and folds the running minimum, the first point that
-reaches it and the checkpoints over the deltas in sample order.  So the
-records, verdicts and notes are those of one process, and so is the
-first error: a worker's exception is raised here in its block's turn.
-A writer's result is one block's text, and only this process writes to
-the handle.  The worker always ends by ``os._exit``: it never flushes
-the buffered ``stdout`` or ``--out`` handle that it inherited, and never
-runs exit handlers.  On a 2-vCPU x86_64 VM (CPython 3.11) this took the
-wide-rational benchmark's ``wall_ref`` from 10.1 to 7.7, the median of
-ten pairs.  Kernel calls and spans counted in this process (a wrapped
-``kernel`` function, a tracer) see only the blocks that it ran.
+the two report writers over the blocks that it kept.  ``kernel._in_order``
+runs the blocks, on two processes where it may fork (the ``kernel``
+module docstring gives the rule).  ``batch_verify``'s blocks are a stream,
+so its worker starts at block 1; a writer's blocks are a list, so its
+worker starts before block 0.  Both processes walk the same block stream,
+which the fork copies with the sampler's state (its RNG too), so a
+block's points are the same in both.  Each process packs the blocks that
+it evaluates: a block of ``batch_verify`` gives its finished ``_Block``
+(None when it kept no record) and its skip count, so the worker sends
+finished blocks.  This process keeps each block as it arrives and folds
+the running minimum, the first point that reaches it and the checkpoints
+over the deltas in sample order.  So the records, verdicts and notes are
+those of one process, and so is the first error.  A writer's result is
+one block's text, and only this process writes to the handle.  On a
+2-vCPU x86_64 VM (CPython 3.11) this took the wide-rational benchmark's
+``wall_ref`` from 10.1 to 7.7, the median of ten pairs.
 
 ``DeltaReport.write_json`` and ``write_csv`` write a report a block at a
 time, at most ``CHUNK_RECORDS`` records, each record filled into one
@@ -110,18 +102,16 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
-import threading
 from array import array
 from bisect import bisect_right
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
 from operator import eq, index as as_index
-from typing import Iterator, NamedTuple, NoReturn
+from typing import Iterator, NamedTuple
 
 from . import kernel
 from .dynamics import DEFAULT_BIT_BUDGET, AffineAutomorphism, InputError, RawPoint, is_regular
@@ -383,117 +373,6 @@ class DeltaRecords:
         return len(self) == len(other) and all(map(eq, self, other))
 
 
-# -- blocks on two processes -------------------------------------------------
-
-
-def _fork_allowed() -> bool:
-    """Whether ``_in_order`` may fork its worker: the platform has
-    ``os.fork`` and ``os.sched_getaffinity``, this process may run on two
-    CPUs or more, and no other Python thread runs (a fork copies only the
-    calling thread)."""
-    return (
-        hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and threading.active_count() == 1
-    )
-
-
-def _in_order(blocks: Iterable, work: Callable) -> Iterator:
-    """Yield ``work(block)`` for each of ``blocks``, in order.
-
-    This process runs block 0.  If a second block exists and
-    ``_fork_allowed()``, one forked ``_Worker`` runs blocks 1, 3, 5, ...
-    while this process runs blocks 2, 4, ..., and every result is yielded
-    in block order.  Both processes draw every block from ``blocks``, whose
-    state the fork copies, so the stream must give the same blocks in
-    both.  The first error in block order is raised, as one process would
-    raise it.  However the generator ends (exhausted, failed or closed by
-    its consumer), the worker is closed and reaped.  No result is held
-    here once it is yielded.
-    """
-    blocks = iter(blocks)
-    worker = None
-    try:
-        for index, block in enumerate(blocks):
-            if index == 1 and _fork_allowed():
-                worker = _Worker(itertools.chain((block,), blocks), work)
-            yield work(block) if worker is None or index % 2 == 0 else worker.receive()
-    finally:
-        if worker is not None:
-            worker.close()
-
-
-class _Worker:
-    """The one forked process of ``_in_order``.  It runs every other block
-    of its stream, from the first, and sends each result back pickled over
-    a pipe; an exception is pickled and sent in place of its block's
-    result, and ends the worker.  The worker always ends by ``os._exit``,
-    so it never flushes a buffer or runs an exit handler inherited from
-    this process."""
-
-    def __init__(self, blocks: Iterator, work: Callable):
-        read_end, write_end = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-            raise
-        if self.pid == 0:
-            os.close(read_end)
-            _work_odd_blocks(blocks, work, write_end)
-        os.close(write_end)
-        self.results = os.fdopen(read_end, "rb")
-        self.status: int | None = None
-
-    def receive(self):
-        """The result of the worker's next block; its exception is raised
-        here, and a worker that ended without sending one raises
-        ``RuntimeError`` with its exit status."""
-        import pickle  # on this path only: the import adds ~3 ms to every start
-
-        try:
-            done, value = pickle.load(self.results)
-        except (EOFError, pickle.UnpicklingError):
-            self.close()
-            raise RuntimeError(
-                f"the inequality worker ended before sending a block, exit status {self.status}"
-            ) from None
-        if not done:
-            raise value
-        return value
-
-    def close(self) -> None:
-        """Close the read end, so that a worker blocked on a write gets
-        ``EPIPE``, then reap the worker.  A second call does nothing."""
-        if self.status is None:
-            self.results.close()
-            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-
-
-def _work_odd_blocks(blocks: Iterator, work: Callable, fd: int) -> NoReturn:
-    """The body of a ``_Worker``: run every other block of ``blocks``,
-    from the first, and write each result to ``fd`` as a pickled pair
-    ``(True, result)``; on an exception, write ``(False, exception)`` and
-    stop.  Never returns: the process ends by ``os._exit``."""
-    import pickle
-
-    status = 1
-    try:
-        with os.fdopen(fd, "wb") as results:
-            try:
-                for own, block in zip(itertools.cycle((True, False)), blocks):
-                    if own:
-                        pickle.dump((True, work(block)), results)
-                        results.flush()
-            except Exception as error:  # the parent raises it in its turn
-                pickle.dump((False, error), results)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 # -- reports ---------------------------------------------------------------
 
 
@@ -658,7 +537,7 @@ class DeltaReport:
         before, _, after = text.partition('"records":[]')
         handle.write(before + '"records":[')
         separator = ""
-        for text in _in_order(self.records._blocks, _json_text):
+        for text in kernel._in_order(self.records._blocks, _json_text):
             handle.write(separator + text)
             separator = ","
             del text  # not held while the next block is formatted
@@ -668,7 +547,7 @@ class DeltaReport:
         """Write ``to_csv_rows()`` to ``handle`` as ``csv.writer`` would,
         with ``"\n"`` line ends, each record filled into a fixed template."""
         handle.write(",".join(self.CSV_HEADER) + "\n")
-        for text in _in_order(self.records._blocks, _csv_text):
+        for text in kernel._in_order(self.records._blocks, _csv_text):
             handle.write(text)
             del text  # not held while the next block is formatted
 
@@ -705,10 +584,10 @@ def batch_verify(
 
     Each point is stepped forward, then (if its image fits) backward, by
     ``kernel.step`` over the two compiled maps fetched once.  The points
-    run in blocks, on two processes when ``_fork_allowed()`` (module
-    docstring).  The kernel functions are called through the module, so
-    that a wrapped one sees every call of the blocks that its process
-    runs: every call when the fork is not allowed.
+    run in blocks, on two processes when ``kernel._fork_allowed()``
+    (module docstring).  The kernel functions are called through the
+    module, so that a wrapped one sees every call of the blocks that its
+    process runs: every call when the fork is not allowed.
     """
     regularity = is_regular(automorphism).verdict
     n = automorphism.n
@@ -765,7 +644,7 @@ def batch_verify(
     first_min = -1
     checkpoints: list[tuple[int, float]] = []
     next_checkpoint = WARMUP
-    for block, block_skipped in _in_order(points, evaluate):
+    for block, block_skipped in kernel._in_order(points, evaluate):
         skipped += block_skipped
         if block is None:
             continue

@@ -103,6 +103,34 @@ its neighbours:
 ``step`` passes ``square`` only when some squaring in the power block can
 reach the cutoff (see ``step``), so small points pay nothing for it.
 
+From ``SPLIT_CUTOFF`` bits on, ``square`` runs the two halves of its
+transform on two processes (``_in_order``, below).  The top forward level
+adds the padding ``v[j + K/2] = 0`` to ``v[j]``, so the lower half is the
+pieces as they are and the upper half the pieces twisted by ``2^(t*j)``.
+Every forward level below the top, the pointwise squares and every
+inverse level but the top stay within one half (``_square_half``): this
+process runs the lower half and the worker the upper one.  This process
+then runs the top inverse level, the scaling by ``1/K`` and the carry.
+Each half runs the operations of the one-process transform on the same
+values, so the result is the same integer.  The cutoff was measured as
+above, medians of interleaved runs in ms, one process against two
+(``split`` counts the runs that the split won):
+
+    ======  =====  =====  =====
+    bits    one    two    split
+    ======  =====  =====  =====
+    352k     14.7   15.1  10/31
+    440k     12.1   15.8  18/41
+    470k     22.1   17.0  41/41
+    500k     24.7   20.3  31/31
+    704k     36.9   24.9  31/31
+    1.4M     66.9   43.2  21/21
+    2.8M     99.0   87.0  20/21
+    ======  =====  =====  =====
+
+Below about 450 kbit the fork and the pickled half that comes back cost
+about what the second CPU saves.
+
 The orbit stays in ``int``.  libmpdec's ``Decimal`` multiplies faster
 still, but converting a coordinate between ``int`` and ``Decimal`` is
 quadratic (``int(Decimal)`` takes about 12 s at 1.7 Mbit), and every
@@ -137,14 +165,48 @@ deg * bitlen(den)``, as ``denoms[j] * den^deg < 2^B``.  Hence ``lo - B >
 budget`` proves an image integer of more than ``budget`` bits.  The test
 is one-sided: cancellation between terms of similar size makes it answer
 False, never wrongly True.
+
+Work on two processes.  ``_in_order(blocks, work)`` yields
+``work(block)`` for each block in order, and it is the one place where the
+package forks: ``inequality`` runs its sample blocks and its report
+blocks through it, ``heights.canonical`` its two directions, and
+``square`` the two halves of a large transform.  When the platform has
+``os.fork`` and ``os.sched_getaffinity``, the process may run on at least
+two CPUs and no other Python thread runs (``_fork_allowed``), it forks
+exactly one worker (``_Worker``).  The worker runs blocks 1, 3, 5, ...
+and sends each result back pickled over a pipe; this process runs blocks
+0, 2, 4, ... and takes the results in block order.  Otherwise every block
+runs here, one after the other.  The fork-first rule decides when the
+worker starts.  A sized sequence of two blocks or more, such as the report
+writers' block lists, ``canonical``'s two directions or ``square``'s two
+halves, forks before this process runs block 0, so that blocks 0 and 1
+run at once.  Any other iterable forks when its second block is drawn, so
+a stream of one block forks nothing; a stream is not peeked, since
+holding its first block whole to learn whether a second exists retained
+about 390 kB of freed point tuples in CPython's free lists after a box:6
+report (``tests/test_record_memory.py``).  Both processes draw every
+block from the same stream, which the fork copies with its state.  A
+worker's exception is raised here in its block's turn, so the results and
+the first error are those of one process.  The worker always ends by
+``os._exit``: it never flushes a buffered ``stdout`` or ``--out`` handle
+that it inherited, and never runs exit handlers.  A worker may start a
+worker of its own: a split ``square`` in ``canonical``'s inverse orbit
+does.  Kernel calls and spans counted in this process (a wrapped
+``kernel`` function, a tracer) see only the blocks that it ran; the
+traced ``kernel.eval_point.*`` and ``heights.canonical.*`` counts cover
+this process's half only.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
+from collections.abc import Callable, Iterable, Iterator, Sequence, Sized
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import NoReturn
 
 #: The kernel's implementation, recorded with benchmark results so that
 #: results from different kernels are never compared.
@@ -154,6 +216,10 @@ BACKEND = "python"
 #: transform; below it CPython's own product is faster (see the module
 #: docstring).
 SQUARE_CUTOFF = 200_000
+
+#: Bit length from which ``square`` runs the two halves of its transform on
+#: two processes when ``_fork_allowed()`` (see the module docstring).
+SPLIT_CUTOFF = 450_000
 
 
 @dataclass(frozen=True)
@@ -315,7 +381,8 @@ def eval_point(cm: CompiledMap, nums: tuple[int, ...], den: int, sq=None):
 
 def square(a: int) -> int:
     """``a*a``, by a Schönhage–Strassen transform from ``SQUARE_CUTOFF``
-    bits (see the module docstring for the sizes and why they are exact)."""
+    bits, its two halves on two processes from ``SPLIT_CUTOFF`` bits (see
+    the module docstring for the sizes and why they are exact)."""
     n = a.bit_length()
     if n < SQUARE_CUTOFF:
         return a * a
@@ -328,41 +395,30 @@ def square(a: int) -> int:
     mask = (1 << bits) - 1
     data = abs(a).to_bytes(piece * half, "little")
     del a
-    v = [int.from_bytes(data[i:i + piece], "little") for i in range(0, len(data), piece)]
+    pieces = [int.from_bytes(data[i:i + piece], "little") for i in range(0, len(data), piece)]
     del data
-    v += [0] * half
-    # Forward transform, decimation in frequency: v[j + h] takes the twiddle
-    # 2^(t*e) with t = L/h, and the output is in bit-reversed order.
-    h = half
-    while h:
-        t = bits // h
-        for start in range(0, size, 2 * h):
-            for j in range(start, start + h):
-                x = v[j]
-                y = v[j + h]
-                w = x + y
-                v[j] = (w & mask) - (w >> bits)
-                w = (x - y) << t * (j - start)
-                v[j + h] = (w & mask) - (w >> bits)
-        h >>= 1
-    for j in range(size):
-        w = square(v[j])
-        v[j] = (w & mask) - (w >> bits)
-    # Inverse transform, decimation in time, back to natural order: the
-    # twiddle 2^(-t*e) is -2^(L - t*e), so y below is minus the twiddled value.
-    h = 1
-    while h < size:
-        t = bits // h
-        for start in range(0, size, 2 * h):
-            for j in range(start, start + h):
-                x = v[j]
-                w = v[j + h] << bits - t * (j - start)
-                y = (w & mask) - (w >> bits)
-                w = x - y
-                v[j] = (w & mask) - (w >> bits)
-                w = x + y
-                v[j + h] = (w & mask) - (w >> bits)
-        h <<= 1
+
+    def transform(upper: bool) -> list[int]:
+        return _square_half(pieces, upper, bits, mask)
+
+    if n >= SPLIT_CUTOFF:
+        lower, upper = _in_order((False, True), transform)
+    else:
+        lower, upper = transform(False), transform(True)
+    del pieces
+    # The top inverse level, decimation in time, joins the halves: the
+    # twiddle 2^(-t*j) is -2^(L - t*j), so y below is minus the twiddled value.
+    t = bits // half
+    for j in range(half):
+        x = lower[j]
+        w = upper[j] << bits - t * j
+        y = (w & mask) - (w >> bits)
+        w = x - y
+        lower[j] = (w & mask) - (w >> bits)
+        w = x + y
+        upper[j] = (w & mask) - (w >> bits)
+    v = lower + upper
+    del lower, upper
     # v[j] is K*c_j mod 2^L + 1, and 1/K = -2^(L - k) there; c_j is the
     # residue in [0, 2^L).
     modulus = mask + 2
@@ -379,6 +435,60 @@ def square(a: int) -> int:
         v = [lo + (hi << width) for lo, hi in zip(v[::2], v[1::2])]
         width *= 2
     return v[0]
+
+
+def _square_half(pieces: list[int], upper: bool, bits: int, mask: int) -> list[int]:
+    """One half of ``square``'s transform of ``pieces`` padded with as many
+    zeros: the lower or the upper ``K/2`` entries after the forward
+    transform, the pointwise squares and every inverse level but the top.
+
+    The top forward level adds ``v[j + K/2] = 0`` to ``v[j]``, so the lower
+    half is the pieces as they are and the upper half is the pieces twisted
+    by ``2^(t*j)``, ``t = 2L/K``.  Every level below it and every inverse
+    level but the top one stays within a half, and is the same in both.
+    """
+    half = len(pieces)
+    if upper:
+        t = bits // half
+        v = []
+        for j, x in enumerate(pieces):
+            w = x << t * j
+            v.append((w & mask) - (w >> bits))
+    else:
+        v = list(pieces)
+    # Forward transform, decimation in frequency: v[j + h] takes the twiddle
+    # 2^(t*e) with t = L/h, and the output is in bit-reversed order.
+    h = half >> 1
+    while h:
+        t = bits // h
+        for start in range(0, half, 2 * h):
+            for j in range(start, start + h):
+                x = v[j]
+                y = v[j + h]
+                w = x + y
+                v[j] = (w & mask) - (w >> bits)
+                w = (x - y) << t * (j - start)
+                v[j + h] = (w & mask) - (w >> bits)
+        h >>= 1
+    for j in range(half):
+        w = square(v[j])
+        v[j] = (w & mask) - (w >> bits)
+    # Inverse transform, decimation in time, back to natural order: the
+    # twiddle 2^(-t*e) is -2^(L - t*e), so y below is minus the twiddled value.
+    h = 1
+    while h < half:
+        t = bits // h
+        for start in range(0, half, 2 * h):
+            for j in range(start, start + h):
+                x = v[j]
+                w = v[j + h] << bits - t * (j - start)
+                y = (w & mask) - (w >> bits)
+                w = x - y
+                v[j] = (w & mask) - (w >> bits)
+                w = x + y
+                v[j + h] = (w & mask) - (w >> bits)
+        h <<= 1
+    return v
 
 
 def to_common_denominator(point: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:
@@ -490,3 +600,118 @@ def height_integer(nums: Sequence[int], den: int) -> int:
             worst = n
     return worst
 
+
+
+# -- work on two processes ---------------------------------------------------
+
+
+def _fork_allowed() -> bool:
+    """Whether ``_in_order`` may fork its worker: the platform has
+    ``os.fork`` and ``os.sched_getaffinity``, this process may run on two
+    CPUs or more, and no other Python thread runs (a fork copies only the
+    calling thread)."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+def _in_order(blocks: Iterable, work: Callable) -> Iterator:
+    """Yield ``work(block)`` for each of ``blocks``, in order.
+
+    When ``_fork_allowed()``, one forked ``_Worker`` runs blocks 1, 3, 5,
+    ... while this process runs blocks 0, 2, 4, ..., and every result is
+    yielded in block order.  A sized sequence of two blocks or more forks
+    before this process runs block 0; any other iterable forks at its
+    second block, so one block never starts a worker.  Both processes draw
+    every block from ``blocks``, whose state the fork copies, so the stream
+    must give the same blocks in both.  The first error in block order is
+    raised, as one process would raise it.  However the generator ends
+    (exhausted, failed or closed by its consumer), the worker is closed
+    and reaped.  No result is held here once it is yielded.
+    """
+    fork_at = 0 if isinstance(blocks, Sized) and len(blocks) >= 2 else 1
+    blocks = iter(blocks)
+    worker = None
+    try:
+        for index, block in enumerate(blocks):
+            if index == fork_at and _fork_allowed():
+                # The worker's stream starts at block 1.
+                rest = itertools.chain((block,), blocks) if index else blocks
+                worker = _Worker(rest, work)
+            yield work(block) if worker is None or index % 2 == 0 else worker.receive()
+    finally:
+        if worker is not None:
+            worker.close()
+
+
+class _Worker:
+    """The one forked process of ``_in_order``.  It runs every other block
+    of its stream, from the first, and sends each result back pickled over
+    a pipe; an exception is pickled and sent in place of its block's
+    result, and ends the worker.  The worker always ends by ``os._exit``,
+    so it never flushes a buffer or runs an exit handler inherited from
+    this process."""
+
+    def __init__(self, blocks: Iterator, work: Callable):
+        read_end, write_end = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if self.pid == 0:
+            os.close(read_end)
+            _work_odd_blocks(blocks, work, write_end)
+        os.close(write_end)
+        self.results = os.fdopen(read_end, "rb")
+        self.status: int | None = None
+
+    def receive(self):
+        """The result of the worker's next block; its exception is raised
+        here, and a worker that ended without sending one raises
+        ``RuntimeError`` with its exit status."""
+        import pickle  # on this path only: the import adds ~3 ms to every start
+
+        try:
+            done, value = pickle.load(self.results)
+        except (EOFError, pickle.UnpicklingError):
+            self.close()
+            raise RuntimeError(
+                f"the worker process ended before sending a block, exit status {self.status}"
+            ) from None
+        if not done:
+            raise value
+        return value
+
+    def close(self) -> None:
+        """Close the read end, so that a worker blocked on a write gets
+        ``EPIPE``, then reap the worker.  A second call does nothing."""
+        if self.status is None:
+            self.results.close()
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+def _work_odd_blocks(blocks: Iterator, work: Callable, fd: int) -> NoReturn:
+    """The body of a ``_Worker``: run every other block of ``blocks``,
+    from the first, and write each result to ``fd`` as a pickled pair
+    ``(True, result)``; on an exception, write ``(False, exception)`` and
+    stop.  Never returns: the process ends by ``os._exit``."""
+    import pickle
+
+    status = 1
+    try:
+        with os.fdopen(fd, "wb") as results:
+            try:
+                for own, block in zip(itertools.cycle((True, False)), blocks):
+                    if own:
+                        pickle.dump((True, work(block)), results)
+                        results.flush()
+            except Exception as error:  # the parent raises it in its turn
+                pickle.dump((False, error), results)
+        status = 0
+    finally:
+        os._exit(status)

@@ -1,5 +1,8 @@
+import contextlib
 import importlib.resources
 import json
+import os
+import signal
 from fractions import Fraction
 
 import pytest
@@ -61,6 +64,48 @@ def count_calls(monkeypatch, name: str) -> list:
     original = getattr(kernel, name)
     monkeypatch.setattr(kernel, name, lambda *args: calls.append(args) or original(*args))
     return calls
+
+
+# -- the forked worker of kernel._in_order ----------------------------------
+
+
+def started_workers(monkeypatch, fork: bool | None) -> list:
+    """Force the fork predicate on or off (``None`` leaves it as it is)
+    and return the list that collects every worker started."""
+    if fork is not None:
+        monkeypatch.setattr(kernel, "_fork_allowed", lambda: fork)
+    started = []
+
+    class Counted(kernel._Worker):
+        def __init__(self, *args):
+            started.append(self)  # in the parent: the worker never returns
+            super().__init__(*args)
+
+    monkeypatch.setattr(kernel, "_Worker", Counted)
+    return started
+
+
+def assert_no_child_left():
+    """No child process of this one is running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int = 60):
+    """Raise ``TimeoutError`` in this process after ``seconds``, so that a
+    wait on a worker fails the test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def assert_sparse_rank_matches_dense(automorphism: AffineAutomorphism) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affdyn import kernel
-from affdyn.dynamics import AffineAutomorphism
+from affdyn import heights, kernel
+from affdyn.dynamics import AffineAutomorphism, InputError
 from affdyn.heights import (
+    CanonicalHeightEstimate,
     canonical,
     canonical_estimate,
     height_growth_constant,
@@ -17,7 +19,14 @@ from affdyn.heights import (
 )
 from affdyn.parsing import parse_map_file, parse_polynomial
 
-from conftest import bundled_map_text, count_calls, small_points
+from conftest import (
+    assert_no_child_left,
+    bundled_map_text,
+    count_calls,
+    deadline,
+    small_points,
+    started_workers,
+)
 from oracles import apply, identity, normalize_projective
 
 LOG2 = math.log(2)
@@ -153,10 +162,64 @@ class TestCanonicalMinus:
 
 class TestCanonical:
     def test_no_step_past_the_budget_is_evaluated(self, henon, monkeypatch):
+        # One process: the worker's inverse steps would not be counted here.
+        monkeypatch.setattr(kernel, "_fork_allowed", lambda: False)
         calls = count_calls(monkeypatch, "eval_point")
         result = canonical(henon, (1, 1, 1), depth=64, bit_budget=2**16)
         assert result.plus.truncated and result.minus.truncated
         assert len(calls) == result.plus.depth + result.minus.depth
+
+    # At 2^22 bits the forward orbit squares operands past SPLIT_CUTOFF,
+    # in this process and, for the inverse orbit, in the worker.
+    @pytest.mark.parametrize(
+        "start, depth, budget",
+        [((1, 1, 1), 64, 2**16), ((1, Fraction(1, 2), -3), 6, 2**20), ((0, 0, 0), 3, 2**20),
+         ((1, 1, 1), 64, 2**22)],
+        ids=["truncated", "rational", "fixed", "split-squares"],
+    )
+    def test_two_processes_give_the_one_process_result(
+        self, henon, monkeypatch, start, depth, budget
+    ):
+        results = {}
+        for fork in (False, True):
+            started = started_workers(monkeypatch, fork)
+            with deadline():
+                results[fork] = canonical(henon, start, depth, budget)
+            assert len(started) >= fork
+            assert_no_child_left()
+        one, two = results[False], results[True]
+        for side in ("plus", "minus"):
+            for field in dataclasses.fields(CanonicalHeightEstimate):
+                name = field.name
+                assert getattr(getattr(two, side), name) == getattr(getattr(one, side), name)
+        assert two.to_report("henon3") == one.to_report("henon3")
+
+    @pytest.mark.parametrize("fork", [False, True], ids=["one-process", "two-processes"])
+    @pytest.mark.parametrize("failing", [("forward", "inverse"), ("forward",), ("inverse",)])
+    def test_first_error_comes_in_direction_order(self, henon, monkeypatch, fork, failing):
+        original = heights.canonical_estimate
+
+        def estimate(automorphism, point, depth, direction, bit_budget):
+            if direction in failing:
+                raise ValueError(f"{direction} failed")
+            return original(automorphism, point, depth, direction, bit_budget)
+
+        monkeypatch.setattr(heights, "canonical_estimate", estimate)
+        started = started_workers(monkeypatch, fork)
+        with deadline(), pytest.raises(ValueError, match=f"^{failing[0]} failed$"):
+            canonical(henon, (1, 1, 1), 8)
+        assert len(started) == fork
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fork", [False, True], ids=["one-process", "two-processes"])
+    def test_input_errors_are_raised_on_two_processes_too(self, henon, monkeypatch, fork):
+        started_workers(monkeypatch, fork)
+        with deadline():
+            with pytest.raises(InputError, match="depth must be >= 1"):
+                canonical(henon, (1, 1, 1), 0)
+            with pytest.raises(InputError):
+                canonical(henon, (1, 1), 4)
+        assert_no_child_left()
 
     def test_each_kept_step_measures_its_image_once(self, henon, monkeypatch):
         scans = count_calls(monkeypatch, "height_integer")

@@ -619,7 +619,7 @@ class TestReportWriters:
 
     def test_writers_format_each_height_log_once_per_chunk(self, henon, monkeypatch):
         # One process: a forked worker's calls would not be counted here.
-        monkeypatch.setattr(inequality, "_fork_allowed", lambda: False)
+        monkeypatch.setattr(kernel, "_fork_allowed", lambda: False)
         report = batch_verify(henon, BoxSampler(9))  # 6,859 records, 4 blocks
         blocks = report.records._blocks
         assert len(blocks) == 4

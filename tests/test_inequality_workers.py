@@ -4,7 +4,6 @@ sample order.  The reports and their bytes must equal those of one
 process, the first error in sample order must be raised, and no worker
 may outlive the call that started it."""
 
-import contextlib
 import dataclasses
 import io
 import itertools
@@ -31,6 +30,7 @@ from affdyn.inequality import (
 )
 from affdyn.parsing import DECIMAL_LIMIT
 
+from conftest import assert_no_child_left, deadline, started_workers
 from test_inequality import FixedSampler
 
 ONE = (Fraction(1),) * 3
@@ -41,45 +41,6 @@ ONE = (Fraction(1),) * 3
 # process's) that keep no record, and blocks 3 to 5 that keep some.
 HUGE = ((2 ** (2**20), 0, 0), 1)
 SMALL = [(nums, 1) for nums in itertools.product((-1, 0, 1), repeat=3)]
-
-
-def started_workers(monkeypatch, fork: bool | None) -> list:
-    """Force the fork predicate on or off (``None`` leaves it as it is)
-    and return the list that collects every worker started."""
-    if fork is not None:
-        monkeypatch.setattr(inequality, "_fork_allowed", lambda: fork)
-    started = []
-
-    class Counted(inequality._Worker):
-        def __init__(self, *args):
-            started.append(self)  # in the parent: the worker never returns
-            super().__init__(*args)
-
-    monkeypatch.setattr(inequality, "_Worker", Counted)
-    return started
-
-
-def assert_no_child_left():
-    """No child process of this one is running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextlib.contextmanager
-def deadline(seconds: int = 60):
-    """Raise ``TimeoutError`` in this process after ``seconds``, so that a
-    wait on a worker fails the test instead of hanging it."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"no result after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def written(report: DeltaReport) -> tuple[str, str]:
@@ -220,14 +181,14 @@ def test_report_on_stdout_is_written_once(henon, monkeypatch):
     # flush it.  The report goes to a pipe, block-buffered, with no --out,
     # in chunks of 64 records: their text (about 6 KB) stays in the buffer
     # when the writer forks.
-    monkeypatch.setattr(inequality, "_fork_allowed", lambda: False)
+    monkeypatch.setattr(kernel, "_fork_allowed", lambda: False)
     reference = io.StringIO()
     batch_verify(henon, BoxSampler(12)).write_csv(reference)  # 15,625 records
     root = Path(__file__).resolve().parent.parent
     script = (
         "import sys\n"
-        "from affdyn import cli, inequality\n"
-        "inequality._fork_allowed = lambda: True\n"
+        "from affdyn import cli, inequality, kernel\n"
+        "kernel._fork_allowed = lambda: True\n"
         "inequality.CHUNK_RECORDS = 64\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )

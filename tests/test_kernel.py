@@ -20,7 +20,7 @@ from affdyn.heights import weil_height_integer
 from affdyn.parsing import format_point, parse_map_file, parse_polynomial
 from affdyn.polyring import Polynomial
 
-from conftest import bundled_map_text
+from conftest import assert_no_child_left, bundled_map_text, deadline, started_workers
 from oracles import identity, interpret_map, orbit_mod_p, reduce_mod_p, to_fractions
 
 
@@ -271,7 +271,42 @@ def test_big_evaluation_matches_oracle(name, direction):
         assert image == kernel.eval_point(cm, *point) == interpret_map(cm, *point)
 
 
+@pytest.mark.parametrize("fork", [False, True], ids=["one-process", "two-processes"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_split_square_is_exact(monkeypatch, offset, fork):
+    # From SPLIT_CUTOFF bits on, the two halves of the transform run on two
+    # processes when the fork is allowed, and on this one below it.
+    n = kernel.SPLIT_CUTOFF + offset
+    rng = random.Random(offset)
+    operands = [_ones(n), -_ones(n), -((1 << n - 1) | rng.getrandbits(n - 1))]
+    started = started_workers(monkeypatch, fork)
+    with deadline():
+        squares = [kernel.square(a) for a in operands]
+    assert len(started) == (len(operands) if fork and offset >= 0 else 0)
+    assert_no_child_left()
+    ones_squared = (1 << 2 * n) - (1 << n + 1) + 1
+    assert squares[:2] == [ones_squared] * 2
+    assert squares[2] == operands[2] * operands[2]
+
+
+def test_split_square_splits_again_when_the_transform_recurses(monkeypatch):
+    # With both cutoffs lowered, a 4,000-bit square splits, and its
+    # pointwise squares of L = 528 bits go through the transform and split
+    # again, in this process and in the worker.
+    monkeypatch.setattr(kernel, "SQUARE_CUTOFF", 300)
+    monkeypatch.setattr(kernel, "SPLIT_CUTOFF", 300)
+    a = -random.Random(4000).getrandbits(4000) - (1 << 3999)
+    started = started_workers(monkeypatch, True)
+    with deadline():
+        assert kernel.square(a) == a * a
+    assert len(started) > 1
+    assert_no_child_left()
+
+
 def test_deep_orbit_matches_oracle_point_for_point(henon, monkeypatch):
+    # One process: the pointwise squares of a split square's other half
+    # would run in the worker, uncounted here.
+    monkeypatch.setattr(kernel, "_fork_allowed", lambda: False)
     squared = []
     square = kernel.square
     monkeypatch.setattr(kernel, "square", lambda a: squared.append(a.bit_length()) or square(a))
