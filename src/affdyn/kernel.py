@@ -20,14 +20,18 @@ height integer, whose bit length is the point's size for the bit budget.
 ``compile_map`` is the one place where polynomial denominators are
 cleared: each coordinate becomes integer terms over one cleared
 denominator, kept on the ``CompiledMap``.  Three code paths read these
-tables: map evaluation (the generated evaluator below and
-``exceeds_budget``), ``dynamics.is_regular`` (the sparse rows of its
-exact elimination and the witness search, over its compiled constraint
-forms) and ``heights.height_growth_constant``.
+tables: map evaluation (the source builder below, which reads them once
+when the map is compiled, and ``exceeds_budget``), ``dynamics.is_regular``
+(the sparse rows of its exact elimination and the witness search, over
+its compiled constraint forms) and ``heights.height_growth_constant``.
 
-``compile_map`` also writes each map as one straight-line Python function,
-``eval_map(nums, d1, sq)``, compiled once and kept on the ``CompiledMap``.
-It first computes each power ``x_i^e`` that any term needs exactly once,
+``compile_map`` also writes each map as straight-line Python, one source
+(``_evaluator_source``) with two functions, compiled once and kept on the
+``CompiledMap``: ``eval_map(nums, d1, sq)``, the canonical image, and
+``eval_height(nums, d1)``, the height integer of that image, which builds
+no image tuple.  Both come from the same cleared terms, power chain and
+numerators.  ``eval_map`` first computes each power ``x_i^e`` that any
+term needs exactly once,
 as a local ``x<i>_<e>``, by the binary chain: an even power squares
 ``x<i>_<e/2>``, an odd one multiplies ``x<i>_<e-1>`` by ``x<i>``
 (``x0_2 = x0*x0``, ``x0_4 = x0_2*x0_2``).  This power block squares with
@@ -40,13 +44,19 @@ denominator and every numerator reduces the image, and the division is
 skipped when the gcd is 1.  On integer points (``d1 == 1``) the
 denominator is ``L``, and when ``L`` is 1 the numerators are returned
 with no gcd at all; this branch and the scaled one share the power
-locals.  The source is built from integer literals and fixed names only
-(``x0, x1, ...`` for the numerators, ``x<i>_<e>`` for their powers, ``d1,
-d2, ...`` for the denominator powers, ``a<j>`` for the image numerators,
-``b0`` for their denominator, ``g``, ``gcd`` and ``sq``): no text from a
-map file reaches ``exec``.  This is the one kernel; ``tests/oracles.py``
-keeps a table interpreter, which reduces each coordinate by its own gcd
-and multiplies with plain ``*``, that checks it.
+locals.  ``eval_height`` runs the same statements with the power block
+in plain ``*`` (its one caller stays below ``square_bits``), then takes
+``h``, the largest of the denominator and every ``|a<j>|`` by an
+unrolled scan, and divides it by the one gcd when that is not 1: the
+largest entry of the vector divided by ``g`` is the largest entry
+divided by ``g``.  The source is built from integer literals and fixed
+names only (``eval_map`` and ``eval_height``, ``x0, x1, ...`` for the
+numerators, ``x<i>_<e>`` for their powers, ``d1, d2, ...`` for the
+denominator powers, ``a<j>`` for the image numerators, ``b0`` for their
+denominator, ``g``, ``h``, ``gcd`` and ``sq``): no text from a map file
+reaches ``exec``.  This is the one kernel; ``tests/oracles.py`` keeps a
+table interpreter, which reduces each coordinate by its own gcd and
+multiplies with plain ``*``, that checks it.
 
 Deep orbits spend almost all their time squaring integers of up to
 millions of bits, and CPython 3.11 squares an ``int`` by Karatsuba.
@@ -142,9 +152,14 @@ budgeted map application, and ``step`` has two callers.
 ``AffineAutomorphism.orbit`` is the one loop over it, which canonical
 heights read; it reuses the height integer of each image for the next
 step, so each integer is measured once.  ``inequality.batch_verify``
-steps each sampled point at most once each way, over the two compiled
-maps it fetches once per run, and so measures each of the three height
-integers of a record once.
+evaluates each sampled point at most once each way, over the two
+compiled maps it fetches once per run, and so measures each of the three
+height integers of a record once.  It steps only points above the
+largest height bit length at which ``step`` of either map would neither
+ask ``exceeds_budget`` nor pass ``square``; every point at or under it
+goes through the maps' ``eval_height`` with ``step``'s own final budget
+test, which is what ``step`` does at that size.  ``eval_height`` has no
+other caller.
 
 Before it evaluates, ``step`` asks ``exceeds_budget`` whether the image is
 certain to break the budget; if so the image is never computed.  It asks
@@ -194,7 +209,9 @@ worker of its own: a split ``square`` in ``canonical``'s inverse orbit
 does.  Kernel calls and spans counted in this process (a wrapped
 ``kernel`` function, a tracer) see only the blocks that it ran; the
 traced ``kernel.eval_point.*`` and ``heights.canonical.*`` counts cover
-this process's half only.
+this process's half only.  Of ``batch_verify``'s sample points,
+``kernel.eval_point`` sees only those that it steps, above the size
+given above.
 """
 
 from __future__ import annotations
@@ -229,12 +246,14 @@ class CompiledMap:
     Per coordinate: integer-cleared terms, the cleared denominator, and the
     total degree; ``exceeds_budget``, ``dynamics.is_regular`` and
     ``heights.height_growth_constant`` read these.  ``deg`` and
-    ``coeff_bits`` (the largest degree and cleared-coefficient bit length)
-    feed the cheap test that decides whether ``exceeds_budget`` can fire
-    at all.  ``square_bits`` is the height bit length from which a
-    squaring in the power block can reach ``SQUARE_CUTOFF`` (see ``step``).
-    ``source`` is the generated straight-line evaluator and ``eval_map``
-    the function compiled from it.
+    ``coeff_bits`` (the largest degree, and the largest bit length of a
+    coefficient in ``terms``, before the evaluator scales coordinate ``j``
+    by ``lcm(denoms) // denoms[j]``) feed the cheap test that decides
+    whether ``exceeds_budget`` can fire at all (see ``step``).
+    ``square_bits`` is the height bit length from which a squaring in the
+    power block can reach ``SQUARE_CUTOFF`` (see ``step``).  ``source`` is
+    the generated straight-line source, and ``eval_map`` and
+    ``eval_height`` the two functions compiled from it.
     """
 
     terms: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
@@ -245,6 +264,7 @@ class CompiledMap:
     square_bits: int
     source: str = field(repr=False, compare=False)
     eval_map: Callable = field(repr=False, compare=False)
+    eval_height: Callable = field(repr=False, compare=False)
 
 
 def compile_map(coords) -> CompiledMap:
@@ -274,39 +294,46 @@ def compile_map(coords) -> CompiledMap:
     exec(compile(source, "<affdyn.kernel.compile_map>", "exec"), namespace)
     return CompiledMap(
         tuple(all_terms), tuple(denoms), tuple(degs), max(degs), coeff_bits,
-        square_bits, source, namespace["eval_map"],
+        square_bits, source, namespace["eval_map"], namespace["eval_height"],
     )
 
 
 def _evaluator_source(nvars, terms, denoms, degs) -> str:
-    """Python source of ``eval_map(nums, d1, sq)`` for the cleared map.
+    """Python source of ``eval_map(nums, d1, sq)`` and ``eval_height(nums,
+    d1)`` for the cleared map.
 
     With ``L = lcm(denoms)`` and ``m = max(degs)``, the image is
     ``(N_0, ...) / D`` with ``D = L * d1^m`` and ``N_j`` the sum of
     ``c * (L // denoms[j]) * x^e * d1^(m - |e|)`` over the terms of
     coordinate ``j``.  One gcd of ``D`` and every ``N_j`` divides the vector
     down to the canonical form, the unique primitive integer vector with a
-    positive last entry on its line.  Only integers and fixed names are
+    positive last entry on its line.  ``eval_map`` returns that form and
+    ``eval_height`` its height integer, the largest of ``D`` and every
+    ``|N_j|`` divided by the same gcd.  Only integers and fixed names are
     written.
     """
     common = lcm(*denoms)
     terms = [[(c * (common // denom), exps) for c, exps in coordinate]
              for coordinate, denom in zip(terms, denoms)]
-    xs = [f"x{i}" for i in range(nvars)]
-    lines = ["def eval_map(nums, d1, sq):"]
-    if nvars:
-        lines.append(f"    {', '.join(xs)}{',' if nvars == 1 else ''} = nums")
+    unpack = f"    {', '.join(f'x{i}' for i in range(nvars))}{',' if nvars == 1 else ''} = nums"
     powers = _power_chain(terms)
-    if powers:
-        lines.append("    if sq:")
-        lines += [f"        {_power(i, e)} = {_power_product(i, e, True)}" for i, e in powers]
-        lines.append("    else:")
-        lines += [f"        {_power(i, e)} = {_power_product(i, e, False)}" for i, e in powers]
-    lines.append("    if d1 == 1:")
-    lines += _reduction(terms, common, 0, indent="        ")
     dmax = max(degs)
-    lines += [f"    d{k} = d{k - 1}*d1" for k in range(2, dmax + 1)]
-    lines += _reduction(terms, common, dmax, indent="    ")
+    lines = []
+    for height in (False, True):
+        lines.append("def eval_height(nums, d1):" if height else "def eval_map(nums, d1, sq):")
+        if nvars:
+            lines.append(unpack)
+        if height:  # called only below square_bits: no sq
+            lines += [f"    {_power(i, e)} = {_power_product(i, e, False)}" for i, e in powers]
+        elif powers:
+            lines.append("    if sq:")
+            lines += [f"        {_power(i, e)} = {_power_product(i, e, True)}" for i, e in powers]
+            lines.append("    else:")
+            lines += [f"        {_power(i, e)} = {_power_product(i, e, False)}" for i, e in powers]
+        lines.append("    if d1 == 1:")
+        lines += _reduction(terms, common, 0, "        ", height)
+        lines += [f"    d{k} = d{k - 1}*d1" for k in range(2, dmax + 1)]
+        lines += _reduction(terms, common, dmax, "    ", height)
     return "\n".join(lines) + "\n"
 
 
@@ -334,23 +361,37 @@ def _power_product(i: int, e: int, squared: bool) -> str:
     return f"sq({half})" if squared else f"{half}*{half}"
 
 
-def _reduction(terms, common: int, deg: int, indent: str) -> list[str]:
+def _reduction(terms, common: int, deg: int, indent: str, height: bool) -> list[str]:
     """Statements returning the image ``(N_0, ...) / D``, with ``D = common
     * d1^deg``, in canonical form: the vector divided by its gcd, when that
-    is not 1."""
+    is not 1.  With ``height``, they return its height integer instead:
+    the largest of ``D`` and every ``|N_j|``, divided by the same gcd."""
     nums = [_numerator(t, deg) for t in terms]
     factors = ([str(common)] if common != 1 else []) + ([f"d{deg}"] if deg else [])
-    if not factors:  # the denominator is 1: the numerators are the image
-        return [f"{indent}return {_tuple(nums)}, 1"]
     names = [f"a{j}" for j in range(len(nums))]
-    return [
-        *(f"{indent}{a} = {num}" for a, num in zip(names, nums)),
-        f"{indent}b0 = {'*'.join(factors)}",
-        f"{indent}g = gcd(b0, {', '.join(names)})",
-        f"{indent}if g == 1:",
-        f"{indent}    return {_tuple(names)}, b0",
-        f"{indent}return {_tuple([f'{a} // g' for a in names])}, b0 // g",
-    ]
+    if not height and not factors:  # the denominator is 1: the numerators are the image
+        return [f"{indent}return {_tuple(nums)}, 1"]
+    lines = [f"{indent}{a} = {num}" for a, num in zip(names, nums)]
+    if factors:
+        lines += [f"{indent}b0 = {'*'.join(factors)}", f"{indent}g = gcd(b0, {', '.join(names)})"]
+    if not height:
+        return [
+            *lines,
+            f"{indent}if g == 1:",
+            f"{indent}    return {_tuple(names)}, b0",
+            f"{indent}return {_tuple([f'{a} // g' for a in names])}, b0 // g",
+        ]
+    lines.append(f"{indent}h = {'b0' if factors else '1'}")
+    for a in names:
+        lines += [
+            f"{indent}if {a} < 0:",
+            f"{indent}    {a} = -{a}",
+            f"{indent}if {a} > h:",
+            f"{indent}    h = {a}",
+        ]
+    if not factors:  # the denominator is 1: no gcd to divide by
+        return [*lines, f"{indent}return h"]
+    return [*lines, f"{indent}if g == 1:", f"{indent}    return h", f"{indent}return h // g"]
 
 
 def _tuple(items: list[str]) -> str:
@@ -573,12 +614,20 @@ def step(cm: CompiledMap, nums: Sequence[int], den: int, bits: int, budget: int)
     the image exceeds ``budget`` bits.
 
     ``bits`` is the bit length of the point's height integer, at most
-    ``budget``.  Every term of an image numerator is below
-    ``2^(cm.deg * bits + cm.coeff_bits)``, so ``exceeds_budget`` is asked
-    only when that exceeds ``budget``; when it proves the image too large,
-    the image is not computed.  The power block squares ``x<i>_<e/2>``,
-    of at most ``(cm.deg // 2) * bits`` bits, so ``square`` is passed only
-    when that can reach ``SQUARE_CUTOFF``, from ``cm.square_bits`` on.
+    ``budget``.  Every integer of the point has at most ``bits`` bits, so
+    the largest ``lo`` that ``exceeds_budget`` forms is at most
+    ``cm.coeff_bits + cm.deg * bits - 1``, and as it subtracts at least
+    one bit for the cleared denominator it cannot answer True unless
+    ``cm.deg * bits + cm.coeff_bits`` exceeds ``budget``.  Only then is
+    it asked; when it proves the image too large, the image is not
+    computed.  (That sum does not bound the generated numerators: the
+    evaluator scales coordinate ``j`` by ``lcm(denoms) // denoms[j]``,
+    which ``coeff_bits`` leaves out.)  The power block squares
+    ``x<i>_<e/2>``, of at most ``(cm.deg // 2) * bits`` bits, so
+    ``square`` is passed only when that can reach ``SQUARE_CUTOFF``, from
+    ``cm.square_bits`` on.  Below both sizes ``step`` is ``eval_map``
+    with no ``sq`` and a height scan, which ``cm.eval_height`` gives in
+    one call; ``inequality.batch_verify`` calls it there directly.
     """
     if bits * cm.deg + cm.coeff_bits > budget and exceeds_budget(cm, nums, den, budget):
         return None, None

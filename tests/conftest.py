@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib.resources
 import json
 import os
@@ -63,6 +64,24 @@ def count_calls(monkeypatch, name: str) -> list:
     calls = []
     original = getattr(kernel, name)
     monkeypatch.setattr(kernel, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def count_eval_height(monkeypatch, calls: list, *automorphisms) -> list:
+    """Record in ``calls`` the arguments of every ``eval_height`` call on
+    the two compiled maps of each of ``automorphisms``, and return it.
+    ``batch_verify`` evaluates a sample point below its gate through
+    ``eval_height`` and any other through ``kernel.step``, so a list that
+    counts both ``eval_point`` and ``eval_height`` counts every
+    evaluation, and one that counts both ``height_integer`` and
+    ``eval_height`` every height measured."""
+    for automorphism in automorphisms:
+        maps = {}
+        for direction in ("forward", "inverse"):
+            cm = automorphism.compiled(direction)
+            counted = lambda *args, f=cm.eval_height: calls.append(args) or f(*args)
+            maps[direction] = dataclasses.replace(cm, eval_height=counted)
+        monkeypatch.setattr(automorphism, "compiled", maps.__getitem__)
     return calls
 
 

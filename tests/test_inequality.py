@@ -27,7 +27,7 @@ from affdyn.inequality import (
 )
 from affdyn.parsing import DECIMAL_LIMIT, parse_map_file
 
-from conftest import count_calls
+from conftest import count_calls, count_eval_height
 from oracles import horner_eval, identity, to_fractions
 
 LOG2 = math.log(2)
@@ -274,7 +274,7 @@ class TestBatchVerify:
         # f(0, 0, 16) = (0, 16, 256) exceeds 8 bits; the point does not.  The
         # bit-length bound cannot prove it (256 is 2^8), so the forward image
         # is evaluated, and the inverse is not.
-        calls = count_calls(monkeypatch, "eval_point")
+        calls = count_eval_height(monkeypatch, count_calls(monkeypatch, "eval_point"), henon)
         sampler = OrbitSampler(((Fraction(0), Fraction(0), Fraction(16)),), 0)
         report = batch_verify(henon, sampler, bit_budget=8)
         assert len(calls) == 1
@@ -282,7 +282,7 @@ class TestBatchVerify:
 
     def test_certified_forward_overflow_evaluates_nothing(self, henon, monkeypatch):
         # f(0, 0, 200) = (0, 200, 40000): z^2 alone proves 40000 > 2^8.
-        calls = count_calls(monkeypatch, "eval_point")
+        calls = count_eval_height(monkeypatch, count_calls(monkeypatch, "eval_point"), henon)
         sampler = OrbitSampler(((Fraction(0), Fraction(0), Fraction(200)),), 0)
         report = batch_verify(henon, sampler, bit_budget=8)
         assert calls == []
@@ -293,9 +293,10 @@ class TestBatchVerify:
         assert math.isnan(report.min_delta) and report.checkpoints == ()
 
     def test_each_record_measures_three_points_once(self, henon, monkeypatch):
-        # H(P) for the budget test and the record; each step hands back the
-        # height integer of its image.
-        scans = count_calls(monkeypatch, "height_integer")
+        # H(P) for the budget test and the record; each evaluation hands
+        # back the height integer of its image: eval_height measures it, or
+        # kernel.step scans it.
+        scans = count_eval_height(monkeypatch, count_calls(monkeypatch, "height_integer"), henon)
         report = batch_verify(henon, BoxSampler(1))
         assert len(report.records) == 27 and report.skipped == 0
         assert len(scans) == 3 * len(report.records)
@@ -307,9 +308,10 @@ class TestBatchVerify:
         )
         assert report.skipped > 0
 
-    # kernel.eval_point and kernel.exceeds_budget calls over the sweep below,
-    # on henon3 and on RATIONAL_SWEEP_MAP; exceeds_budget only saves work, so
-    # only these counts show a gate that asks it one bit too early or too late.
+    # Evaluations (kernel.eval_point or a map's eval_height) and
+    # kernel.exceeds_budget calls over the sweep below, on henon3 and on
+    # RATIONAL_SWEEP_MAP; exceeds_budget only saves work, so only these
+    # counts show a gate that asks it one bit too early or too late.
     GATE_SWEEP_CALLS = (4391, 405)
     RATIONAL_GATE_SWEEP_CALLS = (15020, 866)
     # A map with coeff_bits == 2 (x + y^2/2 clears to (2x + y^2)/2), swept
@@ -332,6 +334,7 @@ class TestBatchVerify:
             for automorphism, samplers, pinned in sweeps
         ]
         evals = count_calls(monkeypatch, "eval_point")
+        count_eval_height(monkeypatch, evals, henon, rational)
         bounds = count_calls(monkeypatch, "exceeds_budget")
         for automorphism, sweep, pinned in cases:
             evals.clear()

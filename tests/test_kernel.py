@@ -41,8 +41,8 @@ _wide_polynomials = st.dictionaries(
 
 
 @st.composite
-def _canonical_points(draw):
-    nums = draw(st.lists(st.integers(-(2**80), 2**80), min_size=3, max_size=3))
+def _canonical_points(draw, n=3):
+    nums = draw(st.lists(st.integers(-(2**80), 2**80), min_size=n, max_size=n))
     den = draw(st.just(1) | st.integers(1, 2**40))
     g = gcd(den, *nums)
     return tuple(n // g for n in nums), den // g
@@ -57,7 +57,7 @@ RATIONAL_MAP = "vars x y\nforward: y | x + y^2/2\ninverse: y - x^2/2 | x\n"
 
 
 _FIXED_NAME = re.compile(
-    r"def|eval_map|nums|if|else|return|gcd|g|sq|[xdab][0-9]+|x[0-9]+_[0-9]+"
+    r"def|eval_map|eval_height|nums|if|else|return|gcd|g|h|sq|[xdab][0-9]+|x[0-9]+_[0-9]+"
 )
 _STRUCTURE = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -78,11 +78,14 @@ def _polynomials(names, *texts):
 # power of den, 2^41 under (x, y + x^2), which maps the point to
 # ((2^19, 1), 2^39), 2^40 under (x/2, y/2 + x^2/4), whose cleared
 # denominators are 2 and 4, and under henon3, and 2^80 under its inverse.
+# The images of the first two and of the identity at 0 have a height
+# integer that is their denominator, larger than every numerator.
 @given(coords=_MAPS, point=_canonical_points())
 @example(coords=_polynomials(("x", "y"), "x", "y + x^2"), point=((2**20, 1), 2**40))
 @example(coords=_polynomials(("x", "y"), "x/2", "y/2 + x^2/4"), point=((2**20, 1), 2**40))
 @example(coords=_HENON.forward, point=((3, 2**20, 2**20), 2**40))
 @example(coords=_HENON.inverse, point=((2**20, 2**40, 3), 2**40))
+@example(coords=identity(3).forward, point=((0, 0, 0), 1))
 @settings(max_examples=200, deadline=None)
 def test_backends_match_fraction_evaluation(coords, point):
     nums, den = point
@@ -91,6 +94,7 @@ def test_backends_match_fraction_evaluation(coords, point):
     image = kernel.eval_point(cm, nums, den)
     _canonical(*image)
     assert image == interpret_map(cm, nums, den)
+    assert cm.eval_height(nums, den) == kernel.height_integer(*cm.eval_map(nums, den, None))
     point = to_fractions(nums, den)
     assert to_fractions(*image) == tuple(p.evaluate(point) for p in coords)
 
@@ -103,7 +107,8 @@ def test_backends_match_fraction_evaluation(coords, point):
 )
 def test_one_gcd_per_rational_image(coords):
     # The generated source, run again with a gcd that counts its calls,
-    # reduces each image at a point with a denominator by one gcd call.
+    # reduces each image, or its height integer, at a point with a
+    # denominator by one gcd call.
     cm = kernel.compile_map(coords)
     calls = []
     namespace = {"__builtins__": {}, "gcd": lambda *args: calls.append(args) or gcd(*args)}
@@ -114,10 +119,16 @@ def test_one_gcd_per_rational_image(coords):
         calls.clear()
         assert namespace["eval_map"](nums, den, None) == cm.eval_map(nums, den, None)
         assert len(calls) == 1
+        calls.clear()
+        assert namespace["eval_height"](nums, den) == cm.eval_height(nums, den)
+        assert len(calls) == 1
     # Integer points of a map without cleared denominators take no gcd.
-    calls.clear()
-    namespace["eval_map"]((2, -3, 5)[:len(coords)], 1, None)
-    assert len(calls) == (max(cm.denoms) > 1)
+    nums = (2, -3, 5)[:len(coords)]
+    for evaluate in (lambda: namespace["eval_map"](nums, 1, None),
+                     lambda: namespace["eval_height"](nums, 1)):
+        calls.clear()
+        evaluate()
+        assert len(calls) == (max(cm.denoms) > 1)
 
 
 def test_common_denominator_form_is_canonical():
@@ -425,6 +436,28 @@ def test_exceeds_budget_is_sound(data):
     budget = max(1, bits + data.draw(st.integers(-8, 8)))
     if kernel.exceeds_budget(cm, nums, den, budget):
         assert bits > budget
+
+
+# Cleared denominators 2 and 3: the evaluator scales the first coordinate,
+# x + 2y^2 over 2, by 3, so at 10-bit points its term 6*x1_2 has 23 bits,
+# past deg * bits + coeff_bits = 22.
+_MIXED = parse_map_file("vars x y\nforward: x/2 + y^2 | y/3\ninverse: 2*x - 18*y^2 | 3*y\n")
+
+
+@given(case=st.tuples(_MAPS, _canonical_points())
+       | st.tuples(st.sampled_from([_MIXED.forward, _MIXED.inverse]), _canonical_points(2)),
+       slack=st.integers(0, 8))
+@example(case=(_MIXED.forward, ((0, 1023), 1)), slack=0)
+@settings(max_examples=300, deadline=None)
+def test_exceeds_budget_never_fires_below_the_gate(case, slack):
+    # The largest lo that exceeds_budget forms is at most coeff_bits +
+    # deg * bits - 1 for a point of height bit length bits, so it answers
+    # False at every budget from deg * bits + coeff_bits on; kernel.step
+    # and batch_verify's small rest on that.
+    coords, (nums, den) = case
+    cm = kernel.compile_map(coords)
+    bits = kernel.height_integer(nums, den).bit_length()
+    assert not kernel.exceeds_budget(cm, nums, den, bits * cm.deg + cm.coeff_bits + slack)
 
 
 def test_exceeds_budget_sees_dominant_terms_only(henon):
